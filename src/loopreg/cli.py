@@ -9,7 +9,9 @@ subcommands, or bare two-column plot data.
 Masses are handled in GeV internally; ``--units MeV`` converts all
 mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
 2 usage/validation error, 3 numeric failure (quadrature tolerance unmet, or
-a pole where a finite value was requested).
+a pole where a finite value was requested, or a floating-point overflow or
+division by zero).  Every float flag must be finite: ``inf`` and ``nan`` are
+usage errors.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
-
-from scipy import optimize as _sci_optimize
 
 from . import kernel, oracle, phi4, qed
 
@@ -446,9 +446,9 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> int:
     msq = cfg.msq_in(ns.msq)
     if ns.grid is not None:
         try:
-            grid_display = tuple(float(tok) for tok in ns.grid.split(","))
-        except ValueError:
-            raise ValueError(f"--grid must be a comma-separated list of numbers, got {ns.grid!r}") from None
+            grid_display = tuple(_finite_float(tok) for tok in ns.grid.split(","))
+        except argparse.ArgumentTypeError:
+            raise ValueError(f"--grid must be a comma-separated list of finite numbers, got {ns.grid!r}") from None
         grid = tuple(cfg.mass_in(g) for g in grid_display)
     else:
         scale = math.sqrt(msq)
@@ -533,6 +533,8 @@ def _pole_boundary(state: phi4.ResummationState) -> float:
 
 
 def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
+    from scipy import optimize
+
     ok = True
     print("=" * 72)
     print("walkthrough: divergent one-loop family -> closed forms -> conditions")
@@ -616,7 +618,7 @@ def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
     ok &= _gate("coupling = 3*(m_sigma/phi1)^2 closes on the input to 1e-12", worst <= 1e-12, f"worst rel err {worst:.2e}")
 
     pot = phi4.SSBPotential(sigma=1.0, lam=6.0)
-    res = _sci_optimize.minimize_scalar(pot, bounds=(1e-9, 3.0 * pot.phi1), method="bounded", options={"xatol": 1e-10})
+    res = optimize.minimize_scalar(pot, bounds=(1e-9, 3.0 * pot.phi1), method="bounded", options={"xatol": 1e-10})
     ok &= _gate(
         "numeric minimization of the potential finds the vacuum to 1e-6",
         abs(res.x - pot.phi1) <= 1e-6 * pot.phi1,
@@ -655,6 +657,17 @@ def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
 # ----------------------------- parser wiring -----------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a number that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
@@ -670,46 +683,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularize", parents=[common], help="Reduce a loop integral to its closed form plus constants.")
     p.add_argument("--n", type=int, required=True, help="denominator power n >= 1")
-    p.add_argument("--msq", type=float, help="squared mass M^2 for numeric evaluation (units^2)")
-    p.add_argument("--mu1", type=float, help="alias the dimensionless constant to -ln(mu1^2)")
+    p.add_argument("--msq", type=_finite_float, help="squared mass M^2 for numeric evaluation (units^2)")
+    p.add_argument("--mu1", type=_finite_float, help="alias the dimensionless constant to -ln(mu1^2)")
     p.set_defaults(handler=_cmd_regularize)
 
     p = sub.add_parser("selfenergy", parents=[common], help="On-shell electron mass shift.")
-    p.add_argument("--m", type=float, required=True, help="electron mass (units)")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="fine-structure constant")
-    p.add_argument("--mu1", type=float, help="integration scale; default fixes the shift to zero")
+    p.add_argument("--m", type=_finite_float, required=True, help="electron mass (units)")
+    p.add_argument("--alpha", type=_finite_float, default=DEFAULT_ALPHA, help="fine-structure constant")
+    p.add_argument("--mu1", type=_finite_float, help="integration scale; default fixes the shift to zero")
     p.set_defaults(handler=_cmd_selfenergy)
 
     p = sub.add_parser("mu1", parents=[common], help="Scale fixed by the zero mass-shift condition.")
-    p.add_argument("--m", type=float, required=True, help="mass (units)")
+    p.add_argument("--m", type=_finite_float, required=True, help="mass (units)")
     p.set_defaults(handler=_cmd_mu1)
 
     p = sub.add_parser("lambshift", parents=[common], help="Leading-log 2S-2P splitting estimate in MHz.")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--m", type=float, help="electron mass (units); default 0.000511 GeV")
-    p.add_argument("--bethe-log", type=float, default=DEFAULT_BETHE_LOG, help="Bethe logarithm input (default 2.8118)")
+    p.add_argument("--alpha", type=_finite_float, default=DEFAULT_ALPHA)
+    p.add_argument("--m", type=_finite_float, help="electron mass (units); default 0.000511 GeV")
+    p.add_argument("--bethe-log", type=_finite_float, default=DEFAULT_BETHE_LOG, help="Bethe logarithm input (default 2.8118)")
     p.set_defaults(handler=_cmd_lambshift)
 
     p = sub.add_parser("phi4", parents=[common], help="Broken-vacuum relations and one-loop coupling.")
-    p.add_argument("--sigma", type=float, required=True, help="wrong-sign mass parameter (units^2)")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="quartic coupling")
+    p.add_argument("--sigma", type=_finite_float, required=True, help="wrong-sign mass parameter (units^2)")
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True, help="quartic coupling")
     p.set_defaults(handler=_cmd_phi4)
 
     p = sub.add_parser("resum", parents=[common], help="Resummed running coupling and its critical scale.")
-    p.add_argument("--lambda0", type=float, required=True, help="coupling at the reference scale")
-    p.add_argument("--mu0", type=float, required=True, help="reference scale (units)")
-    p.add_argument("--b", dest="beta_coeff", type=float, help="resummation coefficient (default 9/(32*pi^2))")
-    p.add_argument("--mu", type=float, help="single evaluation scale (units)")
-    p.add_argument("--mu-min", type=float, help="sweep start (units)")
-    p.add_argument("--mu-max", type=float, help="sweep end (units)")
+    p.add_argument("--lambda0", type=_finite_float, required=True, help="coupling at the reference scale")
+    p.add_argument("--mu0", type=_finite_float, required=True, help="reference scale (units)")
+    p.add_argument("--b", dest="beta_coeff", type=_finite_float, help="resummation coefficient (default 9/(32*pi^2))")
+    p.add_argument("--mu", type=_finite_float, help="single evaluation scale (units)")
+    p.add_argument("--mu-min", type=_finite_float, help="sweep start (units)")
+    p.add_argument("--mu-max", type=_finite_float, help="sweep end (units)")
     p.add_argument("--mu-points", type=int, default=25, help="sweep point count (default 25)")
     p.set_defaults(handler=_cmd_resum)
 
     p = sub.add_parser("oracle", parents=[common], help="Cutoff quadrature sweep, divergence signature, asymptote.")
     p.add_argument("--n", type=int, required=True, help="denominator power n >= 1")
-    p.add_argument("--msq", type=float, required=True, help="squared mass M^2 (units^2)")
+    p.add_argument("--msq", type=_finite_float, required=True, help="squared mass M^2 (units^2)")
     p.add_argument("--grid", type=str, help="comma-separated cutoffs (units); default 1e2..1e6 times sqrt(M^2)")
-    p.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance (default 1e-10)")
+    p.add_argument("--rel-tol", type=_finite_float, default=1e-10, help="quadrature relative tolerance (default 1e-10)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("demo", parents=[common], help="Full cross-checked walkthrough; exit 0 only if every check passes.")
@@ -729,7 +742,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _resolve_config(ns)
         handler: Callable[[argparse.Namespace, RunConfig], int] = ns.handler
         return handler(ns, cfg)
-    except (oracle.QuadratureError, phi4.LandauPoleError) as exc:
+    except (oracle.QuadratureError, phi4.LandauPoleError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, kernel.StillDivergentError) as exc:

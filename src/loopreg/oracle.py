@@ -9,16 +9,15 @@ using d^4K_E = 2 pi^2 k^3 dk for the 4-volume element.  Everything here
 runs in double precision against a finite cutoff Lambda: exactness lives in
 the kernel module, not here.  The radial integral also has an elementary
 antiderivative for every integer n, used as a self-check of the adaptive
-quadrature.
+quadrature.  scipy is imported on the first quadrature, not with this
+module, so importing the package stays cheap for callers that never
+integrate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy import integrate as _sci_integrate
 
 __all__ = [
     "QuadratureError",
@@ -123,6 +122,10 @@ def radial_integral(
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
     if not mass_sq > 0:
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
+    # scipy loads on the first call only; quad is read off the module at each
+    # call, so a wrapper installed on scipy.integrate.quad sees every call
+    from scipy import integrate
+
     total = 0.0
     err_total = 0.0
     edges = _decade_edges(mass_sq, cutoff)
@@ -130,7 +133,7 @@ def radial_integral(
     # enforces the requested rel_tol, so tighter requests fail loudly.
     epsrel = max(rel_tol / 10.0, 5e-14)
     for a, b in zip(edges, edges[1:]):
-        piece, err = _sci_integrate.quad(
+        piece, err = integrate.quad(
             radial_integrand, a, b, args=(power, mass_sq), epsabs=0.0,
             epsrel=epsrel, limit=200,
         )
@@ -179,6 +182,17 @@ def _probe_values(probe: CutoffProbe) -> list[float]:
     ]
 
 
+def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares straight line through (xs, ys): (slope, intercept)."""
+    n = len(xs)
+    x_mean = math.fsum(xs) / n
+    y_mean = math.fsum(ys) / n
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    return slope, y_mean - slope * x_mean
+
+
 def _require_grid(probe: CutoffProbe, min_points: int, min_span: float) -> None:
     grid = probe.lambda_grid
     if len(grid) < min_points or grid[-1] / grid[0] < min_span * 0.999:
@@ -207,8 +221,8 @@ def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     if slopes[-1] <= 1e-4 * abs(vals[-1]) or slopes[-1] <= 0.1 * slopes[0]:
         return DivergenceSignature("convergent", vals[-1])
     if slopes[-1] < 2.0 * slopes[0]:
-        slope, _ = np.polyfit(logs, vals, 1)
-        return DivergenceSignature("log", float(slope))
+        slope, _ = _line_fit(logs, vals)
+        return DivergenceSignature("log", slope)
     exponent = (math.log(vals[-1]) - math.log(vals[0])) / (logs[-1] - logs[0])
     if exponent >= 1.5:
         return DivergenceSignature("quadratic", vals[-1] / grid[-1] ** 2)
@@ -233,5 +247,5 @@ def asymptote_constant(probe: CutoffProbe) -> float:
     gs = [v - math.log(lam) for lam, v in zip(grid, vals) if lam >= threshold]
     if len(xs) < 2:
         raise InsufficientGridError("need >= 2 grid points in the top two decades for extrapolation")
-    _, intercept = np.polyfit(xs, gs, 1)
-    return float(intercept)
+    _, intercept = _line_fit(xs, gs)
+    return intercept

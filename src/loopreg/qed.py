@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy import optimize as _sci_optimize
-
 from . import feynpar, kernel
 
 __all__ = [
@@ -204,10 +202,12 @@ def solve_mu1_by_root(m: float, alpha: float = 1.0 / 137.036) -> float:
     if not m > 0:
         raise ValueError(f"m must be positive, got {m!r}")
 
+    from scipy import optimize
+
     def shift(mu1: float) -> float:
         return on_shell_mass_shift(m, alpha, mu1).delta_m
 
-    return float(_sci_optimize.brentq(shift, 0.05 * m, m, rtol=1e-15, maxiter=200))
+    return float(optimize.brentq(shift, 0.05 * m, m, rtol=1e-15, maxiter=200))
 
 
 def lamb_shift_estimate(alpha: float, m: float, bethe_log: float) -> float:

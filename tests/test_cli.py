@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +227,60 @@ class TestExitCodes:
     def test_csv_rejected_for_non_sweep(self, capsys):
         code, _, err = run_raw(capsys, ["mu1", "--m", "1.0", "--format", "csv"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["selfenergy", "--m", "1", "--mu1", "1e-320"], 3),
+            (["lambshift", "--alpha", "1e-200"], 3),
+            (["oracle", "--n", "2", "--msq", "1e300"], 3),
+            (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2),
+            (["phi4", "--sigma", "inf", "--lambda", "1"], 2),
+            (["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,nan"], 2),
+        ],
+    )
+    def test_failure_exits_without_report(self, capsys, argv, expected):
+        code, out, err = run_raw(capsys, argv)
+        assert code == expected
+        assert out == ""
+        assert ("numeric failure" if expected == 3 else "error") in err
+
+
+def _heavy_imports(argv):
+    """Top-level scipy/numpy packages a fresh ``python -m loopreg.cli ARGV`` imported."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "loopreg.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "imported package" not in line
+    }
+    return names & {"scipy", "numpy"}
+
+
+class TestColdImport:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["regularize", "--n", "2", "--msq", "1.0", "--mu1", "0.5"],
+            ["selfenergy", "--m", "0.000511"],
+            ["mu1", "--m", "1.0"],
+            ["lambshift"],
+            ["phi4", "--sigma", "1", "--lambda", "6"],
+            ["resum", "--lambda0", "0.5", "--mu0", "1.0", "--mu", "2.0"],
+        ],
+    )
+    def test_closed_form_subcommands_start_without_scipy(self, argv):
+        assert _heavy_imports(argv) == set()
+
+    def test_oracle_loads_scipy(self):
+        assert "scipy" in _heavy_imports(["oracle", "--n", "3", "--msq", "1.0", "--grid", "10,100,1000,10000"])
 
 
 class TestConfigResolution:

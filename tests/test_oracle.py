@@ -129,6 +129,30 @@ class TestAsymptoteConstant:
             oracle.asymptote_constant(CutoffProbe(2, 1.0, (1e2, 1e3, 5e3, 1e5)))
 
 
+class TestLineFit:
+    def test_recovers_exact_line(self):
+        xs = [0.5, 1.0, 2.0, 7.0, 11.0]
+        slope, intercept = oracle._line_fit(xs, [3.0 - 2.5 * x for x in xs])
+        assert slope == pytest.approx(-2.5, rel=1e-14)
+        assert intercept == pytest.approx(3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("mass_sq", [1e-6, 0.5, 1.0, math.e**2, 1e6])
+    def test_agrees_with_polyfit_on_log_probe_points(self, mass_sq):
+        np = pytest.importorskip("numpy")
+        grid = _grid(mass_sq)
+        vals = [oracle.radial_integral(2, mass_sq, lam) for lam in grid]
+        # divergence_signature: ln-slope of the n = 2 radials
+        logs = [math.log(lam) for lam in grid]
+        slope, _ = oracle._line_fit(logs, vals)
+        assert slope == pytest.approx(float(np.polyfit(logs, vals, 1)[0]), rel=1e-12)
+        # asymptote_constant: 1/cutoff^2 extrapolation over the top two decades
+        top = [(lam, v) for lam, v in zip(grid, vals) if lam >= grid[-1] / 100.0]
+        xs = [1.0 / (lam * lam) for lam, _ in top]
+        gs = [v - math.log(lam) for lam, v in top]
+        _, intercept = oracle._line_fit(xs, gs)
+        assert intercept == pytest.approx(float(np.polyfit(xs, gs, 1)[1]), rel=1e-12)
+
+
 class TestCutoffIndependenceOfDifferences:
     def test_radial_differences_stable_over_top_decades(self):
         # the mass-to-mass difference is the physical content; it must be
