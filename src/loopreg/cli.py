@@ -344,6 +344,9 @@ def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> int:
         "higgs_predicted": cfg.mass_out(higgs.predicted),
         "higgs_upper_bound": cfg.mass_out(higgs.upper_bound),
     }
+    overflowed = [name for name, value in outputs.items() if not math.isfinite(value)]
+    if overflowed:
+        raise OverflowError(f"phi4 outputs are not finite: {', '.join(overflowed)}")
     provenance = {
         "phi1": "vacuum minimum sqrt(6*sigma/lambda)",
         "m_sigma": "curvature mass sqrt(2*sigma)",

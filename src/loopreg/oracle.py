@@ -12,12 +12,20 @@ antiderivative for every integer n, used as a self-check of the adaptive
 quadrature.  scipy is imported on the first quadrature, not with this
 module, so importing the package stays cheap for callers that never
 integrate.
+
+The quadrature runs piece by piece over decades of k/M, and each piece is
+memoized.  A cutoff sweep, its divergence signature and its asymptote all
+share the full decades below each cutoff, so one oracle report integrates
+every distinct piece once.  Results stay bit-identical to uncached
+quadrature: a cached piece is exactly what quad returned for the same
+arguments, and every radial sums its pieces in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "QuadratureError",
@@ -109,23 +117,39 @@ def _decade_edges(mass_sq: float, cutoff: float) -> list[float]:
     return edges
 
 
+@lru_cache(maxsize=256)
+def _piece(
+    power: int, mass_sq: float, a: float, b: float, epsrel: float
+) -> tuple[float, float]:
+    """(value, error estimate) of the radial integral over one piece [a, b]."""
+    # scipy loads on the first call only; quad is read off the module at each
+    # call, so a wrapper installed on scipy.integrate.quad sees every call
+    from scipy import integrate
+
+    return integrate.quad(
+        radial_integrand, a, b, args=(power, mass_sq), epsabs=0.0,
+        epsrel=epsrel, limit=200,
+    )
+
+
 def radial_integral(
     power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10
 ) -> float:
     """Adaptive quadrature of int_0^cutoff k^3 (k^2 + M^2)^(-power) dk.
 
     Integrates decade by decade so the wide dynamic range in k never starves
-    the adaptive subdivision.  Raises QuadratureError when the accumulated
-    error estimate misses rel_tol.
+    the adaptive subdivision.  Each piece is memoized: the full decades
+    [10^j M, 10^(j+1) M] are the same for every cutoff above them, so a
+    sweep integrates each once.  A cached piece is the very (value, error)
+    pair quad returned for it, and the pieces are summed in the same order,
+    so the result is bit-identical to integrating from scratch.  Raises
+    QuadratureError when the accumulated error estimate misses rel_tol,
+    whether or not the pieces were cached.
     """
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
     if not mass_sq > 0:
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
-    # scipy loads on the first call only; quad is read off the module at each
-    # call, so a wrapper installed on scipy.integrate.quad sees every call
-    from scipy import integrate
-
     total = 0.0
     err_total = 0.0
     edges = _decade_edges(mass_sq, cutoff)
@@ -133,10 +157,7 @@ def radial_integral(
     # enforces the requested rel_tol, so tighter requests fail loudly.
     epsrel = max(rel_tol / 10.0, 5e-14)
     for a, b in zip(edges, edges[1:]):
-        piece, err = integrate.quad(
-            radial_integrand, a, b, args=(power, mass_sq), epsabs=0.0,
-            epsrel=epsrel, limit=200,
-        )
+        piece, err = _piece(power, mass_sq, a, b, epsrel)
         total += piece
         err_total += err
     if err_total > rel_tol * abs(total):

@@ -237,6 +237,8 @@ class TestExitCodes:
             (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2),
             (["phi4", "--sigma", "inf", "--lambda", "1"], 2),
             (["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,nan"], 2),
+            (["phi4", "--sigma", "1e300", "--lambda", "1e-300"], 3),
+            (["phi4", "--sigma", "1", "--lambda", "1e300"], 3),
         ],
     )
     def test_failure_exits_without_report(self, capsys, argv, expected):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopreg import oracle
 from loopreg.oracle import CutoffProbe, InsufficientGridError, QuadratureSpec
@@ -151,6 +153,55 @@ class TestLineFit:
         gs = [v - math.log(lam) for lam, v in top]
         _, intercept = oracle._line_fit(xs, gs)
         assert intercept == pytest.approx(float(np.polyfit(xs, gs, 1)[1]), rel=1e-12)
+
+
+class TestPieceCache:
+    @pytest.fixture
+    def quad_calls(self, monkeypatch):
+        integrate = pytest.importorskip("scipy.integrate")
+        calls = []
+        quad = integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        oracle._piece.cache_clear()
+        monkeypatch.setattr(integrate, "quad", counting_quad)
+        return calls
+
+    def test_default_report_integrates_each_decade_once(self, quad_calls):
+        # what `oracle --n 2 --msq 1` computes: the radials, the signature
+        # and the asymptote over 1e2..1e6, i.e. pieces [0, 1], [1, 10], ...
+        probe = CutoffProbe(2, 1.0, _grid(1.0))
+        for lam in probe.lambda_grid:
+            oracle.radial_integral(2, 1.0, lam)
+        oracle.divergence_signature(probe)
+        oracle.asymptote_constant(probe)
+        assert len(quad_calls) == 7
+        assert len(set(quad_calls)) == 7
+
+    def test_cached_pieces_still_fail_the_tolerance(self, quad_calls):
+        for _ in range(2):
+            with pytest.raises(oracle.QuadratureError):
+                oracle.radial_integral(2, 1.0, 1e6, rel_tol=1e-16)
+        assert len(quad_calls) == 7
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        power=st.integers(1, 6),
+        log_mass_sq=st.floats(-6.0, 6.0),
+        factors=st.lists(st.floats(0.1, 1e6), min_size=1, max_size=6, unique=True),
+    )
+    def test_cold_and_warm_cache_agree_exactly(self, power, log_mass_sq, factors):
+        mass_sq = 10.0**log_mass_sq
+        grid = sorted(f * math.sqrt(mass_sq) for f in factors)
+        cold = []
+        for lam in grid:
+            oracle._piece.cache_clear()
+            cold.append(oracle.radial_integral(power, mass_sq, lam))
+        warm = [oracle.radial_integral(power, mass_sq, lam) for lam in grid]
+        assert warm == cold
 
 
 class TestCutoffIndependenceOfDifferences:
