@@ -6,6 +6,12 @@ readable report: a flat JSON object with ``inputs``, ``outputs``,
 the configured precision, so reports are platform-stable), CSV for sweep
 subcommands, or bare two-column plot data.
 
+Each handler only computes: it returns its inputs, its output fields as
+``(name, value, provenance)`` triples, so every provenance string sits beside
+its value, and its ledger, or for a csv/plot-data sweep a header and rows.
+``run`` checks the format before any computation and one renderer writes all
+three formats.
+
 Masses are handled in GeV internally; ``--units MeV`` converts all
 mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
 2 usage/validation error, 3 numeric failure (quadrature tolerance unmet, or
@@ -21,10 +27,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import kernel, oracle, phi4, qed
 
@@ -32,6 +38,7 @@ DEFAULT_PRECISION = 12
 DEFAULT_ALPHA = 1.0 / 137.036
 DEFAULT_ELECTRON_MASS_GEV = 0.000511
 DEFAULT_BETHE_LOG = 2.8118
+DEFAULT_GRID_FACTORS = (1e2, 1e3, 1e4, 1e5, 1e6)  # oracle cutoffs in units of sqrt(M^2)
 PRECISION_ENV_VAR = "LOOPREG_PRECISION"
 _CONFIG_KEYS = ("units", "precision", "format")
 
@@ -132,13 +139,20 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 # ----------------------------- report rendering -----------------------------
 
 
-@dataclass
-class ReportRecord:
-    subcommand: str
+class Report(NamedTuple):
+    """A JSON report: the subcommand's own inputs, its ``(name, value,
+    provenance)`` output fields in order, and its constant ledger."""
+
     inputs: dict[str, Any]
-    outputs: dict[str, Any]
-    provenance: dict[str, str]
-    ledger: list[dict[str, Any]] = field(default_factory=list)
+    fields: list[tuple[str, Any, str]]
+    ledger: Sequence[dict[str, Any]] = ()
+
+
+class Table(NamedTuple):
+    """A sweep in csv or plot-data: column names and one tuple per row."""
+
+    header: tuple[str, ...]
+    rows: list[tuple[Any, ...]]
 
 
 def _fmt_number(value: Any, precision: int) -> Any:
@@ -155,11 +169,6 @@ def _fmt_number(value: Any, precision: int) -> Any:
     if isinstance(value, dict):
         return {k: _fmt_number(v, precision) for k, v in value.items()}
     return value
-
-
-def _echo_inputs(inputs: dict[str, Any]) -> dict[str, Any]:
-    # full-precision echo: re-running a report with its own inputs must be exact
-    return {k: (str(v) if isinstance(v, (int, float, Fraction)) else v) for k, v in inputs.items()}
 
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, Any]]:
@@ -180,38 +189,40 @@ def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[st
     return rows
 
 
-def _print_json_report(record: ReportRecord, cfg: RunConfig) -> None:
+def _render(subcommand: str, result: Report | Table, cfg: RunConfig) -> None:
+    """Write a report as JSON, or a sweep as csv or plot-data, to stdout."""
+    p = cfg.precision
+    if isinstance(result, Table):
+        if cfg.out_format == "csv":
+            lines = [",".join(result.header)]
+            lines += [",".join("" if v is None else str(_fmt_number(v, p)) for v in row) for row in result.rows]
+        else:  # plot-data: the first two columns, where the second is set
+            lines = [f"{_fmt_number(x, p)} {_fmt_number(y, p)}" for x, y, *_ in result.rows if y is not None]
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        return
+    inputs = {**result.inputs, "units": cfg.units, "precision": cfg.precision}
     payload = {
-        "subcommand": record.subcommand,
-        "inputs": _echo_inputs(record.inputs),
-        "outputs": _fmt_number(record.outputs, cfg.precision),
-        "provenance": record.provenance,
-        "ledger": record.ledger,
+        "subcommand": subcommand,
+        # full-precision echo: re-running a report with its own inputs must be exact
+        "inputs": {k: (str(v) if isinstance(v, (int, float, Fraction)) else v) for k, v in inputs.items()},
+        "outputs": {name: _fmt_number(value, p) for name, value, _ in result.fields},
+        "provenance": {name: why for name, _, why in result.fields},
+        "ledger": result.ledger,
     }
     print(json.dumps(payload, indent=2))
 
 
-def _print_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], cfg: RunConfig) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join("" if v is None else str(_fmt_number(v, cfg.precision)) for v in row))
-
-
-def _print_plot_data(rows: Sequence[tuple[float, float]], cfg: RunConfig) -> None:
-    for x, y in rows:
-        print(f"{format(x, f'.{cfg.precision}g')} {format(y, f'.{cfg.precision}g')}")
-
-
-def _require_json(cfg: RunConfig, subcommand: str) -> None:
-    if cfg.out_format != "json":
-        raise ValueError(f"{subcommand} has no sweep output; use --format json")
+def _has_sweep(ns: argparse.Namespace) -> bool:
+    """Whether a request has csv/plot-data output: an oracle grid or a resum mu sweep."""
+    if ns.subcommand == "resum":
+        return ns.mu_min is not None or ns.mu_max is not None
+    return ns.subcommand == "oracle"
 
 
 # ----------------------------- subcommand handlers -----------------------------
 
 
-def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    _require_json(cfg, "regularize")
+def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     integral = kernel.ScalarLoopIntegral(
         power=ns.n,
         mass_sq=cfg.msq_in(ns.msq) if ns.msq is not None else None,
@@ -224,156 +235,82 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> int:
         for idx in dimless:
             value = value.with_scale_alias(idx, cfg.mass_in(ns.mu1))
 
-    outputs: dict[str, Any] = {
-        "unit": kernel.UNIT_LABEL,
-        "superficial_degree": kernel.superficial_degree(integral),
-        "differentiation_count": kernel.differentiation_count(integral),
-        "expression": value.render(),
-        "terms": [
-            {"coefficient": t.coefficient, "msq_power": t.msq_power, "log": t.has_log}
-            for t in value.terms
-        ],
-        "unfixed_constants": value.unfixed_count,
-    }
-    provenance = {
-        "unit": "all coefficients are exact rational multiples of i/(16*pi^2)",
-        "superficial_degree": "power counting 4 - 2n",
-        "differentiation_count": "smallest t with 4 - 2(n+t) < 0",
-        "expression": "differentiate in M^2 to convergence, evaluate the closed form, integrate back",
-        "terms": "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)",
-        "unfixed_constants": "one arbitrary constant per integration, fixed only by physical conditions",
-    }
+    terms = [{"coefficient": t.coefficient, "msq_power": t.msq_power, "log": t.has_log} for t in value.terms]
+    fields = [
+        ("unit", kernel.UNIT_LABEL, "all coefficients are exact rational multiples of i/(16*pi^2)"),
+        ("superficial_degree", kernel.superficial_degree(integral), "power counting 4 - 2n"),
+        ("differentiation_count", kernel.differentiation_count(integral), "smallest t with 4 - 2(n+t) < 0"),
+        ("expression", value.render(), "differentiate in M^2 to convergence, evaluate the closed form, integrate back"),
+        ("terms", terms, "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)"),
+        ("unfixed_constants", value.unfixed_count, "one arbitrary constant per integration, fixed only by physical conditions"),
+    ]
     if integral.mass_sq is not None and value.constants.all_fixed:
         bracket = value.bracket(integral.mass_sq)
-        outputs["bracket_at_msq"] = bracket
-        outputs["value_imag_at_msq"] = (kernel.UNIT_NUMERIC * bracket).imag
-        provenance["bracket_at_msq"] = "numeric multiple of i/(16*pi^2) at the given M^2"
-        provenance["value_imag_at_msq"] = "imaginary part of the full value (the value is purely imaginary)"
-
-    record = ReportRecord(
-        subcommand="regularize",
-        inputs={"n": ns.n, "msq": ns.msq, "mu1": ns.mu1, "units": cfg.units, "precision": cfg.precision},
-        outputs=outputs,
-        provenance=provenance,
-        ledger=_ledger_rows(value, cfg),
-    )
-    _print_json_report(record, cfg)
-    return EXIT_OK
+        fields += [
+            ("bracket_at_msq", bracket, "numeric multiple of i/(16*pi^2) at the given M^2"),
+            ("value_imag_at_msq", (kernel.UNIT_NUMERIC * bracket).imag, "imaginary part of the full value (the value is purely imaginary)"),
+        ]
+    return Report({"n": ns.n, "msq": ns.msq, "mu1": ns.mu1}, fields, _ledger_rows(value, cfg))
 
 
-def _cmd_selfenergy(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    _require_json(cfg, "selfenergy")
+def _cmd_selfenergy(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     m = cfg.mass_in(ns.m)
     mu1_gev = cfg.mass_in(ns.mu1) if ns.mu1 is not None else qed.solve_mu1(m)
     shift = qed.on_shell_mass_shift(m, ns.alpha, mu1_gev)
     c0, c_log = qed.pipeline_coefficients()
     reg = kernel.regularize(kernel.ScalarLoopIntegral(power=2)).with_scale_alias(1, mu1_gev)
-
-    outputs = {
-        "delta_m": cfg.mass_out(shift.delta_m),
-        "mu1_used": cfg.mass_out(mu1_gev),
-        "log_ratio": math.log(m**2 / mu1_gev**2),
-        "constant_coefficient": c0,
-        "log_coefficient": c_log,
-    }
-    provenance = {
-        "delta_m": "(alpha*m/(4*pi)) * (5 - 3*ln(m^2/mu1^2)), coefficients from the exact pipeline",
-        "mu1_used": "given, or fixed by the zero-shift condition m*exp(-5/6)",
-        "log_ratio": "ln(m^2/mu1^2)",
-        "constant_coefficient": "exact x-integration of the numerator channels against the regulated loop",
-        "log_coefficient": "exact x-integration of the numerator channels against the regulated loop",
-    }
-    record = ReportRecord(
-        subcommand="selfenergy",
-        inputs={"m": ns.m, "alpha": ns.alpha, "mu1": ns.mu1, "units": cfg.units, "precision": cfg.precision},
-        outputs=outputs,
-        provenance=provenance,
-        ledger=_ledger_rows(reg, cfg),
-    )
-    _print_json_report(record, cfg)
-    return EXIT_OK
+    exact = "exact x-integration of the numerator channels against the regulated loop"
+    fields = [
+        ("delta_m", cfg.mass_out(shift.delta_m), "(alpha*m/(4*pi)) * (5 - 3*ln(m^2/mu1^2)), coefficients from the exact pipeline"),
+        ("mu1_used", cfg.mass_out(mu1_gev), "given, or fixed by the zero-shift condition m*exp(-5/6)"),
+        ("log_ratio", math.log(m**2 / mu1_gev**2), "ln(m^2/mu1^2)"),
+        ("constant_coefficient", c0, exact),
+        ("log_coefficient", c_log, exact),
+    ]
+    return Report({"m": ns.m, "alpha": ns.alpha, "mu1": ns.mu1}, fields, _ledger_rows(reg, cfg))
 
 
-def _cmd_mu1(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    _require_json(cfg, "mu1")
-    m = cfg.mass_in(ns.m)
-    record = ReportRecord(
-        subcommand="mu1",
-        inputs={"m": ns.m, "units": cfg.units, "precision": cfg.precision},
-        outputs={"mu1": cfg.mass_out(qed.solve_mu1(m))},
-        provenance={"mu1": "zero on-shell mass shift: ln(m^2/mu1^2) = 5/3, mu1 = m*exp(-5/6)"},
-    )
-    _print_json_report(record, cfg)
-    return EXIT_OK
+def _cmd_mu1(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    mu1 = cfg.mass_out(qed.solve_mu1(cfg.mass_in(ns.m)))
+    return Report({"m": ns.m}, [("mu1", mu1, "zero on-shell mass shift: ln(m^2/mu1^2) = 5/3, mu1 = m*exp(-5/6)")])
 
 
-def _cmd_lambshift(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    _require_json(cfg, "lambshift")
+def _cmd_lambshift(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     m_display = ns.m if ns.m is not None else cfg.mass_out(DEFAULT_ELECTRON_MASS_GEV)
-    m = cfg.mass_in(m_display)
-    mhz = qed.lamb_shift_estimate(ns.alpha, m, ns.bethe_log)
-    record = ReportRecord(
-        subcommand="lambshift",
-        inputs={
-            "alpha": ns.alpha,
-            "m": m_display,
-            "bethe_log": ns.bethe_log,
-            "units": cfg.units,
-            "precision": cfg.precision,
-        },
-        outputs={"lamb_shift_mhz": mhz},
-        provenance={
-            "lamb_shift_mhz": "leading-log estimate (alpha^5*m/(6*pi)) * [ln(1/alpha^2) - bethe_log + 19/30]; qualitative band, not a precision value"
-        },
-    )
-    _print_json_report(record, cfg)
-    return EXIT_OK
+    mhz = qed.lamb_shift_estimate(ns.alpha, cfg.mass_in(m_display), ns.bethe_log)
+    why = "leading-log estimate (alpha^5*m/(6*pi)) * [ln(1/alpha^2) - bethe_log + 19/30]; qualitative band, not a precision value"
+    return Report({"alpha": ns.alpha, "m": m_display, "bethe_log": ns.bethe_log}, [("lamb_shift_mhz", mhz, why)])
 
 
-def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    _require_json(cfg, "phi4")
+def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     pot = phi4.SSBPotential(sigma=cfg.msq_in(ns.sigma), lam=ns.lam)
     phi1, m_sigma = phi4.ssb_vacuum(pot)
     higgs = phi4.HiggsReference()
-    outputs = {
-        "phi1": cfg.mass_out(phi1),
-        "m_sigma": cfg.mass_out(m_sigma),
-        "lambda_renormalized": phi4.lambda_renormalized(ns.lam),
-        "invariant_ratio": phi4.lambda_invariant_ratio(m_sigma, phi1),
-        "higgs_lower_bound": cfg.mass_out(higgs.lower_bound),
-        "higgs_predicted": cfg.mass_out(higgs.predicted),
-        "higgs_upper_bound": cfg.mass_out(higgs.upper_bound),
-    }
-    overflowed = [name for name, value in outputs.items() if not math.isfinite(value)]
+    reference = "reference constant (literature input, no derivation here)"
+    fields = [
+        ("phi1", cfg.mass_out(phi1), "vacuum minimum sqrt(6*sigma/lambda)"),
+        ("m_sigma", cfg.mass_out(m_sigma), "curvature mass sqrt(2*sigma)"),
+        ("lambda_renormalized", phi4.lambda_renormalized(ns.lam), "one-loop coupling lambda*(1 + 9*lambda/(32*pi^2))"),
+        ("invariant_ratio", phi4.lambda_invariant_ratio(m_sigma, phi1), "scale ratio 3*(m_sigma/phi1)^2; returns lambda at every order"),
+        ("higgs_lower_bound", cfg.mass_out(higgs.lower_bound), reference),
+        ("higgs_predicted", cfg.mass_out(higgs.predicted), reference),
+        ("higgs_upper_bound", cfg.mass_out(higgs.upper_bound), reference),
+    ]
+    overflowed = [name for name, value, _ in fields if not math.isfinite(value)]
     if overflowed:
         raise OverflowError(f"phi4 outputs are not finite: {', '.join(overflowed)}")
-    provenance = {
-        "phi1": "vacuum minimum sqrt(6*sigma/lambda)",
-        "m_sigma": "curvature mass sqrt(2*sigma)",
-        "lambda_renormalized": "one-loop coupling lambda*(1 + 9*lambda/(32*pi^2))",
-        "invariant_ratio": "scale ratio 3*(m_sigma/phi1)^2; returns lambda at every order",
-        "higgs_lower_bound": "reference constant (literature input, no derivation here)",
-        "higgs_predicted": "reference constant (literature input, no derivation here)",
-        "higgs_upper_bound": "reference constant (literature input, no derivation here)",
-    }
-    record = ReportRecord(
-        subcommand="phi4",
-        inputs={"sigma": ns.sigma, "lambda": ns.lam, "units": cfg.units, "precision": cfg.precision},
-        outputs=outputs,
-        provenance=provenance,
-    )
-    _print_json_report(record, cfg)
-    return EXIT_OK
+    return Report({"sigma": ns.sigma, "lambda": ns.lam}, fields)
 
 
-def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
     state = phi4.ResummationState(
         lambda0=ns.lambda0,
         mu0=cfg.mass_in(ns.mu0),
         beta_coeff=ns.beta_coeff if ns.beta_coeff is not None else phi4.BETA_ONE_LOOP,
     )
-    sweep = ns.mu_min is not None or ns.mu_max is not None
-    if sweep:
+    pole = "pole of the resummed coupling: mu0*exp(1/(2*b*lambda0))"
+    chain = "resummed chain lambda0/(1 - b*lambda0*ln(mu^2/mu0^2))"
+    if _has_sweep(ns):
         if ns.mu is not None:
             raise ValueError("give either --mu or a sweep (--mu-min/--mu-max), not both")
         if ns.mu_min is None or ns.mu_max is None:
@@ -393,111 +330,64 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> int:
             except phi4.LandauPoleError:
                 coupling, status = None, "pole"
             rows.append((cfg.mass_out(mu), coupling, status))
-        if cfg.out_format == "csv":
-            _print_csv(["mu", "coupling", "status"], rows, cfg)
-        elif cfg.out_format == "plot-data":
-            _print_plot_data([(mu, c) for mu, c, _ in rows if c is not None], cfg)
-        else:
-            record = ReportRecord(
-                subcommand="resum",
-                inputs={
-                    "lambda0": ns.lambda0, "mu0": ns.mu0, "b": state.beta_coeff,
-                    "mu_min": ns.mu_min, "mu_max": ns.mu_max, "mu_points": ns.mu_points,
-                    "units": cfg.units, "precision": cfg.precision,
-                },
-                outputs={
-                    "critical_scale": cfg.mass_out(phi4.critical_scale(state)),
-                    "rows": [{"mu": mu, "coupling": c, "status": s} for mu, c, s in rows],
-                },
-                provenance={
-                    "critical_scale": "pole of the resummed coupling: mu0*exp(1/(2*b*lambda0))",
-                    "rows": "resummed chain lambda0/(1 - b*lambda0*ln(mu^2/mu0^2)) over the mu grid",
-                },
-            )
-            _print_json_report(record, cfg)
-        return EXIT_OK
+        header = ("mu", "coupling", "status")
+        if cfg.out_format != "json":
+            return Table(header, rows)
+        return Report(
+            {
+                "lambda0": ns.lambda0, "mu0": ns.mu0, "b": state.beta_coeff,
+                "mu_min": ns.mu_min, "mu_max": ns.mu_max, "mu_points": ns.mu_points,
+            },
+            [
+                ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
+                ("rows", [dict(zip(header, row)) for row in rows], chain + " over the mu grid"),
+            ],
+        )
 
-    _require_json(cfg, "resum (single point)")
     mu = cfg.mass_in(ns.mu if ns.mu is not None else ns.mu0)
-    coupling = phi4.resum_chain(state, mu)  # LandauPoleError -> exit 3
-    outputs = {
-        "coupling": coupling,
-        "first_order": phi4.resum_first_order(state, mu),
-        "critical_scale": cfg.mass_out(phi4.critical_scale(state)),
-        "status": phi4.symmetry_status(state, mu),
-    }
-    provenance = {
-        "coupling": "resummed chain lambda0/(1 - b*lambda0*ln(mu^2/mu0^2))",
-        "first_order": "finite-order truncation lambda0*(1 + b*lambda0*ln(mu^2/mu0^2)); regular everywhere",
-        "critical_scale": "pole of the resummed coupling: mu0*exp(1/(2*b*lambda0))",
-        "status": "symmetry restoration is reported beyond the critical scale",
-    }
-    record = ReportRecord(
-        subcommand="resum",
-        inputs={
-            "lambda0": ns.lambda0, "mu0": ns.mu0, "mu": ns.mu,
-            "b": state.beta_coeff, "units": cfg.units, "precision": cfg.precision,
-        },
-        outputs=outputs,
-        provenance=provenance,
-    )
-    _print_json_report(record, cfg)
-    return EXIT_OK
+    fields = [
+        ("coupling", phi4.resum_chain(state, mu), chain),  # LandauPoleError -> exit 3
+        ("first_order", phi4.resum_first_order(state, mu), "finite-order truncation lambda0*(1 + b*lambda0*ln(mu^2/mu0^2)); regular everywhere"),
+        ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
+        ("status", phi4.symmetry_status(state, mu), "symmetry restoration is reported beyond the critical scale"),
+    ]
+    return Report({"lambda0": ns.lambda0, "mu0": ns.mu0, "mu": ns.mu, "b": state.beta_coeff}, fields)
 
 
-def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
     msq = cfg.msq_in(ns.msq)
-    if ns.grid is not None:
-        try:
-            grid_display = tuple(_finite_float(tok) for tok in ns.grid.split(","))
-        except argparse.ArgumentTypeError:
-            raise ValueError(f"--grid must be a comma-separated list of finite numbers, got {ns.grid!r}") from None
-        grid = tuple(cfg.mass_in(g) for g in grid_display)
-    else:
-        scale = math.sqrt(msq)
-        grid = tuple(c * scale for c in (1e2, 1e3, 1e4, 1e5, 1e6))
-        grid_display = tuple(cfg.mass_out(g) for g in grid)
+    # the default grid is built in the user's units, like an explicit --grid,
+    # so its echo re-parses to the very same cutoffs
+    grid_display = ns.grid if ns.grid is not None else tuple(c * math.sqrt(ns.msq) for c in DEFAULT_GRID_FACTORS)
+    grid = tuple(cfg.mass_in(g) for g in grid_display)
     probe = oracle.CutoffProbe(
         power=ns.n, mass_sq=msq, lambda_grid=grid,
         quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol),
     )
     radials = [oracle.radial_integral(ns.n, msq, lam, ns.rel_tol) for lam in grid]
-    multiples = [(-1) ** ns.n * 2.0 * r for r in radials]
-    rows = list(zip([cfg.mass_out(l) for l in grid], radials, multiples))
-
-    if cfg.out_format == "csv":
-        _print_csv(["cutoff", "radial", "unit_multiple"], rows, cfg)
-        return EXIT_OK
-    if cfg.out_format == "plot-data":
-        _print_plot_data([(c, r) for c, r, _ in rows], cfg)
-        return EXIT_OK
+    rows = [(cfg.mass_out(lam), r, (-1) ** ns.n * 2.0 * r) for lam, r in zip(grid, radials)]
+    header = ("cutoff", "radial", "unit_multiple")
+    if cfg.out_format != "json":
+        return Table(header, rows)
 
     signature = oracle.divergence_signature(probe)
-    outputs: dict[str, Any] = {
-        "rows": [{"cutoff": c, "radial": r, "unit_multiple": m} for c, r, m in rows],
-        "signature_kind": signature.kind,
-        "signature_coefficient": signature.coefficient,
-    }
-    provenance = {
-        "rows": "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)",
-        "signature_kind": "data-driven fit of the cutoff dependence",
-        "signature_coefficient": "leading fitted coefficient (ln-slope, power coefficient, or limit)",
-    }
+    fields = [
+        (
+            "rows",
+            [dict(zip(header, row)) for row in rows],
+            "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)",
+        ),
+        ("signature_kind", signature.kind, "data-driven fit of the cutoff dependence"),
+        ("signature_coefficient", signature.coefficient, "leading fitted coefficient (ln-slope, power coefficient, or limit)"),
+    ]
     if ns.n == 2:
-        outputs["asymptote_constant"] = oracle.asymptote_constant(probe)
-        provenance["asymptote_constant"] = "lim [radial - ln(cutoff)] by 1/cutoff^2 extrapolation; only differences across masses are cutoff-free physics"
-    record = ReportRecord(
-        subcommand="oracle",
-        inputs={
-            "n": ns.n, "msq": ns.msq,
-            "grid": ",".join(str(g) for g in grid_display),
-            "rel_tol": ns.rel_tol, "units": cfg.units, "precision": cfg.precision,
-        },
-        outputs=outputs,
-        provenance=provenance,
-    )
-    _print_json_report(record, cfg)
-    return EXIT_OK
+        fields.append((
+            "asymptote_constant",
+            oracle.asymptote_constant(probe),
+            "lim [radial - ln(cutoff)] by 1/cutoff^2 extrapolation; only differences across masses are cutoff-free physics",
+        ))
+    inputs = {"n": ns.n, "msq": ns.msq, "grid": ",".join(str(g) for g in grid_display), "rel_tol": ns.rel_tol}
+    return Report(inputs, fields)
 
 
 # ----------------------------- demo -----------------------------
@@ -576,7 +466,7 @@ def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
     )
 
     # 5: cutoff-free content: asymptote differences equal -0.5*ln(M2a/M2b)
-    grids = {m2: tuple(c * math.sqrt(m2) for c in (1e2, 1e3, 1e4, 1e5, 1e6)) for m2 in (0.5, 2.0)}
+    grids = {m2: tuple(c * math.sqrt(m2) for c in DEFAULT_GRID_FACTORS) for m2 in (0.5, 2.0)}
     lims = {
         m2: oracle.asymptote_constant(oracle.CutoffProbe(2, m2, grids[m2]))
         for m2 in (0.5, 2.0)
@@ -671,6 +561,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_grid(text: str) -> tuple[float, ...]:
+    """argparse type of --grid: comma-separated finite cutoffs."""
+    return tuple(_finite_float(tok) for tok in text.split(","))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
@@ -724,18 +619,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[common], help="Cutoff quadrature sweep, divergence signature, asymptote.")
     p.add_argument("--n", type=int, required=True, help="denominator power n >= 1")
     p.add_argument("--msq", type=_finite_float, required=True, help="squared mass M^2 (units^2)")
-    p.add_argument("--grid", type=str, help="comma-separated cutoffs (units); default 1e2..1e6 times sqrt(M^2)")
+    p.add_argument("--grid", type=_finite_grid, help="comma-separated cutoffs (units); default 1e2..1e6 times sqrt(M^2)")
     p.add_argument("--rel-tol", type=_finite_float, default=1e-10, help="quadrature relative tolerance (default 1e-10)")
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("demo", parents=[common], help="Full cross-checked walkthrough; exit 0 only if every check passes.")
-    p.set_defaults(handler=_cmd_demo)
+    sub.add_parser("demo", parents=[common], help="Full cross-checked walkthrough; exit 0 only if every check passes.")
 
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv, dispatch, print the report; returns the exit code."""
+    """Parse argv, check the format, compute the report and render it; returns the exit code."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -743,8 +637,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_VALIDATION
     try:
         cfg = _resolve_config(ns)
-        handler: Callable[[argparse.Namespace, RunConfig], int] = ns.handler
-        return handler(ns, cfg)
+        if ns.subcommand == "demo":  # a walkthrough of gates, not a report; any --format is ignored
+            return _cmd_demo(ns, cfg)
+        if cfg.out_format != "json" and not _has_sweep(ns):
+            what = "resum (single point)" if ns.subcommand == "resum" else ns.subcommand
+            raise ValueError(f"{what} has no sweep output; use --format json")
+        handler: Callable[[argparse.Namespace, RunConfig], Report | Table] = ns.handler
+        _render(ns.subcommand, handler(ns, cfg), cfg)
+        return EXIT_OK
     except (oracle.QuadratureError, phi4.LandauPoleError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -60,9 +60,6 @@ class FeynmanMassFn:
                 "the real-logarithm region requires p_sq <= m_sq"
             )
 
-    def __call__(self, x: float) -> float:
-        return mass_fn_eval(self, x)
-
 
 def mass_fn_eval(fn: FeynmanMassFn, x: float) -> float:
     """Evaluate M^2(x) for x in [0, 1]."""

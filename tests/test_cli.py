@@ -201,6 +201,7 @@ class TestOracleCommand:
     def test_bad_grid_string_rejected(self, capsys):
         code, _, err = run_raw(capsys, ["oracle", "--n", "2", "--msq", "1.0", "--grid", "10,abc"])
         assert code == 2
+        assert "argument --grid" in err
 
 
 class TestExitCodes:
@@ -224,9 +225,25 @@ class TestExitCodes:
         code, _, err = run_raw(capsys, ["mu1", "--m", "1.0", "--precision", "18"])
         assert code == 2
 
-    def test_csv_rejected_for_non_sweep(self, capsys):
-        code, _, err = run_raw(capsys, ["mu1", "--m", "1.0", "--format", "csv"])
+    @pytest.mark.parametrize("fmt", ["csv", "plot-data"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["regularize", "--n", "2", "--msq", "1.0"],
+            # computed, these two would be numeric failures (exit 3): the format is checked first
+            ["selfenergy", "--m", "1", "--mu1", "1e-320"],
+            ["resum", "--lambda0", "1", "--mu0", "1", "--mu", "1e9"],
+            ["mu1", "--m", "1.0"],
+            ["lambshift"],
+            ["phi4", "--sigma", "1", "--lambda", "6"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_rejected_for_non_sweep(self, capsys, argv, fmt):
+        code, out, err = run_raw(capsys, [*argv, "--format", fmt])
         assert code == 2
+        assert out == ""
+        assert "has no sweep output" in err
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -334,6 +351,8 @@ class TestRoundTrip:
             ["lambshift", "--m", "0.000511", "--bethe-log", "2.8118", "--precision", "8"],
             ["regularize", "--n", "2", "--msq", "1.25", "--mu1", "0.4", "--precision", "11"],
             ["oracle", "--n", "2", "--msq", "1.0", "--grid", "100,1000,1e4,1e5,1e6", "--precision", "10"],
+            # the default grid echoed in MeV
+            ["oracle", "--n", "1", "--msq", "0.141649", "--units", "MeV", "--precision", "15"],
         ],
     )
     def test_reparsed_inputs_reproduce_report_bitwise(self, capsys, argv):
@@ -356,6 +375,11 @@ class TestDemo:
         code, out, _ = run_raw(capsys, ["demo"])
         assert code == 0
         assert "FAIL" not in out
+        assert "ALL CHECKS PASSED" in out
+
+    def test_demo_ignores_format(self, capsys):
+        code, out, _ = run_raw(capsys, ["demo", "--format", "csv"])
+        assert code == 0
         assert "ALL CHECKS PASSED" in out
 
     def test_demo_fails_loudly_when_a_check_breaks(self, capsys, monkeypatch):
