@@ -10,7 +10,8 @@ Each handler only computes: it returns its inputs, its output fields as
 ``(name, value, provenance)`` triples, so every provenance string sits beside
 its value, and its ledger, or for a csv/plot-data sweep a header and rows.
 ``run`` checks the format before any computation and one renderer writes all
-three formats.
+three formats.  ``demo`` prints one PASS/FAIL line per row of
+``loopreg.checks.CHECKS``, the table the acceptance test asserts.
 
 Masses are handled in GeV internally; ``--units MeV`` converts all
 mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
@@ -38,7 +39,6 @@ DEFAULT_PRECISION = 12
 DEFAULT_ALPHA = 1.0 / 137.036
 DEFAULT_ELECTRON_MASS_GEV = 0.000511
 DEFAULT_BETHE_LOG = 2.8118
-DEFAULT_GRID_FACTORS = (1e2, 1e3, 1e4, 1e5, 1e6)  # oracle cutoffs in units of sqrt(M^2)
 PRECISION_ENV_VAR = "LOOPREG_PRECISION"
 _CONFIG_KEYS = ("units", "precision", "format")
 
@@ -158,12 +158,10 @@ class Table(NamedTuple):
 def _fmt_number(value: Any, precision: int) -> Any:
     if isinstance(value, bool):
         return value
-    if isinstance(value, Fraction):
+    if isinstance(value, (Fraction, int)):
         return str(value)
     if isinstance(value, float):
         return format(value, f".{precision}g")
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return [_fmt_number(v, precision) for v in value]
     if isinstance(value, dict):
@@ -358,12 +356,16 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
     msq = cfg.msq_in(ns.msq)
     # the default grid is built in the user's units, like an explicit --grid,
     # so its echo re-parses to the very same cutoffs
-    grid_display = ns.grid if ns.grid is not None else tuple(c * math.sqrt(ns.msq) for c in DEFAULT_GRID_FACTORS)
+    grid_display = ns.grid if ns.grid is not None else oracle.default_grid(ns.msq)
     grid = tuple(cfg.mass_in(g) for g in grid_display)
     probe = oracle.CutoffProbe(
         power=ns.n, mass_sq=msq, lambda_grid=grid,
         quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol),
     )
+    if cfg.out_format == "json":  # a grid too short for the fits exits 2 before any quadrature
+        oracle.require_signature_grid(probe)
+        if ns.n == 2:
+            oracle.require_asymptote_grid(probe)
     radials = [oracle.radial_integral(ns.n, msq, lam, ns.rel_tol) for lam in grid]
     rows = [(cfg.mass_out(lam), r, (-1) ** ns.n * 2.0 * r) for lam, r in zip(grid, radials)]
     header = ("cutoff", "radial", "unit_multiple")
@@ -393,155 +395,17 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
 # ----------------------------- demo -----------------------------
 
 
-def _gate(name: str, ok: bool, detail: str = "") -> bool:
-    tag = "PASS" if ok else "FAIL"
-    line = f"{tag}  {name}"
-    if detail:
-        line += f"  [{detail}]"
-    print(line)
-    return ok
-
-
-def _pole_boundary(state: phi4.ResummationState) -> float:
-    """Locate the finite/pole boundary of resum_chain by bisection alone."""
-    lo = state.mu0
-    hi = lo
-    while True:
-        hi *= 4.0
-        try:
-            phi4.resum_chain(state, hi)
-        except phi4.LandauPoleError:
-            break
-        lo = hi
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        try:
-            phi4.resum_chain(state, mid)
-            lo = mid
-        except phi4.LandauPoleError:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    from scipy import optimize
+    from . import checks  # loads scipy on the first quadrature; no other subcommand needs it
 
-    ok = True
     print("=" * 72)
     print("walkthrough: divergent one-loop family -> closed forms -> conditions")
     print("=" * 72)
-
-    # 1: power counting and reduction depth
-    n2 = kernel.ScalarLoopIntegral(power=2)
-    n1 = kernel.ScalarLoopIntegral(power=1)
-    n3 = kernel.ScalarLoopIntegral(power=3)
-    ok &= _gate(
-        "power counting: degrees (n=1,2,3) = (2, 0, -2), depths = (2, 1, 0)",
-        (kernel.superficial_degree(n1), kernel.superficial_degree(n2), kernel.superficial_degree(n3)) == (2, 0, -2)
-        and (kernel.differentiation_count(n1), kernel.differentiation_count(n2), kernel.differentiation_count(n3)) == (2, 1, 0),
-    )
-
-    # 2: convergent closed form against the independent cutoff quadrature
-    worst = 0.0
-    for power in (3, 4, 5):
-        for msq in (0.5, 1.0, 2.0):
-            exact = kernel.evaluate_convergent(kernel.ScalarLoopIntegral(power=power)).bracket(msq)
-            quad = oracle.wick_rotated_radial(power, msq, 1e6 * math.sqrt(msq))
-            worst = max(worst, abs(quad - exact) / abs(exact))
-    ok &= _gate("closed forms match cutoff quadrature to 1e-8", worst < 1e-8, f"worst rel err {worst:.2e}")
-
-    # 3: derivative of the log-divergent member is the prefactor-scaled convergent one
-    reg2 = kernel.regularize(n2)
-    target = kernel.evaluate_convergent(n3).scaled(2)
-    ok &= _gate("d/dM^2 of the regulated n=2 value reproduces 2 * I_3 exactly", reg2.differentiate() == target)
-
-    # 4: one constant per integration; scale alias closes the log
-    mu_probe = 0.731
-    aliased = reg2.with_scale_alias(1, mu_probe)
-    ok &= _gate(
-        "regulated n=2 value carries exactly one constant; bracket(mu1^2) = 0 once aliased",
-        len(reg2.constants) == 1 and aliased.bracket(mu_probe**2) == 0.0,
-    )
-
-    # 5: cutoff-free content: asymptote differences equal -0.5*ln(M2a/M2b)
-    grids = {m2: tuple(c * math.sqrt(m2) for c in DEFAULT_GRID_FACTORS) for m2 in (0.5, 2.0)}
-    lims = {
-        m2: oracle.asymptote_constant(oracle.CutoffProbe(2, m2, grids[m2]))
-        for m2 in (0.5, 2.0)
-    }
-    diff = lims[0.5] - lims[2.0]
-    expect = -0.5 * math.log(0.5 / 2.0)
-    ok &= _gate(
-        "constant-free log content: asymptote difference = -0.5*ln(M2a/M2b) to 1e-6",
-        abs(diff - expect) <= 1e-6,
-        f"err {abs(diff - expect):.2e}",
-    )
-
-    # 6: self-energy pipeline coefficients, exactly
-    c0, c_log = qed.pipeline_coefficients()
-    ok &= _gate("on-shell mass-shift coefficients = (5, -3) by exact rational arithmetic", (c0, c_log) == (Fraction(5), Fraction(-3)))
-
-    # 7: zero-shift condition, closed form vs root finder, alpha independence
-    m_e = DEFAULT_ELECTRON_MASS_GEV
-    closed = qed.solve_mu1(m_e)
-    roots = [qed.solve_mu1_by_root(m_e, alpha) for alpha in (DEFAULT_ALPHA, 0.1, 0.3)]
-    spread = (max(roots) - min(roots)) / closed
-    agree = max(abs(r - closed) / closed for r in roots)
-    ok &= _gate(
-        "mu1 = m*exp(-5/6): root finder agrees to 1e-12 and is alpha-independent",
-        agree <= 1e-12 and spread <= 1e-12,
-        f"agree {agree:.2e}, spread {spread:.2e}",
-    )
-    shift_at_mu1 = qed.on_shell_mass_shift(m_e, DEFAULT_ALPHA, closed).delta_m
-    ok &= _gate("mass shift vanishes at the fixed scale", abs(shift_at_mu1) <= 1e-18)
-
-    # 8: level-splitting estimate lands in the expected band
-    mhz = qed.lamb_shift_estimate(DEFAULT_ALPHA, m_e, DEFAULT_BETHE_LOG)
-    ok &= _gate("2S-2P estimate inside [900, 1100] MHz", 900.0 <= mhz <= 1100.0, f"{mhz:.1f} MHz")
-
-    # 9: broken vacuum relations and their closure
-    worst = 0.0
-    for sigma in (0.25, 1.0, 4.0):
-        for lam in (0.5, 2.0, 6.0):
-            pot = phi4.SSBPotential(sigma=sigma, lam=lam)
-            phi1, m_sig = phi4.ssb_vacuum(pot)
-            worst = max(worst, abs(phi4.lambda_invariant_ratio(m_sig, phi1) - lam) / lam)
-    ok &= _gate("coupling = 3*(m_sigma/phi1)^2 closes on the input to 1e-12", worst <= 1e-12, f"worst rel err {worst:.2e}")
-
-    pot = phi4.SSBPotential(sigma=1.0, lam=6.0)
-    res = optimize.minimize_scalar(pot, bounds=(1e-9, 3.0 * pot.phi1), method="bounded", options={"xatol": 1e-10})
-    ok &= _gate(
-        "numeric minimization of the potential finds the vacuum to 1e-6",
-        abs(res.x - pot.phi1) <= 1e-6 * pot.phi1,
-        f"phi1 = {pot.phi1:.9g}, minimizer = {res.x:.9g}",
-    )
-
-    # 10: one-loop coupling is finite and nonzero
-    lam_r = phi4.lambda_renormalized(1.0)
-    expect_lam_r = 1.0 + 9.0 / (32.0 * math.pi**2)
-    regular = all(math.isfinite(phi4.lambda_renormalized(l)) and phi4.lambda_renormalized(l) > 0 for l in (0.01, 0.1, 1.0, 5.0, 10.0))
-    ok &= _gate("one-loop coupling: value at 1 matches to 1e-12, finite and nonzero on (0, 10]", abs(lam_r - expect_lam_r) <= 1e-12 and regular)
-
-    # 11: finite orders are regular; only the resummation has a pole, where predicted
-    state = phi4.ResummationState(lambda0=1.0, mu0=1.0)
-    partial = phi4.geometric_partial_sum(1.0, 9)
-    first = phi4.resum_first_order(state, 10.0 * phi4.critical_scale(state) if math.isfinite(phi4.critical_scale(state)) else 1e9)
-    boundary = _pole_boundary(state)
-    mu_c = phi4.critical_scale(state)
-    pole_err = abs(boundary - mu_c) / mu_c
-    ok &= _gate("every finite order is regular (partial sum at ratio 1; first-order truncation)", partial == 10.0 and math.isfinite(first))
-    ok &= _gate("resummation pole sits at the predicted critical scale (bisection, 1e-9)", pole_err <= 1e-9, f"rel err {pole_err:.2e}")
-    ok &= _gate("vacuum reported restored beyond the critical scale", phi4.symmetry_status(state, mu_c * 2.0) == phi4.VACUUM_RESTORED)
-
-    # 12: reference mass window
-    higgs = phi4.HiggsReference()
-    ok &= _gate(
-        "reference window ordering 76 < 138 < 170 GeV (stored constants, no derivation)",
-        higgs.lower_bound < higgs.predicted < higgs.upper_bound,
-    )
-
+    ok = True
+    for check in checks.CHECKS:
+        passed, detail = check.run()
+        print(f"{'PASS' if passed else 'FAIL'}  {check.name}" + (f"  [{detail}]" if detail else ""))
+        ok = ok and passed
     print("-" * 72)
     print("RESULT:", "ALL CHECKS PASSED" if ok else "SOME CHECKS FAILED")
     return EXIT_OK if ok else EXIT_NUMERIC

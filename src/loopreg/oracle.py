@@ -32,14 +32,21 @@ __all__ = [
     "InsufficientGridError",
     "QuadratureSpec",
     "CutoffProbe",
+    "DEFAULT_GRID_FACTORS",
     "DivergenceSignature",
     "radial_integrand",
     "radial_analytic",
     "radial_integral",
     "wick_rotated_radial",
+    "default_grid",
+    "require_signature_grid",
+    "require_asymptote_grid",
     "divergence_signature",
     "asymptote_constant",
 ]
+
+#: Default oracle cutoffs in units of sqrt(M^2): five decades, 1e2 to 1e6.
+DEFAULT_GRID_FACTORS = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 
 class QuadratureError(RuntimeError):
@@ -54,12 +61,9 @@ class InsufficientGridError(ValueError):
 class QuadratureSpec:
     """Adaptive quadrature configuration; rel_tol must sit in (0, 1e-6]."""
 
-    method: str = "adaptive"
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.method != "adaptive":
-            raise ValueError(f"unsupported quadrature method {self.method!r}")
         if not 0.0 < self.rel_tol <= 1e-6:
             raise ValueError(f"rel_tol must lie in (0, 1e-6], got {self.rel_tol!r}")
 
@@ -105,6 +109,11 @@ def radial_analytic(power: int, mass_sq: float, cutoff: float) -> float:
         return 0.5 * (v ** (2 - n) / (2 - n) + m2 * v ** (1 - n) / (n - 1))
 
     return antiderivative(lam2 + m2) - antiderivative(m2)
+
+
+def default_grid(mass_sq: float) -> tuple[float, ...]:
+    """The default cutoff grid of a probe: DEFAULT_GRID_FACTORS times sqrt(M^2)."""
+    return tuple(c * math.sqrt(mass_sq) for c in DEFAULT_GRID_FACTORS)
 
 
 def _decade_edges(mass_sq: float, cutoff: float) -> list[float]:
@@ -224,6 +233,23 @@ def _require_grid(probe: CutoffProbe, min_points: int, min_span: float) -> None:
         )
 
 
+def require_signature_grid(probe: CutoffProbe) -> None:
+    """Raise InsufficientGridError unless the grid supports divergence_signature."""
+    _require_grid(probe, min_points=4, min_span=1e3)
+
+
+def require_asymptote_grid(probe: CutoffProbe) -> float:
+    """Raise InsufficientGridError unless the grid supports asymptote_constant.
+
+    Returns the lower end of the top two grid decades, where the fit runs.
+    """
+    _require_grid(probe, min_points=4, min_span=1e4)
+    threshold = probe.lambda_grid[-1] / 100.0
+    if sum(lam >= threshold for lam in probe.lambda_grid) < 2:
+        raise InsufficientGridError("need >= 2 grid points in the top two decades for extrapolation")
+    return threshold
+
+
 def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     """Classify the cutoff dependence of the radial integral from data alone.
 
@@ -231,7 +257,7 @@ def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     integral, stay flat for a logarithmic one, and grow for the power-law
     families, whose exponent is then read off a log-log fit.
     """
-    _require_grid(probe, min_points=4, min_span=1e3)
+    require_signature_grid(probe)
     grid = probe.lambda_grid
     vals = _probe_values(probe)
     logs = [math.log(l) for l in grid]
@@ -260,13 +286,10 @@ def asymptote_constant(probe: CutoffProbe) -> float:
     """
     if probe.power != 2:
         raise ValueError(f"asymptote extraction requires a log-divergent probe (power 2), got a non-log probe with power {probe.power}")
-    _require_grid(probe, min_points=4, min_span=1e4)
+    threshold = require_asymptote_grid(probe)
     grid = probe.lambda_grid
     vals = _probe_values(probe)
-    threshold = grid[-1] / 100.0
     xs = [1.0 / (lam * lam) for lam in grid if lam >= threshold]
     gs = [v - math.log(lam) for lam, v in zip(grid, vals) if lam >= threshold]
-    if len(xs) < 2:
-        raise InsufficientGridError("need >= 2 grid points in the top two decades for extrapolation")
     _, intercept = _line_fit(xs, gs)
     return intercept

@@ -83,21 +83,13 @@ class SSBPotential:
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam!r}")
 
-    @property
-    def phi1(self) -> float:
-        return math.sqrt(6.0 * self.sigma / self.lam)
-
-    @property
-    def m_sigma(self) -> float:
-        return math.sqrt(2.0 * self.sigma)
-
     def __call__(self, phi: float) -> float:
         return potential(phi, -self.sigma, self.lam)
 
 
 def ssb_vacuum(pot: SSBPotential) -> tuple[float, float]:
     """(Phi1, m_sigma) = (sqrt(6 sigma/lambda), sqrt(2 sigma))."""
-    return pot.phi1, pot.m_sigma
+    return math.sqrt(6.0 * pot.sigma / pot.lam), math.sqrt(2.0 * pot.sigma)
 
 
 def lambda_renormalized(lam: float) -> float:
@@ -118,21 +110,12 @@ def lambda_invariant_ratio(m_sigma: float, phi1: float) -> float:
 def geometric_partial_sum(r: float, n: int) -> float:
     """sum_{k=0..n} r^k, finite for every finite n (n+1 at r = 1).
 
-    Uses the Horner recurrence for stability; the closed form only takes
-    over for very long, strictly contracting sums whose tail is below
-    double-precision resolution anyway.
+    Uses the Horner recurrence for stability, in n steps.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if r == 1.0:
         return float(n + 1)
-    if n > 100_000:
-        try:
-            return (1.0 - r ** (n + 1)) / (1.0 - r)
-        except OverflowError:
-            if r > 1.0:
-                return math.inf
-            return -math.inf if (n + 1) % 2 == 0 else math.inf
     acc = 1.0
     for _ in range(n):
         acc = 1.0 + r * acc

@@ -198,6 +198,22 @@ class TestOracleCommand:
         assert code == 3
         assert "quadrature" in err.lower()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--n", "1", "--msq", "1", "--grid", "10,100,1000"],
+            ["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,1000,10000"],
+        ],
+    )
+    def test_grid_too_short_for_the_fits_rejected_before_quadrature(self, capsys, argv):
+        from loopreg import oracle
+
+        oracle._piece.cache_clear()
+        code, out, err = run_raw(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "need at least 4 cutoffs" in err
+        assert oracle._piece.cache_info().misses == 0
+
     def test_bad_grid_string_rejected(self, capsys):
         code, _, err = run_raw(capsys, ["oracle", "--n", "2", "--msq", "1.0", "--grid", "10,abc"])
         assert code == 2
@@ -372,10 +388,15 @@ class TestRoundTrip:
 
 class TestDemo:
     def test_demo_passes_all_gates(self, capsys):
+        from loopreg import checks
+
         code, out, _ = run_raw(capsys, ["demo"])
         assert code == 0
         assert "FAIL" not in out
         assert "ALL CHECKS PASSED" in out
+        # demo prints the very table the acceptance gate asserts, in order
+        passed = [line.split("  ")[1] for line in out.splitlines() if line.startswith("PASS  ")]
+        assert passed == [check.name for check in checks.CHECKS]
 
     def test_demo_ignores_format(self, capsys):
         code, out, _ = run_raw(capsys, ["demo", "--format", "csv"])

@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopreg import oracle
-from loopreg.oracle import CutoffProbe, InsufficientGridError, QuadratureSpec
-
-
-def _grid(mass_sq, decades=(1e2, 1e3, 1e4, 1e5, 1e6)):
-    scale = math.sqrt(mass_sq)
-    return tuple(c * scale for c in decades)
+from loopreg.oracle import CutoffProbe, InsufficientGridError, QuadratureSpec, default_grid
 
 
 class TestRadialAnalytic:
@@ -108,23 +103,23 @@ class TestDivergenceSignature:
 
 class TestAsymptoteConstant:
     def test_unit_mass_limit(self):
-        lim = oracle.asymptote_constant(CutoffProbe(2, 1.0, _grid(1.0)))
+        lim = oracle.asymptote_constant(CutoffProbe(2, 1.0, default_grid(1.0)))
         assert lim == pytest.approx(-0.5, abs=1e-8)
 
     def test_e_squared_mass_limit(self):
         m2 = math.e**2
-        lim = oracle.asymptote_constant(CutoffProbe(2, m2, _grid(m2)))
+        lim = oracle.asymptote_constant(CutoffProbe(2, m2, default_grid(m2)))
         assert lim == pytest.approx(-1.5, abs=1e-8)
 
     @pytest.mark.parametrize("m2a,m2b", [(0.5, 2.0), (1.0, math.e**2), (0.7, 5.0)])
     def test_differences_are_cutoff_free_content(self, m2a, m2b):
-        lim_a = oracle.asymptote_constant(CutoffProbe(2, m2a, _grid(m2a)))
-        lim_b = oracle.asymptote_constant(CutoffProbe(2, m2b, _grid(m2b)))
+        lim_a = oracle.asymptote_constant(CutoffProbe(2, m2a, default_grid(m2a)))
+        lim_b = oracle.asymptote_constant(CutoffProbe(2, m2b, default_grid(m2b)))
         assert abs((lim_a - lim_b) - (-0.5 * math.log(m2a / m2b))) < 1e-6
 
     def test_non_log_probe_rejected(self):
         with pytest.raises(ValueError, match="non-log"):
-            oracle.asymptote_constant(CutoffProbe(3, 1.0, _grid(1.0)))
+            oracle.asymptote_constant(CutoffProbe(3, 1.0, default_grid(1.0)))
 
     def test_narrow_grid_rejected(self):
         with pytest.raises(InsufficientGridError):
@@ -141,7 +136,7 @@ class TestLineFit:
     @pytest.mark.parametrize("mass_sq", [1e-6, 0.5, 1.0, math.e**2, 1e6])
     def test_agrees_with_polyfit_on_log_probe_points(self, mass_sq):
         np = pytest.importorskip("numpy")
-        grid = _grid(mass_sq)
+        grid = default_grid(mass_sq)
         vals = [oracle.radial_integral(2, mass_sq, lam) for lam in grid]
         # divergence_signature: ln-slope of the n = 2 radials
         logs = [math.log(lam) for lam in grid]
@@ -173,7 +168,7 @@ class TestPieceCache:
     def test_default_report_integrates_each_decade_once(self, quad_calls):
         # what `oracle --n 2 --msq 1` computes: the radials, the signature
         # and the asymptote over 1e2..1e6, i.e. pieces [0, 1], [1, 10], ...
-        probe = CutoffProbe(2, 1.0, _grid(1.0))
+        probe = CutoffProbe(2, 1.0, default_grid(1.0))
         for lam in probe.lambda_grid:
             oracle.radial_integral(2, 1.0, lam)
         oracle.divergence_signature(probe)
