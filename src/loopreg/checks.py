@@ -6,8 +6,8 @@ acceptance test asserts each row, within its time bound if it has one.  Rows
 call the library through its modules (``qed.lamb_shift_estimate``, not a
 ``from`` import), so a patched library function is what a row sees.  The
 quadrature, root finding and minimization here are independent of the closed
-forms they check; scipy loads on the first row that needs it, and only
-``demo`` and the tests import this module.
+forms they check: they use ``oracle.integrate`` and ``oracle.find_root``,
+never a closed form of the claim under test.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import kernel, oracle, phi4, qed
-from .cli import DEFAULT_ALPHA, DEFAULT_BETHE_LOG, DEFAULT_ELECTRON_MASS_GEV
+from .qed import DEFAULT_ALPHA, DEFAULT_BETHE_LOG, DEFAULT_ELECTRON_MASS_GEV
 
 # the resummation states the finite-order, pole and restored-vacuum rows probe
 _RESUM_STATES = (phi4.ResummationState(lambda0=1.0, mu0=1.0), phi4.ResummationState(lambda0=2.0, mu0=1.0))
@@ -73,11 +73,8 @@ def _exact_coefficients() -> tuple[bool, str]:
 
 def _pipeline_x_integral(big_l: float) -> float:
     """Quadrature over x of the on-shell integrand (2 + 2x) * (-(L + 2 ln x))."""
-    from scipy import integrate
-
-    return integrate.quad(
-        lambda x: (2.0 + 2.0 * x) * (-(big_l + 2.0 * math.log(x))), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
-    )[0]
+    # absolute tolerance too: at L = 5/3 the integral is 0
+    return oracle.integrate(lambda x: (2.0 + 2.0 * x) * (-(big_l + 2.0 * math.log(x))), 0.0, 1.0, 1e-12, epsabs=1e-12)[0]
 
 
 def _x_quadrature() -> tuple[bool, str]:
@@ -121,8 +118,6 @@ def _vacuum_closure() -> tuple[bool, str]:
 
 
 def _vacuum_minimization() -> tuple[bool, str]:
-    from scipy import optimize
-
     worst = 0.0
     for sigma, lam in ((1.0, 6.0), (2.5, 1.2), (0.3, 8.0)):
         pot = phi4.SSBPotential(sigma=sigma, lam=lam)
@@ -132,7 +127,7 @@ def _vacuum_minimization() -> tuple[bool, str]:
         def slope(x: float) -> float:  # independent minimization: root of the central-difference slope
             return (pot(x + h) - pot(x - h)) / (2.0 * h)
 
-        found = optimize.brentq(slope, 0.5 * phi1, 2.0 * phi1, rtol=1e-15, maxiter=200)
+        found = oracle.find_root(slope, 0.5 * phi1, 2.0 * phi1)
         worst = max(worst, abs(found - phi1) / phi1)
     return worst <= 1e-8, f"worst rel err {worst:.2e}"
 
@@ -151,25 +146,18 @@ def _finite_orders() -> tuple[bool, str]:
 
 def _pole_boundary(state: phi4.ResummationState) -> float:
     """Locate the finite/pole boundary of resum_chain by bisection alone."""
+
+    def past_pole(mu: float) -> float:
+        try:
+            phi4.resum_chain(state, mu)
+        except phi4.LandauPoleError:
+            return 1.0
+        return -1.0
+
     lo = state.mu0
-    hi = lo
-    while True:
-        hi *= 4.0
-        try:
-            phi4.resum_chain(state, hi)
-        except phi4.LandauPoleError:
-            break
-        lo = hi
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        try:
-            phi4.resum_chain(state, mid)
-            lo = mid
-        except phi4.LandauPoleError:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+    while past_pole(4.0 * lo) < 0.0:
+        lo *= 4.0
+    return oracle.find_root(past_pole, lo, 4.0 * lo)
 
 
 def _pole() -> tuple[bool, str]:

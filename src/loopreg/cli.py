@@ -33,12 +33,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from . import kernel, oracle, phi4, qed
+from . import checks, kernel, oracle, phi4, qed
 
 DEFAULT_PRECISION = 12
-DEFAULT_ALPHA = 1.0 / 137.036
-DEFAULT_ELECTRON_MASS_GEV = 0.000511
-DEFAULT_BETHE_LOG = 2.8118
 PRECISION_ENV_VAR = "LOOPREG_PRECISION"
 _CONFIG_KEYS = ("units", "precision", "format")
 
@@ -274,7 +271,7 @@ def _cmd_mu1(ns: argparse.Namespace, cfg: RunConfig) -> Report:
 
 
 def _cmd_lambshift(ns: argparse.Namespace, cfg: RunConfig) -> Report:
-    m_display = ns.m if ns.m is not None else cfg.mass_out(DEFAULT_ELECTRON_MASS_GEV)
+    m_display = ns.m if ns.m is not None else cfg.mass_out(qed.DEFAULT_ELECTRON_MASS_GEV)
     mhz = qed.lamb_shift_estimate(ns.alpha, cfg.mass_in(m_display), ns.bethe_log)
     why = "leading-log estimate (alpha^5*m/(6*pi)) * [ln(1/alpha^2) - bethe_log + 19/30]; qualitative band, not a precision value"
     return Report({"alpha": ns.alpha, "m": m_display, "bethe_log": ns.bethe_log}, [("lamb_shift_mhz", mhz, why)])
@@ -396,8 +393,6 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
 
 
 def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    from . import checks  # loads scipy on the first quadrature; no other subcommand needs it
-
     print("=" * 72)
     print("walkthrough: divergent one-loop family -> closed forms -> conditions")
     print("=" * 72)
@@ -451,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfenergy", parents=[common], help="On-shell electron mass shift.")
     p.add_argument("--m", type=_finite_float, required=True, help="electron mass (units)")
-    p.add_argument("--alpha", type=_finite_float, default=DEFAULT_ALPHA, help="fine-structure constant")
+    p.add_argument("--alpha", type=_finite_float, default=qed.DEFAULT_ALPHA, help="fine-structure constant")
     p.add_argument("--mu1", type=_finite_float, help="integration scale; default fixes the shift to zero")
     p.set_defaults(handler=_cmd_selfenergy)
 
@@ -460,9 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mu1)
 
     p = sub.add_parser("lambshift", parents=[common], help="Leading-log 2S-2P splitting estimate in MHz.")
-    p.add_argument("--alpha", type=_finite_float, default=DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=_finite_float, default=qed.DEFAULT_ALPHA)
     p.add_argument("--m", type=_finite_float, help="electron mass (units); default 0.000511 GeV")
-    p.add_argument("--bethe-log", type=_finite_float, default=DEFAULT_BETHE_LOG, help="Bethe logarithm input (default 2.8118)")
+    p.add_argument("--bethe-log", type=_finite_float, default=qed.DEFAULT_BETHE_LOG, help="Bethe logarithm input (default 2.8118)")
     p.set_defaults(handler=_cmd_lambshift)
 
     p = sub.add_parser("phi4", parents=[common], help="Broken-vacuum relations and one-loop coupling.")

@@ -9,23 +9,23 @@ using d^4K_E = 2 pi^2 k^3 dk for the 4-volume element.  Everything here
 runs in double precision against a finite cutoff Lambda: exactness lives in
 the kernel module, not here.  The radial integral also has an elementary
 antiderivative for every integer n, used as a self-check of the adaptive
-quadrature.  scipy is imported on the first quadrature, not with this
-module, so importing the package stays cheap for callers that never
-integrate.
+quadrature.  The package's two numeric tools live here, in pure Python: an
+adaptive G7-K15 Gauss-Kronrod rule (``integrate``) and a bisection root
+finder (``find_root``).
 
-The quadrature runs piece by piece over decades of k/M, and each piece is
-memoized.  A cutoff sweep, its divergence signature and its asymptote all
-share the full decades below each cutoff, so one oracle report integrates
-every distinct piece once.  Results stay bit-identical to uncached
-quadrature: a cached piece is exactly what quad returned for the same
-arguments, and every radial sums its pieces in the same order.
+The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
+piece over the decades 0, 1, 10, ... of t.  Each piece is memoized and carries
+no mass, so a sweep, its signature, its asymptote and every other mass share
+the full decades below each cutoff.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 __all__ = [
     "QuadratureError",
@@ -34,6 +34,8 @@ __all__ = [
     "CutoffProbe",
     "DEFAULT_GRID_FACTORS",
     "DivergenceSignature",
+    "integrate",
+    "find_root",
     "radial_integrand",
     "radial_analytic",
     "radial_integral",
@@ -116,44 +118,98 @@ def default_grid(mass_sq: float) -> tuple[float, ...]:
     return tuple(c * math.sqrt(mass_sq) for c in DEFAULT_GRID_FACTORS)
 
 
-def _decade_edges(mass_sq: float, cutoff: float) -> list[float]:
-    scale = math.sqrt(mass_sq)
-    edges = [0.0]
-    edge = min(scale, cutoff)
-    edges.append(edge)
-    while edges[-1] < cutoff:
-        edges.append(min(edges[-1] * 10.0, cutoff))
+# QUADPACK qk15: the Kronrod abscissae on [0, 1] (the rule is symmetric), then the Kronrod
+# and 7-point Gauss weights of each abscissa and, last, of the center; Gauss uses every second one.
+_NODES = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851, 0.864864423359769072789712788640926,
+          0.741531185599394439863864773280788, 0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+          0.207784955007898467600689403773245)
+_KRONROD = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204, 0.104790010322250183839876322541518,
+            0.140653259715525918745189590510238, 0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+            0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_GAUSS = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+          0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+_PAIRS = tuple(zip(_NODES, _KRONROD, _GAUSS))
+
+
+def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
+    """G7-K15 on [a, b] as a heap entry: (-error, a, b, Kronrod value)."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    f_center = f(center)
+    kronrod, gauss = _KRONROD[-1] * f_center, _GAUSS[-1] * f_center
+    for x, w_kronrod, w_gauss in _PAIRS:
+        pair = f(center - half * x) + f(center + half * x)
+        kronrod += w_kronrod * pair
+        gauss += w_gauss * pair
+    return -abs(half * (kronrod - gauss)), a, b, half * kronrod
+
+
+def integrate(f: Callable[[float], float], a: float, b: float, epsrel: float, epsabs: float = 0.0) -> tuple[float, float]:
+    """Adaptive G7-K15 quadrature of f over [a, b]: (value, error estimate).
+
+    Each panel's error is |K15 - G7|.  The panel with the largest error is
+    bisected until the summed error meets max(epsabs, epsrel * |value|) or
+    200 panels are in use; the caller judges a result that stopped at the
+    limit by the error it returns.
+    """
+    panels = [_panel(f, a, b)]
+    error, value = -panels[0][0], panels[0][3]
+    while error > max(epsabs, epsrel * abs(value)) and len(panels) < 200:
+        neg_error, lo, hi, whole = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        left, right = _panel(f, lo, mid), _panel(f, mid, hi)
+        heapq.heappush(panels, left)
+        heapq.heappush(panels, right)
+        value += left[3] + right[3] - whole
+        error += neg_error - left[0] - right[0]
+    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
+
+
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] by bisection, to a relative width of 1e-15.
+
+    Raises ValueError unless f(lo) and f(hi) have opposite signs.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign; no bracketed root")
+    while hi - lo > 1e-15 * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no float left between the ends
+            break
+        f_mid = f(mid)
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _decade_edges(t_cut: float) -> list[float]:
+    edges = [0.0, min(1.0, t_cut)]
+    while edges[-1] < t_cut:
+        edges.append(min(edges[-1] * 10.0, t_cut))
     return edges
 
 
 @lru_cache(maxsize=256)
-def _piece(
-    power: int, mass_sq: float, a: float, b: float, epsrel: float
-) -> tuple[float, float]:
-    """(value, error estimate) of the radial integral over one piece [a, b]."""
-    # scipy loads on the first call only; quad is read off the module at each
-    # call, so a wrapper installed on scipy.integrate.quad sees every call
-    from scipy import integrate
-
-    return integrate.quad(
-        radial_integrand, a, b, args=(power, mass_sq), epsabs=0.0,
-        epsrel=epsrel, limit=200,
-    )
+def _piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, float]:
+    """(value, error estimate) of int t^3 (t^2 + 1)^(-power) dt over [t_a, t_b]."""
+    # radial_integrand is looked up per evaluation, so a wrapper on it sees every one
+    return integrate(lambda t: radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
 
 
-def radial_integral(
-    power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10
-) -> float:
+def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10) -> float:
     """Adaptive quadrature of int_0^cutoff k^3 (k^2 + M^2)^(-power) dk.
 
-    Integrates decade by decade so the wide dynamic range in k never starves
-    the adaptive subdivision.  Each piece is memoized: the full decades
-    [10^j M, 10^(j+1) M] are the same for every cutoff above them, so a
-    sweep integrates each once.  A cached piece is the very (value, error)
-    pair quad returned for it, and the pieces are summed in the same order,
-    so the result is bit-identical to integrating from scratch.  Raises
-    QuadratureError when the accumulated error estimate misses rel_tol,
-    whether or not the pieces were cached.
+    Integrates (M^2)^(2-power) * int_0^(cutoff/sqrt(M^2)) t^3 (t^2+1)^(-power) dt
+    decade by decade in t, so the wide dynamic range never starves the
+    adaptive subdivision.  Each piece is memoized: the full decades
+    [10^j, 10^(j+1)] are the same for every cutoff and mass above them, so a
+    sweep integrates each once.  Raises QuadratureError when the accumulated
+    error estimate misses rel_tol, whether or not the pieces were cached, and
+    OverflowError when the result lies past the float range.
     """
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
@@ -161,12 +217,13 @@ def radial_integral(
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
     total = 0.0
     err_total = 0.0
-    edges = _decade_edges(mass_sq, cutoff)
-    # quadpack refuses epsrel below ~50*eps; the post-hoc error check still
-    # enforces the requested rel_tol, so tighter requests fail loudly.
+    edges = _decade_edges(cutoff / math.sqrt(mass_sq))
+    # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece
+    # asked for less than 5e-14 would only run to the panel limit; the check
+    # below still enforces rel_tol, so tighter requests fail loudly.
     epsrel = max(rel_tol / 10.0, 5e-14)
     for a, b in zip(edges, edges[1:]):
-        piece, err = _piece(power, mass_sq, a, b, epsrel)
+        piece, err = _piece(power, a, b, epsrel)
         total += piece
         err_total += err
     if err_total > rel_tol * abs(total):
@@ -174,7 +231,10 @@ def radial_integral(
             f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
             f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}"
         )
-    return total
+    radial = mass_sq ** (2 - power) * total
+    if not math.isfinite(radial):
+        raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
+    return radial
 
 
 def wick_rotated_radial(

@@ -27,9 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import feynpar, kernel
+from . import feynpar, kernel, oracle
 
 __all__ = [
+    "DEFAULT_ALPHA",
+    "DEFAULT_ELECTRON_MASS_GEV",
+    "DEFAULT_BETHE_LOG",
     "GEV_TO_MHZ",
     "SLASH_COEFFS",
     "SCALAR_OVER_M_COEFFS",
@@ -42,6 +45,11 @@ __all__ = [
     "channel_coefficients",
     "lamb_shift_estimate",
 ]
+
+#: Default fine-structure constant, electron mass (GeV) and Bethe logarithm.
+DEFAULT_ALPHA = 1.0 / 137.036
+DEFAULT_ELECTRON_MASS_GEV = 0.000511
+DEFAULT_BETHE_LOG = 2.8118
 
 #: 1 GeV expressed as a photon frequency in MHz (E/h, exact SI constants).
 GEV_TO_MHZ = 1.602176634e-10 / 6.62607015e-34 / 1e6
@@ -197,17 +205,15 @@ def solve_mu1(m: float) -> float:
     return m * math.exp(float(exponent))
 
 
-def solve_mu1_by_root(m: float, alpha: float = 1.0 / 137.036) -> float:
+def solve_mu1_by_root(m: float, alpha: float = DEFAULT_ALPHA) -> float:
     """Root-finder counterpart of solve_mu1; the result is alpha-independent."""
     if not m > 0:
         raise ValueError(f"m must be positive, got {m!r}")
 
-    from scipy import optimize
-
     def shift(mu1: float) -> float:
         return on_shell_mass_shift(m, alpha, mu1).delta_m
 
-    return float(optimize.brentq(shift, 0.05 * m, m, rtol=1e-15, maxiter=200))
+    return oracle.find_root(shift, 0.05 * m, m)
 
 
 def lamb_shift_estimate(alpha: float, m: float, bethe_log: float) -> float:

@@ -8,7 +8,6 @@ import re
 import time
 
 import pytest
-import scipy.integrate  # noqa: F401  loaded before any clock starts: the bounds time the checks
 
 from loopreg import checks, cli
 

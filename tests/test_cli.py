@@ -193,6 +193,15 @@ class TestOracleCommand:
         rows = [line.split() for line in out.strip().splitlines()]
         assert [float(r[0]) for r in rows] == [10.0, 100.0, 1000.0]
 
+    def test_tiny_mass_keeps_its_quadratic_signature(self, capsys):
+        # the quadrature runs in t = k/sqrt(M^2), so k^3 underflowing at
+        # k ~ 1e-145 no longer zeroes every radial
+        code, report = run_json(capsys, ["oracle", "--n", "1", "--msq", "1e-300"])
+        assert code == 0
+        assert report["outputs"]["signature_kind"] == "quadratic"
+        radials = [float(row["radial"]) for row in report["outputs"]["rows"]]
+        assert radials[-1] == pytest.approx(0.5e-288, rel=1e-10, abs=0.0)
+
     def test_unmeetable_tolerance_is_numeric_failure(self, capsys):
         code, _, err = run_raw(capsys, ["oracle", "--n", "2", "--msq", "1.0", "--rel-tol", "1e-30"])
         assert code == 3
@@ -272,6 +281,7 @@ class TestExitCodes:
             (["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,nan"], 2),
             (["phi4", "--sigma", "1e300", "--lambda", "1e-300"], 3),
             (["phi4", "--sigma", "1", "--lambda", "1e300"], 3),
+            (["oracle", "--n", "1", "--msq", "1e300", "--grid", "1e156", "--format", "csv"], 3),
         ],
     )
     def test_failure_exits_without_report(self, capsys, argv, expected):
@@ -309,13 +319,13 @@ class TestColdImport:
             ["lambshift"],
             ["phi4", "--sigma", "1", "--lambda", "6"],
             ["resum", "--lambda0", "0.5", "--mu0", "1.0", "--mu", "2.0"],
+            # quadrature and root finding are pure Python too: no subcommand loads them
+            ["oracle", "--n", "2", "--msq", "1"],
+            ["demo"],
         ],
     )
     def test_closed_form_subcommands_start_without_scipy(self, argv):
         assert _heavy_imports(argv) == set()
-
-    def test_oracle_loads_scipy(self):
-        assert "scipy" in _heavy_imports(["oracle", "--n", "3", "--msq", "1.0", "--grid", "10,100,1000,10000"])
 
 
 class TestConfigResolution:

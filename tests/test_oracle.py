@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -152,35 +154,28 @@ class TestLineFit:
 
 class TestPieceCache:
     @pytest.fixture
-    def quad_calls(self, monkeypatch):
-        integrate = pytest.importorskip("scipy.integrate")
-        calls = []
-        quad = integrate.quad
-
-        def counting_quad(*args, **kwargs):
-            calls.append(args[1:3])
-            return quad(*args, **kwargs)
-
+    def misses(self):
+        """Pieces integrated since the fixture cleared the cache."""
         oracle._piece.cache_clear()
-        monkeypatch.setattr(integrate, "quad", counting_quad)
-        return calls
+        return lambda: oracle._piece.cache_info().misses
 
-    def test_default_report_integrates_each_decade_once(self, quad_calls):
+    def test_default_report_integrates_each_decade_once(self, misses):
         # what `oracle --n 2 --msq 1` computes: the radials, the signature
-        # and the asymptote over 1e2..1e6, i.e. pieces [0, 1], [1, 10], ...
-        probe = CutoffProbe(2, 1.0, default_grid(1.0))
-        for lam in probe.lambda_grid:
-            oracle.radial_integral(2, 1.0, lam)
-        oracle.divergence_signature(probe)
-        oracle.asymptote_constant(probe)
-        assert len(quad_calls) == 7
-        assert len(set(quad_calls)) == 7
+        # and the asymptote over t = 1e2..1e6, i.e. pieces [0, 1], [1, 10], ...
+        for mass_sq, new_pieces in ((1.0, 7), (4.0, 0)):  # the pieces carry no mass
+            before = misses()
+            probe = CutoffProbe(2, mass_sq, default_grid(mass_sq))
+            for lam in probe.lambda_grid:
+                oracle.radial_integral(2, mass_sq, lam)
+            oracle.divergence_signature(probe)
+            oracle.asymptote_constant(probe)
+            assert misses() - before == new_pieces
 
-    def test_cached_pieces_still_fail_the_tolerance(self, quad_calls):
+    def test_cached_pieces_still_fail_the_tolerance(self, misses):
         for _ in range(2):
             with pytest.raises(oracle.QuadratureError):
                 oracle.radial_integral(2, 1.0, 1e6, rel_tol=1e-16)
-        assert len(quad_calls) == 7
+        assert misses() == 7
 
     @settings(max_examples=20, deadline=None, database=None)
     @given(
@@ -197,6 +192,91 @@ class TestPieceCache:
             cold.append(oracle.radial_integral(power, mass_sq, lam))
         warm = [oracle.radial_integral(power, mass_sq, lam) for lam in grid]
         assert warm == cold
+
+
+class TestIntegrate:
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (math.exp, 0.0, 1.0),
+            (lambda x: 1.0 / (1.0 + x * x), 0.0, 10.0),
+            (math.sqrt, 0.0, 1.0),
+            (math.log, 0.0, 1.0),
+            (lambda x: math.sin(20.0 * x), 0.0, 3.0),
+            (lambda k: oracle.radial_integrand(k, 2, 1.0), 0.0, 1e3),
+        ],
+        ids=["exp", "lorentzian", "sqrt", "log-singular", "oscillating", "radial-n2"],
+    )
+    def test_agrees_with_quadpack(self, f, a, b):
+        integrate = pytest.importorskip("scipy.integrate")
+        want, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
+        value, error = oracle.integrate(f, a, b, 1e-12)
+        assert error <= 1e-12 * abs(value)
+        assert value == pytest.approx(want, rel=1e-11)
+
+    def test_absolute_tolerance_ends_a_zero_integral(self):
+        # the on-shell x-integrand at L = 5/3 integrates to 0 (5 - 3L)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (2.0 + 2.0 * x) * (-(5.0 / 3.0 + 2.0 * math.log(x)))
+
+        value, error = oracle.integrate(f, 0.0, 1.0, 1e-12, epsabs=1e-12)
+        assert abs(value) <= 1e-12 and error <= 1e-12
+        assert len(calls) < 15 * 100
+        # a purely relative test cannot be met at 0: it bisects up to 200 panels
+        calls.clear()
+        oracle.integrate(f, 0.0, 1.0, 1e-12)
+        assert len(calls) == 15 * (1 + 2 * 199)
+
+
+class TestFindRoot:
+    def test_bisects_to_machine_width(self):
+        assert oracle.find_root(math.cos, 0.0, 2.0) == pytest.approx(0.5 * math.pi, rel=2e-15)
+
+    def test_endpoint_root(self):
+        assert oracle.find_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (2.0, 3.0)])
+    def test_same_signed_bracket_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="same sign"):
+            oracle.find_root(lambda x: (x - 1.5) ** 2 + 1.0, lo, hi)
+
+
+class TestRadialReferences:
+    @pytest.mark.parametrize("power", range(1, 13))
+    @pytest.mark.parametrize("mass_sq", [1e-300, 1e-6, 1.0, 1e6, 1e300])
+    def test_fifty_digit_quadrature(self, power, mass_sq):
+        mp = pytest.importorskip("mpmath")
+        cutoff = 1e3 * math.sqrt(mass_sq)
+        with mp.workdps(50):
+            m2 = mp.mpf(mass_sq)
+            # mpmath's tolerance is absolute: the factor makes the k-integral O(1)
+            norm = m2 ** (power - 2)
+            edges = [mp.mpf(0)] + [mp.sqrt(m2) * 10**j for j in range(3)] + [mp.mpf(cutoff)]
+            want = mp.quad(lambda k: norm * k**3 / (k * k + m2) ** power, edges) / norm
+        if want > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                oracle.radial_integral(power, mass_sq, cutoff)
+        elif want < sys.float_info.min:  # the true value underflows
+            assert abs(oracle.radial_integral(power, mass_sq, cutoff)) <= sys.float_info.min
+        else:
+            assert oracle.radial_integral(power, mass_sq, cutoff) == pytest.approx(float(want), rel=1e-10, abs=0.0)
+
+    def test_seeded_requests_meet_their_tolerance(self):
+        # n 1..6, M^2 1e-6..1e6, cutoff 10^0.5..10^6 sqrt(M^2), rel_tol 1e-10..1e-6
+        rng = random.Random(6)
+        worst = 0.0
+        for _ in range(400):
+            power = rng.randint(1, 6)
+            mass_sq = 10.0 ** rng.uniform(-6.0, 6.0)
+            cutoff = 10.0 ** rng.uniform(0.5, 6.0) * math.sqrt(mass_sq)
+            rel_tol = 10.0 ** rng.uniform(-10.0, -6.0)
+            got = oracle.radial_integral(power, mass_sq, cutoff, rel_tol)  # no QuadratureError
+            exact = oracle.radial_analytic(power, mass_sq, cutoff)
+            worst = max(worst, abs(got - exact) / (rel_tol * abs(exact)))
+        assert worst <= 1.0
 
 
 class TestCutoffIndependenceOfDifferences:
