@@ -5,7 +5,6 @@ independent cutoff-quadrature oracle."""
 from .feynpar import FeynmanMassFn, PolyLogIntegrand, integrate_poly_log, mass_fn_eval
 from .kernel import (
     ConstantEntry,
-    ConstantLedger,
     RegularizedValue,
     ScalarLoopIntegral,
     StillDivergentError,

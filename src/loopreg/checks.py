@@ -39,8 +39,8 @@ def _power_counting() -> tuple[bool, str]:
 
 def _closed_forms() -> tuple[bool, str]:
     worst = 0.0
-    for power in (3, 4, 5):
-        for msq in (0.5, 1.0, 2.0):
+    for power in (3, 4, 5, 6):
+        for msq in (0.5, 1.0, 2.0, 10.0):
             exact = kernel.evaluate_convergent(kernel.ScalarLoopIntegral(power=power)).bracket(msq)
             quad = oracle.wick_rotated_radial(power, msq, 1e6 * math.sqrt(msq))
             worst = max(worst, abs(quad - exact) / abs(exact))
@@ -178,7 +178,7 @@ def _reference_window() -> tuple[bool, str]:
 
 CHECKS: tuple[Check, ...] = (
     Check("power counting: degrees (2, 0, -2), depths (2, 1, 0) for n = 1..3", _power_counting),
-    Check("closed forms n=3..5 match quadrature to 1e-8; 2*I_3 = -1/M^2", _closed_forms, 1.0),
+    Check("closed forms n=3..6 match quadrature to 1e-8; 2*I_3 = -1/M^2", _closed_forms, 1.0),
     Check("d/dM^2 of the regulated n=2 value is 2 * I_3 exactly", _derivative_identity),
     Check("regulated n=2 value has one constant; aliased bracket(mu1^2) = 0", _one_constant),
     Check("asymptote difference at M^2 = (0.5, 2) is -0.5*ln ratio to 1e-6", partial(_asymptote_difference, 0.5, 2.0), 5.0),

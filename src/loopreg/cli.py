@@ -6,19 +6,20 @@ readable report: a flat JSON object with ``inputs``, ``outputs``,
 the configured precision, so reports are platform-stable), CSV for sweep
 subcommands, or bare two-column plot data.
 
-Each handler only computes: it returns its inputs, its output fields as
+Each handler only computes a ``Report``: its inputs, its output fields as
 ``(name, value, provenance)`` triples, so every provenance string sits beside
-its value, and its ledger, or for a csv/plot-data sweep a header and rows.
-``run`` checks the format before any computation and one renderer writes all
-three formats.  ``demo`` prints one PASS/FAIL line per row of
+its value, and its ledger.  A sweep's rows are one ``Table``-valued field.
+``run`` checks the format before any computation, and one renderer writes the
+report as JSON (the table as one object per row), or just the table as csv
+or plot-data.  ``demo`` prints one PASS/FAIL line per row of
 ``loopreg.checks.CHECKS``, the table the acceptance test asserts.
 
 Masses are handled in GeV internally; ``--units MeV`` converts all
 mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
-2 usage/validation error, 3 numeric failure (quadrature tolerance unmet, or
-a pole where a finite value was requested, or a floating-point overflow or
-division by zero).  Every float flag must be finite: ``inf`` and ``nan`` are
-usage errors.
+2 usage/validation error, 3 numeric failure (quadrature tolerance unmet, a
+pole where a finite value was requested, a floating-point overflow, underflow
+or division by zero, or a non-finite number about to be printed).  Every
+float flag must be finite: ``inf`` and ``nan`` are usage errors.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class RunConfig:
     def msq_in(self, x: float) -> float:
         return x * self.mass_scale_to_gev**2
 
-    def msq_out(self, x: float) -> float:
-        return x / self.mass_scale_to_gev**2
-
 
 def _parse_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -100,109 +98,106 @@ def _parse_config_file(path: Path) -> dict[str, str]:
 
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
-    units = "GeV"
-    precision: Optional[int] = None
-    out_format = "json"
-
+    """Flags over ``--config`` over ``LOOPREG_PRECISION`` over the defaults."""
+    merged: dict[str, Any] = {"units": "GeV", "precision": DEFAULT_PRECISION, "format": "json"}
+    source = "precision"  # names the setting a bad precision came from
     env = os.environ.get(PRECISION_ENV_VAR)
     if env is not None:
-        try:
-            precision = int(env)
-        except ValueError:
-            raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {env!r}") from None
-
+        merged["precision"], source = env, PRECISION_ENV_VAR
     if ns.config is not None:
         cfg = _parse_config_file(Path(ns.config))
-        if "units" in cfg:
-            units = cfg["units"]
-        if "precision" in cfg:
-            try:
-                precision = int(cfg["precision"])
-            except ValueError:
-                raise ValueError(f"config precision must be an integer, got {cfg['precision']!r}") from None
-        if "format" in cfg:
-            out_format = cfg["format"]
-
-    if ns.units is not None:
-        units = ns.units
-    if ns.precision is not None:
-        precision = ns.precision
-    if ns.out_format is not None:
-        out_format = ns.out_format
-
-    return RunConfig(units=units, precision=precision if precision is not None else DEFAULT_PRECISION, out_format=out_format)
+        source = "config precision" if "precision" in cfg else source
+        merged.update(cfg)
+    flags = {"units": ns.units, "precision": ns.precision, "format": ns.out_format}
+    merged.update((key, value) for key, value in flags.items() if value is not None)
+    try:
+        precision = int(merged["precision"])
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {merged['precision']!r}") from None
+    return RunConfig(units=merged["units"], precision=precision, out_format=merged["format"])
 
 
 # ----------------------------- report rendering -----------------------------
 
 
+class Table(NamedTuple):
+    """A sweep's rows: column names and one tuple per row."""
+
+    header: tuple[str, ...]
+    rows: list[tuple[Any, ...]]
+
+
 class Report(NamedTuple):
-    """A JSON report: the subcommand's own inputs, its ``(name, value,
-    provenance)`` output fields in order, and its constant ledger."""
+    """A subcommand's own inputs, its ``(name, value, provenance)`` output
+    fields in order (a sweep's value is a ``Table``), and its constant ledger."""
 
     inputs: dict[str, Any]
     fields: list[tuple[str, Any, str]]
     ledger: Sequence[dict[str, Any]] = ()
 
 
-class Table(NamedTuple):
-    """A sweep in csv or plot-data: column names and one tuple per row."""
-
-    header: tuple[str, ...]
-    rows: list[tuple[Any, ...]]
-
-
-def _fmt_number(value: Any, precision: int) -> Any:
+def _fmt_number(value: Any, precision: int, name: str) -> Any:
+    """Numbers as decimal strings, a table as one object per row; OverflowError
+    for a float that is not finite, so no report prints inf or nan."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (Fraction, int)):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} is not finite: {value!r}")
         return format(value, f".{precision}g")
+    if isinstance(value, Table):
+        return [_fmt_number(dict(zip(value.header, row)), precision, name) for row in value.rows]
     if isinstance(value, (list, tuple)):
-        return [_fmt_number(v, precision) for v in value]
+        return [_fmt_number(v, precision, name) for v in value]
     if isinstance(value, dict):
-        return {k: _fmt_number(v, precision) for k, v in value.items()}
+        return {k: _fmt_number(v, precision, name) for k, v in value.items()}
     return value
 
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, Any]]:
     rows = []
-    for e in value.constants.entries:
+    for e in value.constants:
         row: dict[str, Any] = {
             "name": e.name,
-            "mass_dimension": str(e.mass_dimension),
-            "coefficient": str(e.coefficient),
-            "msq_power": str(e.msq_power),
+            "mass_dimension": e.mass_dimension,
+            "coefficient": e.coefficient,
+            "msq_power": e.msq_power,
             "status": "fixed" if e.is_fixed else "unfixed",
         }
         if e.is_fixed:
-            row["value"] = format(e.value, f".{cfg.precision}g")
+            row["value"] = e.value
         if e.scale_alias is not None:
-            row["scale_alias"] = format(cfg.mass_out(e.scale_alias), f".{cfg.precision}g")
+            row["scale_alias"] = cfg.mass_out(e.scale_alias)
         rows.append(row)
     return rows
 
 
-def _render(subcommand: str, result: Report | Table, cfg: RunConfig) -> None:
-    """Write a report as JSON, or a sweep as csv or plot-data, to stdout."""
+def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
+    """Write a report as JSON, or its sweep table as csv or plot-data, to stdout.
+
+    Every number is formatted before anything is written, so a non-finite one
+    raises OverflowError with stdout still empty.
+    """
     p = cfg.precision
-    if isinstance(result, Table):
+    if cfg.out_format != "json":
+        table = next(value for _, value, _ in report.fields if isinstance(value, Table))
+        rows = _fmt_number(table.rows, p, "rows")
         if cfg.out_format == "csv":
-            lines = [",".join(result.header)]
-            lines += [",".join("" if v is None else str(_fmt_number(v, p)) for v in row) for row in result.rows]
+            lines = [",".join(table.header)] + [",".join("" if v is None else v for v in row) for row in rows]
         else:  # plot-data: the first two columns, where the second is set
-            lines = [f"{_fmt_number(x, p)} {_fmt_number(y, p)}" for x, y, *_ in result.rows if y is not None]
+            lines = [f"{x} {y}" for x, y, *_ in rows if y is not None]
         sys.stdout.write("".join(line + "\n" for line in lines))
         return
-    inputs = {**result.inputs, "units": cfg.units, "precision": cfg.precision}
+    inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
     payload = {
         "subcommand": subcommand,
         # full-precision echo: re-running a report with its own inputs must be exact
         "inputs": {k: (str(v) if isinstance(v, (int, float, Fraction)) else v) for k, v in inputs.items()},
-        "outputs": {name: _fmt_number(value, p) for name, value, _ in result.fields},
-        "provenance": {name: why for name, _, why in result.fields},
-        "ledger": result.ledger,
+        "outputs": {name: _fmt_number(value, p, name) for name, value, _ in report.fields},
+        "provenance": {name: why for name, _, why in report.fields},
+        "ledger": _fmt_number(report.ledger, p, "ledger"),
     }
     print(json.dumps(payload, indent=2))
 
@@ -218,13 +213,10 @@ def _has_sweep(ns: argparse.Namespace) -> bool:
 
 
 def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
-    integral = kernel.ScalarLoopIntegral(
-        power=ns.n,
-        mass_sq=cfg.msq_in(ns.msq) if ns.msq is not None else None,
-    )
+    integral = kernel.ScalarLoopIntegral(power=ns.n, mass_sq=cfg.msq_in(ns.msq) if ns.msq is not None else None)
     value = kernel.regularize(integral)
     if ns.mu1 is not None:
-        dimless = [e.index for e in value.constants.entries if e.mass_dimension == 0]
+        dimless = [e.index for e in value.constants if e.mass_dimension == 0]
         if not dimless:
             raise ValueError("--mu1 given but the result has no dimensionless constant to alias")
         for idx in dimless:
@@ -239,7 +231,7 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("terms", terms, "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)"),
         ("unfixed_constants", value.unfixed_count, "one arbitrary constant per integration, fixed only by physical conditions"),
     ]
-    if integral.mass_sq is not None and value.constants.all_fixed:
+    if integral.mass_sq is not None and value.unfixed_count == 0:
         bracket = value.bracket(integral.mass_sq)
         fields += [
             ("bracket_at_msq", bracket, "numeric multiple of i/(16*pi^2) at the given M^2"),
@@ -291,18 +283,12 @@ def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("higgs_predicted", cfg.mass_out(higgs.predicted), reference),
         ("higgs_upper_bound", cfg.mass_out(higgs.upper_bound), reference),
     ]
-    overflowed = [name for name, value, _ in fields if not math.isfinite(value)]
-    if overflowed:
-        raise OverflowError(f"phi4 outputs are not finite: {', '.join(overflowed)}")
     return Report({"sigma": ns.sigma, "lambda": ns.lam}, fields)
 
 
-def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
-    state = phi4.ResummationState(
-        lambda0=ns.lambda0,
-        mu0=cfg.mass_in(ns.mu0),
-        beta_coeff=ns.beta_coeff if ns.beta_coeff is not None else phi4.BETA_ONE_LOOP,
-    )
+def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    b = ns.beta_coeff if ns.beta_coeff is not None else phi4.BETA_ONE_LOOP
+    state = phi4.ResummationState(lambda0=ns.lambda0, mu0=cfg.mass_in(ns.mu0), beta_coeff=b)
     pole = "pole of the resummed coupling: mu0*exp(1/(2*b*lambda0))"
     chain = "resummed chain lambda0/(1 - b*lambda0*ln(mu^2/mu0^2))"
     if _has_sweep(ns):
@@ -325,9 +311,6 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
             except phi4.LandauPoleError:
                 coupling, status = None, "pole"
             rows.append((cfg.mass_out(mu), coupling, status))
-        header = ("mu", "coupling", "status")
-        if cfg.out_format != "json":
-            return Table(header, rows)
         return Report(
             {
                 "lambda0": ns.lambda0, "mu0": ns.mu0, "b": state.beta_coeff,
@@ -335,7 +318,7 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
             },
             [
                 ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
-                ("rows", [dict(zip(header, row)) for row in rows], chain + " over the mu grid"),
+                ("rows", Table(("mu", "coupling", "status"), rows), chain + " over the mu grid"),
             ],
         )
 
@@ -349,42 +332,30 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
     return Report({"lambda0": ns.lambda0, "mu0": ns.mu0, "mu": ns.mu, "b": state.beta_coeff}, fields)
 
 
-def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report | Table:
+def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     msq = cfg.msq_in(ns.msq)
     # the default grid is built in the user's units, like an explicit --grid,
     # so its echo re-parses to the very same cutoffs
     grid_display = ns.grid if ns.grid is not None else oracle.default_grid(ns.msq)
     grid = tuple(cfg.mass_in(g) for g in grid_display)
-    probe = oracle.CutoffProbe(
-        power=ns.n, mass_sq=msq, lambda_grid=grid,
-        quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol),
-    )
+    probe = oracle.CutoffProbe(power=ns.n, mass_sq=msq, lambda_grid=grid, quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol))
     if cfg.out_format == "json":  # a grid too short for the fits exits 2 before any quadrature
         oracle.require_signature_grid(probe)
         if ns.n == 2:
             oracle.require_asymptote_grid(probe)
     radials = [oracle.radial_integral(ns.n, msq, lam, ns.rel_tol) for lam in grid]
-    rows = [(cfg.mass_out(lam), r, (-1) ** ns.n * 2.0 * r) for lam, r in zip(grid, radials)]
-    header = ("cutoff", "radial", "unit_multiple")
-    if cfg.out_format != "json":
-        return Table(header, rows)
-
-    signature = oracle.divergence_signature(probe)
-    fields = [
-        (
-            "rows",
-            [dict(zip(header, row)) for row in rows],
-            "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)",
-        ),
-        ("signature_kind", signature.kind, "data-driven fit of the cutoff dependence"),
-        ("signature_coefficient", signature.coefficient, "leading fitted coefficient (ln-slope, power coefficient, or limit)"),
-    ]
-    if ns.n == 2:
-        fields.append((
-            "asymptote_constant",
-            oracle.asymptote_constant(probe),
-            "lim [radial - ln(cutoff)] by 1/cutoff^2 extrapolation; only differences across masses are cutoff-free physics",
-        ))
+    rows = [(cfg.mass_out(lam), r, oracle.unit_multiple(ns.n, r)) for lam, r in zip(grid, radials)]
+    quadrature = "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)"
+    fields = [("rows", Table(("cutoff", "radial", "unit_multiple"), rows), quadrature)]
+    if cfg.out_format == "json":  # the fits print only in a JSON report
+        signature = oracle.divergence_signature(probe)
+        fields += [
+            ("signature_kind", signature.kind, "data-driven fit of the cutoff dependence"),
+            ("signature_coefficient", signature.coefficient, "leading fitted coefficient (ln-slope, power coefficient, or limit)"),
+        ]
+        if ns.n == 2:
+            extrapolation = "lim [radial - ln(cutoff)] by 1/cutoff^2 extrapolation; only differences across masses are cutoff-free physics"
+            fields.append(("asymptote_constant", oracle.asymptote_constant(probe), extrapolation))
     inputs = {"n": ns.n, "msq": ns.msq, "grid": ",".join(str(g) for g in grid_display), "rel_tol": ns.rel_tol}
     return Report(inputs, fields)
 
@@ -501,7 +472,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if cfg.out_format != "json" and not _has_sweep(ns):
             what = "resum (single point)" if ns.subcommand == "resum" else ns.subcommand
             raise ValueError(f"{what} has no sweep output; use --format json")
-        handler: Callable[[argparse.Namespace, RunConfig], Report | Table] = ns.handler
+        handler: Callable[[argparse.Namespace, RunConfig], Report] = ns.handler
         _render(ns.subcommand, handler(ns, cfg), cfg)
         return EXIT_OK
     except (oracle.QuadratureError, phi4.LandauPoleError, ArithmeticError) as exc:

@@ -9,8 +9,9 @@ alone.  Members with n <= 2 diverge at large K.  The reduction implemented
 by :func:`regularize` differentiates in M^2 until the power counting turns
 negative, evaluates the convergent closed form, and integrates back in M^2
 the same number of times.  Each indefinite integration births one arbitrary
-constant; renormalization later fixes those constants against physical
-conditions instead of subtracting anything.
+constant, recorded in order in the ledger ``RegularizedValue.constants``;
+renormalization later fixes those constants against physical conditions
+instead of subtracting anything.
 
 Every coefficient is an exact :class:`fractions.Fraction` multiple of the
 unit i/(16 pi^2); nothing is rounded until a caller asks for a numeric
@@ -33,7 +34,6 @@ __all__ = [
     "ScalarLoopIntegral",
     "Term",
     "ConstantEntry",
-    "ConstantLedger",
     "RegularizedValue",
     "superficial_degree",
     "differentiation_count",
@@ -177,36 +177,6 @@ class ConstantEntry:
         return self.value is not None
 
 
-@dataclass(frozen=True)
-class ConstantLedger:
-    """Ordered bookkeeping of the arbitrary constants of a regularized value."""
-
-    entries: tuple[ConstantEntry, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for i, entry in enumerate(self.entries, start=1):
-            if entry.index != i:
-                raise ValueError("constant indices must be unique and consecutive from 1")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def entry(self, index: int) -> ConstantEntry:
-        try:
-            return self.entries[index - 1]
-        except IndexError:
-            raise KeyError(f"no constant C{index} in ledger") from None
-
-    @property
-    def unfixed_indices(self) -> tuple[int, ...]:
-        return tuple(e.index for e in self.entries if not e.is_fixed)
-
-    @property
-    def all_fixed(self) -> bool:
-        return not self.unfixed_indices
-
-
 def _canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
     merged: dict[tuple[int, bool], Fraction] = {}
     for t in terms:
@@ -225,19 +195,24 @@ def _canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
 class RegularizedValue:
     """Closed-form content of a loop integral: exact terms plus a constant ledger.
 
-    The value is dimensionally homogeneous: all plain terms share one power
-    of M^2 and every constant satisfies dim(C) + 2*msq_power == value dim.
+    ``constants`` is the ledger: the arbitrary constants C1, C2, ... in order,
+    one per integration.  The value is dimensionally homogeneous: all plain
+    terms share one power of M^2 and every constant satisfies
+    dim(C) + 2*msq_power == value dim.
     """
 
     terms: tuple[Term, ...] = ()
-    constants: ConstantLedger = ConstantLedger()
+    constants: tuple[ConstantEntry, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _canonical_terms(self.terms))
+        object.__setattr__(self, "constants", tuple(self.constants))
+        if any(e.index != i for i, e in enumerate(self.constants, start=1)):
+            raise ValueError("constant indices must be unique and consecutive from 1")
         powers = {t.msq_power for t in self.terms}
         if len(powers) > 1:
             raise ValueError(f"terms mix mass dimensions (powers {sorted(powers)})")
-        dims = {e.mass_dimension + 2 * e.msq_power for e in self.constants.entries}
+        dims = {e.mass_dimension + 2 * e.msq_power for e in self.constants}
         if powers:
             dims.add(2 * next(iter(powers)))
         if len(dims) > 1:
@@ -249,14 +224,19 @@ class RegularizedValue:
     def mass_dimension(self) -> int:
         if self.terms:
             return 2 * self.terms[0].msq_power
-        if self.constants.entries:
-            e = self.constants.entries[0]
+        if self.constants:
+            e = self.constants[0]
             return e.mass_dimension + 2 * e.msq_power
         return 0
 
     @property
     def unfixed_count(self) -> int:
-        return len(self.constants.unfixed_indices)
+        return sum(not e.is_fixed for e in self.constants)
+
+    def _constant(self, index: int) -> ConstantEntry:
+        if not 1 <= index <= len(self.constants):
+            raise KeyError(f"no constant C{index} in ledger")
+        return self.constants[index - 1]
 
     def scaled(self, factor: RationalLike) -> "RegularizedValue":
         """Multiply the whole value (terms and constants) by an exact rational."""
@@ -265,9 +245,9 @@ class RegularizedValue:
             return RegularizedValue()
         terms = tuple(replace(t, coefficient=t.coefficient * f) for t in self.terms)
         entries = tuple(
-            replace(e, coefficient=e.coefficient * f) for e in self.constants.entries
+            replace(e, coefficient=e.coefficient * f) for e in self.constants
         )
-        return RegularizedValue(terms, ConstantLedger(entries))
+        return RegularizedValue(terms, entries)
 
     def differentiate(self) -> "RegularizedValue":
         """Symbolic d/dM^2.  Constants sitting at power 0 are annihilated."""
@@ -282,31 +262,34 @@ class RegularizedValue:
                 terms.append(Term(t.coefficient * p, p - 1, False))
         entries = [
             replace(e, coefficient=e.coefficient * e.msq_power, msq_power=e.msq_power - 1)
-            for e in self.constants.entries
+            for e in self.constants
             if e.msq_power > 0
         ]
         entries = [replace(e, index=i) for i, e in enumerate(entries, start=1)]
-        return RegularizedValue(tuple(terms), ConstantLedger(tuple(entries)))
+        return RegularizedValue(tuple(terms), tuple(entries))
 
     # -- constant fixing ----------------------------------------------------
 
     def with_constant_fixed(self, index: int, value: float) -> "RegularizedValue":
         """Fix C_index to a plain numeric value (units GeV^mass_dimension)."""
-        entries = list(self.constants.entries)
-        e = self.constants.entry(index)
+        e = self._constant(index)
+        entries = list(self.constants)
         entries[index - 1] = replace(e, value=float(value), scale_alias=None)
-        return RegularizedValue(self.terms, ConstantLedger(tuple(entries)))
+        return RegularizedValue(self.terms, tuple(entries))
 
     def with_scale_alias(self, index: int, mu: float) -> "RegularizedValue":
         """Fix the dimensionless C_index through C = -ln(mu^2), mu in GeV."""
-        e = self.constants.entry(index)
+        e = self._constant(index)
         if e.mass_dimension != 0:
             raise ValueError(f"{e.name} has mass dimension {e.mass_dimension}; only dimensionless constants alias a scale")
         if not mu > 0:
             raise ValueError(f"scale must be positive, got {mu!r}")
-        entries = list(self.constants.entries)
-        entries[index - 1] = replace(e, value=-math.log(mu**2), scale_alias=float(mu))
-        return RegularizedValue(self.terms, ConstantLedger(tuple(entries)))
+        mu_sq = mu**2
+        if mu_sq == 0.0:
+            raise FloatingPointError(f"scale {mu!r} squared underflows to 0: C = -ln(mu^2) is past the float range")
+        entries = list(self.constants)
+        entries[index - 1] = replace(e, value=-math.log(mu_sq), scale_alias=float(mu))
+        return RegularizedValue(self.terms, tuple(entries))
 
     # -- numerics -----------------------------------------------------------
 
@@ -325,10 +308,9 @@ class RegularizedValue:
             raise ValueError(f"mass_sq must be non-negative, got {msq!r}")
         if msq == 0 and self._needs_positive_msq():
             raise ValueError("mass_sq = 0 hits a logarithm/pole; the Feynman-parameter layer handles that point analytically")
-        unfixed = self.constants.unfixed_indices
+        unfixed = [e.name for e in self.constants if not e.is_fixed]
         if unfixed:
-            names = ", ".join(f"C{i}" for i in unfixed)
-            raise ValueError(f"cannot evaluate numerically: unfixed constants {names}")
+            raise ValueError(f"cannot evaluate numerically: unfixed constants {', '.join(unfixed)}")
         pieces = []
         log_msq = math.log(msq) if msq > 0 and any(t.has_log for t in self.terms) else 0.0
         for t in self.terms:
@@ -336,7 +318,7 @@ class RegularizedValue:
             if t.has_log:
                 v *= log_msq
             pieces.append(v)
-        for e in self.constants.entries:
+        for e in self.constants:
             pieces.append(float(e.coefficient) * e.value * msq**e.msq_power)
         return math.fsum(pieces)
 
@@ -351,7 +333,7 @@ class RegularizedValue:
         pieces: list[str] = []
         for t in self.terms:
             pieces.append(_format_piece(t.coefficient, t.msq_power, "ln(M^2)" if t.has_log else None, not pieces))
-        for e in self.constants.entries:
+        for e in self.constants:
             pieces.append(_format_piece(e.coefficient, e.msq_power, e.name, not pieces))
         body = " ".join(pieces) if pieces else "0"
         return f"({UNIT_LABEL}) * ({body})"
@@ -411,15 +393,15 @@ def _integrate_once(value: RegularizedValue) -> RegularizedValue:
 
     entries = [
         replace(e, coefficient=e.coefficient / (e.msq_power + 1), msq_power=e.msq_power + 1)
-        for e in value.constants.entries
+        for e in value.constants
     ]
     # The fresh constant pairs with the log it completes (same coefficient),
     # so that C = -ln(mu^2) later closes the log into ln(M^2/mu^2); with no
     # log created this step it inherits the running bracket coefficient.
     if log_seed != 0:
         kappa = log_seed
-    elif value.constants.entries:
-        kappa = value.constants.entries[-1].coefficient
+    elif value.constants:
+        kappa = value.constants[-1].coefficient
     else:
         kappa = Fraction(1)
     dimension = value.mass_dimension + 2
@@ -431,7 +413,7 @@ def _integrate_once(value: RegularizedValue) -> RegularizedValue:
             msq_power=0,
         )
     )
-    return RegularizedValue(tuple(new_terms), ConstantLedger(tuple(entries)))
+    return RegularizedValue(tuple(new_terms), tuple(entries))
 
 
 def integrate_back(value: RegularizedValue, times: int) -> RegularizedValue:

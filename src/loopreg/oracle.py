@@ -39,6 +39,7 @@ __all__ = [
     "radial_integrand",
     "radial_analytic",
     "radial_integral",
+    "unit_multiple",
     "wick_rotated_radial",
     "default_grid",
     "require_signature_grid",
@@ -237,18 +238,22 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     return radial
 
 
+def unit_multiple(power: int, radial: float) -> float:
+    """A radial integral of power n as a real multiple of the unit i/(16 pi^2).
+
+    The full value is i(-1)^n/(8 pi^2) * radial, i.e. (-1)^n * 2 * radial in
+    units of i/(16 pi^2), directly comparable with kernel.RegularizedValue.bracket.
+    """
+    return (-1) ** power * 2.0 * radial
+
+
 def wick_rotated_radial(
     power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10
 ) -> float:
-    """Cutoff loop integral as a real multiple of the unit i/(16 pi^2).
-
-    The full value is i(-1)^n/(8 pi^2) * radial, i.e. (-1)^n * 2 * radial in
-    units of i/(16 pi^2); the returned number is directly comparable with
-    kernel.RegularizedValue.bracket.
-    """
+    """Cutoff loop integral as a real multiple of the unit i/(16 pi^2)."""
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power!r}")
-    return (-1) ** power * 2.0 * radial_integral(power, mass_sq, cutoff, rel_tol)
+    return unit_multiple(power, radial_integral(power, mass_sq, cutoff, rel_tol))
 
 
 @dataclass(frozen=True)
@@ -339,8 +344,9 @@ def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
 def asymptote_constant(probe: CutoffProbe) -> float:
     """lim_{Lambda->inf} [radial(Lambda) - ln(Lambda)] for a log probe (power 2).
 
-    Extrapolates with a linear fit in 1/Lambda^2 over the top two grid
-    decades; the remainder of the expansion is O(1/Lambda^4).  Only
+    Extrapolates with a linear fit in (Lambda_top/Lambda)^2, i.e. in
+    1/Lambda^2 scaled so it neither underflows nor overflows, over the top two
+    grid decades; the remainder of the expansion is O(1/Lambda^4).  Only
     differences of this limit between two masses are cutoff-free physics:
     the limit itself shifts with the arbitrary constant freedom.
     """
@@ -349,7 +355,7 @@ def asymptote_constant(probe: CutoffProbe) -> float:
     threshold = require_asymptote_grid(probe)
     grid = probe.lambda_grid
     vals = _probe_values(probe)
-    xs = [1.0 / (lam * lam) for lam in grid if lam >= threshold]
+    xs = [(grid[-1] / lam) ** 2 for lam in grid if lam >= threshold]
     gs = [v - math.log(lam) for lam, v in zip(grid, vals) if lam >= threshold]
     _, intercept = _line_fit(xs, gs)
     return intercept

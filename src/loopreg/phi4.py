@@ -1,12 +1,13 @@
 """Quartic scalar model with a symmetry-breaking vacuum.
 
-The potential V(Phi) = -sigma/2 Phi^2 + lambda/24 Phi^4 (sigma, lambda > 0)
-has its minimum shifted to Phi1 = sqrt(6 sigma/lambda); the excitation on
-that vacuum carries mass m_sigma = sqrt(2 sigma).  The sign-flipped
-configuration +m^2/2 Phi^2 + lambda/24 Phi^4 is the symmetric case with a
-single mass scale.  At one loop the coupling runs to
-lambda_R = lambda (1 + 9 lambda / 32 pi^2), while the bare lambda keeps the
-scale-ratio meaning lambda = 3 (m_sigma/Phi1)^2 at every order.
+The potential V(Phi) = -sigma/2 Phi^2 + lambda/24 Phi^4 (sigma, lambda > 0),
+``SSBPotential``, has its minimum shifted to Phi1 = sqrt(6 sigma/lambda); the
+excitation on that vacuum carries mass m_sigma = sqrt(2 sigma).  (The
+sign-flipped configuration +m^2/2 Phi^2 + lambda/24 Phi^4 is the symmetric
+case with a single mass scale; it is not modelled here.)  At one loop the
+coupling runs to lambda_R = lambda (1 + 9 lambda / 32 pi^2), while the bare
+lambda keeps the scale-ratio meaning lambda = 3 (m_sigma/Phi1)^2 at every
+order.
 
 Chain (bubble) resummation is modelled by the running form
 
@@ -32,7 +33,6 @@ __all__ = [
     "SSBPotential",
     "ResummationState",
     "HiggsReference",
-    "potential",
     "ssb_vacuum",
     "lambda_renormalized",
     "lambda_invariant_ratio",
@@ -61,18 +61,10 @@ class LandauPoleError(RuntimeError):
         )
 
 
-def potential(phi: float, mass_sq_term: float, lam: float) -> float:
-    """V(Phi) = mass_sq_term/2 Phi^2 + lam/24 Phi^4.
-
-    mass_sq_term > 0 is the symmetric configuration; the broken one uses
-    mass_sq_term = -sigma.
-    """
-    return 0.5 * mass_sq_term * phi * phi + lam / 24.0 * phi**4
-
-
 @dataclass(frozen=True)
 class SSBPotential:
-    """Wrong-sign mass parameter sigma (GeV^2) and quartic coupling lam."""
+    """V(Phi) = -sigma/2 Phi^2 + lam/24 Phi^4: wrong-sign mass parameter sigma
+    (GeV^2) and quartic coupling lam."""
 
     sigma: float
     lam: float
@@ -84,7 +76,7 @@ class SSBPotential:
             raise ValueError(f"lambda must be positive, got {self.lam!r}")
 
     def __call__(self, phi: float) -> float:
-        return potential(phi, -self.sigma, self.lam)
+        return -0.5 * self.sigma * phi * phi + self.lam / 24.0 * phi**4
 
 
 def ssb_vacuum(pot: SSBPotential) -> tuple[float, float]:

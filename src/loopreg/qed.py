@@ -98,27 +98,20 @@ class SelfEnergyKernel:
         if msq <= 0:
             raise ValueError(f"M^2(x) = {msq!r} is not positive at x = {x!r}")
         common = -(4.0 * math.pi * self.alpha) / (16.0 * math.pi**2) * math.log(msq / mu1**2)
-        a_x = _poly_eval(self.slash_coeffs, x)
-        b_over_m_x = _poly_eval(self.scalar_over_m_coeffs, x)
+        a_x = feynpar.PolyLogIntegrand(self.slash_coeffs)(x)
+        b_over_m_x = feynpar.PolyLogIntegrand(self.scalar_over_m_coeffs)(x)
         return common * a_x, common * self.m * b_over_m_x
 
 
 @dataclass(frozen=True)
 class MassShift:
-    """Radiative mass shift delta_m in GeV."""
+    """Radiative mass shift delta_m in GeV; a non-finite shift has left the float range."""
 
     delta_m: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta_m):
-            raise ValueError(f"delta_m must be finite, got {self.delta_m!r}")
-
-
-def _poly_eval(coeffs: tuple[Fraction, ...], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + float(c)
-    return acc
+            raise OverflowError(f"delta_m must be finite, got {self.delta_m!r}")
 
 
 @lru_cache(maxsize=1)
@@ -134,7 +127,7 @@ def _on_shell_log_split() -> tuple[Fraction, Fraction]:
     if len(log_terms) != 1 or log_terms[0].msq_power != 0:
         raise AssertionError("unexpected structure of the regulated power-2 integral")
     c = log_terms[0].coefficient
-    entries = reg.constants.entries
+    entries = reg.constants
     if len(entries) != 1 or entries[0].mass_dimension != 0 or entries[0].coefficient != c:
         raise AssertionError("the power-2 ledger must hold one dimensionless constant paired with the log")
     return c, 2 * c

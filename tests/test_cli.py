@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopreg import cli
 
@@ -202,6 +207,14 @@ class TestOracleCommand:
         radials = [float(row["radial"]) for row in report["outputs"]["rows"]]
         assert radials[-1] == pytest.approx(0.5e-288, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("msq", ["1e300", "1e-300", "0.7", "5"])
+    def test_asymptote_at_any_mass(self, capsys, msq):
+        # the fit runs in (cutoff_top/cutoff)^2, which neither underflows nor overflows
+        code, report = run_json(capsys, ["oracle", "--n", "2", "--msq", msq, "--precision", "17"])
+        assert code == 0
+        expected = -0.5 * math.log(float(msq)) - 0.5
+        assert abs(float(report["outputs"]["asymptote_constant"]) - expected) < 1e-6
+
     def test_unmeetable_tolerance_is_numeric_failure(self, capsys):
         code, _, err = run_raw(capsys, ["oracle", "--n", "2", "--msq", "1.0", "--rel-tol", "1e-30"])
         assert code == 3
@@ -275,13 +288,19 @@ class TestExitCodes:
         [
             (["selfenergy", "--m", "1", "--mu1", "1e-320"], 3),
             (["lambshift", "--alpha", "1e-200"], 3),
-            (["oracle", "--n", "2", "--msq", "1e300"], 3),
+            (["resum", "--lambda0", "0.0105", "--mu0", "249.56", "--mu", "2.99e7"], 3),
             (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2),
             (["phi4", "--sigma", "inf", "--lambda", "1"], 2),
             (["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,nan"], 2),
             (["phi4", "--sigma", "1e300", "--lambda", "1e-300"], 3),
             (["phi4", "--sigma", "1", "--lambda", "1e300"], 3),
             (["oracle", "--n", "1", "--msq", "1e300", "--grid", "1e156", "--format", "csv"], 3),
+            # a result past the float range, not a bad input: exit 3
+            (["lambshift", "--alpha", "3", "--m", "1e300", "--bethe-log", "3"], 3),
+            (["resum", "--lambda0", "1.7e308", "--mu0", "1.46e-255", "--mu", "1e-300"], 3),
+            (["resum", "--lambda0", "137", "--mu0", "137", "--mu", "137", "--b", "1.7e308"], 3),
+            (["selfenergy", "--m", "1e154", "--mu1", "1e-154"], 3),
+            (["regularize", "--n", "2", "--msq", "1", "--mu1", "1e-170"], 3),
         ],
     )
     def test_failure_exits_without_report(self, capsys, argv, expected):
@@ -421,3 +440,46 @@ class TestDemo:
         assert code == 3
         assert "FAIL" in out
         assert "SOME CHECKS FAILED" in out
+
+
+# float flag values at and past the edges of the float range
+_EXTREME = st.sampled_from(["0", "-0", "5e-324", "1e-300", "1e-154", "1", "1e154", "1e300", "1.7e308", "-1"])
+_VALUES = {"--n": st.integers(1, 6).map(str), "--grid": st.lists(_EXTREME, min_size=1, max_size=5).map(",".join)}
+# each subcommand's flags, and whether the flag is required
+_FLAGS = {
+    "regularize": (("--n", True), ("--msq", False), ("--mu1", False)),
+    "selfenergy": (("--m", True), ("--alpha", False), ("--mu1", False)),
+    "mu1": (("--m", True),),
+    "lambshift": (("--alpha", False), ("--m", False), ("--bethe-log", False)),
+    "phi4": (("--sigma", True), ("--lambda", True)),
+    "resum": (("--lambda0", True), ("--mu0", True), ("--b", False), ("--mu", False), ("--mu-min", False), ("--mu-max", False)),
+    "oracle": (("--n", True), ("--msq", True), ("--grid", False), ("--rel-tol", False)),
+    "demo": (),
+}
+
+
+@st.composite
+def _argv(draw):
+    subcommand = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [subcommand]
+    for flag, required in _FLAGS[subcommand]:
+        if required or draw(st.booleans()):
+            argv += [flag, draw(_VALUES.get(flag, _EXTREME))]
+    if subcommand in ("resum", "oracle") and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["csv", "plot-data"]))]
+    if draw(st.booleans()):
+        argv += ["--units", "MeV"]
+    return argv
+
+
+class TestContract:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_argv())
+    def test_every_argv_exits_0_2_or_3_and_prints_only_finite_numbers(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        if code == 0:
+            assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())

@@ -6,7 +6,6 @@ import pytest
 from loopreg import kernel, oracle
 from loopreg.kernel import (
     ConstantEntry,
-    ConstantLedger,
     RegularizedValue,
     ScalarLoopIntegral,
     StillDivergentError,
@@ -119,7 +118,7 @@ class TestIntegrateBack:
         seed = kernel.evaluate_convergent(ScalarLoopIntegral(power=3)).scaled(2)
         value = kernel.integrate_back(seed, 1)
         assert value.terms == (Term(Fraction(-1), 0, True),)
-        assert value.constants.entries == (
+        assert value.constants == (
             ConstantEntry(index=1, mass_dimension=0, coefficient=Fraction(-1), msq_power=0),
         )
 
@@ -134,7 +133,7 @@ class TestIntegrateBack:
             Term(Fraction(-1), 1, True),
             Term(Fraction(1), 1, False),
         )
-        c1, c2 = value.constants.entries
+        c1, c2 = value.constants
         assert (c1.mass_dimension, c1.coefficient, c1.msq_power) == (0, Fraction(-1), 1)
         assert (c2.mass_dimension, c2.coefficient, c2.msq_power) == (2, Fraction(-1), 0)
 
@@ -152,7 +151,7 @@ class TestRegularize:
     def test_log_member(self):
         value = kernel.regularize(ScalarLoopIntegral(power=2))
         assert value.terms == (Term(Fraction(-1), 0, True),)
-        assert value.constants.entries == (
+        assert value.constants == (
             ConstantEntry(index=1, mass_dimension=0, coefficient=Fraction(-1), msq_power=0),
         )
         assert value.render() == "(i/(16*pi^2)) * (-ln(M^2) - C1)"
@@ -178,12 +177,12 @@ class TestRegularize:
     def test_coefficients_stay_exact_rationals(self, power):
         value = kernel.regularize(ScalarLoopIntegral(power=power))
         assert all(isinstance(t.coefficient, Fraction) for t in value.terms)
-        assert all(isinstance(e.coefficient, Fraction) for e in value.constants.entries)
+        assert all(isinstance(e.coefficient, Fraction) for e in value.constants)
 
     @pytest.mark.parametrize("power", range(1, 7))
     def test_constant_dimensions_nonnegative_even(self, power):
         value = kernel.regularize(ScalarLoopIntegral(power=power))
-        for e in value.constants.entries:
+        for e in value.constants:
             assert e.mass_dimension >= 0
             assert e.mass_dimension % 2 == 0
 
@@ -223,7 +222,7 @@ class TestScaleAlias:
 
     def test_alias_identity_stored_exactly(self):
         value = kernel.regularize(ScalarLoopIntegral(power=2)).with_scale_alias(1, 0.25)
-        entry = value.constants.entry(1)
+        entry = value.constants[0]
         assert entry.value == -math.log(0.25**2)
         assert entry.scale_alias == 0.25
 
@@ -274,7 +273,13 @@ class TestValueInvariants:
 
     def test_ledger_indices_must_be_consecutive(self):
         with pytest.raises(ValueError, match="consecutive"):
-            ConstantLedger((ConstantEntry(index=2, mass_dimension=0, coefficient=Fraction(1)),))
+            RegularizedValue(constants=(ConstantEntry(index=2, mass_dimension=0, coefficient=Fraction(1)),))
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_missing_constant_index_raises_key_error(self, index):
+        value = kernel.regularize(ScalarLoopIntegral(power=2))  # only C1
+        with pytest.raises(KeyError, match=f"C{index}"):
+            value.with_constant_fixed(index, 0.0)
 
     def test_entry_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="even"):

@@ -55,11 +55,6 @@ class TestSSBVacuum:
         with pytest.raises(ValueError):
             SSBPotential(sigma=1.0, lam=-1.0)
 
-    def test_symmetric_configuration_minimizes_at_origin(self):
-        # sign-flipped mass term: single scale, minimum at zero
-        v = [phi4.potential(phi, mass_sq_term=1.0, lam=2.0) for phi in (0.0, 0.5, 1.0)]
-        assert v[0] < v[1] < v[2]
-
 
 class TestLambdaRenormalized:
     def test_zero(self):
