@@ -235,7 +235,7 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         bracket = value.bracket(integral.mass_sq)
         fields += [
             ("bracket_at_msq", bracket, "numeric multiple of i/(16*pi^2) at the given M^2"),
-            ("value_imag_at_msq", (kernel.UNIT_NUMERIC * bracket).imag, "imaginary part of the full value (the value is purely imaginary)"),
+            ("value_imag_at_msq", value.value(integral.mass_sq).imag, "imaginary part of the full value (the value is purely imaginary)"),
         ]
     return Report({"n": ns.n, "msq": ns.msq, "mu1": ns.mu1}, fields, _ledger_rows(value, cfg))
 
@@ -339,23 +339,21 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     grid_display = ns.grid if ns.grid is not None else oracle.default_grid(ns.msq)
     grid = tuple(cfg.mass_in(g) for g in grid_display)
     probe = oracle.CutoffProbe(power=ns.n, mass_sq=msq, lambda_grid=grid, quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol))
-    if cfg.out_format == "json":  # a grid too short for the fits exits 2 before any quadrature
-        oracle.require_signature_grid(probe)
-        if ns.n == 2:
-            oracle.require_asymptote_grid(probe)
-    radials = [oracle.radial_integral(ns.n, msq, lam, ns.rel_tol) for lam in grid]
-    rows = [(cfg.mass_out(lam), r, oracle.unit_multiple(ns.n, r)) for lam, r in zip(grid, radials)]
-    quadrature = "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)"
-    fields = [("rows", Table(("cutoff", "radial", "unit_multiple"), rows), quadrature)]
+    fits: list[tuple[str, Any, str]] = []
     if cfg.out_format == "json":  # the fits print only in a JSON report
+        # each fit checks its grid rule before the probe integrates; at n = 2 the asymptote's
+        # rule implies the signature's, so a grid too short for either exits 2 before any quadrature
+        extrapolation = "lim [radial - ln(cutoff)] by 1/cutoff^2 extrapolation; only differences across masses are cutoff-free physics"
+        asymptote = [("asymptote_constant", oracle.asymptote_constant(probe), extrapolation)] if ns.n == 2 else []
         signature = oracle.divergence_signature(probe)
-        fields += [
+        fits = [
             ("signature_kind", signature.kind, "data-driven fit of the cutoff dependence"),
             ("signature_coefficient", signature.coefficient, "leading fitted coefficient (ln-slope, power coefficient, or limit)"),
+            *asymptote,
         ]
-        if ns.n == 2:
-            extrapolation = "lim [radial - ln(cutoff)] by 1/cutoff^2 extrapolation; only differences across masses are cutoff-free physics"
-            fields.append(("asymptote_constant", oracle.asymptote_constant(probe), extrapolation))
+    rows = [(cfg.mass_out(lam), r, oracle.unit_multiple(ns.n, r)) for lam, r in zip(grid, probe.radials)]
+    quadrature = "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)"
+    fields = [("rows", Table(("cutoff", "radial", "unit_multiple"), rows), quadrature), *fits]
     inputs = {"n": ns.n, "msq": ns.msq, "grid": ",".join(str(g) for g in grid_display), "rel_tol": ns.rel_tol}
     return Report(inputs, fields)
 
@@ -475,10 +473,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         handler: Callable[[argparse.Namespace, RunConfig], Report] = ns.handler
         _render(ns.subcommand, handler(ns, cfg), cfg)
         return EXIT_OK
-    except (oracle.QuadratureError, phi4.LandauPoleError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # QuadratureError and LandauPoleError among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, kernel.StillDivergentError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

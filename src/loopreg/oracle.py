@@ -15,8 +15,9 @@ finder (``find_root``).
 
 The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
 piece over the decades 0, 1, 10, ... of t.  Each piece is memoized and carries
-no mass, so a sweep, its signature, its asymptote and every other mass share
-the full decades below each cutoff.
+no mass, so cutoffs and masses share the full decades below them.  A
+``CutoffProbe`` integrates each of its cutoffs once, and each fit checks its
+own grid rule before it reads them, so a short grid fails before any quadrature.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "unit_multiple",
     "wick_rotated_radial",
     "default_grid",
-    "require_signature_grid",
-    "require_asymptote_grid",
     "divergence_signature",
     "asymptote_constant",
 ]
@@ -52,7 +51,7 @@ __all__ = [
 DEFAULT_GRID_FACTORS = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Adaptive quadrature failed to reach the requested relative tolerance."""
 
 
@@ -73,7 +72,7 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class CutoffProbe:
-    """A cutoff sweep: radial quadrature of one integrand over a Lambda grid."""
+    """A cutoff sweep over a Lambda grid; ``radials`` integrates each cutoff once, on first read."""
 
     power: int
     mass_sq: float
@@ -91,10 +90,19 @@ class CutoffProbe:
         if any(b <= a for a, b in zip(self.lambda_grid, self.lambda_grid[1:])):
             raise ValueError("cutoff grid must be strictly increasing")
 
+    @cached_property
+    def radials(self) -> tuple[float, ...]:
+        """radial_integral at each cutoff, in grid order."""
+        return tuple(radial_integral(self.power, self.mass_sq, lam, self.quadrature.rel_tol) for lam in self.lambda_grid)
+
 
 def radial_integrand(k: float, power: int, mass_sq: float) -> float:
-    """k^3 / (k^2 + M^2)^power, the Euclidean radial integrand."""
-    return k**3 / (k * k + mass_sq) ** power
+    """k^3 / (k^2 + M^2)^power, the Euclidean radial integrand; far above the
+    mass, where that form overflows, it is taken as k^(3-2n) / (1 + M^2/k^2)^n."""
+    try:
+        return k**3 / (k * k + mass_sq) ** power
+    except OverflowError:
+        return k ** (3 - 2 * power) / (1.0 + mass_sq / (k * k)) ** power
 
 
 def radial_analytic(power: int, mass_sq: float, cutoff: float) -> float:
@@ -270,13 +278,6 @@ class DivergenceSignature:
     coefficient: float
 
 
-def _probe_values(probe: CutoffProbe) -> list[float]:
-    return [
-        radial_integral(probe.power, probe.mass_sq, lam, probe.quadrature.rel_tol)
-        for lam in probe.lambda_grid
-    ]
-
-
 def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:
     """Least-squares straight line through (xs, ys): (slope, intercept)."""
     n = len(xs)
@@ -298,23 +299,6 @@ def _require_grid(probe: CutoffProbe, min_points: int, min_span: float) -> None:
         )
 
 
-def require_signature_grid(probe: CutoffProbe) -> None:
-    """Raise InsufficientGridError unless the grid supports divergence_signature."""
-    _require_grid(probe, min_points=4, min_span=1e3)
-
-
-def require_asymptote_grid(probe: CutoffProbe) -> float:
-    """Raise InsufficientGridError unless the grid supports asymptote_constant.
-
-    Returns the lower end of the top two grid decades, where the fit runs.
-    """
-    _require_grid(probe, min_points=4, min_span=1e4)
-    threshold = probe.lambda_grid[-1] / 100.0
-    if sum(lam >= threshold for lam in probe.lambda_grid) < 2:
-        raise InsufficientGridError("need >= 2 grid points in the top two decades for extrapolation")
-    return threshold
-
-
 def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     """Classify the cutoff dependence of the radial integral from data alone.
 
@@ -322,9 +306,8 @@ def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     integral, stay flat for a logarithmic one, and grow for the power-law
     families, whose exponent is then read off a log-log fit.
     """
-    require_signature_grid(probe)
-    grid = probe.lambda_grid
-    vals = _probe_values(probe)
+    _require_grid(probe, min_points=4, min_span=1e3)
+    grid, vals = probe.lambda_grid, probe.radials
     logs = [math.log(l) for l in grid]
     slopes = [
         (v2 - v1) / (l2 - l1)
@@ -352,10 +335,12 @@ def asymptote_constant(probe: CutoffProbe) -> float:
     """
     if probe.power != 2:
         raise ValueError(f"asymptote extraction requires a log-divergent probe (power 2), got a non-log probe with power {probe.power}")
-    threshold = require_asymptote_grid(probe)
+    _require_grid(probe, min_points=4, min_span=1e4)
     grid = probe.lambda_grid
-    vals = _probe_values(probe)
+    threshold = grid[-1] / 100.0
+    if sum(lam >= threshold for lam in grid) < 2:
+        raise InsufficientGridError("need >= 2 grid points in the top two decades for extrapolation")
     xs = [(grid[-1] / lam) ** 2 for lam in grid if lam >= threshold]
-    gs = [v - math.log(lam) for lam, v in zip(grid, vals) if lam >= threshold]
+    gs = [v - math.log(lam) for lam, v in zip(grid, probe.radials) if lam >= threshold]
     _, intercept = _line_fit(xs, gs)
     return intercept

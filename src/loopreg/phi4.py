@@ -50,7 +50,7 @@ VACUUM_BROKEN = "ssb-vacuum"
 VACUUM_RESTORED = "symmetry-restoration"
 
 
-class LandauPoleError(RuntimeError):
+class LandauPoleError(ArithmeticError):
     """The resummed coupling was requested at or beyond its pole."""
 
     def __init__(self, mu: float, critical: float):

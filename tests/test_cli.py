@@ -236,6 +236,46 @@ class TestOracleCommand:
         assert "need at least 4 cutoffs" in err
         assert oracle._piece.cache_info().misses == 0
 
+    @pytest.mark.parametrize(
+        "argv, cutoffs",
+        [
+            (["oracle", "--n", "2", "--msq", "1"], 5),
+            (["oracle", "--n", "3", "--msq", "1"], 5),
+            (["oracle", "--n", "2", "--msq", "1", "--grid", "1,10,100,1e3,1e4,1e5,1e6"], 7),
+        ],
+    )
+    def test_json_report_integrates_each_cutoff_once(self, capsys, monkeypatch, argv, cutoffs):
+        from loopreg import oracle
+
+        calls = []
+        radial_integral = oracle.radial_integral
+
+        def counted(*args):
+            calls.append(args)
+            return radial_integral(*args)
+
+        monkeypatch.setattr(oracle, "radial_integral", counted)
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert len(report["outputs"]["rows"]) == cutoffs
+        assert len(calls) == cutoffs
+
+    @pytest.mark.parametrize(
+        "n, msq, grid",
+        [("6", "1", "1e30"), ("6", "1e-60", "1"), ("2", "1e-300", "1e-70,1e-60")],
+    )
+    def test_cutoffs_far_above_the_mass_stay_finite(self, capsys, n, msq, grid):
+        # t^3/(t^2+1)^n overflows there; the integrand falls back to t^(3-2n)/(1+t^-2)^n
+        from loopreg import oracle
+
+        argv = ["oracle", "--n", n, "--msq", msq, "--grid", grid, "--format", "csv", "--precision", "17"]
+        code, out, _ = run_raw(capsys, argv)
+        assert code == 0
+        for line in out.strip().splitlines()[1:]:
+            cutoff, radial, _ = (float(v) for v in line.split(","))
+            exact = oracle.radial_analytic(int(n), float(msq), cutoff)
+            assert abs(radial - exact) <= 1e-10 * exact
+
     def test_bad_grid_string_rejected(self, capsys):
         code, _, err = run_raw(capsys, ["oracle", "--n", "2", "--msq", "1.0", "--grid", "10,abc"])
         assert code == 2
