@@ -8,10 +8,10 @@ subcommands, or bare two-column plot data.
 
 Each handler only computes a ``Report``: its inputs, its output fields as
 ``(name, value, provenance)`` triples, so every provenance string sits beside
-its value, and its ledger.  A sweep's rows are one ``Table``-valued field.
-``run`` checks the format before any computation, and one renderer writes the
-report as JSON (the table as one object per row), or just the table as csv
-or plot-data.  ``demo`` prints one PASS/FAIL line per row of
+its value, and its ledger.  A sweep's rows are one ``rows`` field, a list
+of row dicts.  ``run`` checks the format before any computation, and one
+renderer writes the report as JSON (one object per row), or just the rows as
+csv or plot-data.  ``demo`` prints one PASS/FAIL line per row of
 ``loopreg.checks.CHECKS``, the table the acceptance test asserts.
 
 Masses are handled in GeV internally; ``--units MeV`` converts all
@@ -120,16 +120,9 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 # ----------------------------- report rendering -----------------------------
 
 
-class Table(NamedTuple):
-    """A sweep's rows: column names and one tuple per row."""
-
-    header: tuple[str, ...]
-    rows: list[tuple[Any, ...]]
-
-
 class Report(NamedTuple):
     """A subcommand's own inputs, its ``(name, value, provenance)`` output
-    fields in order (a sweep's value is a ``Table``), and its constant ledger."""
+    fields in order (a sweep's ``rows`` are a list of row dicts), and its ledger."""
 
     inputs: dict[str, Any]
     fields: list[tuple[str, Any, str]]
@@ -137,8 +130,8 @@ class Report(NamedTuple):
 
 
 def _fmt_number(value: Any, precision: int, name: str) -> Any:
-    """Numbers as decimal strings, a table as one object per row; OverflowError
-    for a float that is not finite, so no report prints inf or nan."""
+    """Numbers as decimal strings, recursively through lists and dicts;
+    OverflowError for a float that is not finite, so no report prints inf or nan."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (Fraction, int)):
@@ -147,8 +140,6 @@ def _fmt_number(value: Any, precision: int, name: str) -> Any:
         if not math.isfinite(value):
             raise OverflowError(f"{name} is not finite: {value!r}")
         return format(value, f".{precision}g")
-    if isinstance(value, Table):
-        return [_fmt_number(dict(zip(value.header, row)), precision, name) for row in value.rows]
     if isinstance(value, (list, tuple)):
         return [_fmt_number(v, precision, name) for v in value]
     if isinstance(value, dict):
@@ -175,19 +166,19 @@ def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[st
 
 
 def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
-    """Write a report as JSON, or its sweep table as csv or plot-data, to stdout.
+    """Write a report as JSON, or its sweep rows as csv or plot-data, to stdout.
 
     Every number is formatted before anything is written, so a non-finite one
     raises OverflowError with stdout still empty.
     """
     p = cfg.precision
     if cfg.out_format != "json":
-        table = next(value for _, value, _ in report.fields if isinstance(value, Table))
-        rows = _fmt_number(table.rows, p, "rows")
-        if cfg.out_format == "csv":
-            lines = [",".join(table.header)] + [",".join("" if v is None else v for v in row) for row in rows]
+        rows = _fmt_number(next(value for name, value, _ in report.fields if name == "rows"), p, "rows")
+        values = [list(row.values()) for row in rows]
+        if cfg.out_format == "csv":  # a sweep has at least one row, and all rows share its keys
+            lines = [",".join(rows[0])] + [",".join("" if v is None else v for v in row) for row in values]
         else:  # plot-data: the first two columns, where the second is set
-            lines = [f"{x} {y}" for x, y, *_ in rows if y is not None]
+            lines = [f"{x} {y}" for x, y, *_ in values if y is not None]
         sys.stdout.write("".join(line + "\n" for line in lines))
         return
     inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
@@ -302,7 +293,7 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
             raise ValueError("sweep needs at least 2 points")
         lo, hi = cfg.mass_in(ns.mu_min), cfg.mass_in(ns.mu_max)
         ratio = (hi / lo) ** (1.0 / (ns.mu_points - 1))
-        rows: list[tuple[float, Optional[float], str]] = []
+        rows: list[dict[str, Any]] = []
         for i in range(ns.mu_points):
             mu = lo * ratio**i
             try:
@@ -310,7 +301,7 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
                 status = phi4.symmetry_status(state, mu)
             except phi4.LandauPoleError:
                 coupling, status = None, "pole"
-            rows.append((cfg.mass_out(mu), coupling, status))
+            rows.append({"mu": cfg.mass_out(mu), "coupling": coupling, "status": status})
         return Report(
             {
                 "lambda0": ns.lambda0, "mu0": ns.mu0, "b": state.beta_coeff,
@@ -318,7 +309,7 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
             },
             [
                 ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
-                ("rows", Table(("mu", "coupling", "status"), rows), chain + " over the mu grid"),
+                ("rows", rows, chain + " over the mu grid"),
             ],
         )
 
@@ -351,9 +342,9 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report:
             ("signature_coefficient", signature.coefficient, "leading fitted coefficient (ln-slope, power coefficient, or limit)"),
             *asymptote,
         ]
-    rows = [(cfg.mass_out(lam), r, oracle.unit_multiple(ns.n, r)) for lam, r in zip(grid, probe.radials)]
+    rows = [{"cutoff": cfg.mass_out(lam), "radial": r, "unit_multiple": oracle.unit_multiple(ns.n, r)} for lam, r in zip(grid, probe.radials)]
     quadrature = "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)"
-    fields = [("rows", Table(("cutoff", "radial", "unit_multiple"), rows), quadrature), *fits]
+    fields = [("rows", rows, quadrature), *fits]
     inputs = {"n": ns.n, "msq": ns.msq, "grid": ",".join(str(g) for g in grid_display), "rel_tol": ns.rel_tol}
     return Report(inputs, fields)
 

@@ -161,7 +161,7 @@ class ConstantEntry:
             raise ValueError("constant coefficient must be nonzero")
         if self.scale_alias is not None:
             if self.mass_dimension != 0:
-                raise ValueError("only dimensionless constants take a scale alias")
+                raise ValueError(f"{self.name} has mass dimension {self.mass_dimension}; only dimensionless constants alias a scale")
             if not self.scale_alias > 0:
                 raise ValueError("scale alias must be positive")
             expected = -math.log(self.scale_alias**2)
@@ -280,8 +280,6 @@ class RegularizedValue:
     def with_scale_alias(self, index: int, mu: float) -> "RegularizedValue":
         """Fix the dimensionless C_index through C = -ln(mu^2), mu in GeV."""
         e = self._constant(index)
-        if e.mass_dimension != 0:
-            raise ValueError(f"{e.name} has mass dimension {e.mass_dimension}; only dimensionless constants alias a scale")
         if not mu > 0:
             raise ValueError(f"scale must be positive, got {mu!r}")
         mu_sq = mu**2
@@ -293,11 +291,6 @@ class RegularizedValue:
 
     # -- numerics -----------------------------------------------------------
 
-    def _needs_positive_msq(self) -> bool:
-        if any(t.has_log or t.msq_power < 0 for t in self.terms):
-            return True
-        return False
-
     def bracket(self, msq: float) -> float:
         """Numeric value of the bracketed expression, i.e. the multiple of i/(16 pi^2).
 
@@ -306,7 +299,7 @@ class RegularizedValue:
         """
         if msq < 0:
             raise ValueError(f"mass_sq must be non-negative, got {msq!r}")
-        if msq == 0 and self._needs_positive_msq():
+        if msq == 0 and any(t.has_log or t.msq_power < 0 for t in self.terms):
             raise ValueError("mass_sq = 0 hits a logarithm/pole; the Feynman-parameter layer handles that point analytically")
         unfixed = [e.name for e in self.constants if not e.is_fixed]
         if unfixed:

@@ -124,6 +124,8 @@ def radial_analytic(power: int, mass_sq: float, cutoff: float) -> float:
 
 def default_grid(mass_sq: float) -> tuple[float, ...]:
     """The default cutoff grid of a probe: DEFAULT_GRID_FACTORS times sqrt(M^2)."""
+    if not mass_sq > 0:
+        raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
     return tuple(c * math.sqrt(mass_sq) for c in DEFAULT_GRID_FACTORS)
 
 

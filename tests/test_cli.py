@@ -292,10 +292,15 @@ class TestExitCodes:
         code, _, err = run_raw(capsys, ["frobnicate"])
         assert code == 2
 
-    def test_validation_error(self, capsys):
-        code, _, err = run_raw(capsys, ["mu1", "--m", "-1.0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["mu1", "--m", "-1.0"], ["oracle", "--n", "2", "--msq", "-1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_validation_error(self, capsys, argv):
+        code, _, err = run_raw(capsys, argv)
         assert code == 2
-        assert "error" in err
+        assert "must be positive" in err
 
     def test_precision_window(self, capsys):
         code, _, err = run_raw(capsys, ["mu1", "--m", "1.0", "--precision", "3"])

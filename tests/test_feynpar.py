@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from scipy import integrate as sci_integrate
 
 from loopreg import feynpar
 from loopreg.feynpar import FeynmanMassFn, PolyLogIntegrand
@@ -91,6 +90,7 @@ class TestIntegratePolyLog:
 
     @pytest.mark.parametrize("log_weight", [0, 1])
     def test_matches_adaptive_quadrature(self, log_weight):
+        integrate = pytest.importorskip("scipy.integrate")
         rng = random.Random(20240817 + log_weight)
         for _ in range(25):
             degree = rng.randint(0, 6)
@@ -99,7 +99,7 @@ class TestIntegratePolyLog:
             )
             integrand = PolyLogIntegrand(coeffs, log_weight)
             exact = float(feynpar.integrate_poly_log(integrand))
-            numeric, _ = sci_integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+            numeric, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
             assert numeric == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopreg import kernel, oracle
+from loopreg import kernel
 from loopreg.kernel import (
     ConstantEntry,
     RegularizedValue,
@@ -105,13 +105,6 @@ class TestEvaluateConvergent:
         with pytest.raises(StillDivergentError, match="still divergent"):
             kernel.evaluate_convergent(ScalarLoopIntegral(power=power))
 
-    @pytest.mark.parametrize("power", [3, 4, 5, 6])
-    @pytest.mark.parametrize("msq", [0.5, 1.0, 2.0, 10.0])
-    def test_agrees_with_cutoff_quadrature(self, power, msq):
-        exact = kernel.evaluate_convergent(ScalarLoopIntegral(power=power)).bracket(msq)
-        quad = oracle.wick_rotated_radial(power, msq, 1e6 * math.sqrt(msq))
-        assert abs(quad - exact) / abs(exact) < 1e-8
-
 
 class TestIntegrateBack:
     def test_single_integration_yields_log_and_constant(self):
@@ -186,16 +179,11 @@ class TestRegularize:
             assert e.mass_dimension >= 0
             assert e.mass_dimension % 2 == 0
 
-    def test_round_trip_log_member(self):
-        # one symbolic derivative reproduces the prefactor-corrected convergent form
-        value = kernel.regularize(ScalarLoopIntegral(power=2))
-        target = kernel.evaluate_convergent(ScalarLoopIntegral(power=3)).scaled(2)
-        assert value.differentiate() == target
-
-    def test_round_trip_quadratic_member(self):
-        value = kernel.regularize(ScalarLoopIntegral(power=1))
-        target = kernel.evaluate_convergent(ScalarLoopIntegral(power=3)).scaled(2)
-        assert value.differentiate().differentiate() == target
+    @pytest.mark.parametrize("power", range(1, 13))
+    def test_derivative_ladder(self, power):
+        # d/dM^2 I_n = n * I_{n+1}, across the divergent/convergent boundary
+        value = kernel.regularize(ScalarLoopIntegral(power=power))
+        assert value.differentiate() == kernel.regularize(ScalarLoopIntegral(power=power + 1)).scaled(power)
 
     def test_constants_vanish_under_derivatives(self):
         value = kernel.regularize(ScalarLoopIntegral(power=1))

@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from scipy import integrate as sci_integrate
 
 from loopreg import checks, qed
 from loopreg.qed import SelfEnergyKernel
@@ -155,6 +154,7 @@ class TestSelfEnergyKernel:
 
     def test_on_shell_integrand_recovers_shift(self):
         # quadrature of slash*m + scalar over x equals delta_m
+        integrate = pytest.importorskip("scipy.integrate")
         mu1 = 0.5 * M_E
         k = SelfEnergyKernel(p_sq=M_E**2, m=M_E, alpha=ALPHA)
 
@@ -162,7 +162,7 @@ class TestSelfEnergyKernel:
             slash, scalar = k.channel_integrands(x, mu1)
             return slash * M_E + scalar
 
-        numeric, _ = sci_integrate.quad(integrand, 0.0, 1.0, epsabs=1e-16, epsrel=1e-12, limit=200)
+        numeric, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-16, epsrel=1e-12, limit=200)
         expected = qed.on_shell_mass_shift(M_E, ALPHA, mu1).delta_m
         assert numeric == pytest.approx(expected, rel=1e-9)
 
