@@ -19,12 +19,14 @@ mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
 2 usage/validation error, 3 numeric failure (quadrature tolerance unmet, a
 pole where a finite value was requested, a floating-point overflow, underflow
 or division by zero, or a non-finite number about to be printed).  Every
-float flag must be finite: ``inf`` and ``nan`` are usage errors.
+float flag must be finite: ``inf`` and ``nan`` are usage errors.  The
+argument parser is built once per process, on the first ``run``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -385,7 +387,10 @@ def _finite_grid(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(tok) for tok in text.split(","))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``run`` in this process, built on first use.  Handlers and flag defaults are bound then,
+    so patching ``_cmd_*`` or ``qed.DEFAULT_ALPHA`` after the first ``run`` has no effect; patch what a handler calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
     common.add_argument("--precision", type=int, help="significant digits for rendered numbers, 4..17 (default 12)")
@@ -448,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv, check the format, compute the report and render it; returns the exit code."""
+    """Parse argv (with the parser built once per process), check the format, compute the report and render it; returns the exit code."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

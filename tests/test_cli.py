@@ -355,15 +355,17 @@ class TestExitCodes:
         assert ("numeric failure" if expected == 3 else "error") in err
 
 
-def _heavy_imports(argv):
-    """Top-level scipy/numpy packages a fresh ``python -m loopreg.cli ARGV`` imported."""
+def _fresh_python(*args):
+    """A fresh interpreter run with this checkout's ``loopreg`` on its path."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "loopreg.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def _heavy_imports(argv):
+    """Top-level scipy/numpy packages a fresh ``python -m loopreg.cli ARGV`` imported."""
+    proc = _fresh_python("-X", "importtime", "-m", "loopreg.cli", *argv)
     assert proc.returncode == 0, proc.stderr[-2000:]
     names = {
         line.rsplit("|", 1)[1].strip().split(".")[0]
@@ -390,6 +392,32 @@ class TestColdImport:
     )
     def test_closed_form_subcommands_start_without_scipy(self, argv):
         assert _heavy_imports(argv) == set()
+
+
+class TestParserReuse:
+    """Every ``run`` in a process shares one parser, built on first use."""
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parsing_leaves_no_state_behind(self, capsys):
+        valid = ["selfenergy", "--m", "0.000511"]  # also reads the --alpha default
+        usage_error = ["regularize"]  # --n missing
+        before = run_raw(capsys, valid)
+        results = {
+            tuple(argv): run_raw(capsys, argv)
+            for argv in (["--help"], ["oracle", "--help"], usage_error, ["bogus"], ["oracle", "--n", "2", "--msq", "inf"])
+        }
+        assert run_raw(capsys, valid) == before
+        assert before[0] == 0
+        first_error = results[tuple(usage_error)]
+        assert first_error[0] == 2 and "--n" in first_error[2]
+        assert run_raw(capsys, usage_error) == first_error
+
+    def test_import_does_not_build_the_parser(self):
+        proc = _fresh_python("-c", "import loopreg.cli as cli; print(cli._build_parser.cache_info().currsize)")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "0"
 
 
 class TestConfigResolution:
@@ -518,6 +546,8 @@ def _argv(draw):
 
 
 class TestContract:
+    """The CLI contract over hundreds of generated argv, all parsed by the one parser of this process."""
+
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(_argv())
     def test_every_argv_exits_0_2_or_3_and_prints_only_finite_numbers(self, argv):
