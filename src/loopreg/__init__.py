@@ -2,7 +2,7 @@
 differentiation, with QED self-energy and quartic-scalar applications and an
 independent cutoff-quadrature oracle."""
 
-from .feynpar import FeynmanMassFn, PolyLogIntegrand, integrate_poly_log, mass_fn_eval
+from .feynpar import PolyLogIntegrand, integrate_poly_log
 from .kernel import (
     ConstantEntry,
     RegularizedValue,
@@ -43,7 +43,6 @@ from .phi4 import (
 )
 from .qed import (
     MassShift,
-    SelfEnergyKernel,
     lamb_shift_estimate,
     on_shell_mass_shift,
     pipeline_coefficients,

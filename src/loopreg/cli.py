@@ -243,7 +243,7 @@ def _cmd_selfenergy(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     fields = [
         ("delta_m", cfg.mass_out(shift.delta_m), "(alpha*m/(4*pi)) * (5 - 3*ln(m^2/mu1^2)), coefficients from the exact pipeline"),
         ("mu1_used", cfg.mass_out(mu1_gev), "given, or fixed by the zero-shift condition m*exp(-5/6)"),
-        ("log_ratio", math.log(m**2 / mu1_gev**2), "ln(m^2/mu1^2)"),
+        ("log_ratio", shift.log_ratio, "ln(m^2/mu1^2)"),
         ("constant_coefficient", c0, exact),
         ("log_coefficient", c_log, exact),
     ]

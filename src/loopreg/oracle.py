@@ -7,11 +7,11 @@ Wick rotation turns the Minkowski integral into a Euclidean radial one:
 
 using d^4K_E = 2 pi^2 k^3 dk for the 4-volume element.  Everything here
 runs in double precision against a finite cutoff Lambda: exactness lives in
-the kernel module, not here.  The radial integral also has an elementary
-antiderivative for every integer n, used as a self-check of the adaptive
-quadrature.  The package's two numeric tools live here, in pure Python: an
-adaptive G7-K15 Gauss-Kronrod rule (``integrate``) and a bisection root
-finder (``find_root``).
+the kernel module, not here, and the radial integral's elementary
+antiderivative lives only in the tests, so no closed form of what the oracle
+checks can leak into it.  The package's two numeric tools live here, in pure
+Python: an adaptive G7-K15 Gauss-Kronrod rule (``integrate``) and a
+bisection root finder (``find_root``).
 
 The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
 piece over the decades 0, 1, 10, ... of t.  Each piece is memoized and carries
@@ -38,7 +38,6 @@ __all__ = [
     "integrate",
     "find_root",
     "radial_integrand",
-    "radial_analytic",
     "radial_integral",
     "unit_multiple",
     "wick_rotated_radial",
@@ -103,23 +102,6 @@ def radial_integrand(k: float, power: int, mass_sq: float) -> float:
         return k**3 / (k * k + mass_sq) ** power
     except OverflowError:
         return k ** (3 - 2 * power) / (1.0 + mass_sq / (k * k)) ** power
-
-
-def radial_analytic(power: int, mass_sq: float, cutoff: float) -> float:
-    """Elementary antiderivative of the radial integral, any integer power >= 1.
-
-    With u = k^2 the integral is (1/2) int_0^{L^2} u (u + M^2)^(-n) du.
-    """
-    n, m2, lam2 = power, mass_sq, cutoff * cutoff
-    if n == 1:
-        return 0.5 * (lam2 - m2 * math.log((lam2 + m2) / m2))
-    if n == 2:
-        return 0.5 * (math.log((lam2 + m2) / m2) + m2 / (lam2 + m2) - 1.0)
-
-    def antiderivative(v: float) -> float:
-        return 0.5 * (v ** (2 - n) / (2 - n) + m2 * v ** (1 - n) / (n - 1))
-
-    return antiderivative(lam2 + m2) - antiderivative(m2)
 
 
 def default_grid(mass_sq: float) -> tuple[float, ...]:

@@ -7,13 +7,15 @@ multiplying the momentum slash and a scalar channel 4m, and
     Sigma(p) = -i e^2 * int_0^1 dx [a(x)*slash(p) + 4m] * I(M^2(x)),
 
 with I the power-2 loop integral and M^2(x) = p^2 x^2 + (m^2 - p^2) x.  On
-the mass shell (p^2 = m^2, slash(p) -> m) the regulated I turns this into
+the mass shell (p^2 = m^2, slash(p) -> m, M^2(x) = m^2 x^2) the regulated I
+turns this into
 
     delta_m = (alpha m / 4 pi) * (5 - 3 ln(m^2 / mu1^2)),
 
 and requiring delta_m = 0 pins the integration scale to mu1 = exp(-5/6) m.
 The constant/log coefficients (5, -3) are produced by exact rational
-arithmetic, never typed in.
+arithmetic, never typed in.  Only the mass shell is implemented; the numeric
+x-quadrature of the two channel integrands against delta_m is a test.
 
 delta_m is read off the one-loop self-energy directly; no geometric
 resummation happens here (the chain-summed running coupling lives in the
@@ -23,7 +25,7 @@ phi4 module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,7 +38,6 @@ __all__ = [
     "GEV_TO_MHZ",
     "SLASH_COEFFS",
     "SCALAR_OVER_M_COEFFS",
-    "SelfEnergyKernel",
     "MassShift",
     "on_shell_mass_shift",
     "solve_mu1",
@@ -62,52 +63,12 @@ SCALAR_OVER_M_COEFFS: tuple[Fraction, ...] = (Fraction(4),)
 
 
 @dataclass(frozen=True)
-class SelfEnergyKernel:
-    """Feynman-parameter integrand data of the one-loop self-energy.
-
-    The channel polynomials are fixed by construction; p_sq is restricted to
-    the real-logarithm region p_sq <= m^2.
-    """
-
-    p_sq: float
-    m: float
-    alpha: float
-    slash_coeffs: tuple[Fraction, ...] = field(default=SLASH_COEFFS, init=False)
-    scalar_over_m_coeffs: tuple[Fraction, ...] = field(default=SCALAR_OVER_M_COEFFS, init=False)
-
-    def __post_init__(self) -> None:
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if self.p_sq > self.m * self.m:
-            raise ValueError("p_sq > m^2 lies outside the real-logarithm region")
-
-    def mass_fn(self) -> feynpar.FeynmanMassFn:
-        return feynpar.FeynmanMassFn(p_sq=self.p_sq, m_sq=self.m * self.m)
-
-    def channel_integrands(self, x: float, mu1: float) -> tuple[float, float]:
-        """(slash, scalar) integrand values at Feynman parameter x.
-
-        The slash number multiplies slash(p), the scalar one is already in
-        GeV; both carry the common factor -(e^2/16 pi^2) ln(M^2(x)/mu1^2).
-        """
-        if not mu1 > 0:
-            raise ValueError(f"mu1 must be positive, got {mu1!r}")
-        msq = feynpar.mass_fn_eval(self.mass_fn(), x)
-        if msq <= 0:
-            raise ValueError(f"M^2(x) = {msq!r} is not positive at x = {x!r}")
-        common = -(4.0 * math.pi * self.alpha) / (16.0 * math.pi**2) * math.log(msq / mu1**2)
-        a_x = feynpar.PolyLogIntegrand(self.slash_coeffs)(x)
-        b_over_m_x = feynpar.PolyLogIntegrand(self.scalar_over_m_coeffs)(x)
-        return common * a_x, common * self.m * b_over_m_x
-
-
-@dataclass(frozen=True)
 class MassShift:
-    """Radiative mass shift delta_m in GeV; a non-finite shift has left the float range."""
+    """Radiative mass shift delta_m in GeV and the log_ratio L = ln(m^2/mu1^2) it
+    was computed at; a non-finite shift has left the float range."""
 
     delta_m: float
+    log_ratio: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta_m):
@@ -166,7 +127,8 @@ def on_shell_mass_shift(m: float, alpha: float, mu1: float) -> MassShift:
             raise ValueError(f"{name} must be positive, got {v!r}")
     c0, c_log = pipeline_coefficients()
     prefactor = alpha * m / (4.0 * math.pi)
-    return MassShift(prefactor * (float(c0) + float(c_log) * math.log(m**2 / mu1**2)))
+    log_ratio = math.log(m**2 / mu1**2)
+    return MassShift(prefactor * (float(c0) + float(c_log) * log_ratio), log_ratio)
 
 
 def solve_mu1(m: float) -> float:

@@ -1,56 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from loopreg import feynpar
-from loopreg.feynpar import FeynmanMassFn, PolyLogIntegrand
-
-
-class TestMassFn:
-    def test_on_shell_reduces_to_msq_x_squared(self):
-        fn = FeynmanMassFn(p_sq=0.25, m_sq=0.25)
-        for x in (0.0, 0.3, 0.7, 1.0):
-            assert feynpar.mass_fn_eval(fn, x) == pytest.approx(0.25 * x * x, abs=1e-15)
-
-    def test_zero_momentum_is_linear(self):
-        fn = FeynmanMassFn(p_sq=0.0, m_sq=2.0)
-        for x in (0.0, 0.5, 1.0):
-            assert feynpar.mass_fn_eval(fn, x) == pytest.approx(2.0 * x, abs=1e-15)
-
-    def test_endpoint_x_one_gives_msq(self):
-        for p_sq in (-3.0, 0.0, 0.7, 1.0):
-            fn = FeynmanMassFn(p_sq=p_sq, m_sq=1.0)
-            assert feynpar.mass_fn_eval(fn, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_x_outside_unit_interval_rejected(self):
-        fn = FeynmanMassFn(p_sq=0.0, m_sq=1.0)
-        with pytest.raises(ValueError):
-            feynpar.mass_fn_eval(fn, -0.1)
-        with pytest.raises(ValueError):
-            feynpar.mass_fn_eval(fn, 1.1)
-
-    def test_off_shell_above_mass_rejected(self):
-        with pytest.raises(ValueError, match="real-logarithm"):
-            FeynmanMassFn(p_sq=2.0, m_sq=1.0)
-
-    def test_nonpositive_mass_rejected(self):
-        with pytest.raises(ValueError):
-            FeynmanMassFn(p_sq=0.0, m_sq=0.0)
-
-    def test_nonnegative_on_grid(self):
-        # positivity over 0 <= p^2 <= m^2
-        for m_sq in (0.3, 1.0, 4.0):
-            for frac in (0.0, 0.25, 0.5, 0.9, 1.0):
-                fn = FeynmanMassFn(p_sq=frac * m_sq, m_sq=m_sq)
-                for k in range(21):
-                    assert feynpar.mass_fn_eval(fn, k / 20.0) >= 0.0
-
-    def test_spacelike_momentum_positive_interior(self):
-        fn = FeynmanMassFn(p_sq=-5.0, m_sq=1.0)
-        for k in range(1, 20):
-            assert feynpar.mass_fn_eval(fn, k / 20.0) > 0.0
+from loopreg.feynpar import PolyLogIntegrand
 
 
 class TestIntegratePolyLog:
@@ -102,16 +56,3 @@ class TestIntegratePolyLog:
             numeric, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
             assert numeric == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
-
-class TestOnShellLogSplit:
-    def test_log_of_mass_fn_splits_into_scale_log_plus_two_log_x(self):
-        # on shell M^2(x) = m^2 x^2, so ln(M^2/mu^2) = ln(m^2/mu^2) + 2 ln x
-        rng = random.Random(7)
-        for _ in range(50):
-            m = rng.uniform(0.01, 10.0)
-            mu = rng.uniform(0.01, 10.0)
-            x = rng.uniform(1e-6, 1.0)
-            fn = FeynmanMassFn(p_sq=m * m, m_sq=m * m)
-            lhs = math.log(feynpar.mass_fn_eval(fn, x) / mu**2)
-            rhs = math.log(m * m / mu**2) + 2.0 * math.log(x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopreg import checks, qed
-from loopreg.qed import SelfEnergyKernel
+from loopreg import feynpar, oracle, qed
 
 ALPHA = 1.0 / 137.036
 M_E = 0.000511  # GeV
@@ -27,10 +26,21 @@ class TestPipelineCoefficients:
         assert qed.channel_coefficients(qed.SLASH_COEFFS) == (Fraction(-3), Fraction(1))
         assert qed.channel_coefficients(qed.SCALAR_OVER_M_COEFFS) == (Fraction(8), Fraction(-4))
 
-    @pytest.mark.parametrize("big_l", [0.0, 1.0, 5.0 / 3.0])
-    def test_numeric_x_quadrature_cross_check(self, big_l):
-        # integrand (2+2x) * (-(L + 2 ln x)) must integrate to 5 - 3L
-        assert abs(checks._pipeline_x_integral(big_l) - (5.0 - 3.0 * big_l)) < 1e-9
+    @pytest.mark.parametrize("mu1_over_m", [0.5, 1.0, 3.0, math.exp(-5.0 / 6.0)])
+    def test_on_shell_x_quadrature_recovers_shift(self, mu1_over_m):
+        # on shell M^2(x) = m^2 x^2 and slash(p) -> m, so the Feynman-parameter integrand is
+        # -(alpha m/4 pi) ln(m^2 x^2/mu1^2) (a(x) + b(x)/m); its quadrature must give delta_m
+        mu1 = mu1_over_m * M_E
+        scale = ALPHA * M_E / (4.0 * math.pi)
+        slash = feynpar.PolyLogIntegrand(qed.SLASH_COEFFS)
+        scalar_over_m = feynpar.PolyLogIntegrand(qed.SCALAR_OVER_M_COEFFS)
+
+        def integrand(x):
+            return -scale * math.log(M_E**2 * x * x / mu1**2) * (slash(x) + scalar_over_m(x))
+
+        # absolute bounds: delta_m is 0 at mu1 = exp(-5/6) m
+        numeric, _ = oracle.integrate(integrand, 0.0, 1.0, 1e-12, epsabs=1e-12 * scale)
+        assert abs(numeric - qed.on_shell_mass_shift(M_E, ALPHA, mu1).delta_m) <= 1e-11 * scale
 
 
 class TestOnShellMassShift:
@@ -58,6 +68,12 @@ class TestOnShellMassShift:
             via_fractions = ALPHA * M_E / (4.0 * math.pi) * (float(c0) + float(c_log) * big_l)
             assert via_op == pytest.approx(direct, rel=1e-12, abs=1e-25)
             assert via_fractions == pytest.approx(direct, rel=1e-12, abs=1e-25)
+
+    @pytest.mark.parametrize("mu1_over_m", [0.2, 0.7, 1.0, 3.0])
+    def test_shift_is_read_at_its_log_ratio(self, mu1_over_m):
+        shift = qed.on_shell_mass_shift(M_E, ALPHA, mu1_over_m * M_E)
+        expected = ALPHA * M_E / (4.0 * math.pi) * (5.0 - 3.0 * shift.log_ratio)
+        assert shift.delta_m == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_slope_in_log_scale(self):
         # d(delta_m)/d(ln mu1^2) = 3 alpha m / (4 pi), by central differences
@@ -135,38 +151,3 @@ class TestLambShiftEstimate:
         with pytest.raises(ValueError):
             qed.lamb_shift_estimate(ALPHA, M_E, 0.0)
 
-
-class TestSelfEnergyKernel:
-    def test_channel_polynomials_fixed_at_construction(self):
-        k = SelfEnergyKernel(p_sq=M_E**2, m=M_E, alpha=ALPHA)
-        assert k.slash_coeffs == (Fraction(-2), Fraction(2))
-        assert k.scalar_over_m_coeffs == (Fraction(4),)
-
-    def test_off_shell_region_rejected(self):
-        with pytest.raises(ValueError):
-            SelfEnergyKernel(p_sq=2.0 * M_E**2, m=M_E, alpha=ALPHA)
-
-    def test_channel_integrands_finite_below_shell(self):
-        k = SelfEnergyKernel(p_sq=0.5 * M_E**2, m=M_E, alpha=ALPHA)
-        mu1 = qed.solve_mu1(M_E)
-        slash, scalar = k.channel_integrands(0.5, mu1)
-        assert math.isfinite(slash) and math.isfinite(scalar)
-
-    def test_on_shell_integrand_recovers_shift(self):
-        # quadrature of slash*m + scalar over x equals delta_m
-        integrate = pytest.importorskip("scipy.integrate")
-        mu1 = 0.5 * M_E
-        k = SelfEnergyKernel(p_sq=M_E**2, m=M_E, alpha=ALPHA)
-
-        def integrand(x):
-            slash, scalar = k.channel_integrands(x, mu1)
-            return slash * M_E + scalar
-
-        numeric, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-16, epsrel=1e-12, limit=200)
-        expected = qed.on_shell_mass_shift(M_E, ALPHA, mu1).delta_m
-        assert numeric == pytest.approx(expected, rel=1e-9)
-
-    def test_mass_fn_matches_feynpar(self):
-        k = SelfEnergyKernel(p_sq=0.3, m=1.0, alpha=ALPHA)
-        fn = k.mass_fn()
-        assert fn.p_sq == 0.3 and fn.m_sq == 1.0
