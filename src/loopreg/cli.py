@@ -11,8 +11,11 @@ Each handler only computes a ``Report``: its inputs, its output fields as
 its value, and its ledger.  A sweep's rows are one ``rows`` field, a list
 of row dicts.  ``run`` checks the format before any computation, and one
 renderer writes the report as JSON (one object per row), or just the rows as
-csv or plot-data.  ``demo`` prints one PASS/FAIL line per row of
-``loopreg.checks.CHECKS``, the table the acceptance test asserts.
+csv or plot-data.  It formats each number and lays out the JSON in one pass,
+byte for byte as ``json.dumps(payload, indent=2)`` would print the formatted
+payload, and builds the whole text before it writes any of it.  ``demo``
+prints one PASS/FAIL line per row of ``loopreg.checks.CHECKS``, the table
+the acceptance test asserts.
 
 Masses are handled in GeV internally; ``--units MeV`` converts all
 mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
@@ -27,12 +30,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -131,22 +134,37 @@ class Report(NamedTuple):
     ledger: Sequence[dict[str, Any]] = ()
 
 
-def _fmt_number(value: Any, precision: int, name: str) -> Any:
-    """Numbers as decimal strings, recursively through lists and dicts;
-    OverflowError for a float that is not finite, so no report prints inf or nan."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (Fraction, int)):
-        return str(value)
+def _fmt_scalar(value: Any, precision: int, name: str) -> str:
+    """A number as a decimal string (a string as itself); OverflowError for a
+    float that is not finite, so no report prints inf or nan."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise OverflowError(f"{name} is not finite: {value!r}")
         return format(value, f".{precision}g")
-    if isinstance(value, (list, tuple)):
-        return [_fmt_number(v, precision, name) for v in value]
+    return str(value)
+
+
+def _block(brackets: str, items: list[str], indent: str) -> str:
+    """A JSON array or object of rendered items, one per line one level in, as ``indent=2`` lays it out."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _json(value: Any, precision: int, name: str, indent: str) -> str:
+    """JSON text of a value whose numbers print as decimal strings, recursively
+    through lists and dicts; ``name`` is the field a non-finite number is reported under."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, dict):
-        return {k: _fmt_number(v, precision, name) for k, v in value.items()}
-    return value
+        inner = indent + "  "
+        return _block("{}", [f"{encode_basestring_ascii(k)}: {_json(v, precision, name, inner)}" for k, v in value.items()], indent)
+    if isinstance(value, (list, tuple)):
+        return _block("[]", [_json(v, precision, name, indent + "  ") for v in value], indent)
+    return f'"{_fmt_scalar(value, precision, name)}"'
 
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, Any]]:
@@ -170,29 +188,31 @@ def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[st
 def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
     """Write a report as JSON, or its sweep rows as csv or plot-data, to stdout.
 
-    Every number is formatted before anything is written, so a non-finite one
+    The whole text is built before anything is written, so a non-finite number
     raises OverflowError with stdout still empty.
     """
     p = cfg.precision
     if cfg.out_format != "json":
-        rows = _fmt_number(next(value for name, value, _ in report.fields if name == "rows"), p, "rows")
-        values = [list(row.values()) for row in rows]
+        rows = next(value for name, value, _ in report.fields if name == "rows")
+        cells = [["" if v is None else _fmt_scalar(v, p, "rows") for v in row.values()] for row in rows]
         if cfg.out_format == "csv":  # a sweep has at least one row, and all rows share its keys
-            lines = [",".join(rows[0])] + [",".join("" if v is None else v for v in row) for row in values]
+            lines = [",".join(rows[0])] + [",".join(row) for row in cells]
         else:  # plot-data: the first two columns, where the second is set
-            lines = [f"{x} {y}" for x, y, *_ in values if y is not None]
+            lines = [f"{x} {y}" for x, y, *_ in cells if y]
         sys.stdout.write("".join(line + "\n" for line in lines))
         return
     inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
-    payload = {
-        "subcommand": subcommand,
-        # full-precision echo: re-running a report with its own inputs must be exact
-        "inputs": {k: (str(v) if isinstance(v, (int, float, Fraction)) else v) for k, v in inputs.items()},
-        "outputs": {name: _fmt_number(value, p, name) for name, value, _ in report.fields},
-        "provenance": {name: why for name, _, why in report.fields},
-        "ledger": _fmt_number(report.ledger, p, "ledger"),
-    }
-    print(json.dumps(payload, indent=2))
+    # full-precision echo: re-running a report with its own inputs must be exact
+    echo = {k: (str(v) if isinstance(v, (int, float, Fraction)) else v) for k, v in inputs.items()}
+    outputs = [f"{encode_basestring_ascii(name)}: {_json(value, p, name, '    ')}" for name, value, _ in report.fields]
+    sections = [
+        f'"subcommand": {encode_basestring_ascii(subcommand)}',
+        f'"inputs": {_json(echo, p, "inputs", "  ")}',
+        f'"outputs": {_block("{}", outputs, "  ")}',
+        f'"provenance": {_json({name: why for name, _, why in report.fields}, p, "provenance", "  ")}',
+        f'"ledger": {_json(report.ledger, p, "ledger", "  ")}',
+    ]
+    sys.stdout.write(_block("{}", sections, "") + "\n")
 
 
 def _has_sweep(ns: argparse.Namespace) -> bool:

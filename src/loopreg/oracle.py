@@ -11,7 +11,8 @@ the kernel module, not here, and the radial integral's elementary
 antiderivative lives only in the tests, so no closed form of what the oracle
 checks can leak into it.  The package's two numeric tools live here, in pure
 Python: an adaptive G7-K15 Gauss-Kronrod rule (``integrate``) and a
-bisection root finder (``find_root``).
+bracketing root finder by the Illinois rule (``find_root``), which falls back
+to bisection where interpolation stalls.
 
 The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
 piece over the decades 0, 1, 10, ... of t.  Each piece is memoized and carries
@@ -158,24 +159,54 @@ def integrate(f: Callable[[float], float], a: float, b: float, epsrel: float, ep
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """A root of f in [lo, hi] by bisection, to a relative width of 1e-15.
+    """A root of f in [lo, hi] by the Illinois rule, to a relative width of 1e-15.
 
-    Raises ValueError unless f(lo) and f(hi) have opposite signs.
+    Each step evaluates f at the regula falsi point of the bracket and keeps
+    the part where f changes sign.  When two such steps in a row move the same
+    end, the value at the other end is halved for the next point (Illinois
+    rule: Dowell & Jarratt, BIT 11, 1971), so both ends close in; a point is
+    kept half the stop width inside the bracket, so an end that already sits
+    on the root does not stall the other.  A step bisects instead when f has
+    just returned a value it had returned before, which keeps a step function
+    on pure bisection, or when the last two steps did not halve the bracket.
+    An exact zero of f ends the search.  Raises ValueError unless f(lo) and
+    f(hi) have opposite signs.
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign; no bracketed root")
+    seen = {f_lo, f_hi}
+    moved = None  # the end the last regula falsi step replaced
+    widths = (math.inf, hi - lo)  # the bracket's width two steps back and one step back
+    bisect = False
     while hi - lo > 1e-15 * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # no float left between the ends
-            break
-        f_mid = f(mid)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        if bisect:
+            x = 0.5 * (lo + hi)
+        else:  # f_lo and f_hi weigh the ends; halving one keeps its sign
+            margin = 0.5e-15 * max(abs(lo), abs(hi))
+            x = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + margin), hi - margin)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if x in (lo, hi):  # no float left between the ends
+                break
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x > 0.0) == (f_lo > 0.0):
+            lo, f_lo, end = x, f_x, "lo"
         else:
-            hi = mid
+            hi, f_hi, end = x, f_x, "hi"
+        if not bisect:
+            if end == moved == "lo":
+                f_hi *= 0.5
+            elif end == moved == "hi":
+                f_lo *= 0.5
+            moved = end
+        bisect = f_x in seen or hi - lo > 0.5 * widths[0]
+        seen.add(f_x)
+        widths = (widths[1], hi - lo)
     return 0.5 * (lo + hi)
 
 

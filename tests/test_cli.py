@@ -6,7 +6,9 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from loopreg import cli
 
 from closed_forms import radial_analytic
+from references import render_two_pass
 
 
 def run_json(capsys, argv):
@@ -458,21 +461,21 @@ class TestConfigResolution:
         assert code == 2
 
 
+_ROUND_TRIP_ARGV = [
+    ["mu1", "--m", "0.511", "--units", "MeV", "--precision", "7"],
+    ["phi4", "--sigma", "1.7", "--lambda", "3.3", "--precision", "10"],
+    ["selfenergy", "--m", "0.000511", "--mu1", "0.0003", "--precision", "14"],
+    ["resum", "--lambda0", "0.5", "--mu0", "1.0", "--mu", "2.0", "--precision", "9"],
+    ["lambshift", "--m", "0.000511", "--bethe-log", "2.8118", "--precision", "8"],
+    ["regularize", "--n", "2", "--msq", "1.25", "--mu1", "0.4", "--precision", "11"],
+    ["oracle", "--n", "2", "--msq", "1.0", "--grid", "100,1000,1e4,1e5,1e6", "--precision", "10"],
+    # the default grid echoed in MeV
+    ["oracle", "--n", "1", "--msq", "0.141649", "--units", "MeV", "--precision", "15"],
+]
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["mu1", "--m", "0.511", "--units", "MeV", "--precision", "7"],
-            ["phi4", "--sigma", "1.7", "--lambda", "3.3", "--precision", "10"],
-            ["selfenergy", "--m", "0.000511", "--mu1", "0.0003", "--precision", "14"],
-            ["resum", "--lambda0", "0.5", "--mu0", "1.0", "--mu", "2.0", "--precision", "9"],
-            ["lambshift", "--m", "0.000511", "--bethe-log", "2.8118", "--precision", "8"],
-            ["regularize", "--n", "2", "--msq", "1.25", "--mu1", "0.4", "--precision", "11"],
-            ["oracle", "--n", "2", "--msq", "1.0", "--grid", "100,1000,1e4,1e5,1e6", "--precision", "10"],
-            # the default grid echoed in MeV
-            ["oracle", "--n", "1", "--msq", "0.141649", "--units", "MeV", "--precision", "15"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _ROUND_TRIP_ARGV)
     def test_reparsed_inputs_reproduce_report_bitwise(self, capsys, argv):
         code, out1, _ = run_raw(capsys, argv)
         assert code == 0
@@ -558,3 +561,75 @@ class TestContract:
         assert "Traceback" not in out.getvalue() + err.getvalue(), argv
         if code == 0:
             assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())
+
+
+def _rendered(render, subcommand, report, cfg):
+    """What a renderer writes to stdout, and the message of the OverflowError it raises, if any."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            render(subcommand, report, cfg)
+    except OverflowError as exc:
+        return out.getvalue(), str(exc)
+    return out.getvalue(), None
+
+
+def _reports(argv):
+    """Every (subcommand, report, config) that ``run(argv)`` hands to the renderer."""
+    calls = []
+    with mock.patch.object(cli, "_render", side_effect=lambda *args: calls.append(args)):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.run(argv)
+    return calls
+
+
+_NON_ASCII = "\u03bc\u2081 \u2192 \u221e, na\u00efve \"q\" \\ \t \u2028 \U0001d53c"
+
+
+class TestOnePassRenderer:
+    """``cli._render`` writes the bytes of formatting each number, then ``json.dumps(indent=2)``."""
+
+    def assert_renders_as_two_pass(self, subcommand, report, cfg):
+        assert _rendered(cli._render, subcommand, report, cfg) == _rendered(render_two_pass, subcommand, report, cfg)
+
+    @pytest.mark.parametrize("argv", _ROUND_TRIP_ARGV)
+    def test_round_trip_reports(self, argv):
+        (call,) = _reports(argv)
+        self.assert_renders_as_two_pass(*call)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_argv())
+    def test_generated_argv(self, argv):
+        for call in _reports(argv):
+            self.assert_renders_as_two_pass(*call)
+
+    @pytest.mark.parametrize("precision", [4, 17])
+    @pytest.mark.parametrize(
+        "report",
+        [
+            cli.Report({}, []),
+            cli.Report({"flag": True, "none": None, "empty": ""}, [("empty_list", [], ""), ("empty_dict", {}, ""), ("nested", [[], {}, [{}]], "")], [{}]),
+            cli.Report({}, [("none", None, "null"), ("flags", [True, False, None], "bools stay bools")], ({"fixed": False},)),
+            cli.Report({_NON_ASCII: _NON_ASCII}, [(_NON_ASCII, {_NON_ASCII: [_NON_ASCII]}, _NON_ASCII)]),
+            cli.Report({"x": 0.1, "q": Fraction(1, 3)}, [("numbers", [Fraction(-5, 3), 7, -0.0, 1e300, 5e-324, 2.0 / 3.0], "")], [{"value": Fraction(5)}]),
+            # a number that is not finite is refused under its field's name, before anything is written
+            cli.Report({}, [("fine", 1.0, ""), ("deep", [1.0, {"x": math.nan}], ""), ("later", math.inf, "")]),
+            cli.Report({}, [("fine", 1.0, "")], [{"value": 2.0}, {"value": -math.inf}]),
+        ],
+    )
+    def test_edge_values(self, report, precision):
+        self.assert_renders_as_two_pass("\u03b4m", report, cli.RunConfig(precision=precision))
+
+    @pytest.mark.parametrize("fmt", ["csv", "plot-data"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"mu": 1.0, "coupling": None, "status": "pole"}, {"mu": 2.5, "coupling": 0.125, "status": _NON_ASCII}],
+            [{"\u03bc": Fraction(1, 3), "\u03bb": 2, "\u00e9": "ok"}],
+            [{"cutoff": 1.0, "radial": None, "unit_multiple": math.nan}],
+            [{"cutoff": 1.0, "radial": 2.0, "unit_multiple": 3.0}, {"cutoff": math.inf, "radial": 1.0, "unit_multiple": 0.5}],
+        ],
+    )
+    def test_sweep_cells(self, rows, fmt):
+        report = cli.Report({}, [("rows", rows, "")])
+        self.assert_renders_as_two_pass("oracle", report, cli.RunConfig(precision=9, out_format=fmt))

@@ -3,13 +3,14 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopreg import oracle
+from loopreg import checks, oracle
 from loopreg.oracle import CutoffProbe, InsufficientGridError, QuadratureSpec, default_grid
 
 from closed_forms import radial_analytic
+from references import bisect
 
 
 class TestRadialAnalytic:
@@ -226,9 +227,50 @@ class TestIntegrate:
         oracle.integrate(f, 0.0, 1.0, 1e-12)
         assert len(calls) == 15 * (1 + 2 * 199)
 
+    @pytest.mark.parametrize("big_l", [0.0, 1.0, 5.0 / 3.0])
+    def test_x_quadrature_row_in_s(self, evaluations, big_l):
+        # in s = -ln x the log singularity is an exponential decay: 1125-1245 evaluations in x
+        assert abs(checks._pipeline_x_integral(big_l) - (5.0 - 3.0 * big_l)) <= 1e-14
+        assert evaluations() <= 300
+
+
+def _root_and_evaluations(finder, f, lo, hi):
+    """(root, number of evaluations of f) of one root finder call."""
+    xs = []
+
+    def counted(x):
+        xs.append(x)
+        return f(x)
+
+    return finder(counted, lo, hi), len(xs)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Evaluations of the functions handed to ``oracle.find_root`` and ``oracle.integrate`` since the fixture."""
+    count = [0]
+
+    def counting(tool):
+        def wrapper(f, *args, **kwargs):
+            def counted(x):
+                count[0] += 1
+                return f(x)
+
+            return tool(counted, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle, "find_root", counting(oracle.find_root))
+    monkeypatch.setattr(oracle, "integrate", counting(oracle.integrate))
+    return lambda: count[0]
+
+
+# monotone, smooth, odd shapes: the computed sign of shape(c * (x - root)) is the sign of x - root
+_SHAPES = {"cubic": lambda d: d + d**3, "expm1": math.expm1, "sinh": math.sinh, "atan": math.atan, "tanh": math.tanh}
+
 
 class TestFindRoot:
-    def test_bisects_to_machine_width(self):
+    def test_converges_to_machine_width(self):
         assert oracle.find_root(math.cos, 0.0, 2.0) == pytest.approx(0.5 * math.pi, rel=2e-15)
 
     def test_endpoint_root(self):
@@ -238,6 +280,56 @@ class TestFindRoot:
     def test_same_signed_bracket_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="same sign"):
             oracle.find_root(lambda x: (x - 1.5) ** 2 + 1.0, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 4.0), (0.3, 1e6), (1e-300, 1.0), (2.0, 2.0000000000001), (-3.0, 5.0)])
+    @pytest.mark.parametrize("at", [0.3, 0.999])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_step_function_is_pure_bisection(self, lo, hi, at, sign):
+        # f repeats its values, so every step bisects: the root of bisection, in as many evaluations
+        root = lo + at * (hi - lo)
+
+        def step(x):
+            return sign if x >= root else -sign
+
+        assert _root_and_evaluations(oracle.find_root, step, lo, hi) == _root_and_evaluations(bisect, step, lo, hi)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        log_lo=st.floats(-3.0, 3.0),
+        log_width=st.floats(-3.0, 3.0),
+        at=st.floats(0.0, 1.0),
+        log_steepness=st.floats(-2.0, 2.0),
+        shape=st.sampled_from(sorted(_SHAPES)),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    # nearly linear, root next to an end: regula falsi lands on it, and the far end must still move
+    @example(log_lo=-1.0, log_width=0.0, at=1e-15, log_steepness=-2.0, shape="sinh", sign=1.0)
+    def test_monotone_smooth_root_in_no_more_evaluations_than_bisection(self, log_lo, log_width, at, log_steepness, shape, sign):
+        lo = 10.0**log_lo
+        hi = lo * (1.0 + 10.0**log_width)
+        true_root = lo + at * (hi - lo)
+        c = 10.0**log_steepness / (hi - lo)
+
+        def f(x):
+            return sign * _SHAPES[shape](c * (x - true_root))
+
+        root, n = _root_and_evaluations(oracle.find_root, f, lo, hi)
+        assert abs(root - true_root) <= 1e-15 * true_root
+        assert n <= _root_and_evaluations(bisect, f, lo, hi)[1]
+
+    @pytest.mark.parametrize(
+        "row, most",
+        [
+            ("mu1 root finder agrees", 80),  # bisection: 318
+            ("minimizing the potential", 55),  # bisection: 159
+            ("resummation pole", 106),  # a step function: bisection's count
+        ],
+    )
+    def test_evaluations_per_check_row(self, evaluations, row, most):
+        (check,) = [c for c in checks.CHECKS if c.name.startswith(row)]
+        ok, detail = check.run()
+        assert ok, detail
+        assert evaluations() <= most
 
 
 class TestRadialReferences:

@@ -51,12 +51,12 @@ class TestOnShellMassShift:
 
     def test_equal_scales_give_pure_constant(self):
         shift = qed.on_shell_mass_shift(M_E, ALPHA, M_E)
-        assert shift.delta_m == pytest.approx(5.0 * ALPHA * M_E / (4.0 * math.pi), rel=1e-14)
+        assert shift.delta_m == pytest.approx(5.0 * ALPHA * M_E / (4.0 * math.pi), rel=1e-14, abs=0.0)
 
     def test_electron_point_value(self):
         # 5 * 0.000511 / 137.036 / (4 pi), checked against 30-digit arithmetic
         shift = qed.on_shell_mass_shift(M_E, ALPHA, M_E)
-        assert shift.delta_m == pytest.approx(1.48370092384407e-6, rel=1e-12)
+        assert shift.delta_m == pytest.approx(1.48370092384407e-6, rel=1e-12, abs=0.0)
 
     def test_two_path_agreement(self):
         # pipeline coefficients against the directly typed closed form
@@ -107,7 +107,7 @@ class TestSolveMu1:
         assert qed.solve_mu1(1.0) == pytest.approx(0.434598208507078, rel=1e-13)
 
     def test_electron_mass(self):
-        assert qed.solve_mu1(M_E) == pytest.approx(2.22079684547e-4, rel=1e-10)
+        assert qed.solve_mu1(M_E) == pytest.approx(2.22079684547e-4, rel=1e-10, abs=0.0)
 
     def test_root_finder_agrees(self):
         for m in (M_E, 1.0, 80.0):
