@@ -69,8 +69,8 @@ class ScalarLoopIntegral:
     """(K^2 - M^2)^(-power) integrated over d^4K/(2 pi)^4.
 
     ``mass_sq`` is the squared mass parameter in GeV^2, or ``None`` when the
-    integral is kept symbolic in M^2 (as when composed with a Feynman
-    parameterization that supplies M^2(x) later).
+    integral is kept symbolic in M^2 (as ``qed`` keeps it, to read the
+    on-shell M^2 = m^2 x^2 into its log).
     """
 
     power: int
@@ -139,7 +139,7 @@ class ConstantEntry:
     monomial factor (M^2)^msq_power evolves under later integrations exactly
     like any other term.  A dimensionless constant may be fixed through a
     scale alias mu with C = -ln(mu^2), which is what turns a bare ln(M^2)
-    into ln(M^2/mu^2).
+    into ln(M^2/mu^2); ``value`` is then derived from the alias.
     """
 
     index: int
@@ -160,13 +160,18 @@ class ConstantEntry:
         if self.coefficient == 0:
             raise ValueError("constant coefficient must be nonzero")
         if self.scale_alias is not None:
+            mu = self.scale_alias
+            if not mu > 0:
+                raise ValueError(f"scale must be positive, got {mu!r}")
+            mu_sq = mu**2
+            if mu_sq == 0.0:
+                raise FloatingPointError(f"scale {mu!r} squared underflows to 0: C = -ln(mu^2) is past the float range")
             if self.mass_dimension != 0:
                 raise ValueError(f"{self.name} has mass dimension {self.mass_dimension}; only dimensionless constants alias a scale")
-            if not self.scale_alias > 0:
-                raise ValueError("scale alias must be positive")
-            expected = -math.log(self.scale_alias**2)
-            if self.value != expected:
+            derived = -math.log(mu_sq)
+            if self.value is not None and self.value != derived:
                 raise ValueError("aliased constant must satisfy C = -ln(mu^2) exactly")
+            object.__setattr__(self, "value", derived)
 
     @property
     def name(self) -> str:
@@ -233,11 +238,6 @@ class RegularizedValue:
     def unfixed_count(self) -> int:
         return sum(not e.is_fixed for e in self.constants)
 
-    def _constant(self, index: int) -> ConstantEntry:
-        if not 1 <= index <= len(self.constants):
-            raise KeyError(f"no constant C{index} in ledger")
-        return self.constants[index - 1]
-
     def scaled(self, factor: RationalLike) -> "RegularizedValue":
         """Multiply the whole value (terms and constants) by an exact rational."""
         f = _as_fraction(factor)
@@ -270,24 +270,21 @@ class RegularizedValue:
 
     # -- constant fixing ----------------------------------------------------
 
-    def with_constant_fixed(self, index: int, value: float) -> "RegularizedValue":
-        """Fix C_index to a plain numeric value (units GeV^mass_dimension)."""
-        e = self._constant(index)
+    def _with_constant(self, index: int, value: Optional[float], scale_alias: Optional[float]) -> "RegularizedValue":
+        if not 1 <= index <= len(self.constants):
+            raise KeyError(f"no constant C{index} in ledger")
         entries = list(self.constants)
-        entries[index - 1] = replace(e, value=float(value), scale_alias=None)
+        entries[index - 1] = replace(entries[index - 1], value=value, scale_alias=scale_alias)
         return RegularizedValue(self.terms, tuple(entries))
 
+    def with_constant_fixed(self, index: int, value: float) -> "RegularizedValue":
+        """Fix C_index to a plain numeric value (units GeV^mass_dimension)."""
+        return self._with_constant(index, float(value), None)
+
     def with_scale_alias(self, index: int, mu: float) -> "RegularizedValue":
-        """Fix the dimensionless C_index through C = -ln(mu^2), mu in GeV."""
-        e = self._constant(index)
-        if not mu > 0:
-            raise ValueError(f"scale must be positive, got {mu!r}")
-        mu_sq = mu**2
-        if mu_sq == 0.0:
-            raise FloatingPointError(f"scale {mu!r} squared underflows to 0: C = -ln(mu^2) is past the float range")
-        entries = list(self.constants)
-        entries[index - 1] = replace(e, value=-math.log(mu_sq), scale_alias=float(mu))
-        return RegularizedValue(self.terms, tuple(entries))
+        """Fix the dimensionless C_index through C = -ln(mu^2), mu in GeV; the
+        ledger entry derives C from the alias."""
+        return self._with_constant(index, None, float(mu))
 
     # -- numerics -----------------------------------------------------------
 
@@ -300,7 +297,7 @@ class RegularizedValue:
         if msq < 0:
             raise ValueError(f"mass_sq must be non-negative, got {msq!r}")
         if msq == 0 and any(t.has_log or t.msq_power < 0 for t in self.terms):
-            raise ValueError("mass_sq = 0 hits a logarithm/pole; the Feynman-parameter layer handles that point analytically")
+            raise ValueError("mass_sq = 0 hits a logarithm/pole: the value is singular there")
         unfixed = [e.name for e in self.constants if not e.is_fixed]
         if unfixed:
             raise ValueError(f"cannot evaluate numerically: unfixed constants {', '.join(unfixed)}")

@@ -17,7 +17,9 @@ whose first-order expansion reproduces the one-loop relation when
 b = 9/(32 pi^2) (the default, kept configurable: the resummation kernel is
 a minimal stand-in, not a unique choice).  Every finite-order truncation is
 regular; only the resummed form has a pole, at mu_c = mu0 exp(1/(2 b
-lambda0)).  Beyond mu_c the broken vacuum is reported as restored.
+lambda0)).  One test decides it: where the denominator is no longer
+positive, resum_chain raises and symmetry_status reports the broken vacuum
+as restored, so the two agree even within rounding of mu_c.
 """
 
 from __future__ import annotations
@@ -132,15 +134,19 @@ class ResummationState:
             raise ValueError(f"beta_coeff must be positive, got {self.beta_coeff!r}")
 
 
+def _first_order_term(state: ResummationState, mu: float) -> float:
+    """b lambda0 ln(mu^2/mu0^2), the term both resummation orders are built from."""
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu!r}")
+    return state.beta_coeff * state.lambda0 * (2.0 * math.log(mu / state.mu0))
+
+
 def resum_chain(state: ResummationState, mu: float) -> float:
     """Resummed running coupling lambda0 / (1 - b lambda0 ln(mu^2/mu0^2)).
 
     Raises LandauPoleError once the denominator is no longer positive.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    log_ratio = 2.0 * math.log(mu / state.mu0)
-    denominator = 1.0 - state.beta_coeff * state.lambda0 * log_ratio
+    denominator = 1.0 - _first_order_term(state, mu)
     if denominator <= 0.0:
         raise LandauPoleError(mu=mu, critical=critical_scale(state))
     return state.lambda0 / denominator
@@ -152,10 +158,7 @@ def resum_first_order(state: ResummationState, mu: float) -> float:
     Finite for every finite mu; at ln(mu^2/mu0^2) = 1 and b = 9/(32 pi^2) it
     coincides with lambda_renormalized(lambda0).
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    log_ratio = 2.0 * math.log(mu / state.mu0)
-    return state.lambda0 * (1.0 + state.beta_coeff * state.lambda0 * log_ratio)
+    return state.lambda0 * (1.0 + _first_order_term(state, mu))
 
 
 def critical_scale(state: ResummationState) -> float:
@@ -168,10 +171,9 @@ def critical_scale(state: ResummationState) -> float:
 
 
 def symmetry_status(state: ResummationState, mu: float) -> str:
-    """VACUUM_BROKEN below the critical scale, VACUUM_RESTORED beyond it."""
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    return VACUUM_RESTORED if mu > critical_scale(state) else VACUUM_BROKEN
+    """VACUUM_RESTORED exactly where resum_chain raises LandauPoleError (its
+    denominator is no longer positive), VACUUM_BROKEN elsewhere."""
+    return VACUUM_RESTORED if 1.0 - _first_order_term(state, mu) <= 0.0 else VACUUM_BROKEN
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,16 @@ class TestResumCommand:
         assert float(report["outputs"]["coupling"]) == pytest.approx(0.510075171111, rel=1e-10)
         assert report["outputs"]["status"] == "ssb-vacuum"
 
+    def test_status_agrees_with_the_coupling_next_to_the_pole(self, capsys):
+        # mu lies within rounding of the critical scale, and the chain is still finite there
+        code, report = run_json(
+            capsys,
+            ["resum", "--lambda0", "5.398498348890079", "--mu0", "3.772246373507371", "--mu", "97.30272273994002", "--precision", "17"],
+        )
+        assert code == 0
+        assert report["outputs"]["coupling"] == "48625350304843192"
+        assert report["outputs"]["status"] == "ssb-vacuum"
+
     def test_pole_is_numeric_failure(self, capsys):
         code, _, err = run_raw(capsys, ["resum", "--lambda0", "1.0", "--mu0", "1.0", "--mu", "1e9"])
         assert code == 3
@@ -285,6 +295,32 @@ class TestOracleCommand:
         assert "argument --grid" in err
 
 
+# argv that must exit 2 or 3 with nothing on stdout, and a text its stderr must hold
+_FAILURES = [
+    (["selfenergy", "--m", "1", "--mu1", "1e-320"], 3, "numeric failure"),
+    (["lambshift", "--alpha", "1e-200"], 3, "numeric failure"),
+    (["resum", "--lambda0", "0.0105", "--mu0", "249.56", "--mu", "2.99e7"], 3, "numeric failure"),
+    (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2, "error"),
+    (["phi4", "--sigma", "inf", "--lambda", "1"], 2, "error"),
+    (["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,nan"], 2, "error"),
+    (["phi4", "--sigma", "1e300", "--lambda", "1e-300"], 3, "numeric failure"),
+    (["phi4", "--sigma", "1", "--lambda", "1e300"], 3, "numeric failure"),
+    (["oracle", "--n", "1", "--msq", "1e300", "--grid", "1e156", "--format", "csv"], 3, "numeric failure"),
+    # a result past the float range, not a bad input: exit 3
+    (["lambshift", "--alpha", "3", "--m", "1e300", "--bethe-log", "3"], 3, "numeric failure"),
+    (["resum", "--lambda0", "1.7e308", "--mu0", "1.46e-255", "--mu", "1e-300"], 3, "numeric failure"),
+    (["resum", "--lambda0", "137", "--mu0", "137", "--mu", "137", "--b", "1.7e308"], 3, "numeric failure"),
+    (["selfenergy", "--m", "1e154", "--mu1", "1e-154"], 3, "numeric failure"),
+    # the ledger entry's own checks of a scale alias, C = -ln(mu^2)
+    (
+        ["regularize", "--n", "2", "--msq", "1", "--mu1", "1e-170"],
+        3,
+        "numeric failure: scale 1e-170 squared underflows to 0: C = -ln(mu^2) is past the float range\n",
+    ),
+    (["regularize", "--n", "2", "--msq", "1", "--mu1", "0"], 2, "error: scale must be positive, got 0.0\n"),
+]
+
+
 class TestExitCodes:
     def test_unknown_flag_usage_error(self, capsys):
         code, _, err = run_raw(capsys, ["mu1", "--m", "1.0", "--bogus"])
@@ -331,31 +367,15 @@ class TestExitCodes:
         assert out == ""
         assert "has no sweep output" in err
 
+    # each id names a case by its position and exit code, not by its message
     @pytest.mark.parametrize(
-        "argv, expected",
-        [
-            (["selfenergy", "--m", "1", "--mu1", "1e-320"], 3),
-            (["lambshift", "--alpha", "1e-200"], 3),
-            (["resum", "--lambda0", "0.0105", "--mu0", "249.56", "--mu", "2.99e7"], 3),
-            (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2),
-            (["phi4", "--sigma", "inf", "--lambda", "1"], 2),
-            (["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,nan"], 2),
-            (["phi4", "--sigma", "1e300", "--lambda", "1e-300"], 3),
-            (["phi4", "--sigma", "1", "--lambda", "1e300"], 3),
-            (["oracle", "--n", "1", "--msq", "1e300", "--grid", "1e156", "--format", "csv"], 3),
-            # a result past the float range, not a bad input: exit 3
-            (["lambshift", "--alpha", "3", "--m", "1e300", "--bethe-log", "3"], 3),
-            (["resum", "--lambda0", "1.7e308", "--mu0", "1.46e-255", "--mu", "1e-300"], 3),
-            (["resum", "--lambda0", "137", "--mu0", "137", "--mu", "137", "--b", "1.7e308"], 3),
-            (["selfenergy", "--m", "1e154", "--mu1", "1e-154"], 3),
-            (["regularize", "--n", "2", "--msq", "1", "--mu1", "1e-170"], 3),
-        ],
+        "argv, expected, message", _FAILURES, ids=[f"argv{i}-{code}" for i, (_, code, _) in enumerate(_FAILURES)]
     )
-    def test_failure_exits_without_report(self, capsys, argv, expected):
+    def test_failure_exits_without_report(self, capsys, argv, expected, message):
         code, out, err = run_raw(capsys, argv)
         assert code == expected
         assert out == ""
-        assert ("numeric failure" if expected == 3 else "error") in err
+        assert message in err
 
 
 def _fresh_python(*args):
@@ -395,6 +415,11 @@ class TestColdImport:
     )
     def test_closed_form_subcommands_start_without_scipy(self, argv):
         assert _heavy_imports(argv) == set()
+
+    def test_package_exposes_its_modules_only(self):
+        proc = _fresh_python("-c", "import loopreg; print(' '.join(sorted(n for n in vars(loopreg) if not n.startswith('_'))))")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["feynpar", "kernel", "oracle", "phi4", "qed"]
 
 
 class TestParserReuse:
@@ -520,7 +545,9 @@ class TestDemo:
 
 # float flag values at and past the edges of the float range
 _EXTREME = st.sampled_from(["0", "-0", "5e-324", "1e-300", "1e-154", "1", "1e154", "1e300", "1.7e308", "-1"])
-_VALUES = {"--n": st.integers(1, 6).map(str), "--grid": st.lists(_EXTREME, min_size=1, max_size=5).map(",".join)}
+# mixed with ordinary magnitudes 10^U(-6, 6), typed to six digits, so more reports are rendered
+_FLOAT = st.one_of(_EXTREME, st.floats(-6.0, 6.0).map(lambda e: f"{10.0**e:.6g}"))
+_VALUES = {"--n": st.integers(1, 6).map(str), "--grid": st.lists(_FLOAT, min_size=1, max_size=5).map(",".join)}
 # each subcommand's flags, and whether the flag is required
 _FLAGS = {
     "regularize": (("--n", True), ("--msq", False), ("--mu1", False)),
@@ -540,7 +567,7 @@ def _argv(draw):
     argv = [subcommand]
     for flag, required in _FLAGS[subcommand]:
         if required or draw(st.booleans()):
-            argv += [flag, draw(_VALUES.get(flag, _EXTREME))]
+            argv += [flag, draw(_VALUES.get(flag, _FLOAT))]
     if subcommand in ("resum", "oracle") and draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["csv", "plot-data"]))]
     if draw(st.booleans()):

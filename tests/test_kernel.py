@@ -214,6 +214,13 @@ class TestScaleAlias:
         assert entry.value == -math.log(0.25**2)
         assert entry.scale_alias == 0.25
 
+    def test_entry_derives_its_value_from_the_alias(self):
+        entry = ConstantEntry(index=1, mass_dimension=0, coefficient=1, scale_alias=0.5)
+        assert entry.value == -math.log(0.25)
+        assert ConstantEntry(index=1, mass_dimension=0, coefficient=1, value=entry.value, scale_alias=0.5) == entry
+        with pytest.raises(ValueError, match="exactly"):
+            ConstantEntry(index=1, mass_dimension=0, coefficient=1, value=math.nextafter(entry.value, 0.0), scale_alias=0.5)
+
     def test_unfixed_constant_blocks_numerics(self):
         value = kernel.regularize(ScalarLoopIntegral(power=2))
         with pytest.raises(ValueError, match="C1"):

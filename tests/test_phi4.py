@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loopreg import checks, phi4
 from loopreg.phi4 import (
@@ -200,6 +202,26 @@ class TestSymmetryStatus:
         mu_c = phi4.critical_scale(state)
         assert phi4.symmetry_status(state, 0.5 * mu_c) == phi4.VACUUM_BROKEN
         assert phi4.symmetry_status(state, 2.0 * mu_c) == phi4.VACUUM_RESTORED
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        lambda0=st.floats(1e-2, 10.0),
+        mu0=st.floats(1.0, 1e3),
+        beta_coeff=st.one_of(st.just(BETA_ONE_LOOP), st.floats(0.005, 0.09)),
+        ulps=st.integers(-3, 3),
+    )
+    def test_restored_exactly_where_the_chain_has_its_pole(self, lambda0, mu0, beta_coeff, ulps):
+        state = ResummationState(lambda0=lambda0, mu0=mu0, beta_coeff=beta_coeff)
+        mu = phi4.critical_scale(state)
+        assume(math.isfinite(mu))
+        for _ in range(abs(ulps)):
+            mu = math.nextafter(mu, math.copysign(math.inf, ulps))
+        try:
+            phi4.resum_chain(state, mu)
+        except LandauPoleError:
+            assert phi4.symmetry_status(state, mu) == phi4.VACUUM_RESTORED
+        else:
+            assert phi4.symmetry_status(state, mu) == phi4.VACUUM_BROKEN
 
 
 class TestFiniteOrderDichotomy:
