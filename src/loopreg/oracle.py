@@ -15,8 +15,8 @@ bracketing root finder by the Illinois rule (``find_root``), which falls back
 to bisection where interpolation stalls.
 
 The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
-piece over the decades 0, 1, 10, ... of t.  Each piece is memoized and carries
-no mass, so cutoffs and masses share the full decades below them.  A
+piece over the decades 0, 1, 10, ... of t.  No piece carries a mass: cutoffs
+and masses share the memoized sums of the full decades below them.  A
 ``CutoffProbe`` integrates each of its cutoffs once, and each fit checks its
 own grid rule before it reads them, so a short grid fails before any quadrature.
 """
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 __all__ = [
@@ -137,6 +138,19 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return -abs(half * (kronrod - gauss)), a, b, half * kronrod
 
 
+def _radial_panel(power: int, a: float, b: float) -> tuple[float, float, float, float]:
+    """``_panel`` of radial_integrand(t, power, 1.0), its unscaled form written out; OverflowError where that overflows."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    f_center = center**3 / (center * center + 1.0) ** power
+    kronrod, gauss = _KRONROD[-1] * f_center, _GAUSS[-1] * f_center
+    for x, w_kronrod, w_gauss in _PAIRS:
+        t, u = center - half * x, center + half * x
+        pair = t**3 / (t * t + 1.0) ** power + u**3 / (u * u + 1.0) ** power
+        kronrod += w_kronrod * pair
+        gauss += w_gauss * pair
+    return -abs(half * (kronrod - gauss)), a, b, half * kronrod
+
+
 def integrate(f: Callable[[float], float], a: float, b: float, epsrel: float, epsabs: float = 0.0) -> tuple[float, float]:
     """Adaptive G7-K15 quadrature of f over [a, b]: (value, error estimate).
 
@@ -145,12 +159,17 @@ def integrate(f: Callable[[float], float], a: float, b: float, epsrel: float, ep
     200 panels are in use; the caller judges a result that stopped at the
     limit by the error it returns.
     """
-    panels = [_panel(f, a, b)]
+    return _adapt(partial(_panel, f), a, b, epsrel, epsabs)
+
+
+def _adapt(panel: Callable[[float, float], tuple], a: float, b: float, epsrel: float, epsabs: float) -> tuple[float, float]:
+    """``integrate``'s adaptive bisection over the panels that panel(lo, hi) returns."""
+    panels = [panel(a, b)]
     error, value = -panels[0][0], panels[0][3]
     while error > max(epsabs, epsrel * abs(value)) and len(panels) < 200:
         neg_error, lo, hi, whole = heapq.heappop(panels)
         mid = 0.5 * (lo + hi)
-        left, right = _panel(f, lo, mid), _panel(f, mid, hi)
+        left, right = panel(lo, mid), panel(mid, hi)
         heapq.heappush(panels, left)
         heapq.heappush(panels, right)
         value += left[3] + right[3] - whole
@@ -210,18 +229,30 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _decade_edges(t_cut: float) -> list[float]:
-    edges = [0.0, min(1.0, t_cut)]
-    while edges[-1] < t_cut:
-        edges.append(min(edges[-1] * 10.0, t_cut))
-    return edges
+_EDGES = [0.0, 1.0]  # the decade edges of t, each ten times the last, up to inf
+while _EDGES[-1] < math.inf:
+    _EDGES.append(_EDGES[-1] * 10.0)
 
 
-@lru_cache(maxsize=256)
-def _piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, float]:
+def _radial_piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, float]:
     """(value, error estimate) of int t^3 (t^2 + 1)^(-power) dt over [t_a, t_b]."""
-    # radial_integrand is looked up per evaluation, so a wrapper on it sees every one
-    return integrate(lambda t: radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
+    try:
+        return _adapt(partial(_radial_panel, power), t_a, t_b, epsrel, 0.0)
+    except OverflowError:  # far above t = 1: the piece again, with radial_integrand's scaled form
+        return integrate(lambda t: radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
+
+
+_piece = lru_cache(maxsize=256)(_radial_piece)  # the top pieces [edge, t_cut] of radial_integral
+
+
+@lru_cache(maxsize=1024)
+def _decade_sums(power: int, k: int, epsrel: float) -> tuple[float, float]:
+    """(value, error estimate) summed in order over the full decades from 0 up to _EDGES[k], k >= 1."""
+    below = (0.0, 0.0)
+    for j in range(1, k):  # fill from the bottom, so a cold call nests one level deep, not k
+        below = _decade_sums(power, j, epsrel)
+    value, err = _radial_piece(power, _EDGES[k - 1], _EDGES[k], epsrel)
+    return below[0] + value, below[1] + err
 
 
 def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10) -> float:
@@ -229,27 +260,26 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
 
     Integrates (M^2)^(2-power) * int_0^(cutoff/sqrt(M^2)) t^3 (t^2+1)^(-power) dt
     decade by decade in t, so the wide dynamic range never starves the
-    adaptive subdivision.  Each piece is memoized: the full decades
-    [10^j, 10^(j+1)] are the same for every cutoff and mass above them, so a
-    sweep integrates each once.  Raises QuadratureError when the accumulated
-    error estimate misses rel_tol, whether or not the pieces were cached, and
-    OverflowError when the result lies past the float range.
+    adaptive subdivision.  The full decades [10^j, 10^(j+1)] are the same for
+    every cutoff and mass above them, so their running sums are memoized and a
+    sweep integrates each once; the top piece, from the last edge on, apart.
+    Raises QuadratureError when the summed error estimate misses rel_tol,
+    whether or not the pieces were cached, and OverflowError when the result
+    lies past the float range.
     """
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
     if not mass_sq > 0:
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
-    total = 0.0
-    err_total = 0.0
-    edges = _decade_edges(cutoff / math.sqrt(mass_sq))
+    t_cut = cutoff / math.sqrt(mass_sq)
     # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece
     # asked for less than 5e-14 would only run to the panel limit; the check
     # below still enforces rel_tol, so tighter requests fail loudly.
     epsrel = max(rel_tol / 10.0, 5e-14)
-    for a, b in zip(edges, edges[1:]):
-        piece, err = _piece(power, a, b, epsrel)
-        total += piece
-        err_total += err
+    k = bisect_right(_EDGES, t_cut) - 1  # the full decades end at _EDGES[k] <= t_cut
+    total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
+    piece, err = _piece(power, _EDGES[k], t_cut, epsrel) if _EDGES[k] != t_cut else (0.0, 0.0)
+    total, err_total = total + piece, err_total + err
     if err_total > rel_tol * abs(total):
         raise QuadratureError(
             f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "

@@ -3,15 +3,22 @@
 ``render_two_pass`` is the renderer ``loopreg.cli`` used before it laid out
 JSON itself: format every number, then ``json.dumps(indent=2)``.
 ``bisect`` is the bisection that ``loopreg.oracle.find_root`` used to be,
-with the same stop rule.  The package's versions must match their output
-byte for byte, and their evaluation counts are compared with bisection's.
+with the same stop rule.  ``radial_integral`` is
+``loopreg.oracle.radial_integral`` before it memoized the sums of its full
+decades: the pieces summed one decade at a time, each evaluation through
+``radial_integrand``.  The package's versions must match their output byte
+for byte (and float for float); root finders' evaluation counts are compared
+with bisection's.
 """
 
 import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable
+
+from loopreg import oracle
 
 
 def _fmt_number(value: Any, precision: int, name: str) -> Any:
@@ -72,3 +79,35 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=None)  # only to keep the tests quick: a piece is the same float from the cache or not
+def _piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, float]:
+    return oracle.integrate(lambda t: oracle.radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
+
+
+def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10) -> float:
+    """int_0^cutoff k^3 (k^2 + M^2)^(-power) dk, summed piece by piece over the decades of t = k/sqrt(M^2)."""
+    if not cutoff > 0:
+        raise ValueError(f"cutoff must be positive, got {cutoff!r}")
+    if not mass_sq > 0:
+        raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
+    t_cut = cutoff / math.sqrt(mass_sq)
+    edges = [0.0, min(1.0, t_cut)]
+    while edges[-1] < t_cut:
+        edges.append(min(edges[-1] * 10.0, t_cut))
+    epsrel = max(rel_tol / 10.0, 5e-14)
+    total = err_total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        piece, err = _piece(power, a, b, epsrel)
+        total += piece
+        err_total += err
+    if err_total > rel_tol * abs(total):
+        raise oracle.QuadratureError(
+            f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
+            f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}"
+        )
+    radial = mass_sq ** (2 - power) * total
+    if not math.isfinite(radial):
+        raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
+    return radial

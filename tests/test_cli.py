@@ -242,14 +242,11 @@ class TestOracleCommand:
             ["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,1000,10000"],
         ],
     )
-    def test_grid_too_short_for_the_fits_rejected_before_quadrature(self, capsys, argv):
-        from loopreg import oracle
-
-        oracle._piece.cache_clear()
+    def test_grid_too_short_for_the_fits_rejected_before_quadrature(self, capsys, integrations, argv):
         code, out, err = run_raw(capsys, argv)
         assert (code, out) == (2, "")
         assert "need at least 4 cutoffs" in err
-        assert oracle._piece.cache_info().misses == 0
+        assert integrations() == 0
 
     @pytest.mark.parametrize(
         "argv, cutoffs",

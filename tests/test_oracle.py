@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 import sys
 
@@ -10,6 +12,7 @@ from loopreg import checks, oracle
 from loopreg.oracle import CutoffProbe, InsufficientGridError, QuadratureSpec, default_grid
 
 from closed_forms import radial_analytic
+import references
 from references import bisect
 
 
@@ -149,30 +152,41 @@ class TestLineFit:
         assert intercept == pytest.approx(float(np.polyfit(xs, gs, 1)[1]), rel=1e-12)
 
 
+def _default_report(mass_sq):
+    """What `oracle --n 2 --msq <mass_sq>` computes: the radials, the signature and
+    the asymptote over t = 1e2..1e6, i.e. the decades [0, 1], [1, 10], ..., [1e5, 1e6]."""
+    probe = CutoffProbe(2, mass_sq, default_grid(mass_sq))
+    for lam in probe.lambda_grid:
+        oracle.radial_integral(2, mass_sq, lam)
+    oracle.divergence_signature(probe)
+    oracle.asymptote_constant(probe)
+
+
+def _clear_radial_caches():
+    oracle._decade_sums.cache_clear()
+    oracle._piece.cache_clear()
+
+
 class TestPieceCache:
-    @pytest.fixture
-    def misses(self):
-        """Pieces integrated since the fixture cleared the cache."""
-        oracle._piece.cache_clear()
-        return lambda: oracle._piece.cache_info().misses
-
-    def test_default_report_integrates_each_decade_once(self, misses):
-        # what `oracle --n 2 --msq 1` computes: the radials, the signature
-        # and the asymptote over t = 1e2..1e6, i.e. pieces [0, 1], [1, 10], ...
+    def test_default_report_integrates_each_decade_once(self, integrations):
         for mass_sq, new_pieces in ((1.0, 7), (4.0, 0)):  # the pieces carry no mass
-            before = misses()
-            probe = CutoffProbe(2, mass_sq, default_grid(mass_sq))
-            for lam in probe.lambda_grid:
-                oracle.radial_integral(2, mass_sq, lam)
-            oracle.divergence_signature(probe)
-            oracle.asymptote_constant(probe)
-            assert misses() - before == new_pieces
+            before = integrations()
+            _default_report(mass_sq)
+            assert integrations() - before == new_pieces
 
-    def test_cached_pieces_still_fail_the_tolerance(self, misses):
+    def test_cached_pieces_still_fail_the_tolerance(self, integrations):
         for _ in range(2):
             with pytest.raises(oracle.QuadratureError):
                 oracle.radial_integral(2, 1.0, 1e6, rel_tol=1e-16)
-        assert misses() == 7
+        assert integrations() == 7
+
+    def test_top_pieces_do_not_evict_the_decades(self, integrations):
+        _default_report(1.0)
+        for i in range(300):  # 300 distinct top pieces [0, t], t < 1
+            oracle.radial_integral(2, 1.0, (i + 1) / 400.0)
+        before = integrations()
+        _default_report(1.0)
+        assert integrations() - before == 0
 
     @settings(max_examples=20, deadline=None, database=None)
     @given(
@@ -185,10 +199,61 @@ class TestPieceCache:
         grid = sorted(f * math.sqrt(mass_sq) for f in factors)
         cold = []
         for lam in grid:
-            oracle._piece.cache_clear()
+            _clear_radial_caches()
             cold.append(oracle.radial_integral(power, mass_sq, lam))
         warm = [oracle.radial_integral(power, mass_sq, lam) for lam in grid]
         assert warm == cold
+
+
+def _outcome(radial_integral, *args):
+    """A radial's float, or its QuadratureError or OverflowError as (type, text)."""
+    try:
+        return radial_integral(*args)
+    except (oracle.QuadratureError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# the decade edges of t from 1 to 1e30, each ten times the last (from 1e23 on not
+# always 10.0**k), exact and 1 ulp either side
+_EDGE_TS = [e for x in itertools.accumulate([10.0] * 30, operator.mul, initial=1.0)
+            for e in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+
+
+class TestRadialPrefixSums:
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        power=st.integers(1, 6),
+        mass_sq=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), st.integers(-9, 9).map(lambda j: 4.0**j)),
+        ts=st.lists(st.one_of(st.floats(-3.0, 30.0).map(lambda e: 10.0**e), st.integers(0, 92).map(_EDGE_TS.__getitem__)),
+                    min_size=1, max_size=8),
+        rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-16]),
+        order=st.randoms(use_true_random=False),
+    )
+    # above 1e22 the edges are not 10.0**k, and a split at 10.0**k changes these power-1 radials
+    @example(power=1, mass_sq=1.0, ts=_EDGE_TS[-24:], rel_tol=1e-10, order=random.Random(0))
+    def test_same_float_as_the_decade_by_decade_sum(self, power, mass_sq, ts, rel_tol, order):
+        # 4^j masses have an exact square root, so their cutoffs land on the edges exactly
+        cutoffs = [t * math.sqrt(mass_sq) for t in ts]
+        order.shuffle(cutoffs)
+        _clear_radial_caches()
+        for cutoff in cutoffs:
+            args = (power, mass_sq, cutoff, rel_tol)
+            assert _outcome(oracle.radial_integral, *args) == _outcome(references.radial_integral, *args)
+
+    @pytest.mark.parametrize("power", range(1, 7))
+    def test_inline_panel_is_the_integrand_panel(self, power):
+        def f(t):
+            return oracle.radial_integrand(t, power, 1.0)
+
+        # t^3 / (t^2 + 1)^n overflows from about t = 10^(154/n) (n >= 2), 10^102.7 (n = 1)
+        overflow = 10.0 ** (102.7 if power == 1 else 154.0 / power)
+        for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 1e3), (overflow / 1e3, overflow / 10.0)):
+            assert oracle._radial_panel(power, a, b) == oracle._panel(f, a, b)
+            assert oracle._radial_piece(power, a, b, 1e-11) == oracle.integrate(f, a, b, 1e-11)
+        a, b = overflow / 10.0, overflow * 10.0  # across: the piece falls back on the scaled form
+        with pytest.raises(OverflowError):
+            oracle._radial_panel(power, a, b)
+        assert oracle._radial_piece(power, a, b, 1e-11) == oracle.integrate(f, a, b, 1e-11)
 
 
 class TestIntegrate:
