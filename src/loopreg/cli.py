@@ -23,7 +23,9 @@ mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
 pole where a finite value was requested, a floating-point overflow, underflow
 or division by zero, or a non-finite number about to be printed).  Every
 float flag must be finite: ``inf`` and ``nan`` are usage errors.  The
-argument parser is built once per process, on the first ``run``.
+argument parser is built once per process, on the first ``run``, and loads no
+library module: each handler imports the modules it calls, so a one-shot call
+loads only what its subcommand runs (``regularize`` only ``kernel``).
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
-from . import checks, kernel, oracle, phi4, qed
+if TYPE_CHECKING:  # each handler imports the library modules it calls
+    from . import kernel
 
 DEFAULT_PRECISION = 12
 PRECISION_ENV_VAR = "LOOPREG_PRECISION"
@@ -203,7 +205,7 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
         return
     inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
     # full-precision echo: re-running a report with its own inputs must be exact
-    echo = {k: (str(v) if isinstance(v, (int, float, Fraction)) else v) for k, v in inputs.items()}
+    echo = {k: (str(v) if isinstance(v, (int, float)) else v) for k, v in inputs.items()}
     outputs = [f"{encode_basestring_ascii(name)}: {_json(value, p, name, '    ')}" for name, value, _ in report.fields]
     sections = [
         f'"subcommand": {encode_basestring_ascii(subcommand)}',
@@ -226,6 +228,8 @@ def _has_sweep(ns: argparse.Namespace) -> bool:
 
 
 def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    from . import kernel
+
     integral = kernel.ScalarLoopIntegral(power=ns.n, mass_sq=cfg.msq_in(ns.msq) if ns.msq is not None else None)
     value = kernel.regularize(integral)
     if ns.mu1 is not None:
@@ -254,9 +258,12 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
 
 
 def _cmd_selfenergy(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    from . import kernel, qed
+
     m = cfg.mass_in(ns.m)
+    alpha = ns.alpha if ns.alpha is not None else qed.DEFAULT_ALPHA
     mu1_gev = cfg.mass_in(ns.mu1) if ns.mu1 is not None else qed.solve_mu1(m)
-    shift = qed.on_shell_mass_shift(m, ns.alpha, mu1_gev)
+    shift = qed.on_shell_mass_shift(m, alpha, mu1_gev)
     c0, c_log = qed.pipeline_coefficients()
     reg = kernel.regularize(kernel.ScalarLoopIntegral(power=2)).with_scale_alias(1, mu1_gev)
     exact = "exact x-integration of the numerator channels against the regulated loop"
@@ -267,22 +274,30 @@ def _cmd_selfenergy(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("constant_coefficient", c0, exact),
         ("log_coefficient", c_log, exact),
     ]
-    return Report({"m": ns.m, "alpha": ns.alpha, "mu1": ns.mu1}, fields, _ledger_rows(reg, cfg))
+    return Report({"m": ns.m, "alpha": alpha, "mu1": ns.mu1}, fields, _ledger_rows(reg, cfg))
 
 
 def _cmd_mu1(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    from . import qed
+
     mu1 = cfg.mass_out(qed.solve_mu1(cfg.mass_in(ns.m)))
     return Report({"m": ns.m}, [("mu1", mu1, "zero on-shell mass shift: ln(m^2/mu1^2) = 5/3, mu1 = m*exp(-5/6)")])
 
 
 def _cmd_lambshift(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    from . import qed
+
+    alpha = ns.alpha if ns.alpha is not None else qed.DEFAULT_ALPHA
+    bethe_log = ns.bethe_log if ns.bethe_log is not None else qed.DEFAULT_BETHE_LOG
     m_display = ns.m if ns.m is not None else cfg.mass_out(qed.DEFAULT_ELECTRON_MASS_GEV)
-    mhz = qed.lamb_shift_estimate(ns.alpha, cfg.mass_in(m_display), ns.bethe_log)
+    mhz = qed.lamb_shift_estimate(alpha, cfg.mass_in(m_display), bethe_log)
     why = "leading-log estimate (alpha^5*m/(6*pi)) * [ln(1/alpha^2) - bethe_log + 19/30]; qualitative band, not a precision value"
-    return Report({"alpha": ns.alpha, "m": m_display, "bethe_log": ns.bethe_log}, [("lamb_shift_mhz", mhz, why)])
+    return Report({"alpha": alpha, "m": m_display, "bethe_log": bethe_log}, [("lamb_shift_mhz", mhz, why)])
 
 
 def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    from . import phi4
+
     pot = phi4.SSBPotential(sigma=cfg.msq_in(ns.sigma), lam=ns.lam)
     phi1, m_sigma = phi4.ssb_vacuum(pot)
     higgs = phi4.HiggsReference()
@@ -300,6 +315,8 @@ def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> Report:
 
 
 def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    from . import phi4
+
     b = ns.beta_coeff if ns.beta_coeff is not None else phi4.BETA_ONE_LOOP
     state = phi4.ResummationState(lambda0=ns.lambda0, mu0=cfg.mass_in(ns.mu0), beta_coeff=b)
     pole = "pole of the resummed coupling: mu0*exp(1/(2*b*lambda0))"
@@ -340,12 +357,14 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("coupling", phi4.resum_chain(state, mu), chain),  # LandauPoleError -> exit 3
         ("first_order", phi4.resum_first_order(state, mu), "finite-order truncation lambda0*(1 + b*lambda0*ln(mu^2/mu0^2)); regular everywhere"),
         ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
-        ("status", phi4.symmetry_status(state, mu), "symmetry restoration is reported beyond the critical scale"),
+        ("status", phi4.symmetry_status(state, mu), "ssb-vacuum below the critical scale; at or past it the coupling has a pole and the request exits 3 without a report"),
     ]
     return Report({"lambda0": ns.lambda0, "mu0": ns.mu0, "mu": ns.mu, "b": state.beta_coeff}, fields)
 
 
 def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+    from . import oracle
+
     msq = cfg.msq_in(ns.msq)
     # the default grid is built in the user's units, like an explicit --grid,
     # so its echo re-parses to the very same cutoffs
@@ -375,6 +394,8 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report:
 
 
 def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
+    from . import checks
+
     print("=" * 72)
     print("walkthrough: divergent one-loop family -> closed forms -> conditions")
     print("=" * 72)
@@ -409,8 +430,10 @@ def _finite_grid(text: str) -> tuple[float, ...]:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every ``run`` in this process, built on first use.  Handlers and flag defaults are bound then,
-    so patching ``_cmd_*`` or ``qed.DEFAULT_ALPHA`` after the first ``run`` has no effect; patch what a handler calls."""
+    """The parser of every ``run`` in this process, built on first use.  Handlers are bound then, so patching
+    ``_cmd_*`` after the first ``run`` has no effect; patch what a handler calls.  ``--alpha`` and ``--bethe-log``
+    default to ``None``: the handler reads (and echoes) ``qed.DEFAULT_ALPHA`` and ``qed.DEFAULT_BETHE_LOG`` on each
+    call, so patching those takes effect on the next ``run``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
     common.add_argument("--precision", type=int, help="significant digits for rendered numbers, 4..17 (default 12)")
@@ -431,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfenergy", parents=[common], help="On-shell electron mass shift.")
     p.add_argument("--m", type=_finite_float, required=True, help="electron mass (units)")
-    p.add_argument("--alpha", type=_finite_float, default=qed.DEFAULT_ALPHA, help="fine-structure constant")
+    p.add_argument("--alpha", type=_finite_float, help="fine-structure constant")
     p.add_argument("--mu1", type=_finite_float, help="integration scale; default fixes the shift to zero")
     p.set_defaults(handler=_cmd_selfenergy)
 
@@ -440,9 +463,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mu1)
 
     p = sub.add_parser("lambshift", parents=[common], help="Leading-log 2S-2P splitting estimate in MHz.")
-    p.add_argument("--alpha", type=_finite_float, default=qed.DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=_finite_float)
     p.add_argument("--m", type=_finite_float, help="electron mass (units); default 0.000511 GeV")
-    p.add_argument("--bethe-log", type=_finite_float, default=qed.DEFAULT_BETHE_LOG, help="Bethe logarithm input (default 2.8118)")
+    p.add_argument("--bethe-log", type=_finite_float, help="Bethe logarithm input (default 2.8118)")
     p.set_defaults(handler=_cmd_lambshift)
 
     p = sub.add_parser("phi4", parents=[common], help="Broken-vacuum relations and one-loop coupling.")

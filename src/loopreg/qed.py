@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import feynpar, kernel, oracle
+from . import feynpar, kernel
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -151,6 +151,8 @@ def solve_mu1_by_root(m: float, alpha: float = DEFAULT_ALPHA) -> float:
 
     def shift(mu1: float) -> float:
         return on_shell_mass_shift(m, alpha, mu1).delta_m
+
+    from . import oracle  # its one user here; the CLI's qed subcommands never load it
 
     return oracle.find_root(shift, 0.05 * m, m)
 

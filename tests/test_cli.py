@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -150,6 +151,16 @@ class TestResumCommand:
         assert code == 0
         assert report["outputs"]["coupling"] == "48625350304843192"
         assert report["outputs"]["status"] == "ssb-vacuum"
+
+    def test_status_below_the_pole(self, capsys):
+        # a printed report lies below the pole (at or past it the coupling exits 3), so it says ssb-vacuum
+        code, report = run_json(capsys, ["resum", "--lambda0", "1", "--mu0", "1", "--mu", "4.1e7"])
+        assert code == 0
+        assert float(report["outputs"]["critical_scale"]) == pytest.approx(4.1697985644e7, rel=1e-10)
+        assert report["outputs"]["status"] == "ssb-vacuum"
+        assert report["provenance"]["status"] == (
+            "ssb-vacuum below the critical scale; at or past it the coupling has a pole and the request exits 3 without a report"
+        )
 
     def test_pole_is_numeric_failure(self, capsys):
         code, _, err = run_raw(capsys, ["resum", "--lambda0", "1.0", "--mu0", "1.0", "--mu", "1e9"])
@@ -383,40 +394,67 @@ def _fresh_python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
-def _heavy_imports(argv):
-    """Top-level scipy/numpy packages a fresh ``python -m loopreg.cli ARGV`` imported."""
+@functools.cache
+def _cold_imports(argv):
+    """Every module a fresh ``python -m loopreg.cli ARGV`` imported, read from ``-X importtime``."""
     proc = _fresh_python("-X", "importtime", "-m", "loopreg.cli", *argv)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = {
-        line.rsplit("|", 1)[1].strip().split(".")[0]
+    return {
+        line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:") and "imported package" not in line
     }
-    return names & {"scipy", "numpy"}
+
+
+_QED = {"qed", "kernel", "feynpar"}
+#: each subcommand's argv and the library modules it loads (``loopreg.cli`` itself runs as ``__main__``)
+_COLD = [
+    (("regularize", "--n", "2", "--msq", "1.0", "--mu1", "0.5"), {"kernel"}),
+    (("selfenergy", "--m", "0.000511"), _QED),
+    (("mu1", "--m", "1.0"), _QED),
+    (("lambshift",), _QED),
+    (("phi4", "--sigma", "1", "--lambda", "6"), {"phi4"}),
+    (("resum", "--lambda0", "0.5", "--mu0", "1.0", "--mu", "2.0"), {"phi4"}),
+    # quadrature and root finding are pure Python too: no subcommand loads scipy
+    (("oracle", "--n", "2", "--msq", "1"), {"oracle"}),
+    (("demo",), {"checks", "feynpar", "kernel", "oracle", "phi4", "qed"}),
+]
+
+_LAZY_PROBE = """
+import sys, loopreg
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("loopreg."))
+print(loaded())
+print(type(loopreg.oracle).__name__, loopreg.oracle.__name__, loaded())
+try:
+    loopreg.nope
+except AttributeError as exc:
+    print(exc)
+"""
 
 
 class TestColdImport:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["regularize", "--n", "2", "--msq", "1.0", "--mu1", "0.5"],
-            ["selfenergy", "--m", "0.000511"],
-            ["mu1", "--m", "1.0"],
-            ["lambshift"],
-            ["phi4", "--sigma", "1", "--lambda", "6"],
-            ["resum", "--lambda0", "0.5", "--mu0", "1.0", "--mu", "2.0"],
-            # quadrature and root finding are pure Python too: no subcommand loads them
-            ["oracle", "--n", "2", "--msq", "1"],
-            ["demo"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _COLD])
     def test_closed_form_subcommands_start_without_scipy(self, argv):
-        assert _heavy_imports(argv) == set()
+        assert {name.split(".")[0] for name in _cold_imports(argv)} & {"scipy", "numpy"} == set()
+
+    @pytest.mark.parametrize("argv, modules", _COLD, ids=[argv[0] for argv, _ in _COLD])
+    def test_subcommand_loads_only_its_modules(self, argv, modules):
+        loaded = {name.split(".", 1)[1] for name in _cold_imports(argv) if name.startswith("loopreg.")}
+        assert loaded == modules
 
     def test_package_exposes_its_modules_only(self):
-        proc = _fresh_python("-c", "import loopreg; print(' '.join(sorted(n for n in vars(loopreg) if not n.startswith('_'))))")
+        proc = _fresh_python("-c", "import loopreg; print(' '.join(sorted(n for n in dir(loopreg) if not n.startswith('_'))))")
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == ["feynpar", "kernel", "oracle", "phi4", "qed"]
+
+    def test_modules_load_on_first_use(self):
+        proc = _fresh_python("-c", _LAZY_PROBE)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == [
+            "[]",
+            "module loopreg.oracle ['loopreg.oracle']",
+            "module 'loopreg' has no attribute 'nope'",
+        ]
 
 
 class TestParserReuse:
@@ -438,6 +476,18 @@ class TestParserReuse:
         first_error = results[tuple(usage_error)]
         assert first_error[0] == 2 and "--n" in first_error[2]
         assert run_raw(capsys, usage_error) == first_error
+
+    def test_alpha_and_bethe_log_defaults_are_read_per_call(self, capsys):
+        from loopreg import qed
+
+        before = run_json(capsys, ["lambshift"])[1]
+        with mock.patch.object(qed, "DEFAULT_ALPHA", 0.01), mock.patch.object(qed, "DEFAULT_BETHE_LOG", 3.0):
+            code, patched = run_json(capsys, ["lambshift"])
+            assert run_json(capsys, ["selfenergy", "--m", "1"])[1]["inputs"]["alpha"] == "0.01"
+        assert code == 0
+        assert (patched["inputs"]["alpha"], patched["inputs"]["bethe_log"]) == ("0.01", "3.0")
+        assert patched["outputs"] != before["outputs"]
+        assert run_json(capsys, ["lambshift"])[1] == before
 
     def test_import_does_not_build_the_parser(self):
         proc = _fresh_python("-c", "import loopreg.cli as cli; print(cli._build_parser.cache_info().currsize)")
