@@ -20,3 +20,44 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_MODULES})
+
+
+class _FrozenInstanceError(AttributeError):
+    """An assignment to or deletion of a field of a frozen record."""
+
+
+class _Record:
+    """Base of the frozen value types.  A subclass names its fields in order as ``__slots__ =
+    __match_args__`` and sets them in its ``__init__`` with ``object.__setattr__``.  Equality (within
+    one type), hash and repr read the fields; copy, pickle and ``replace`` rebuild through ``__init__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise _FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise _FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, validated again by ``__init__``."""
+        for name in self.__match_args__:
+            if name not in changes:
+                changes[name] = getattr(self, name)
+        return type(self)(**changes)

@@ -35,10 +35,11 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
+
+from . import _Record
 
 if TYPE_CHECKING:  # each handler imports the library modules it calls
     from . import kernel
@@ -55,19 +56,19 @@ EXIT_NUMERIC = 3
 # ----------------------------- run configuration -----------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    units: str = "GeV"
-    precision: int = DEFAULT_PRECISION
-    out_format: str = "json"
+class RunConfig(_Record):
+    __slots__ = __match_args__ = ("units", "precision", "out_format")
 
-    def __post_init__(self) -> None:
-        if self.units not in ("GeV", "MeV"):
-            raise ValueError(f"units must be GeV or MeV, got {self.units!r}")
-        if not 4 <= self.precision <= 17:
-            raise ValueError(f"precision must lie in [4, 17], got {self.precision!r}")
-        if self.out_format not in ("json", "csv", "plot-data"):
-            raise ValueError(f"format must be json, csv or plot-data, got {self.out_format!r}")
+    def __init__(self, units: str = "GeV", precision: int = DEFAULT_PRECISION, out_format: str = "json") -> None:
+        if units not in ("GeV", "MeV"):
+            raise ValueError(f"units must be GeV or MeV, got {units!r}")
+        if not 4 <= precision <= 17:
+            raise ValueError(f"precision must lie in [4, 17], got {precision!r}")
+        if out_format not in ("json", "csv", "plot-data"):
+            raise ValueError(f"format must be json, csv or plot-data, got {out_format!r}")
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "out_format", out_format)
 
     # mass-dimension-1 quantities; dimension-2 ones use the squared factor
     @property

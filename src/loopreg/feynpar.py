@@ -15,9 +15,9 @@ one-loop pipeline never produces ln^2 x here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _Record
 from .kernel import _as_fraction
 
 __all__ = [
@@ -26,17 +26,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolyLogIntegrand:
+class PolyLogIntegrand(_Record):
     """sum_k poly_coeffs[k] * x^k, optionally times ln x (log_weight 1)."""
 
-    poly_coeffs: tuple[Fraction, ...]
-    log_weight: int = 0
+    __slots__ = __match_args__ = ("poly_coeffs", "log_weight")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "poly_coeffs", tuple(_as_fraction(c) for c in self.poly_coeffs))
-        if self.log_weight not in (0, 1):
-            raise ValueError(f"log weight must be 0 or 1, got {self.log_weight!r}")
+    def __init__(self, poly_coeffs: tuple[Fraction, ...], log_weight: int = 0) -> None:
+        poly_coeffs = tuple(_as_fraction(c) for c in poly_coeffs)
+        if log_weight not in (0, 1):
+            raise ValueError(f"log weight must be 0 or 1, got {log_weight!r}")
+        object.__setattr__(self, "poly_coeffs", poly_coeffs)
+        object.__setattr__(self, "log_weight", log_weight)
 
     def __call__(self, x: float) -> float:
         poly = 0.0

@@ -23,9 +23,10 @@ implemented.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
+
+from . import _Record
 
 __all__ = [
     "UNIT_LABEL",
@@ -64,8 +65,7 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class ScalarLoopIntegral:
+class ScalarLoopIntegral(_Record):
     """(K^2 - M^2)^(-power) integrated over d^4K/(2 pi)^4.
 
     ``mass_sq`` is the squared mass parameter in GeV^2, or ``None`` when the
@@ -73,14 +73,15 @@ class ScalarLoopIntegral:
     on-shell M^2 = m^2 x^2 into its log).
     """
 
-    power: int
-    mass_sq: Optional[float] = None
+    __slots__ = __match_args__ = ("power", "mass_sq")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.power, int) or self.power < 1:
-            raise ValueError(f"denominator power must be a positive integer, got {self.power!r}")
-        if self.mass_sq is not None and not self.mass_sq > 0:
-            raise ValueError(f"numeric mass_sq must be positive, got {self.mass_sq!r}")
+    def __init__(self, power: int, mass_sq: Optional[float] = None) -> None:
+        if not isinstance(power, int) or power < 1:
+            raise ValueError(f"denominator power must be a positive integer, got {power!r}")
+        if mass_sq is not None and not mass_sq > 0:
+            raise ValueError(f"numeric mass_sq must be positive, got {mass_sq!r}")
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "mass_sq", mass_sq)
 
 
 def superficial_degree(integral: ScalarLoopIntegral) -> int:
@@ -111,67 +112,63 @@ def differentiate_in_masssq(
     prefactor = Fraction(1)
     for k in range(times):
         prefactor *= n + k
-    return replace(integral, power=n + times), prefactor
+    return integral.replace(power=n + times), prefactor
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Record):
     """One summand c * (M^2)^p * ln(M^2)^l of a regularized value, l in {0, 1}.
 
     ``coefficient`` is an exact rational multiple of i/(16 pi^2).
     """
 
-    coefficient: Fraction
-    msq_power: int
-    has_log: bool = False
+    __slots__ = __match_args__ = ("coefficient", "msq_power", "has_log")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", _as_fraction(self.coefficient))
-        if not isinstance(self.msq_power, int):
-            raise TypeError(f"msq_power must be an integer, got {type(self.msq_power).__name__}")
+    def __init__(self, coefficient: RationalLike, msq_power: int, has_log: bool = False) -> None:
+        object.__setattr__(self, "coefficient", _as_fraction(coefficient))
+        if not isinstance(msq_power, int):
+            raise TypeError(f"msq_power must be an integer, got {type(msq_power).__name__}")
+        object.__setattr__(self, "msq_power", msq_power)
+        object.__setattr__(self, "has_log", has_log)
 
 
-@dataclass(frozen=True)
-class ConstantEntry:
+class ConstantEntry(_Record):
     """One arbitrary integration constant C_index and the monomial it multiplies.
 
     The constant itself carries ``mass_dimension`` (GeV^mass_dimension); its
     monomial factor (M^2)^msq_power evolves under later integrations exactly
     like any other term.  A dimensionless constant may be fixed through a
     scale alias mu with C = -ln(mu^2), which is what turns a bare ln(M^2)
-    into ln(M^2/mu^2); ``value`` is then derived from the alias.
+    into ln(M^2/mu^2); ``value`` is then derived from the alias as -2 ln(mu).
     """
 
-    index: int
-    mass_dimension: int
-    coefficient: Fraction
-    msq_power: int = 0
-    value: Optional[float] = None
-    scale_alias: Optional[float] = None
+    __slots__ = __match_args__ = ("index", "mass_dimension", "coefficient", "msq_power", "value", "scale_alias")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", _as_fraction(self.coefficient))
-        if self.index < 1:
+    def __init__(self, index: int, mass_dimension: int, coefficient: RationalLike, msq_power: int = 0,
+                 value: Optional[float] = None, scale_alias: Optional[float] = None) -> None:
+        coefficient = _as_fraction(coefficient)
+        if index < 1:
             raise ValueError("constant indices start at 1")
-        if self.mass_dimension % 2 != 0:
-            raise ValueError(f"mass dimension must be even, got {self.mass_dimension}")
-        if self.msq_power < 0:
+        if mass_dimension % 2 != 0:
+            raise ValueError(f"mass dimension must be even, got {mass_dimension}")
+        if msq_power < 0:
             raise ValueError("constant monomial power must be non-negative")
-        if self.coefficient == 0:
+        if coefficient == 0:
             raise ValueError("constant coefficient must be nonzero")
-        if self.scale_alias is not None:
-            mu = self.scale_alias
-            if not mu > 0:
-                raise ValueError(f"scale must be positive, got {mu!r}")
-            mu_sq = mu**2
-            if mu_sq == 0.0:
-                raise FloatingPointError(f"scale {mu!r} squared underflows to 0: C = -ln(mu^2) is past the float range")
-            if self.mass_dimension != 0:
-                raise ValueError(f"{self.name} has mass dimension {self.mass_dimension}; only dimensionless constants alias a scale")
-            derived = -math.log(mu_sq)
-            if self.value is not None and self.value != derived:
+        if scale_alias is not None:
+            if not scale_alias > 0:
+                raise ValueError(f"scale must be positive, got {scale_alias!r}")
+            if mass_dimension != 0:
+                raise ValueError(f"C{index} has mass dimension {mass_dimension}; only dimensionless constants alias a scale")
+            derived = -2.0 * math.log(scale_alias)
+            if value is not None and value != derived:
                 raise ValueError("aliased constant must satisfy C = -ln(mu^2) exactly")
-            object.__setattr__(self, "value", derived)
+            value = derived
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "mass_dimension", mass_dimension)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "msq_power", msq_power)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "scale_alias", scale_alias)
 
     @property
     def name(self) -> str:
@@ -196,8 +193,7 @@ def _canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class RegularizedValue:
+class RegularizedValue(_Record):
     """Closed-form content of a loop integral: exact terms plus a constant ledger.
 
     ``constants`` is the ledger: the arbitrary constants C1, C2, ... in order,
@@ -206,22 +202,22 @@ class RegularizedValue:
     dim(C) + 2*msq_power == value dim.
     """
 
-    terms: tuple[Term, ...] = ()
-    constants: tuple[ConstantEntry, ...] = ()
+    __slots__ = __match_args__ = ("terms", "constants")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _canonical_terms(self.terms))
-        object.__setattr__(self, "constants", tuple(self.constants))
-        if any(e.index != i for i, e in enumerate(self.constants, start=1)):
+    def __init__(self, terms: Iterable[Term] = (), constants: Iterable[ConstantEntry] = ()) -> None:
+        terms, constants = _canonical_terms(terms), tuple(constants)
+        if any(e.index != i for i, e in enumerate(constants, start=1)):
             raise ValueError("constant indices must be unique and consecutive from 1")
-        powers = {t.msq_power for t in self.terms}
+        powers = {t.msq_power for t in terms}
         if len(powers) > 1:
             raise ValueError(f"terms mix mass dimensions (powers {sorted(powers)})")
-        dims = {e.mass_dimension + 2 * e.msq_power for e in self.constants}
+        dims = {e.mass_dimension + 2 * e.msq_power for e in constants}
         if powers:
             dims.add(2 * next(iter(powers)))
         if len(dims) > 1:
             raise ValueError(f"value is not dimensionally homogeneous (dims {sorted(dims)})")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "constants", constants)
 
     # -- structure ---------------------------------------------------------
 
@@ -243,10 +239,8 @@ class RegularizedValue:
         f = _as_fraction(factor)
         if f == 0:
             return RegularizedValue()
-        terms = tuple(replace(t, coefficient=t.coefficient * f) for t in self.terms)
-        entries = tuple(
-            replace(e, coefficient=e.coefficient * f) for e in self.constants
-        )
+        terms = tuple(t.replace(coefficient=t.coefficient * f) for t in self.terms)
+        entries = tuple(e.replace(coefficient=e.coefficient * f) for e in self.constants)
         return RegularizedValue(terms, entries)
 
     def differentiate(self) -> "RegularizedValue":
@@ -261,11 +255,11 @@ class RegularizedValue:
             elif p != 0:
                 terms.append(Term(t.coefficient * p, p - 1, False))
         entries = [
-            replace(e, coefficient=e.coefficient * e.msq_power, msq_power=e.msq_power - 1)
+            e.replace(coefficient=e.coefficient * e.msq_power, msq_power=e.msq_power - 1)
             for e in self.constants
             if e.msq_power > 0
         ]
-        entries = [replace(e, index=i) for i, e in enumerate(entries, start=1)]
+        entries = [e.replace(index=i) for i, e in enumerate(entries, start=1)]
         return RegularizedValue(tuple(terms), tuple(entries))
 
     # -- constant fixing ----------------------------------------------------
@@ -274,7 +268,7 @@ class RegularizedValue:
         if not 1 <= index <= len(self.constants):
             raise KeyError(f"no constant C{index} in ledger")
         entries = list(self.constants)
-        entries[index - 1] = replace(entries[index - 1], value=value, scale_alias=scale_alias)
+        entries[index - 1] = entries[index - 1].replace(value=value, scale_alias=scale_alias)
         return RegularizedValue(self.terms, tuple(entries))
 
     def with_constant_fixed(self, index: int, value: float) -> "RegularizedValue":
@@ -382,7 +376,7 @@ def _integrate_once(value: RegularizedValue) -> RegularizedValue:
             new_terms.append(Term(t.coefficient / (p + 1), p + 1, False))
 
     entries = [
-        replace(e, coefficient=e.coefficient / (e.msq_power + 1), msq_power=e.msq_power + 1)
+        e.replace(coefficient=e.coefficient / (e.msq_power + 1), msq_power=e.msq_power + 1)
         for e in value.constants
     ]
     # The fresh constant pairs with the log it completes (same coefficient),

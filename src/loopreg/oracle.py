@@ -26,9 +26,10 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable
+
+from . import _Record
 
 __all__ = [
     "QuadratureError",
@@ -60,36 +61,38 @@ class InsufficientGridError(ValueError):
     """The cutoff grid is too small or too narrow for the requested fit."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_Record):
     """Adaptive quadrature configuration; rel_tol must sit in (0, 1e-6]."""
 
-    rel_tol: float = 1e-10
+    __slots__ = __match_args__ = ("rel_tol",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol <= 1e-6:
-            raise ValueError(f"rel_tol must lie in (0, 1e-6], got {self.rel_tol!r}")
+    def __init__(self, rel_tol: float = 1e-10) -> None:
+        if not 0.0 < rel_tol <= 1e-6:
+            raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
-@dataclass(frozen=True)
-class CutoffProbe:
-    """A cutoff sweep over a Lambda grid; ``radials`` integrates each cutoff once, on first read."""
+class CutoffProbe(_Record):
+    """A cutoff sweep over a Lambda grid; ``radials`` integrates each cutoff
+    once, on first read, and is kept beside the fields, outside equality."""
 
-    power: int
-    mass_sq: float
-    lambda_grid: tuple[float, ...]
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
+    __match_args__ = ("power", "mass_sq", "lambda_grid", "quadrature")
+    __slots__ = (*__match_args__, "__dict__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda_grid", tuple(float(l) for l in self.lambda_grid))
-        if self.power < 1:
-            raise ValueError(f"power must be >= 1, got {self.power!r}")
-        if not self.mass_sq > 0:
-            raise ValueError(f"mass_sq must be positive, got {self.mass_sq!r}")
-        if not self.lambda_grid or self.lambda_grid[0] <= 0:
+    def __init__(self, power: int, mass_sq: float, lambda_grid: tuple[float, ...], quadrature: QuadratureSpec = QuadratureSpec()) -> None:
+        lambda_grid = tuple(float(l) for l in lambda_grid)
+        if power < 1:
+            raise ValueError(f"power must be >= 1, got {power!r}")
+        if not mass_sq > 0:
+            raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
+        if not lambda_grid or lambda_grid[0] <= 0:
             raise ValueError("cutoff grid values must be positive")
-        if any(b <= a for a, b in zip(self.lambda_grid, self.lambda_grid[1:])):
+        if any(b <= a for a, b in zip(lambda_grid, lambda_grid[1:])):
             raise ValueError("cutoff grid must be strictly increasing")
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "mass_sq", mass_sq)
+        object.__setattr__(self, "lambda_grid", lambda_grid)
+        object.__setattr__(self, "quadrature", quadrature)
 
     @cached_property
     def radials(self) -> tuple[float, ...]:
@@ -309,8 +312,7 @@ def wick_rotated_radial(
     return unit_multiple(power, radial_integral(power, mass_sq, cutoff, rel_tol))
 
 
-@dataclass(frozen=True)
-class DivergenceSignature:
+class DivergenceSignature(_Record):
     """Fitted large-cutoff behavior of a probe.
 
     kind is one of 'log', 'linear-family', 'quadratic', 'convergent';
@@ -319,8 +321,11 @@ class DivergenceSignature:
     the limiting value for 'convergent').
     """
 
-    kind: str
-    coefficient: float
+    __slots__ = __match_args__ = ("kind", "coefficient")
+
+    def __init__(self, kind: str, coefficient: float) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "coefficient", coefficient)
 
 
 def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:

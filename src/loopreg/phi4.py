@@ -25,7 +25,8 @@ as restored, so the two agree even within rounding of mu_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from . import _Record
 
 __all__ = [
     "BETA_ONE_LOOP",
@@ -63,19 +64,19 @@ class LandauPoleError(ArithmeticError):
         )
 
 
-@dataclass(frozen=True)
-class SSBPotential:
+class SSBPotential(_Record):
     """V(Phi) = -sigma/2 Phi^2 + lam/24 Phi^4: wrong-sign mass parameter sigma
     (GeV^2) and quartic coupling lam."""
 
-    sigma: float
-    lam: float
+    __slots__ = __match_args__ = ("sigma", "lam")
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam!r}")
+    def __init__(self, sigma: float, lam: float) -> None:
+        if not sigma > 0:
+            raise ValueError(f"sigma must be positive, got {sigma!r}")
+        if not lam > 0:
+            raise ValueError(f"lambda must be positive, got {lam!r}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "lam", lam)
 
     def __call__(self, phi: float) -> float:
         return -0.5 * self.sigma * phi * phi + self.lam / 24.0 * phi**4
@@ -116,22 +117,22 @@ def geometric_partial_sum(r: float, n: int) -> float:
     return acc
 
 
-@dataclass(frozen=True)
-class ResummationState:
+class ResummationState(_Record):
     """Reference coupling lambda0 at scale mu0 (GeV) with resummation
     coefficient b."""
 
-    lambda0: float
-    mu0: float
-    beta_coeff: float = BETA_ONE_LOOP
+    __slots__ = __match_args__ = ("lambda0", "mu0", "beta_coeff")
 
-    def __post_init__(self) -> None:
-        if not self.lambda0 > 0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0!r}")
-        if not self.mu0 > 0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0!r}")
-        if not self.beta_coeff > 0:
-            raise ValueError(f"beta_coeff must be positive, got {self.beta_coeff!r}")
+    def __init__(self, lambda0: float, mu0: float, beta_coeff: float = BETA_ONE_LOOP) -> None:
+        if not lambda0 > 0:
+            raise ValueError(f"lambda0 must be positive, got {lambda0!r}")
+        if not mu0 > 0:
+            raise ValueError(f"mu0 must be positive, got {mu0!r}")
+        if not beta_coeff > 0:
+            raise ValueError(f"beta_coeff must be positive, got {beta_coeff!r}")
+        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "beta_coeff", beta_coeff)
 
 
 def _first_order_term(state: ResummationState, mu: float) -> float:
@@ -176,17 +177,15 @@ def symmetry_status(state: ResummationState, mu: float) -> str:
     return VACUUM_RESTORED if 1.0 - _first_order_term(state, mu) <= 0.0 else VACUUM_BROKEN
 
 
-@dataclass(frozen=True)
-class HiggsReference:
+class HiggsReference(_Record):
     """Reference mass window and point value in GeV (stored inputs, not
     derived here)."""
 
-    lower_bound: float = 76.0
-    upper_bound: float = 170.0
-    predicted: float = 138.0
+    __slots__ = __match_args__ = ("lower_bound", "upper_bound", "predicted")
 
-    def __post_init__(self) -> None:
-        if not self.lower_bound < self.predicted < self.upper_bound:
-            raise ValueError(
-                f"reference ordering violated: {self.lower_bound} < {self.predicted} < {self.upper_bound} must hold"
-            )
+    def __init__(self, lower_bound: float = 76.0, upper_bound: float = 170.0, predicted: float = 138.0) -> None:
+        if not lower_bound < predicted < upper_bound:
+            raise ValueError(f"reference ordering violated: {lower_bound} < {predicted} < {upper_bound} must hold")
+        object.__setattr__(self, "lower_bound", lower_bound)
+        object.__setattr__(self, "upper_bound", upper_bound)
+        object.__setattr__(self, "predicted", predicted)

@@ -25,11 +25,10 @@ phi4 module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import feynpar, kernel
+from . import _Record, feynpar, kernel
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -62,17 +61,17 @@ SLASH_COEFFS: tuple[Fraction, ...] = (Fraction(-2), Fraction(2))
 SCALAR_OVER_M_COEFFS: tuple[Fraction, ...] = (Fraction(4),)
 
 
-@dataclass(frozen=True)
-class MassShift:
+class MassShift(_Record):
     """Radiative mass shift delta_m in GeV and the log_ratio L = ln(m^2/mu1^2) it
     was computed at; a non-finite shift has left the float range."""
 
-    delta_m: float
-    log_ratio: float
+    __slots__ = __match_args__ = ("delta_m", "log_ratio")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.delta_m):
-            raise OverflowError(f"delta_m must be finite, got {self.delta_m!r}")
+    def __init__(self, delta_m: float, log_ratio: float) -> None:
+        if not math.isfinite(delta_m):
+            raise OverflowError(f"delta_m must be finite, got {delta_m!r}")
+        object.__setattr__(self, "delta_m", delta_m)
+        object.__setattr__(self, "log_ratio", log_ratio)
 
 
 @lru_cache(maxsize=1)
@@ -127,7 +126,8 @@ def on_shell_mass_shift(m: float, alpha: float, mu1: float) -> MassShift:
             raise ValueError(f"{name} must be positive, got {v!r}")
     c0, c_log = pipeline_coefficients()
     prefactor = alpha * m / (4.0 * math.pi)
-    log_ratio = math.log(m**2 / mu1**2)
+    ratio = m / mu1  # rounded once, so its log is the closest; past the float range, the logs of each scale
+    log_ratio = 2.0 * (math.log(ratio) if 1e-300 < ratio < 1e300 else math.log(m) - math.log(mu1))
     return MassShift(prefactor * (float(c0) + float(c_log) * log_ratio), log_ratio)
 
 

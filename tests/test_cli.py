@@ -305,7 +305,7 @@ class TestOracleCommand:
 
 # argv that must exit 2 or 3 with nothing on stdout, and a text its stderr must hold
 _FAILURES = [
-    (["selfenergy", "--m", "1", "--mu1", "1e-320"], 3, "numeric failure"),
+    (["selfenergy", "--m", "1e308", "--mu1", "1e-308"], 3, "numeric failure: delta_m must be finite, got -inf"),
     (["lambshift", "--alpha", "1e-200"], 3, "numeric failure"),
     (["resum", "--lambda0", "0.0105", "--mu0", "249.56", "--mu", "2.99e7"], 3, "numeric failure"),
     (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2, "error"),
@@ -318,13 +318,9 @@ _FAILURES = [
     (["lambshift", "--alpha", "3", "--m", "1e300", "--bethe-log", "3"], 3, "numeric failure"),
     (["resum", "--lambda0", "1.7e308", "--mu0", "1.46e-255", "--mu", "1e-300"], 3, "numeric failure"),
     (["resum", "--lambda0", "137", "--mu0", "137", "--mu", "137", "--b", "1.7e308"], 3, "numeric failure"),
-    (["selfenergy", "--m", "1e154", "--mu1", "1e-154"], 3, "numeric failure"),
-    # the ledger entry's own checks of a scale alias, C = -ln(mu^2)
-    (
-        ["regularize", "--n", "2", "--msq", "1", "--mu1", "1e-170"],
-        3,
-        "numeric failure: scale 1e-170 squared underflows to 0: C = -ln(mu^2) is past the float range\n",
-    ),
+    (["selfenergy", "--m", "1.7e308", "--mu1", "1"], 3, "numeric failure"),
+    (["regularize", "--n", "4", "--msq", "1e-200"], 3, "numeric failure"),
+    # the ledger entry's own check of a scale alias, C = -ln(mu^2)
     (["regularize", "--n", "2", "--msq", "1", "--mu1", "0"], 2, "error: scale must be positive, got 0.0\n"),
 ]
 
@@ -385,6 +381,29 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    # scales whose square (or the ratio of squares) leaves the float range, though each log does not
+    @pytest.mark.parametrize(
+        "m, mu1",
+        [("1e-200", "1"), ("1e-200", None), ("1e200", None), ("1", "1e200"), ("1", "1e-320"), ("1e154", "1e-154")],
+    )
+    def test_selfenergy_carries_the_scale_log_as_logs(self, capsys, m, mu1):
+        code, report = run_json(capsys, ["selfenergy", "--m", m] + (["--mu1", mu1] if mu1 else []))
+        assert code == 0
+        mu1_used = float(report["outputs"]["mu1_used"])
+        log_ratio = 2.0 * (math.log(float(m)) - math.log(mu1_used))
+        assert float(report["outputs"]["log_ratio"]) == pytest.approx(log_ratio, rel=1e-11)
+        assert float(report["ledger"][0]["value"]) == pytest.approx(-2.0 * math.log(mu1_used), rel=1e-11)
+        delta_m = float(report["outputs"]["delta_m"])
+        assert math.isfinite(delta_m) and (mu1 or abs(delta_m) < 1e-15 * float(m))
+
+    @pytest.mark.parametrize("mu1", ["1e-170", "1e200", "5e-324", "1.7e308"])
+    def test_regularize_aliases_any_positive_scale(self, capsys, mu1):
+        code, report = run_json(capsys, ["regularize", "--n", "2", "--msq", "1", "--mu1", mu1])
+        assert code == 0
+        constant = -2.0 * math.log(float(mu1))
+        assert float(report["ledger"][0]["value"]) == pytest.approx(constant, rel=1e-11)
+        assert float(report["outputs"]["bracket_at_msq"]) == pytest.approx(-constant, rel=1e-11)
+
 
 def _fresh_python(*args):
     """A fresh interpreter run with this checkout's ``loopreg`` on its path."""
@@ -441,6 +460,11 @@ class TestColdImport:
     def test_subcommand_loads_only_its_modules(self, argv, modules):
         loaded = {name.split(".", 1)[1] for name in _cold_imports(argv) if name.startswith("loopreg.")}
         assert loaded == modules
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _COLD], ids=[argv[0] for argv, _ in _COLD])
+    def test_no_subcommand_imports_dataclasses(self, argv):
+        # the value types are slots records: dataclasses and the inspect it pulls in cost ~10 ms per call
+        assert _cold_imports(argv) & {"dataclasses", "inspect"} == set()
 
     def test_package_exposes_its_modules_only(self):
         proc = _fresh_python("-c", "import loopreg; print(' '.join(sorted(n for n in dir(loopreg) if not n.startswith('_'))))")

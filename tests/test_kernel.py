@@ -209,17 +209,18 @@ class TestScaleAlias:
             value.with_scale_alias(2, 1.0)  # C2 carries mass dimension 2
 
     def test_alias_identity_stored_exactly(self):
-        value = kernel.regularize(ScalarLoopIntegral(power=2)).with_scale_alias(1, 0.25)
+        # C = -ln(mu^2) is carried as -2 ln(mu); at mu = 0.9 that differs from -ln(mu**2) in the last bit
+        value = kernel.regularize(ScalarLoopIntegral(power=2)).with_scale_alias(1, 0.9)
         entry = value.constants[0]
-        assert entry.value == -math.log(0.25**2)
-        assert entry.scale_alias == 0.25
+        assert entry.value == -2.0 * math.log(0.9) != -math.log(0.9**2)
+        assert entry.scale_alias == 0.9
 
     def test_entry_derives_its_value_from_the_alias(self):
-        entry = ConstantEntry(index=1, mass_dimension=0, coefficient=1, scale_alias=0.5)
-        assert entry.value == -math.log(0.25)
-        assert ConstantEntry(index=1, mass_dimension=0, coefficient=1, value=entry.value, scale_alias=0.5) == entry
+        entry = ConstantEntry(index=1, mass_dimension=0, coefficient=1, scale_alias=1.3)
+        assert entry.value == -2.0 * math.log(1.3)
+        assert ConstantEntry(index=1, mass_dimension=0, coefficient=1, value=entry.value, scale_alias=1.3) == entry
         with pytest.raises(ValueError, match="exactly"):
-            ConstantEntry(index=1, mass_dimension=0, coefficient=1, value=math.nextafter(entry.value, 0.0), scale_alias=0.5)
+            ConstantEntry(index=1, mass_dimension=0, coefficient=1, value=-math.log(1.3**2), scale_alias=1.3)
 
     def test_unfixed_constant_blocks_numerics(self):
         value = kernel.regularize(ScalarLoopIntegral(power=2))
