@@ -6,6 +6,8 @@ The five modules are the API, and each loads on first use (PEP 562), so
 ``import loopreg`` loads none of them and a caller pays only for the modules
 it reads: ``loopreg.kernel`` and ``from loopreg import kernel`` both work."""
 
+from math import log as _log
+
 __version__ = "0.1.0"
 
 _MODULES = ("feynpar", "kernel", "oracle", "phi4", "qed")
@@ -20,6 +22,13 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_MODULES})
+
+
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a/b) of two positive scales: the log of the ratio, rounded once, so it is the closest; where the
+    ratio leaves (1e-300, 1e300), the difference of the logs of each scale, which stays finite."""
+    ratio = a / b
+    return _log(ratio) if 1e-300 < ratio < 1e300 else _log(a) - _log(b)
 
 
 class _FrozenInstanceError(AttributeError):

@@ -185,9 +185,8 @@ def _restored() -> tuple[bool, str]:
 
 
 def _reference_window() -> tuple[bool, str]:
-    ref = phi4.HiggsReference()
-    window = (ref.lower_bound, ref.predicted, ref.upper_bound)
-    return window == (76.0, 138.0, 170.0) and ref.lower_bound < ref.predicted < ref.upper_bound, ""
+    lower, predicted, upper = phi4.HIGGS_LOWER_BOUND, phi4.HIGGS_PREDICTED, phi4.HIGGS_UPPER_BOUND
+    return (lower, predicted, upper) == (76.0, 138.0, 170.0) and lower < predicted < upper, ""
 
 
 CHECKS: tuple[Check, ...] = (

@@ -172,9 +172,9 @@ def _json(value: Any, precision: int, name: str, indent: str) -> str:
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, Any]]:
     rows = []
-    for e in value.constants:
+    for name, e in zip(value.names, value.constants):
         row: dict[str, Any] = {
-            "name": e.name,
+            "name": name,
             "mass_dimension": e.mass_dimension,
             "coefficient": e.coefficient,
             "msq_power": e.msq_power,
@@ -234,7 +234,7 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     integral = kernel.ScalarLoopIntegral(power=ns.n, mass_sq=cfg.msq_in(ns.msq) if ns.msq is not None else None)
     value = kernel.regularize(integral)
     if ns.mu1 is not None:
-        dimless = [e.index for e in value.constants if e.mass_dimension == 0]
+        dimless = [i for i, e in enumerate(value.constants, start=1) if e.mass_dimension == 0]
         if not dimless:
             raise ValueError("--mu1 given but the result has no dimensionless constant to alias")
         for idx in dimless:
@@ -301,16 +301,15 @@ def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> Report:
 
     pot = phi4.SSBPotential(sigma=cfg.msq_in(ns.sigma), lam=ns.lam)
     phi1, m_sigma = phi4.ssb_vacuum(pot)
-    higgs = phi4.HiggsReference()
     reference = "reference constant (literature input, no derivation here)"
     fields = [
         ("phi1", cfg.mass_out(phi1), "vacuum minimum sqrt(6*sigma/lambda)"),
         ("m_sigma", cfg.mass_out(m_sigma), "curvature mass sqrt(2*sigma)"),
         ("lambda_renormalized", phi4.lambda_renormalized(ns.lam), "one-loop coupling lambda*(1 + 9*lambda/(32*pi^2))"),
         ("invariant_ratio", phi4.lambda_invariant_ratio(m_sigma, phi1), "scale ratio 3*(m_sigma/phi1)^2; returns lambda at every order"),
-        ("higgs_lower_bound", cfg.mass_out(higgs.lower_bound), reference),
-        ("higgs_predicted", cfg.mass_out(higgs.predicted), reference),
-        ("higgs_upper_bound", cfg.mass_out(higgs.upper_bound), reference),
+        ("higgs_lower_bound", cfg.mass_out(phi4.HIGGS_LOWER_BOUND), reference),
+        ("higgs_predicted", cfg.mass_out(phi4.HIGGS_PREDICTED), reference),
+        ("higgs_upper_bound", cfg.mass_out(phi4.HIGGS_UPPER_BOUND), reference),
     ]
     return Report({"sigma": ns.sigma, "lambda": ns.lam}, fields)
 

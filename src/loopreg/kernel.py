@@ -132,7 +132,8 @@ class Term(_Record):
 
 
 class ConstantEntry(_Record):
-    """One arbitrary integration constant C_index and the monomial it multiplies.
+    """One arbitrary integration constant and the monomial it multiplies; its
+    position in the ledger names it (the i-th entry is C_i).
 
     The constant itself carries ``mass_dimension`` (GeV^mass_dimension); its
     monomial factor (M^2)^msq_power evolves under later integrations exactly
@@ -141,13 +142,11 @@ class ConstantEntry(_Record):
     into ln(M^2/mu^2); ``value`` is then derived from the alias as -2 ln(mu).
     """
 
-    __slots__ = __match_args__ = ("index", "mass_dimension", "coefficient", "msq_power", "value", "scale_alias")
+    __slots__ = __match_args__ = ("mass_dimension", "coefficient", "msq_power", "value", "scale_alias")
 
-    def __init__(self, index: int, mass_dimension: int, coefficient: RationalLike, msq_power: int = 0,
+    def __init__(self, mass_dimension: int, coefficient: RationalLike, msq_power: int = 0,
                  value: Optional[float] = None, scale_alias: Optional[float] = None) -> None:
         coefficient = _as_fraction(coefficient)
-        if index < 1:
-            raise ValueError("constant indices start at 1")
         if mass_dimension % 2 != 0:
             raise ValueError(f"mass dimension must be even, got {mass_dimension}")
         if msq_power < 0:
@@ -158,21 +157,16 @@ class ConstantEntry(_Record):
             if not scale_alias > 0:
                 raise ValueError(f"scale must be positive, got {scale_alias!r}")
             if mass_dimension != 0:
-                raise ValueError(f"C{index} has mass dimension {mass_dimension}; only dimensionless constants alias a scale")
+                raise ValueError(f"constant has mass dimension {mass_dimension}; only dimensionless constants alias a scale")
             derived = -2.0 * math.log(scale_alias)
             if value is not None and value != derived:
                 raise ValueError("aliased constant must satisfy C = -ln(mu^2) exactly")
             value = derived
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "mass_dimension", mass_dimension)
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "msq_power", msq_power)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "scale_alias", scale_alias)
-
-    @property
-    def name(self) -> str:
-        return f"C{self.index}"
 
     @property
     def is_fixed(self) -> bool:
@@ -196,18 +190,16 @@ def _canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
 class RegularizedValue(_Record):
     """Closed-form content of a loop integral: exact terms plus a constant ledger.
 
-    ``constants`` is the ledger: the arbitrary constants C1, C2, ... in order,
-    one per integration.  The value is dimensionally homogeneous: all plain
-    terms share one power of M^2 and every constant satisfies
-    dim(C) + 2*msq_power == value dim.
+    ``constants`` is the ledger: the arbitrary constants in order, one per
+    integration, so the i-th entry is C_i (``names``).  The value is
+    dimensionally homogeneous: all plain terms share one power of M^2 and
+    every constant satisfies dim(C) + 2*msq_power == value dim.
     """
 
     __slots__ = __match_args__ = ("terms", "constants")
 
     def __init__(self, terms: Iterable[Term] = (), constants: Iterable[ConstantEntry] = ()) -> None:
         terms, constants = _canonical_terms(terms), tuple(constants)
-        if any(e.index != i for i, e in enumerate(constants, start=1)):
-            raise ValueError("constant indices must be unique and consecutive from 1")
         powers = {t.msq_power for t in terms}
         if len(powers) > 1:
             raise ValueError(f"terms mix mass dimensions (powers {sorted(powers)})")
@@ -229,6 +221,11 @@ class RegularizedValue(_Record):
             e = self.constants[0]
             return e.mass_dimension + 2 * e.msq_power
         return 0
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """C1, C2, ...: each constant's name, its position in the ledger."""
+        return tuple(f"C{i}" for i in range(1, len(self.constants) + 1))
 
     @property
     def unfixed_count(self) -> int:
@@ -259,7 +256,6 @@ class RegularizedValue(_Record):
             for e in self.constants
             if e.msq_power > 0
         ]
-        entries = [e.replace(index=i) for i, e in enumerate(entries, start=1)]
         return RegularizedValue(tuple(terms), tuple(entries))
 
     # -- constant fixing ----------------------------------------------------
@@ -292,7 +288,7 @@ class RegularizedValue(_Record):
             raise ValueError(f"mass_sq must be non-negative, got {msq!r}")
         if msq == 0 and any(t.has_log or t.msq_power < 0 for t in self.terms):
             raise ValueError("mass_sq = 0 hits a logarithm/pole: the value is singular there")
-        unfixed = [e.name for e in self.constants if not e.is_fixed]
+        unfixed = [name for name, e in zip(self.names, self.constants) if not e.is_fixed]
         if unfixed:
             raise ValueError(f"cannot evaluate numerically: unfixed constants {', '.join(unfixed)}")
         pieces = []
@@ -317,8 +313,8 @@ class RegularizedValue(_Record):
         pieces: list[str] = []
         for t in self.terms:
             pieces.append(_format_piece(t.coefficient, t.msq_power, "ln(M^2)" if t.has_log else None, not pieces))
-        for e in self.constants:
-            pieces.append(_format_piece(e.coefficient, e.msq_power, e.name, not pieces))
+        for name, e in zip(self.names, self.constants):
+            pieces.append(_format_piece(e.coefficient, e.msq_power, name, not pieces))
         body = " ".join(pieces) if pieces else "0"
         return f"({UNIT_LABEL}) * ({body})"
 
@@ -388,15 +384,7 @@ def _integrate_once(value: RegularizedValue) -> RegularizedValue:
         kappa = value.constants[-1].coefficient
     else:
         kappa = Fraction(1)
-    dimension = value.mass_dimension + 2
-    entries.append(
-        ConstantEntry(
-            index=len(entries) + 1,
-            mass_dimension=dimension,
-            coefficient=kappa,
-            msq_power=0,
-        )
-    )
+    entries.append(ConstantEntry(value.mass_dimension + 2, kappa))
     return RegularizedValue(tuple(new_terms), tuple(entries))
 
 

@@ -270,6 +270,8 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     whether or not the pieces were cached, and OverflowError when the result
     lies past the float range.
     """
+    if power < 1:
+        raise ValueError(f"power must be >= 1, got {power!r}")
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
     if not mass_sq > 0:
@@ -307,8 +309,6 @@ def wick_rotated_radial(
     power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10
 ) -> float:
     """Cutoff loop integral as a real multiple of the unit i/(16 pi^2)."""
-    if power < 1:
-        raise ValueError(f"power must be >= 1, got {power!r}")
     return unit_multiple(power, radial_integral(power, mass_sq, cutoff, rel_tol))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from . import _Record
+from . import _Record, _log_ratio
 
 __all__ = [
     "BETA_ONE_LOOP",
@@ -35,7 +35,9 @@ __all__ = [
     "LandauPoleError",
     "SSBPotential",
     "ResummationState",
-    "HiggsReference",
+    "HIGGS_LOWER_BOUND",
+    "HIGGS_PREDICTED",
+    "HIGGS_UPPER_BOUND",
     "ssb_vacuum",
     "lambda_renormalized",
     "lambda_invariant_ratio",
@@ -52,16 +54,12 @@ BETA_ONE_LOOP = 9.0 / (32.0 * math.pi**2)
 VACUUM_BROKEN = "ssb-vacuum"
 VACUUM_RESTORED = "symmetry-restoration"
 
+#: Reference Higgs mass window and point value in GeV (stored inputs, not derived here).
+HIGGS_LOWER_BOUND, HIGGS_PREDICTED, HIGGS_UPPER_BOUND = 76.0, 138.0, 170.0
+
 
 class LandauPoleError(ArithmeticError):
     """The resummed coupling was requested at or beyond its pole."""
-
-    def __init__(self, mu: float, critical: float):
-        self.mu = mu
-        self.critical = critical
-        super().__init__(
-            f"resummed coupling has a pole: mu = {mu:g} reaches the critical scale {critical:g}"
-        )
 
 
 class SSBPotential(_Record):
@@ -139,7 +137,7 @@ def _first_order_term(state: ResummationState, mu: float) -> float:
     """b lambda0 ln(mu^2/mu0^2), the term both resummation orders are built from."""
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu!r}")
-    return state.beta_coeff * state.lambda0 * (2.0 * math.log(mu / state.mu0))
+    return state.beta_coeff * state.lambda0 * (2.0 * _log_ratio(mu, state.mu0))
 
 
 def resum_chain(state: ResummationState, mu: float) -> float:
@@ -149,7 +147,8 @@ def resum_chain(state: ResummationState, mu: float) -> float:
     """
     denominator = 1.0 - _first_order_term(state, mu)
     if denominator <= 0.0:
-        raise LandauPoleError(mu=mu, critical=critical_scale(state))
+        critical = critical_scale(state)
+        raise LandauPoleError(f"resummed coupling has a pole: mu = {mu:g} reaches the critical scale {critical:g}")
     return state.lambda0 / denominator
 
 
@@ -175,17 +174,3 @@ def symmetry_status(state: ResummationState, mu: float) -> str:
     """VACUUM_RESTORED exactly where resum_chain raises LandauPoleError (its
     denominator is no longer positive), VACUUM_BROKEN elsewhere."""
     return VACUUM_RESTORED if 1.0 - _first_order_term(state, mu) <= 0.0 else VACUUM_BROKEN
-
-
-class HiggsReference(_Record):
-    """Reference mass window and point value in GeV (stored inputs, not
-    derived here)."""
-
-    __slots__ = __match_args__ = ("lower_bound", "upper_bound", "predicted")
-
-    def __init__(self, lower_bound: float = 76.0, upper_bound: float = 170.0, predicted: float = 138.0) -> None:
-        if not lower_bound < predicted < upper_bound:
-            raise ValueError(f"reference ordering violated: {lower_bound} < {predicted} < {upper_bound} must hold")
-        object.__setattr__(self, "lower_bound", lower_bound)
-        object.__setattr__(self, "upper_bound", upper_bound)
-        object.__setattr__(self, "predicted", predicted)

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _Record, feynpar, kernel
+from . import _Record, _log_ratio, feynpar, kernel
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -126,8 +126,7 @@ def on_shell_mass_shift(m: float, alpha: float, mu1: float) -> MassShift:
             raise ValueError(f"{name} must be positive, got {v!r}")
     c0, c_log = pipeline_coefficients()
     prefactor = alpha * m / (4.0 * math.pi)
-    ratio = m / mu1  # rounded once, so its log is the closest; past the float range, the logs of each scale
-    log_ratio = 2.0 * (math.log(ratio) if 1e-300 < ratio < 1e300 else math.log(m) - math.log(mu1))
+    log_ratio = 2.0 * _log_ratio(m, mu1)
     return MassShift(prefactor * (float(c0) + float(c_log) * log_ratio), log_ratio)
 
 

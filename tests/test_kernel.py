@@ -112,7 +112,7 @@ class TestIntegrateBack:
         value = kernel.integrate_back(seed, 1)
         assert value.terms == (Term(Fraction(-1), 0, True),)
         assert value.constants == (
-            ConstantEntry(index=1, mass_dimension=0, coefficient=Fraction(-1), msq_power=0),
+            ConstantEntry(mass_dimension=0, coefficient=Fraction(-1), msq_power=0),
         )
 
     def test_zero_times_identity(self):
@@ -145,7 +145,7 @@ class TestRegularize:
         value = kernel.regularize(ScalarLoopIntegral(power=2))
         assert value.terms == (Term(Fraction(-1), 0, True),)
         assert value.constants == (
-            ConstantEntry(index=1, mass_dimension=0, coefficient=Fraction(-1), msq_power=0),
+            ConstantEntry(mass_dimension=0, coefficient=Fraction(-1), msq_power=0),
         )
         assert value.render() == "(i/(16*pi^2)) * (-ln(M^2) - C1)"
 
@@ -205,7 +205,7 @@ class TestScaleAlias:
 
     def test_alias_requires_dimensionless_constant(self):
         value = kernel.regularize(ScalarLoopIntegral(power=1))
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="mass dimension 2"):
             value.with_scale_alias(2, 1.0)  # C2 carries mass dimension 2
 
     def test_alias_identity_stored_exactly(self):
@@ -216,11 +216,11 @@ class TestScaleAlias:
         assert entry.scale_alias == 0.9
 
     def test_entry_derives_its_value_from_the_alias(self):
-        entry = ConstantEntry(index=1, mass_dimension=0, coefficient=1, scale_alias=1.3)
+        entry = ConstantEntry(mass_dimension=0, coefficient=1, scale_alias=1.3)
         assert entry.value == -2.0 * math.log(1.3)
-        assert ConstantEntry(index=1, mass_dimension=0, coefficient=1, value=entry.value, scale_alias=1.3) == entry
+        assert ConstantEntry(mass_dimension=0, coefficient=1, value=entry.value, scale_alias=1.3) == entry
         with pytest.raises(ValueError, match="exactly"):
-            ConstantEntry(index=1, mass_dimension=0, coefficient=1, value=-math.log(1.3**2), scale_alias=1.3)
+            ConstantEntry(mass_dimension=0, coefficient=1, value=-math.log(1.3**2), scale_alias=1.3)
 
     def test_unfixed_constant_blocks_numerics(self):
         value = kernel.regularize(ScalarLoopIntegral(power=2))
@@ -267,9 +267,12 @@ class TestValueInvariants:
         with pytest.raises(ValueError, match="dimension"):
             RegularizedValue((Term(Fraction(1), 0), Term(Fraction(1), 1)))
 
-    def test_ledger_indices_must_be_consecutive(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            RegularizedValue(constants=(ConstantEntry(index=2, mass_dimension=0, coefficient=Fraction(1)),))
+    def test_ledger_position_names_each_constant(self):
+        value = kernel.regularize(ScalarLoopIntegral(power=1))
+        assert value.names == ("C1", "C2")
+        # d/dM^2 annihilates C2, the constant at power 0; C1 keeps its position and so its name
+        assert value.differentiate().names == ("C1",)
+        assert RegularizedValue().names == ()
 
     @pytest.mark.parametrize("index", [0, 2])
     def test_missing_constant_index_raises_key_error(self, index):
@@ -279,7 +282,7 @@ class TestValueInvariants:
 
     def test_entry_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="even"):
-            ConstantEntry(index=1, mass_dimension=1, coefficient=Fraction(1))
+            ConstantEntry(mass_dimension=1, coefficient=Fraction(1))
 
     def test_mass_dimension_property(self):
         assert kernel.regularize(ScalarLoopIntegral(power=2)).mass_dimension == 0

@@ -61,6 +61,12 @@ class TestWickRotatedRadial:
         with pytest.raises(ValueError):
             oracle.radial_integral(2, 1.0, 0.0)
 
+    @pytest.mark.parametrize("power", [0, -1])
+    def test_radial_owns_its_power_check(self, power):
+        # not only its wick-rotated caller: a radial of power < 1 is no member of the family
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            oracle.radial_integral(power, 1.0, 10.0)
+
 
 class TestCutoffProbe:
     def test_grid_must_increase(self):

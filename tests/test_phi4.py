@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from loopreg import checks, phi4
 from loopreg.phi4 import (
     BETA_ONE_LOOP,
-    HiggsReference,
     LandauPoleError,
     ResummationState,
     SSBPotential,
@@ -224,6 +223,28 @@ class TestSymmetryStatus:
             assert phi4.symmetry_status(state, mu) == phi4.VACUUM_BROKEN
 
 
+class TestScaleRatioPastTheFloatRange:
+    """mu/mu0 past the float range: the log is the difference of the logs, not ln(inf) or ln(0)."""
+
+    # b lambda0 ~ 1.4e-318, so ln(mu^2/mu0^2) ~ 1483 moves neither order off lambda0
+    TINY = ResummationState(lambda0=137.0, mu0=1e-320, beta_coeff=1e-320)
+
+    def test_chain_is_finite(self):
+        assert phi4.resum_chain(self.TINY, 137.0) == 137.0
+
+    def test_first_order_is_finite(self):
+        assert phi4.resum_first_order(self.TINY, 137.0) == 137.0
+
+    def test_vacuum_stays_broken(self):
+        assert phi4.symmetry_status(self.TINY, 137.0) == phi4.VACUUM_BROKEN
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(log_mu=st.floats(math.log(1e-320), math.log(1e308)), log_mu0=st.floats(math.log(1e-320), math.log(1e308)))
+    def test_first_order_finite_for_every_pair_of_scales(self, log_mu, log_mu0):
+        state = ResummationState(lambda0=0.5, mu0=math.exp(log_mu0))
+        assert math.isfinite(phi4.resum_first_order(state, math.exp(log_mu)))
+
+
 class TestFiniteOrderDichotomy:
     def test_finite_orders_regular_but_resummation_poles(self):
         state = ResummationState(lambda0=3.0, mu0=1.0)
@@ -238,13 +259,7 @@ class TestFiniteOrderDichotomy:
 
 class TestHiggsReference:
     def test_defaults(self):
-        ref = HiggsReference()
-        assert (ref.lower_bound, ref.predicted, ref.upper_bound) == (76.0, 138.0, 170.0)
+        assert (phi4.HIGGS_LOWER_BOUND, phi4.HIGGS_PREDICTED, phi4.HIGGS_UPPER_BOUND) == (76.0, 138.0, 170.0)
 
     def test_ordering_invariant(self):
-        ref = HiggsReference()
-        assert ref.lower_bound < ref.predicted < ref.upper_bound
-
-    def test_violation_rejected(self):
-        with pytest.raises(ValueError):
-            HiggsReference(lower_bound=150.0)
+        assert phi4.HIGGS_LOWER_BOUND < phi4.HIGGS_PREDICTED < phi4.HIGGS_UPPER_BOUND
