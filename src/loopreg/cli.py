@@ -175,7 +175,7 @@ def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[st
     for name, e in zip(value.names, value.constants):
         row: dict[str, Any] = {
             "name": name,
-            "mass_dimension": e.mass_dimension,
+            "mass_dimension": value.constant_dimension(e),
             "coefficient": e.coefficient,
             "msq_power": e.msq_power,
             "status": "fixed" if e.is_fixed else "unfixed",
@@ -234,13 +234,14 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     integral = kernel.ScalarLoopIntegral(power=ns.n, mass_sq=cfg.msq_in(ns.msq) if ns.msq is not None else None)
     value = kernel.regularize(integral)
     if ns.mu1 is not None:
-        dimless = [i for i, e in enumerate(value.constants, start=1) if e.mass_dimension == 0]
+        dimless = [i for i, e in enumerate(value.constants, start=1) if value.constant_dimension(e) == 0]
         if not dimless:
             raise ValueError("--mu1 given but the result has no dimensionless constant to alias")
         for idx in dimless:
             value = value.with_scale_alias(idx, cfg.mass_in(ns.mu1))
 
-    terms = [{"coefficient": t.coefficient, "msq_power": t.msq_power, "log": t.has_log} for t in value.terms]
+    monomials = ((value.log_coefficient, True), (value.coefficient, False))
+    terms = [{"coefficient": c, "msq_power": value.msq_power, "log": log} for c, log in monomials if c]
     fields = [
         ("unit", kernel.UNIT_LABEL, "all coefficients are exact rational multiples of i/(16*pi^2)"),
         ("superficial_degree", kernel.superficial_degree(integral), "power counting 4 - 2n"),
@@ -335,9 +336,9 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         rows: list[dict[str, Any]] = []
         for i in range(ns.mu_points):
             mu = lo * ratio**i
-            try:
+            try:  # the chain's outcome is the status: a value below the critical scale, a pole at or past it
                 coupling: Optional[float] = phi4.resum_chain(state, mu)
-                status = phi4.symmetry_status(state, mu)
+                status = phi4.VACUUM_BROKEN
             except phi4.LandauPoleError:
                 coupling, status = None, "pole"
             rows.append({"mu": cfg.mass_out(mu), "coupling": coupling, "status": status})
@@ -357,7 +358,7 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("coupling", phi4.resum_chain(state, mu), chain),  # LandauPoleError -> exit 3
         ("first_order", phi4.resum_first_order(state, mu), "finite-order truncation lambda0*(1 + b*lambda0*ln(mu^2/mu0^2)); regular everywhere"),
         ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
-        ("status", phi4.symmetry_status(state, mu), "ssb-vacuum below the critical scale; at or past it the coupling has a pole and the request exits 3 without a report"),
+        ("status", phi4.VACUUM_BROKEN, "ssb-vacuum below the critical scale; at or past it the coupling has a pole and the request exits 3 without a report"),
     ]
     return Report({"lambda0": ns.lambda0, "mu0": ns.mu0, "mu": ns.mu, "b": state.beta_coeff}, fields)
 

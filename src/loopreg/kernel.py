@@ -8,10 +8,12 @@ with the loop momentum already shifted so the denominator depends on K^2
 alone.  Members with n <= 2 diverge at large K.  The reduction implemented
 by :func:`regularize` differentiates in M^2 until the power counting turns
 negative, evaluates the convergent closed form, and integrates back in M^2
-the same number of times.  Each indefinite integration births one arbitrary
-constant, recorded in order in the ledger ``RegularizedValue.constants``;
-renormalization later fixes those constants against physical conditions
-instead of subtracting anything.
+the same number of times.  The result is one power of M^2 times
+(a ln(M^2) + b) with no divergent piece, e.g. I_2 = -ln(M^2) - C1 and
+I_1 = M^2 (-ln(M^2) + 1) - C1 M^2 - C2 (in the unit below).  Each indefinite
+integration births one arbitrary constant, recorded in order in the ledger
+``RegularizedValue.constants``; renormalization later fixes those constants
+against physical conditions instead of subtracting anything.
 
 Every coefficient is an exact :class:`fractions.Fraction` multiple of the
 unit i/(16 pi^2); nothing is rounded until a caller asks for a numeric
@@ -33,7 +35,6 @@ __all__ = [
     "UNIT_NUMERIC",
     "StillDivergentError",
     "ScalarLoopIntegral",
-    "Term",
     "ConstantEntry",
     "RegularizedValue",
     "superficial_degree",
@@ -115,40 +116,21 @@ def differentiate_in_masssq(
     return integral.replace(power=n + times), prefactor
 
 
-class Term(_Record):
-    """One summand c * (M^2)^p * ln(M^2)^l of a regularized value, l in {0, 1}.
-
-    ``coefficient`` is an exact rational multiple of i/(16 pi^2).
-    """
-
-    __slots__ = __match_args__ = ("coefficient", "msq_power", "has_log")
-
-    def __init__(self, coefficient: RationalLike, msq_power: int, has_log: bool = False) -> None:
-        object.__setattr__(self, "coefficient", _as_fraction(coefficient))
-        if not isinstance(msq_power, int):
-            raise TypeError(f"msq_power must be an integer, got {type(msq_power).__name__}")
-        object.__setattr__(self, "msq_power", msq_power)
-        object.__setattr__(self, "has_log", has_log)
-
-
 class ConstantEntry(_Record):
-    """One arbitrary integration constant and the monomial it multiplies; its
-    position in the ledger names it (the i-th entry is C_i).
+    """One arbitrary integration constant and the monomial (M^2)^msq_power it
+    multiplies; its position in the ledger names it (the i-th entry is C_i).
 
-    The constant itself carries ``mass_dimension`` (GeV^mass_dimension); its
-    monomial factor (M^2)^msq_power evolves under later integrations exactly
-    like any other term.  A dimensionless constant may be fixed through a
-    scale alias mu with C = -ln(mu^2), which is what turns a bare ln(M^2)
+    The entry stores no mass dimension: the value it sits in derives it
+    (``RegularizedValue.constant_dimension``).  A constant may be fixed through
+    a scale alias mu with C = -ln(mu^2), which is what turns a bare ln(M^2)
     into ln(M^2/mu^2); ``value`` is then derived from the alias as -2 ln(mu).
     """
 
-    __slots__ = __match_args__ = ("mass_dimension", "coefficient", "msq_power", "value", "scale_alias")
+    __slots__ = __match_args__ = ("coefficient", "msq_power", "value", "scale_alias")
 
-    def __init__(self, mass_dimension: int, coefficient: RationalLike, msq_power: int = 0,
+    def __init__(self, coefficient: RationalLike, msq_power: int = 0,
                  value: Optional[float] = None, scale_alias: Optional[float] = None) -> None:
         coefficient = _as_fraction(coefficient)
-        if mass_dimension % 2 != 0:
-            raise ValueError(f"mass dimension must be even, got {mass_dimension}")
         if msq_power < 0:
             raise ValueError("constant monomial power must be non-negative")
         if coefficient == 0:
@@ -156,13 +138,10 @@ class ConstantEntry(_Record):
         if scale_alias is not None:
             if not scale_alias > 0:
                 raise ValueError(f"scale must be positive, got {scale_alias!r}")
-            if mass_dimension != 0:
-                raise ValueError(f"constant has mass dimension {mass_dimension}; only dimensionless constants alias a scale")
             derived = -2.0 * math.log(scale_alias)
             if value is not None and value != derived:
                 raise ValueError("aliased constant must satisfy C = -ln(mu^2) exactly")
             value = derived
-        object.__setattr__(self, "mass_dimension", mass_dimension)
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "msq_power", msq_power)
         object.__setattr__(self, "value", value)
@@ -173,54 +152,39 @@ class ConstantEntry(_Record):
         return self.value is not None
 
 
-def _canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
-    merged: dict[tuple[int, bool], Fraction] = {}
-    for t in terms:
-        key = (t.msq_power, t.has_log)
-        merged[key] = merged.get(key, Fraction(0)) + t.coefficient
-    kept = [
-        Term(coeff, power, log)
-        for (power, log), coeff in merged.items()
-        if coeff != 0
-    ]
-    kept.sort(key=lambda t: (-t.msq_power, not t.has_log))
-    return tuple(kept)
-
-
 class RegularizedValue(_Record):
-    """Closed-form content of a loop integral: exact terms plus a constant ledger.
+    """Closed-form content of a loop integral, one power of M^2 and two exact
+    coefficients plus a constant ledger:
+
+        (M^2)^msq_power * (log_coefficient * ln(M^2) + coefficient)
+            + sum_i kappa_i * C_i * (M^2)^q_i.
 
     ``constants`` is the ledger: the arbitrary constants in order, one per
-    integration, so the i-th entry is C_i (``names``).  The value is
-    dimensionally homogeneous: all plain terms share one power of M^2 and
-    every constant satisfies dim(C) + 2*msq_power == value dim.
+    integration, so the i-th entry is C_i (``names``).  The value has the
+    mass dimension 2*msq_power, so a constant's own dimension follows from
+    its monomial: 2*(msq_power - q_i).
     """
 
-    __slots__ = __match_args__ = ("terms", "constants")
+    __slots__ = __match_args__ = ("msq_power", "log_coefficient", "coefficient", "constants")
 
-    def __init__(self, terms: Iterable[Term] = (), constants: Iterable[ConstantEntry] = ()) -> None:
-        terms, constants = _canonical_terms(terms), tuple(constants)
-        powers = {t.msq_power for t in terms}
-        if len(powers) > 1:
-            raise ValueError(f"terms mix mass dimensions (powers {sorted(powers)})")
-        dims = {e.mass_dimension + 2 * e.msq_power for e in constants}
-        if powers:
-            dims.add(2 * next(iter(powers)))
-        if len(dims) > 1:
-            raise ValueError(f"value is not dimensionally homogeneous (dims {sorted(dims)})")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "constants", constants)
+    def __init__(self, msq_power: int = 0, log_coefficient: RationalLike = 0, coefficient: RationalLike = 0,
+                 constants: Iterable[ConstantEntry] = ()) -> None:
+        if not isinstance(msq_power, int):
+            raise TypeError(f"msq_power must be an integer, got {type(msq_power).__name__}")
+        object.__setattr__(self, "msq_power", msq_power)
+        object.__setattr__(self, "log_coefficient", _as_fraction(log_coefficient))
+        object.__setattr__(self, "coefficient", _as_fraction(coefficient))
+        object.__setattr__(self, "constants", tuple(constants))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def mass_dimension(self) -> int:
-        if self.terms:
-            return 2 * self.terms[0].msq_power
-        if self.constants:
-            e = self.constants[0]
-            return e.mass_dimension + 2 * e.msq_power
-        return 0
+        return 2 * self.msq_power
+
+    def constant_dimension(self, entry: ConstantEntry) -> int:
+        """Mass dimension of a ledger constant: what its monomial leaves of the value's."""
+        return 2 * (self.msq_power - entry.msq_power)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -232,43 +196,37 @@ class RegularizedValue(_Record):
         return sum(not e.is_fixed for e in self.constants)
 
     def scaled(self, factor: RationalLike) -> "RegularizedValue":
-        """Multiply the whole value (terms and constants) by an exact rational."""
+        """Multiply the whole value (coefficients and constants) by an exact rational."""
         f = _as_fraction(factor)
         if f == 0:
-            return RegularizedValue()
-        terms = tuple(t.replace(coefficient=t.coefficient * f) for t in self.terms)
+            return RegularizedValue(self.msq_power)
         entries = tuple(e.replace(coefficient=e.coefficient * f) for e in self.constants)
-        return RegularizedValue(terms, entries)
+        return RegularizedValue(self.msq_power, self.log_coefficient * f, self.coefficient * f, entries)
 
     def differentiate(self) -> "RegularizedValue":
-        """Symbolic d/dM^2.  Constants sitting at power 0 are annihilated."""
-        terms: list[Term] = []
-        for t in self.terms:
-            p = t.msq_power
-            if t.has_log:
-                if p != 0:
-                    terms.append(Term(t.coefficient * p, p - 1, True))
-                terms.append(Term(t.coefficient, p - 1, False))
-            elif p != 0:
-                terms.append(Term(t.coefficient * p, p - 1, False))
-        entries = [
+        """Symbolic d/dM^2: (M^2)^p (a ln M^2 + b) -> (M^2)^(p-1) (p a ln M^2 + a + p b).
+        Constants sitting at power 0 are annihilated."""
+        p, a = self.msq_power, self.log_coefficient
+        entries = tuple(
             e.replace(coefficient=e.coefficient * e.msq_power, msq_power=e.msq_power - 1)
             for e in self.constants
             if e.msq_power > 0
-        ]
-        return RegularizedValue(tuple(terms), tuple(entries))
+        )
+        return RegularizedValue(p - 1, p * a, a + p * self.coefficient, entries)
 
     # -- constant fixing ----------------------------------------------------
 
     def _with_constant(self, index: int, value: Optional[float], scale_alias: Optional[float]) -> "RegularizedValue":
         if not 1 <= index <= len(self.constants):
             raise KeyError(f"no constant C{index} in ledger")
-        entries = list(self.constants)
-        entries[index - 1] = entries[index - 1].replace(value=value, scale_alias=scale_alias)
-        return RegularizedValue(self.terms, tuple(entries))
+        entry = self.constants[index - 1].replace(value=value, scale_alias=scale_alias)
+        dimension = self.constant_dimension(entry)
+        if scale_alias is not None and dimension != 0:
+            raise ValueError(f"constant has mass dimension {dimension}; only dimensionless constants alias a scale")
+        return self.replace(constants=(*self.constants[: index - 1], entry, *self.constants[index:]))
 
     def with_constant_fixed(self, index: int, value: float) -> "RegularizedValue":
-        """Fix C_index to a plain numeric value (units GeV^mass_dimension)."""
+        """Fix C_index to a plain numeric value (units GeV^constant_dimension)."""
         return self._with_constant(index, float(value), None)
 
     def with_scale_alias(self, index: int, mu: float) -> "RegularizedValue":
@@ -284,22 +242,19 @@ class RegularizedValue(_Record):
         All constants must be fixed.  msq = 0 is accepted only for purely
         polynomial content (a log term or inverse power is singular there).
         """
+        p, a, b = self.msq_power, self.log_coefficient, self.coefficient
         if msq < 0:
             raise ValueError(f"mass_sq must be non-negative, got {msq!r}")
-        if msq == 0 and any(t.has_log or t.msq_power < 0 for t in self.terms):
+        if msq == 0 and (a or (p < 0 and b)):
             raise ValueError("mass_sq = 0 hits a logarithm/pole: the value is singular there")
         unfixed = [name for name, e in zip(self.names, self.constants) if not e.is_fixed]
         if unfixed:
             raise ValueError(f"cannot evaluate numerically: unfixed constants {', '.join(unfixed)}")
-        pieces = []
-        log_msq = math.log(msq) if msq > 0 and any(t.has_log for t in self.terms) else 0.0
-        for t in self.terms:
-            v = float(t.coefficient) * msq**t.msq_power
-            if t.has_log:
-                v *= log_msq
-            pieces.append(v)
-        for e in self.constants:
-            pieces.append(float(e.coefficient) * e.value * msq**e.msq_power)
+        pieces = [float(e.coefficient) * e.value * msq**e.msq_power for e in self.constants]
+        if a:
+            pieces.append(float(a) * msq**p * math.log(msq))
+        if b:
+            pieces.append(float(b) * msq**p)
         return math.fsum(pieces)
 
     def value(self, msq: float) -> complex:
@@ -310,11 +265,12 @@ class RegularizedValue(_Record):
 
     def render(self) -> str:
         """Readable form, e.g. '(i/(16*pi^2)) * (-ln(M^2) - C1)'."""
+        monomials = [(self.log_coefficient, self.msq_power, "ln(M^2)"), (self.coefficient, self.msq_power, None)]
+        monomials += [(e.coefficient, e.msq_power, name) for name, e in zip(self.names, self.constants)]
         pieces: list[str] = []
-        for t in self.terms:
-            pieces.append(_format_piece(t.coefficient, t.msq_power, "ln(M^2)" if t.has_log else None, not pieces))
-        for name, e in zip(self.names, self.constants):
-            pieces.append(_format_piece(e.coefficient, e.msq_power, name, not pieces))
+        for coeff, power, symbol in monomials:
+            if coeff:
+                pieces.append(_format_piece(coeff, power, symbol, not pieces))
         body = " ".join(pieces) if pieces else "0"
         return f"({UNIT_LABEL}) * ({body})"
 
@@ -351,26 +307,17 @@ def evaluate_convergent(integral: ScalarLoopIntegral) -> RegularizedValue:
             f"power {n} is still divergent (degree {superficial_degree(integral)}); "
             "differentiate before evaluating"
         )
-    coeff = Fraction((-1) ** n, (n - 1) * (n - 2))
-    return RegularizedValue((Term(coeff, 2 - n),))
+    return RegularizedValue(2 - n, 0, Fraction((-1) ** n, (n - 1) * (n - 2)))
 
 
 def _integrate_once(value: RegularizedValue) -> RegularizedValue:
-    new_terms: list[Term] = []
-    log_seed = Fraction(0)
-    for t in value.terms:
-        p = t.msq_power
-        if t.has_log:
-            if p == -1:
-                raise ValueError("integration would produce ln^2(M^2), outside the supported closed algebra")
-            new_terms.append(Term(t.coefficient / (p + 1), p + 1, True))
-            new_terms.append(Term(-t.coefficient / (p + 1) ** 2, p + 1, False))
-        elif p == -1:
-            new_terms.append(Term(t.coefficient, 0, True))
-            log_seed += t.coefficient
-        else:
-            new_terms.append(Term(t.coefficient / (p + 1), p + 1, False))
-
+    """(M^2)^p (a ln M^2 + b) -> (M^2)^q (a/q ln M^2 + b/q - a/q^2) with q = p + 1,
+    or b ln M^2 at q = 0, plus one fresh constant."""
+    p, a, b = value.msq_power, value.log_coefficient, value.coefficient
+    q = p + 1
+    if q == 0 and a:
+        raise ValueError("integration would produce ln^2(M^2), outside the supported closed algebra")
+    log_coefficient, coefficient = (b, 0) if q == 0 else (a / q, b / q - a / q**2)
     entries = [
         e.replace(coefficient=e.coefficient / (e.msq_power + 1), msq_power=e.msq_power + 1)
         for e in value.constants
@@ -378,20 +325,19 @@ def _integrate_once(value: RegularizedValue) -> RegularizedValue:
     # The fresh constant pairs with the log it completes (same coefficient),
     # so that C = -ln(mu^2) later closes the log into ln(M^2/mu^2); with no
     # log created this step it inherits the running bracket coefficient.
-    if log_seed != 0:
-        kappa = log_seed
+    if q == 0 and b:
+        kappa = b
     elif value.constants:
         kappa = value.constants[-1].coefficient
     else:
         kappa = Fraction(1)
-    entries.append(ConstantEntry(value.mass_dimension + 2, kappa))
-    return RegularizedValue(tuple(new_terms), tuple(entries))
+    entries.append(ConstantEntry(kappa))
+    return RegularizedValue(q, log_coefficient, coefficient, entries)
 
 
 def integrate_back(value: RegularizedValue, times: int) -> RegularizedValue:
     """Antidifferentiate in M^2 ``times`` times, appending one arbitrary
-    constant per application (with the mass dimension that keeps the value
-    homogeneous)."""
+    constant per application."""
     if times < 0:
         raise ValueError(f"times must be non-negative, got {times}")
     current = value

@@ -74,7 +74,6 @@ class MassShift(_Record):
         object.__setattr__(self, "log_ratio", log_ratio)
 
 
-@lru_cache(maxsize=1)
 def _on_shell_log_split() -> tuple[Fraction, Fraction]:
     """Regulated power-2 integral on the mass shell, split along the log.
 
@@ -83,12 +82,11 @@ def _on_shell_log_split() -> tuple[Fraction, Fraction]:
     non-x part into L = ln(m^2/mu1^2).  Returns (coeff of L, coeff of ln x).
     """
     reg = kernel.regularize(kernel.ScalarLoopIntegral(power=2))
-    log_terms = [t for t in reg.terms if t.has_log]
-    if len(log_terms) != 1 or log_terms[0].msq_power != 0:
+    c = reg.log_coefficient
+    if reg.msq_power != 0 or c == 0:
         raise AssertionError("unexpected structure of the regulated power-2 integral")
-    c = log_terms[0].coefficient
     entries = reg.constants
-    if len(entries) != 1 or entries[0].mass_dimension != 0 or entries[0].coefficient != c:
+    if len(entries) != 1 or reg.constant_dimension(entries[0]) != 0 or entries[0].coefficient != c:
         raise AssertionError("the power-2 ledger must hold one dimensionless constant paired with the log")
     return c, 2 * c
 
@@ -171,6 +169,6 @@ def lamb_shift_estimate(alpha: float, m: float, bethe_log: float) -> float:
     for name, v in (("alpha", alpha), ("m", m), ("bethe_log", bethe_log)):
         if not v > 0:
             raise ValueError(f"{name} must be positive, got {v!r}")
-    bracket = math.log(1.0 / alpha**2) - bethe_log + 19.0 / 30.0
+    bracket = -2.0 * math.log(alpha) - bethe_log + 19.0 / 30.0
     delta_e_gev = alpha**5 * m / (6.0 * math.pi) * bracket
     return delta_e_gev * GEV_TO_MHZ

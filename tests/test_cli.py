@@ -306,7 +306,7 @@ class TestOracleCommand:
 # argv that must exit 2 or 3 with nothing on stdout, and a text its stderr must hold
 _FAILURES = [
     (["selfenergy", "--m", "1e308", "--mu1", "1e-308"], 3, "numeric failure: delta_m must be finite, got -inf"),
-    (["lambshift", "--alpha", "1e-200"], 3, "numeric failure"),
+    (["lambshift", "--alpha", "1e62"], 3, "numeric failure"),  # alpha^5 overflows
     (["resum", "--lambda0", "0.0105", "--mu0", "249.56", "--mu", "2.99e7"], 3, "numeric failure"),
     (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2, "error"),
     (["phi4", "--sigma", "inf", "--lambda", "1"], 2, "error"),
@@ -395,6 +395,13 @@ class TestExitCodes:
         assert float(report["ledger"][0]["value"]) == pytest.approx(-2.0 * math.log(mu1_used), rel=1e-11)
         delta_m = float(report["outputs"]["delta_m"])
         assert math.isfinite(delta_m) and (mu1 or abs(delta_m) < 1e-15 * float(m))
+
+    # alpha^5 underflows to 0 while ln(1/alpha^2) = -2 ln(alpha) stays finite: the estimate is 0, not a failure
+    @pytest.mark.parametrize("alpha", ["1e-160", "1e-200"])
+    def test_lambshift_tiny_alpha_estimates_zero(self, capsys, alpha):
+        code, report = run_json(capsys, ["lambshift", "--alpha", alpha])
+        assert code == 0
+        assert report["outputs"]["lamb_shift_mhz"] == "0"
 
     @pytest.mark.parametrize("mu1", ["1e-170", "1e200", "5e-324", "1.7e308"])
     def test_regularize_aliases_any_positive_scale(self, capsys, mu1):

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopreg import kernel
 from loopreg.kernel import (
@@ -9,7 +11,6 @@ from loopreg.kernel import (
     RegularizedValue,
     ScalarLoopIntegral,
     StillDivergentError,
-    Term,
 )
 
 
@@ -80,7 +81,7 @@ class TestDifferentiateInMassSq:
 class TestEvaluateConvergent:
     def test_cubic_member_exact(self):
         value = kernel.evaluate_convergent(ScalarLoopIntegral(power=3))
-        assert value.terms == (Term(Fraction(-1, 2), -1),)
+        assert value == RegularizedValue(-1, 0, Fraction(-1, 2))
         assert len(value.constants) == 0
 
     def test_cubic_member_numeric(self):
@@ -91,12 +92,12 @@ class TestEvaluateConvergent:
     def test_prefactor_scaled_matches_first_derivative_form(self):
         # 2 * I_3 = -i/(16 pi^2 M^2): unit multiple -1 at power -1
         value = kernel.evaluate_convergent(ScalarLoopIntegral(power=3)).scaled(2)
-        assert value.terms == (Term(Fraction(-1), -1),)
+        assert value == RegularizedValue(-1, 0, -1)
         assert value.bracket(2.0) == pytest.approx(-0.5, rel=1e-15)
 
     def test_quartic_member_exact(self):
         value = kernel.evaluate_convergent(ScalarLoopIntegral(power=4))
-        assert value.terms == (Term(Fraction(1, 6), -2),)
+        assert value == RegularizedValue(-2, 0, Fraction(1, 6))
         # at M^2 = 2 the bracket is 1/24
         assert value.bracket(2.0) == pytest.approx(1.0 / 24.0, rel=1e-15)
 
@@ -110,10 +111,8 @@ class TestIntegrateBack:
     def test_single_integration_yields_log_and_constant(self):
         seed = kernel.evaluate_convergent(ScalarLoopIntegral(power=3)).scaled(2)
         value = kernel.integrate_back(seed, 1)
-        assert value.terms == (Term(Fraction(-1), 0, True),)
-        assert value.constants == (
-            ConstantEntry(mass_dimension=0, coefficient=Fraction(-1), msq_power=0),
-        )
+        assert value == RegularizedValue(0, -1, 0, (ConstantEntry(coefficient=Fraction(-1), msq_power=0),))
+        assert value.constant_dimension(value.constants[0]) == 0
 
     def test_zero_times_identity(self):
         seed = kernel.evaluate_convergent(ScalarLoopIntegral(power=3))
@@ -122,13 +121,10 @@ class TestIntegrateBack:
     def test_double_integration_two_constants(self):
         seed = kernel.evaluate_convergent(ScalarLoopIntegral(power=3)).scaled(2)
         value = kernel.integrate_back(seed, 2)
-        assert value.terms == (
-            Term(Fraction(-1), 1, True),
-            Term(Fraction(1), 1, False),
-        )
+        assert (value.msq_power, value.log_coefficient, value.coefficient) == (1, -1, 1)
         c1, c2 = value.constants
-        assert (c1.mass_dimension, c1.coefficient, c1.msq_power) == (0, Fraction(-1), 1)
-        assert (c2.mass_dimension, c2.coefficient, c2.msq_power) == (2, Fraction(-1), 0)
+        assert (value.constant_dimension(c1), c1.coefficient, c1.msq_power) == (0, Fraction(-1), 1)
+        assert (value.constant_dimension(c2), c2.coefficient, c2.msq_power) == (2, Fraction(-1), 0)
 
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
@@ -139,14 +135,28 @@ class TestIntegrateBack:
         twice = kernel.integrate_back(seed, 2)
         assert twice.differentiate().differentiate() == seed
 
+    # d/dM^2 undoes one integration: the fresh constant sits at power 0 and is annihilated
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        st.integers(-6, 6),
+        st.fractions(-10, 10, max_denominator=12),
+        st.fractions(-10, 10, max_denominator=12),
+    )
+    def test_differentiate_inverts_one_integration(self, p, a, b):
+        if p == -1:
+            a = Fraction(0)  # (M^2)^-1 ln(M^2) would integrate to ln^2(M^2)
+        back = kernel.integrate_back(RegularizedValue(p, a, b), 1).differentiate()
+        assert (back.msq_power, back.log_coefficient, back.coefficient, back.constants) == (p, a, b, ())
+
+    def test_log_at_inverse_power_not_integrable(self):
+        with pytest.raises(ValueError, match="ln\\^2"):
+            kernel.integrate_back(RegularizedValue(-1, 1, 0), 1)
+
 
 class TestRegularize:
     def test_log_member(self):
         value = kernel.regularize(ScalarLoopIntegral(power=2))
-        assert value.terms == (Term(Fraction(-1), 0, True),)
-        assert value.constants == (
-            ConstantEntry(mass_dimension=0, coefficient=Fraction(-1), msq_power=0),
-        )
+        assert value == RegularizedValue(0, -1, 0, (ConstantEntry(coefficient=Fraction(-1), msq_power=0),))
         assert value.render() == "(i/(16*pi^2)) * (-ln(M^2) - C1)"
 
     def test_convergent_bypass(self):
@@ -169,15 +179,22 @@ class TestRegularize:
     @pytest.mark.parametrize("power", range(1, 7))
     def test_coefficients_stay_exact_rationals(self, power):
         value = kernel.regularize(ScalarLoopIntegral(power=power))
-        assert all(isinstance(t.coefficient, Fraction) for t in value.terms)
+        assert isinstance(value.log_coefficient, Fraction) and isinstance(value.coefficient, Fraction)
         assert all(isinstance(e.coefficient, Fraction) for e in value.constants)
 
     @pytest.mark.parametrize("power", range(1, 7))
     def test_constant_dimensions_nonnegative_even(self, power):
         value = kernel.regularize(ScalarLoopIntegral(power=power))
         for e in value.constants:
-            assert e.mass_dimension >= 0
-            assert e.mass_dimension % 2 == 0
+            assert value.constant_dimension(e) >= 0
+            assert value.constant_dimension(e) % 2 == 0
+
+    @pytest.mark.parametrize("power", range(1, 7))
+    def test_ledger_dimensions(self, power):
+        # C1 is dimensionless; at n = 1 the second constant, C2, carries mass dimension 2
+        value = kernel.regularize(ScalarLoopIntegral(power=power))
+        dimensions = [value.constant_dimension(e) for e in value.constants]
+        assert dimensions == {1: [0, 2], 2: [0]}.get(power, [])
 
     @pytest.mark.parametrize("power", range(1, 13))
     def test_derivative_ladder(self, power):
@@ -216,11 +233,11 @@ class TestScaleAlias:
         assert entry.scale_alias == 0.9
 
     def test_entry_derives_its_value_from_the_alias(self):
-        entry = ConstantEntry(mass_dimension=0, coefficient=1, scale_alias=1.3)
+        entry = ConstantEntry(coefficient=1, scale_alias=1.3)
         assert entry.value == -2.0 * math.log(1.3)
-        assert ConstantEntry(mass_dimension=0, coefficient=1, value=entry.value, scale_alias=1.3) == entry
+        assert ConstantEntry(coefficient=1, value=entry.value, scale_alias=1.3) == entry
         with pytest.raises(ValueError, match="exactly"):
-            ConstantEntry(mass_dimension=0, coefficient=1, value=-math.log(1.3**2), scale_alias=1.3)
+            ConstantEntry(coefficient=1, value=-math.log(1.3**2), scale_alias=1.3)
 
     def test_unfixed_constant_blocks_numerics(self):
         value = kernel.regularize(ScalarLoopIntegral(power=2))
@@ -245,28 +262,20 @@ class TestDegenerateMass:
             value.bracket(0.0)
 
     def test_zero_mass_accepted_for_polynomials(self):
-        value = RegularizedValue((Term(Fraction(3), 1), Term(Fraction(7, 2), 1, True)))
+        value = RegularizedValue(1, Fraction(7, 2), 3)
         # polynomial-only variant
-        poly = RegularizedValue((Term(Fraction(3), 1),))
+        poly = RegularizedValue(1, 0, 3)
         assert poly.bracket(0.0) == 0.0
         with pytest.raises(ValueError):
             value.bracket(0.0)
 
     def test_negative_mass_always_rejected(self):
-        poly = RegularizedValue((Term(Fraction(3), 1),))
+        poly = RegularizedValue(1, 0, 3)
         with pytest.raises(ValueError):
             poly.bracket(-1.0)
 
 
 class TestValueInvariants:
-    def test_terms_merge_and_drop_zeros(self):
-        value = RegularizedValue((Term(Fraction(1), 0), Term(Fraction(-1), 0), Term(Fraction(2), 0, True)))
-        assert value.terms == (Term(Fraction(2), 0, True),)
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            RegularizedValue((Term(Fraction(1), 0), Term(Fraction(1), 1)))
-
     def test_ledger_position_names_each_constant(self):
         value = kernel.regularize(ScalarLoopIntegral(power=1))
         assert value.names == ("C1", "C2")
@@ -279,10 +288,6 @@ class TestValueInvariants:
         value = kernel.regularize(ScalarLoopIntegral(power=2))  # only C1
         with pytest.raises(KeyError, match=f"C{index}"):
             value.with_constant_fixed(index, 0.0)
-
-    def test_entry_rejects_odd_dimension(self):
-        with pytest.raises(ValueError, match="even"):
-            ConstantEntry(mass_dimension=1, coefficient=Fraction(1))
 
     def test_mass_dimension_property(self):
         assert kernel.regularize(ScalarLoopIntegral(power=2)).mass_dimension == 0

@@ -1,6 +1,7 @@
 """The frozen value types: every one compares, hashes, prints, copies and
 pickles by its fields, refuses assignment and deletion, and validates again
-on ``replace``."""
+on ``replace``.  A regularized value is one power of M^2, two exact
+coefficients (of ln(M^2) and of 1) and its ledger of constants."""
 
 import copy
 import math
@@ -13,9 +14,8 @@ from loopreg import cli, feynpar, kernel, oracle, phi4, qed
 
 _LN4 = "1.3862943611198906"
 _REGULARIZED_N2 = (
-    "RegularizedValue(terms=(Term(coefficient=Fraction(-1, 1), msq_power=0, has_log=True),), "
-    "constants=(ConstantEntry(mass_dimension=0, coefficient=Fraction(-1, 1), msq_power=0, "
-    "value=None, scale_alias=None),))"
+    "RegularizedValue(msq_power=0, log_coefficient=Fraction(-1, 1), coefficient=Fraction(0, 1), "
+    "constants=(ConstantEntry(coefficient=Fraction(-1, 1), msq_power=0, value=None, scale_alias=None),))"
 )
 
 #: (record, its exact repr, a replace that must fail validation, the error it raises)
@@ -23,23 +23,16 @@ _CASES = [
     (cli.RunConfig(), "RunConfig(units='GeV', precision=12, out_format='json')", {"precision": 3}, ValueError),
     (kernel.ScalarLoopIntegral(2, 1.5), "ScalarLoopIntegral(power=2, mass_sq=1.5)", {"power": 0}, ValueError),
     (
-        kernel.Term(1, 2, True),
-        "Term(coefficient=Fraction(1, 1), msq_power=2, has_log=True)",
-        {"msq_power": 1.5},
-        TypeError,
-    ),
-    (
-        kernel.ConstantEntry(0, -1, scale_alias=0.5),
-        "ConstantEntry(mass_dimension=0, coefficient=Fraction(-1, 1), msq_power=0, "
-        f"value={_LN4}, scale_alias=0.5)",
+        kernel.ConstantEntry(-1, scale_alias=0.5),
+        f"ConstantEntry(coefficient=Fraction(-1, 1), msq_power=0, value={_LN4}, scale_alias=0.5)",
         {"value": 1.0},
         ValueError,
     ),
     (
         kernel.regularize(kernel.ScalarLoopIntegral(2)),
         _REGULARIZED_N2,
-        {"constants": (kernel.ConstantEntry(2, 1),)},  # dimension 2 in a dimensionless value
-        ValueError,
+        {"msq_power": 1.5},
+        TypeError,
     ),
     (oracle.QuadratureSpec(1e-8), "QuadratureSpec(rel_tol=1e-08)", {"rel_tol": 1e-3}, ValueError),
     (
@@ -117,12 +110,13 @@ class TestFrozenRecord:
 
 
 def test_replace_canonicalizes_like_the_constructor():
-    term = kernel.Term(1, 2)
-    assert term.replace(coefficient=3) == kernel.Term(3, 2)
-    assert type(term.replace(coefficient=3).coefficient) is Fraction
+    value = kernel.RegularizedValue(1, 0, 2)
+    assert value.replace(coefficient=3) == kernel.RegularizedValue(1, 0, 3)
+    assert type(value.replace(coefficient=3).coefficient) is Fraction
+    assert value.replace(constants=[kernel.ConstantEntry(1)]).constants == (kernel.ConstantEntry(1),)
     probe = oracle.CutoffProbe(2, 1.0, (10.0, 100.0))
     assert probe.replace(lambda_grid=[10, 1000]).lambda_grid == (10.0, 1000.0)
-    entry = kernel.ConstantEntry(0, 1, scale_alias=0.5)
+    entry = kernel.ConstantEntry(1, scale_alias=0.5)
     assert entry.replace(value=None, scale_alias=2.0).value == -2.0 * math.log(2.0)
 
 
