@@ -231,7 +231,10 @@ def _has_sweep(ns: argparse.Namespace) -> bool:
 def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import kernel
 
-    integral = kernel.ScalarLoopIntegral(power=ns.n, mass_sq=cfg.msq_in(ns.msq) if ns.msq is not None else None)
+    integral = kernel.ScalarLoopIntegral(power=ns.n)  # symbolic in M^2: the mass enters only the bracket
+    msq = cfg.msq_in(ns.msq) if ns.msq is not None else None
+    if msq is not None and not msq > 0:
+        raise ValueError(f"numeric mass_sq must be positive, got {msq!r}")
     value = kernel.regularize(integral)
     if ns.mu1 is not None:
         dimless = [i for i, e in enumerate(value.constants, start=1) if value.constant_dimension(e) == 0]
@@ -250,11 +253,11 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("terms", terms, "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)"),
         ("unfixed_constants", value.unfixed_count, "one arbitrary constant per integration, fixed only by physical conditions"),
     ]
-    if integral.mass_sq is not None and value.unfixed_count == 0:
-        bracket = value.bracket(integral.mass_sq)
+    if msq is not None and value.unfixed_count == 0:
+        bracket = value.bracket(msq)
         fields += [
             ("bracket_at_msq", bracket, "numeric multiple of i/(16*pi^2) at the given M^2"),
-            ("value_imag_at_msq", value.value(integral.mass_sq).imag, "imaginary part of the full value (the value is purely imaginary)"),
+            ("value_imag_at_msq", (kernel.UNIT_NUMERIC * bracket).imag, "imaginary part of the full value (the value is purely imaginary)"),
         ]
     return Report({"n": ns.n, "msq": ns.msq, "mu1": ns.mu1}, fields, _ledger_rows(value, cfg))
 

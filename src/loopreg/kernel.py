@@ -16,9 +16,10 @@ integration births one arbitrary constant, recorded in order in the ledger
 against physical conditions instead of subtracting anything.
 
 Every coefficient is an exact :class:`fractions.Fraction` multiple of the
-unit i/(16 pi^2); nothing is rounded until a caller asks for a numeric
-value.  (Differentiating in M^2 is equivalent to shifting M^2 -> M^2 + s
-and differentiating in the auxiliary parameter s; only the M^2 form is
+unit i/(16 pi^2), and an integral is symbolic in M^2: nothing is rounded
+until a caller evaluates at a mass with ``RegularizedValue.bracket``, the one
+numeric evaluation.  (Differentiating in M^2 is equivalent to shifting M^2 ->
+M^2 + s and differentiating in the auxiliary parameter s; only the M^2 form is
 implemented.)
 """
 
@@ -67,22 +68,15 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 
 class ScalarLoopIntegral(_Record):
-    """(K^2 - M^2)^(-power) integrated over d^4K/(2 pi)^4.
+    """(K^2 - M^2)^(-power) integrated over d^4K/(2 pi)^4, symbolic in M^2: a mass
+    enters only where a caller evaluates the regularized value (``RegularizedValue.bracket``)."""
 
-    ``mass_sq`` is the squared mass parameter in GeV^2, or ``None`` when the
-    integral is kept symbolic in M^2 (as ``qed`` keeps it, to read the
-    on-shell M^2 = m^2 x^2 into its log).
-    """
+    __slots__ = __match_args__ = ("power",)
 
-    __slots__ = __match_args__ = ("power", "mass_sq")
-
-    def __init__(self, power: int, mass_sq: Optional[float] = None) -> None:
+    def __init__(self, power: int) -> None:
         if not isinstance(power, int) or power < 1:
             raise ValueError(f"denominator power must be a positive integer, got {power!r}")
-        if mass_sq is not None and not mass_sq > 0:
-            raise ValueError(f"numeric mass_sq must be positive, got {mass_sq!r}")
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "mass_sq", mass_sq)
 
 
 def superficial_degree(integral: ScalarLoopIntegral) -> int:
@@ -110,20 +104,16 @@ def differentiate_in_masssq(
     if times < 0:
         raise ValueError(f"times must be non-negative, got {times}")
     n = integral.power
-    prefactor = Fraction(1)
-    for k in range(times):
-        prefactor *= n + k
-    return integral.replace(power=n + times), prefactor
+    return integral.replace(power=n + times), Fraction(math.prod(range(n, n + times)))
 
 
 class ConstantEntry(_Record):
     """One arbitrary integration constant and the monomial (M^2)^msq_power it
     multiplies; its position in the ledger names it (the i-th entry is C_i).
 
-    The entry stores no mass dimension: the value it sits in derives it
-    (``RegularizedValue.constant_dimension``).  A constant may be fixed through
-    a scale alias mu with C = -ln(mu^2), which is what turns a bare ln(M^2)
-    into ln(M^2/mu^2); ``value`` is then derived from the alias as -2 ln(mu).
+    Its mass dimension follows from the value it sits in (``RegularizedValue.constant_dimension``).
+    A constant may be fixed through a scale alias mu with C = -ln(mu^2), which turns a bare
+    ln(M^2) into ln(M^2/mu^2); ``value`` is then derived from the alias as -2 ln(mu).
     """
 
     __slots__ = __match_args__ = ("coefficient", "msq_power", "value", "scale_alias")
@@ -177,10 +167,6 @@ class RegularizedValue(_Record):
         object.__setattr__(self, "constants", tuple(constants))
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def mass_dimension(self) -> int:
-        return 2 * self.msq_power
 
     def constant_dimension(self, entry: ConstantEntry) -> int:
         """Mass dimension of a ledger constant: what its monomial leaves of the value's."""
@@ -239,8 +225,8 @@ class RegularizedValue(_Record):
     def bracket(self, msq: float) -> float:
         """Numeric value of the bracketed expression, i.e. the multiple of i/(16 pi^2).
 
-        All constants must be fixed.  msq = 0 is accepted only for purely
-        polynomial content (a log term or inverse power is singular there).
+        All constants must be fixed.  msq = 0 is accepted only for purely polynomial content (a log
+        term or inverse power is singular there); a power of msq past the float range raises OverflowError.
         """
         p, a, b = self.msq_power, self.log_coefficient, self.coefficient
         if msq < 0:
@@ -250,16 +236,15 @@ class RegularizedValue(_Record):
         unfixed = [name for name, e in zip(self.names, self.constants) if not e.is_fixed]
         if unfixed:
             raise ValueError(f"cannot evaluate numerically: unfixed constants {', '.join(unfixed)}")
-        pieces = [float(e.coefficient) * e.value * msq**e.msq_power for e in self.constants]
-        if a:
-            pieces.append(float(a) * msq**p * math.log(msq))
-        if b:
-            pieces.append(float(b) * msq**p)
+        try:
+            pieces = [float(e.coefficient) * e.value * msq**e.msq_power for e in self.constants]
+            if a:
+                pieces.append(float(a) * msq**p * math.log(msq))
+            if b:
+                pieces.append(float(b) * msq**p)
+        except OverflowError:
+            raise OverflowError(f"bracket past the float range: (M^2)^{p} at mass_sq={msq!r}") from None
         return math.fsum(pieces)
-
-    def value(self, msq: float) -> complex:
-        """Full numeric value, unit i/(16 pi^2) included (purely imaginary)."""
-        return UNIT_NUMERIC * self.bracket(msq)
 
     # -- rendering ----------------------------------------------------------
 

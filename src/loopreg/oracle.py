@@ -290,7 +290,10 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
             f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
             f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}"
         )
-    radial = mass_sq ** (2 - power) * total
+    try:
+        radial = mass_sq ** (2 - power) * total
+    except OverflowError:  # the power of M^2 alone leaves the float range
+        radial = math.inf
     if not math.isfinite(radial):
         raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
     return radial

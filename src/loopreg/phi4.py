@@ -81,8 +81,11 @@ class SSBPotential(_Record):
 
 
 def ssb_vacuum(pot: SSBPotential) -> tuple[float, float]:
-    """(Phi1, m_sigma) = (sqrt(6 sigma/lambda), sqrt(2 sigma))."""
-    return math.sqrt(6.0 * pot.sigma / pot.lam), math.sqrt(2.0 * pot.sigma)
+    """(Phi1, m_sigma) = (sqrt(6 sigma/lambda), sqrt(2 sigma)); ArithmeticError where Phi1 underflows to 0."""
+    phi1 = math.sqrt(6.0 * pot.sigma / pot.lam)
+    if phi1 == 0.0:  # a derived scale, not an input: its underflow is a numeric failure
+        raise ArithmeticError(f"phi1 = sqrt(6*sigma/lambda) underflows to 0 at sigma={pot.sigma!r}, lambda={pot.lam!r}")
+    return phi1, math.sqrt(2.0 * pot.sigma)
 
 
 def lambda_renormalized(lam: float) -> float:
@@ -162,11 +165,10 @@ def resum_first_order(state: ResummationState, mu: float) -> float:
 
 
 def critical_scale(state: ResummationState) -> float:
-    """Pole position mu_c = mu0 exp(1/(2 b lambda0)) of the resummed coupling."""
-    exponent = 1.0 / (2.0 * state.beta_coeff * state.lambda0)
+    """Pole position mu_c = mu0 exp(1/(2 b lambda0)) of the resummed coupling; inf past the float range."""
     try:
-        return state.mu0 * math.exp(exponent)
-    except OverflowError:
+        return state.mu0 * math.exp(1.0 / (2.0 * state.beta_coeff * state.lambda0))
+    except (OverflowError, ZeroDivisionError):  # the exponent overflows, or 2 b lambda0 underflows to 0
         return math.inf
 
 

@@ -132,13 +132,16 @@ def solve_mu1(m: float) -> float:
     """Scale fixed by the on-shell condition delta_m = 0: mu1 = exp(-5/6) m.
 
     The exponent is -constant/(2*|log|) from the exact pipeline
-    coefficients, i.e. ln(m^2/mu1^2) = 5/3.
+    coefficients, i.e. ln(m^2/mu1^2) = 5/3.  ArithmeticError where mu1 underflows to 0.
     """
     if not m > 0:
         raise ValueError(f"m must be positive, got {m!r}")
     c0, c_log = pipeline_coefficients()
     exponent = c0 / c_log / 2  # -5/6 as an exact Fraction
-    return m * math.exp(float(exponent))
+    mu1 = m * math.exp(float(exponent))
+    if mu1 == 0.0:  # a derived scale, not an input: its underflow is a numeric failure
+        raise ArithmeticError(f"mu1 = m*exp(-5/6) underflows to 0 at m={m!r}")
+    return mu1
 
 
 def solve_mu1_by_root(m: float, alpha: float = DEFAULT_ALPHA) -> float:
@@ -170,5 +173,9 @@ def lamb_shift_estimate(alpha: float, m: float, bethe_log: float) -> float:
         if not v > 0:
             raise ValueError(f"{name} must be positive, got {v!r}")
     bracket = -2.0 * math.log(alpha) - bethe_log + 19.0 / 30.0
-    delta_e_gev = alpha**5 * m / (6.0 * math.pi) * bracket
+    try:
+        alpha5 = alpha**5
+    except OverflowError:  # inf, like a product past the float range, so the report names the estimate as not finite
+        alpha5 = math.inf
+    delta_e_gev = alpha5 * m / (6.0 * math.pi) * bracket
     return delta_e_gev * GEV_TO_MHZ

@@ -306,7 +306,7 @@ class TestOracleCommand:
 # argv that must exit 2 or 3 with nothing on stdout, and a text its stderr must hold
 _FAILURES = [
     (["selfenergy", "--m", "1e308", "--mu1", "1e-308"], 3, "numeric failure: delta_m must be finite, got -inf"),
-    (["lambshift", "--alpha", "1e62"], 3, "numeric failure"),  # alpha^5 overflows
+    (["lambshift", "--alpha", "1e62"], 3, "numeric failure: lamb_shift_mhz is not finite: -inf\n"),  # alpha^5 overflows
     (["resum", "--lambda0", "0.0105", "--mu0", "249.56", "--mu", "2.99e7"], 3, "numeric failure"),
     (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2, "error"),
     (["phi4", "--sigma", "inf", "--lambda", "1"], 2, "error"),
@@ -319,9 +319,22 @@ _FAILURES = [
     (["resum", "--lambda0", "1.7e308", "--mu0", "1.46e-255", "--mu", "1e-300"], 3, "numeric failure"),
     (["resum", "--lambda0", "137", "--mu0", "137", "--mu", "137", "--b", "1.7e308"], 3, "numeric failure"),
     (["selfenergy", "--m", "1.7e308", "--mu1", "1"], 3, "numeric failure"),
-    (["regularize", "--n", "4", "--msq", "1e-200"], 3, "numeric failure"),
+    (["regularize", "--n", "4", "--msq", "1e-200"], 3, "numeric failure: bracket past the float range: (M^2)^-2 at mass_sq=1e-200\n"),
     # the ledger entry's own check of a scale alias, C = -ln(mu^2)
     (["regularize", "--n", "2", "--msq", "1", "--mu1", "0"], 2, "error: scale must be positive, got 0.0\n"),
+    # a power of M^2 past the float range names the quantity it was computing
+    (["oracle", "--n", "400", "--msq", "1e-300"], 3, "numeric failure: radial integral past the float range for power=400, mass_sq=1e-300,"),
+    (["regularize", "--n", "50", "--msq", "1e-200"], 3, "numeric failure: bracket past the float range: (M^2)^-48 at mass_sq=1e-200\n"),
+    # 2*b*lambda0 underflows to 0: the pole scale is past the float range, as where the exponent overflows
+    (["resum", "--lambda0", "5e-324", "--mu0", "1e200", "--b", "1e-154"], 3, "numeric failure: critical_scale is not finite: inf\n"),
+    # a scale the library derives underflows to 0: a numeric failure, not a bad input
+    (["selfenergy", "--m", "5e-324"], 3, "numeric failure: mu1 = m*exp(-5/6) underflows to 0 at m=5e-324\n"),
+    (["mu1", "--m", "5e-324"], 3, "numeric failure: mu1 = m*exp(-5/6) underflows to 0 at m=5e-324\n"),
+    (["phi4", "--sigma", "1e-320", "--lambda", "1.7e308"], 3, "numeric failure: phi1 = sqrt(6*sigma/lambda) underflows to 0 at sigma=1e-320,"),
+    # the CLI's own check of the evaluation point, made after the integral's check of its power
+    (["regularize", "--n", "2", "--msq", "0"], 2, "error: numeric mass_sq must be positive, got 0.0\n"),
+    (["regularize", "--n", "3", "--msq", "-1"], 2, "error: numeric mass_sq must be positive, got -1.0\n"),
+    (["regularize", "--n", "0", "--msq", "-1"], 2, "error: denominator power must be a positive integer, got 0\n"),
 ]
 
 
@@ -664,6 +677,8 @@ class TestContract:
             code = cli.run(argv)
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        if code == 3:  # a numeric failure names its quantity, never with Python's bare float-error text
+            assert not re.search("Numerical result out of range|division by zero|math range error", err.getvalue()), (argv, err.getvalue())
         if code == 0:
             assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())
 

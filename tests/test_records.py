@@ -21,7 +21,7 @@ _REGULARIZED_N2 = (
 #: (record, its exact repr, a replace that must fail validation, the error it raises)
 _CASES = [
     (cli.RunConfig(), "RunConfig(units='GeV', precision=12, out_format='json')", {"precision": 3}, ValueError),
-    (kernel.ScalarLoopIntegral(2, 1.5), "ScalarLoopIntegral(power=2, mass_sq=1.5)", {"power": 0}, ValueError),
+    (kernel.ScalarLoopIntegral(2), "ScalarLoopIntegral(power=2)", {"power": 0}, ValueError),
     (
         kernel.ConstantEntry(-1, scale_alias=0.5),
         f"ConstantEntry(coefficient=Fraction(-1, 1), msq_power=0, value={_LN4}, scale_alias=0.5)",
