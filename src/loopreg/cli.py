@@ -23,9 +23,13 @@ mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
 pole where a finite value was requested, a floating-point overflow, underflow
 or division by zero, or a non-finite number about to be printed).  Every
 float flag must be finite: ``inf`` and ``nan`` are usage errors.  The
-argument parser is built once per process, on the first ``run``, and loads no
-library module: each handler imports the modules it calls, so a one-shot call
-loads only what its subcommand runs (``regularize`` only ``kernel``).
+parsers are built once per process, on the first ``run``, and load no library
+module: each handler imports the modules it calls, so a one-shot call loads
+only what its subcommand runs (``regularize`` only ``kernel``).  An argv whose
+first string names a subcommand is parsed by that subcommand's parser alone;
+the top-level parser handles everything else (help, no or an unknown
+subcommand, a flag before it) and reports leftover strings, so each string is
+parsed once and the messages are the ones ``parse_args`` prints.
 """
 
 from __future__ import annotations
@@ -76,13 +80,20 @@ class RunConfig(_Record):
         return 1e-3 if self.units == "MeV" else 1.0
 
     def mass_in(self, x: float) -> float:
-        return x * self.mass_scale_to_gev
+        return self._to_gev(x, self.mass_scale_to_gev, "")
 
     def mass_out(self, x: float) -> float:
         return x / self.mass_scale_to_gev
 
     def msq_in(self, x: float) -> float:
-        return x * self.mass_scale_to_gev**2
+        return self._to_gev(x, self.mass_scale_to_gev**2, "^2")
+
+    def _to_gev(self, x: float, factor: float, power: str) -> float:
+        """A typed value in GeV^k; ValueError, quoting what was typed, where a positive one underflows to 0."""
+        gev = x * factor
+        if gev == 0.0 and x > 0.0:
+            raise ValueError(f"{x!r} {self.units}{power} underflows to 0 in GeV{power}")
+        return gev
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -137,13 +148,13 @@ class Report(NamedTuple):
     ledger: Sequence[dict[str, Any]] = ()
 
 
-def _fmt_scalar(value: Any, precision: int, name: str) -> str:
-    """A number as a decimal string (a string as itself); OverflowError for a
-    float that is not finite, so no report prints inf or nan."""
+def _fmt_scalar(value: Any, spec: str, name: str) -> str:
+    """A number as a decimal string by the format ``spec`` (a string as itself);
+    OverflowError for a float that is not finite, so no report prints inf or nan."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise OverflowError(f"{name} is not finite: {value!r}")
-        return format(value, f".{precision}g")
+        return format(value, spec)
     return str(value)
 
 
@@ -155,19 +166,38 @@ def _block(brackets: str, items: list[str], indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _json(value: Any, precision: int, name: str, indent: str) -> str:
-    """JSON text of a value whose numbers print as decimal strings, recursively
+def _json(value: Any, spec: str, name: str, indent: str) -> str:
+    """JSON text of a value whose numbers print as decimal strings by ``spec``, recursively
     through lists and dicts; ``name`` is the field a non-finite number is reported under."""
+    if isinstance(value, float):  # most leaves
+        return f'"{_fmt_scalar(value, spec, name)}"'
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, dict):
-        inner = indent + "  "
-        return _block("{}", [f"{encode_basestring_ascii(k)}: {_json(v, precision, name, inner)}" for k, v in value.items()], indent)
+        return _object(value, spec, name, indent, {})
     if isinstance(value, (list, tuple)):
-        return _block("[]", [_json(v, precision, name, indent + "  ") for v in value], indent)
-    return f'"{_fmt_scalar(value, precision, name)}"'
+        inner = indent + "  "
+        keys: dict[str, str] = {}  # shared by the dicts of one list, so rows encode each key once
+        return _block("[]", [_object(v, spec, name, inner, keys) if isinstance(v, dict) else _json(v, spec, name, inner) for v in value], indent)
+    return f'"{_fmt_scalar(value, spec, name)}"'
+
+
+def _object(value: dict[str, Any], spec: str, name: str, indent: str, keys: dict[str, str]) -> str:
+    """JSON text of a dict, as ``_json`` writes it; ``keys`` caches each key's encoded ``"key": `` prefix.
+    The cache is looked up per key, not per row: rows need not share their keys or their order."""
+    inner = indent + "  "
+    items = []
+    for k, v in value.items():
+        prefix = keys.get(k)
+        if prefix is None:
+            prefix = keys[k] = encode_basestring_ascii(k) + ": "
+        if isinstance(v, float) and math.isfinite(v):  # a row's usual cell, without a call per cell
+            items.append(f'{prefix}"{format(v, spec)}"')
+        else:
+            items.append(prefix + _json(v, spec, name, inner))
+    return _block("{}", items, indent)
 
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, Any]]:
@@ -194,10 +224,10 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
     The whole text is built before anything is written, so a non-finite number
     raises OverflowError with stdout still empty.
     """
-    p = cfg.precision
+    spec = f".{cfg.precision}g"
     if cfg.out_format != "json":
         rows = next(value for name, value, _ in report.fields if name == "rows")
-        cells = [["" if v is None else _fmt_scalar(v, p, "rows") for v in row.values()] for row in rows]
+        cells = [["" if v is None else _fmt_scalar(v, spec, "rows") for v in row.values()] for row in rows]
         if cfg.out_format == "csv":  # a sweep has at least one row, and all rows share its keys
             lines = [",".join(rows[0])] + [",".join(row) for row in cells]
         else:  # plot-data: the first two columns, where the second is set
@@ -207,13 +237,13 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
     inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
     # full-precision echo: re-running a report with its own inputs must be exact
     echo = {k: (str(v) if isinstance(v, (int, float)) else v) for k, v in inputs.items()}
-    outputs = [f"{encode_basestring_ascii(name)}: {_json(value, p, name, '    ')}" for name, value, _ in report.fields]
+    outputs = [f"{encode_basestring_ascii(name)}: {_json(value, spec, name, '    ')}" for name, value, _ in report.fields]
     sections = [
         f'"subcommand": {encode_basestring_ascii(subcommand)}',
-        f'"inputs": {_json(echo, p, "inputs", "  ")}',
+        f'"inputs": {_json(echo, spec, "inputs", "  ")}',
         f'"outputs": {_block("{}", outputs, "  ")}',
-        f'"provenance": {_json({name: why for name, _, why in report.fields}, p, "provenance", "  ")}',
-        f'"ledger": {_json(report.ledger, p, "ledger", "  ")}',
+        f'"provenance": {_json({name: why for name, _, why in report.fields}, spec, "provenance", "  ")}',
+        f'"ledger": {_json(report.ledger, spec, "ledger", "  ")}',
     ]
     sys.stdout.write(_block("{}", sections, "") + "\n")
 
@@ -433,11 +463,14 @@ def _finite_grid(text: str) -> tuple[float, ...]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every ``run`` in this process, built on first use.  Handlers are bound then, so patching
-    ``_cmd_*`` after the first ``run`` has no effect; patch what a handler calls.  ``--alpha`` and ``--bethe-log``
-    default to ``None``: the handler reads (and echoes) ``qed.DEFAULT_ALPHA`` and ``qed.DEFAULT_BETHE_LOG`` on each
-    call, so patching those takes effect on the next ``run``."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its name -> subparser map, shared by every ``run`` in this process and built on
+    first use.  ``run`` parses an argv whose first string names a subcommand with that subparser alone; the top-level
+    parser parses the rest (help, no or an unknown subcommand, a flag before it) and reports the strings a subparser
+    leaves over.  Handlers are bound at build time, so patching ``_cmd_*`` after the first ``run`` has no effect; patch
+    what a handler calls.  ``--alpha`` and ``--bethe-log`` default to ``None``: the handler reads (and echoes)
+    ``qed.DEFAULT_ALPHA`` and ``qed.DEFAULT_BETHE_LOG`` on each call, so patching those takes effect on the next
+    ``run``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
     common.add_argument("--precision", type=int, help="significant digits for rendered numbers, 4..17 (default 12)")
@@ -496,14 +529,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("demo", parents=[common], help="Full cross-checked walkthrough; exit 0 only if every check passes.")
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv (with the parser built once per process), check the format, compute the report and render it; returns the exit code."""
-    parser = _build_parser()
+    """Parse argv (with the parsers built once per process), check the format, compute the report and render it; returns the exit code."""
+    parser, subparsers = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        ns = parser.parse_args(argv)
+        subparser = subparsers.get(argv[0]) if argv else None
+        if subparser is None:
+            ns = parser.parse_args(argv)
+        else:  # what parse_args does with a subcommand's argv, without parsing its strings twice
+            ns, extras = subparser.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            ns.subcommand = argv[0]
     except SystemExit as exc:  # argparse already printed usage to stderr
         return int(exc.code) if exc.code is not None else EXIT_VALIDATION
     try:

@@ -335,6 +335,13 @@ _FAILURES = [
     (["regularize", "--n", "2", "--msq", "0"], 2, "error: numeric mass_sq must be positive, got 0.0\n"),
     (["regularize", "--n", "3", "--msq", "-1"], 2, "error: numeric mass_sq must be positive, got -1.0\n"),
     (["regularize", "--n", "0", "--msq", "-1"], 2, "error: denominator power must be a positive integer, got 0\n"),
+    # a typed positive value that --units MeV turns into 0 is refused as typed, before any computation
+    (["mu1", "--m", "1e-321", "--units", "MeV"], 2, "error: 1e-321 MeV underflows to 0 in GeV\n"),
+    (
+        ["resum", "--lambda0", "3.73501e+231", "--mu0", "6.96681e-200", "--mu-min", "5e-324", "--mu-max", "1.1722e-312", "--mu-points", "5", "--units", "MeV"],
+        2,
+        "error: 5e-324 MeV underflows to 0 in GeV\n",
+    ),
 ]
 
 
@@ -539,6 +546,54 @@ class TestParserReuse:
         assert proc.stdout.strip() == "0"
 
 
+# argv whose first string names a subcommand are parsed by that subparser alone; these pin that the
+# messages, exit codes and reports are what the top-level parser's parse_args gives for each of them
+_DISPATCH_ARGV = [
+    # trailing unknown flags and positionals
+    ["mu1", "--m", "1", "--bogus"],
+    ["mu1", "--m", "1", "extra", "--bogus", "x"],
+    ["regularize", "--n", "2", "-x"],
+    ["demo", "x"],
+    # help of a subcommand, also by an abbreviated flag
+    ["mu1", "-h"],
+    ["oracle", "--he"],
+    # a missing required flag, a bad choice, an ambiguous abbreviation, an abbreviated flag
+    ["regularize"],
+    ["phi4", "--sigma", "1"],
+    ["mu1", "--m", "1", "--units", "KeV"],
+    ["oracle", "--n", "2", "--msq", "1", "--format", "xml"],
+    ["regularize", "--n", "2", "--m", "1"],
+    ["resum", "--lambda0", "1", "--mu0", "1", "--mu-min", "1", "--mu-max", "10", "--mu-p", "4"],
+    # --flag=value forms and --
+    ["regularize", "--n=3", "--msq=2"],
+    ["regularize", "--n=3", "--", "x"],
+    ["mu1", "--m", "1", "--", "--bogus"],
+    ["mu1", "--", "--m", "1"],
+    # what the top-level parser still parses itself
+    ["--units", "MeV", "mu1", "--m", "1"],
+    [],
+    ["frobnicate"],
+    ["--he"],
+    # ordinary reports
+    ["selfenergy", "--m", "0.000511", "--units", "MeV", "--precision", "7"],
+    ["resum", "--lambda0", "1", "--mu0", "1", "--mu-min", "1", "--mu-max", "1e9", "--mu-points", "4", "--format", "csv"],
+]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", _DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_matches_the_top_level_parser(self, capsys, argv):
+        parser, _ = cli._build_parser()
+        with mock.patch.object(cli, "_build_parser", return_value=(parser, {})):  # no subcommand dispatches
+            expected = run_raw(capsys, argv)
+        assert run_raw(capsys, argv) == expected
+
+    def test_subcommand_argv_is_parsed_once(self, capsys):
+        parser, _ = cli._build_parser()
+        with mock.patch.object(parser, "parse_args", side_effect=AssertionError("parsed by the top-level parser")):
+            assert run_raw(capsys, ["mu1", "--m", "1"])[0] == 0
+
+
 class TestConfigResolution:
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "loopreg.cfg"
@@ -735,6 +790,17 @@ class TestOnePassRenderer:
             # a number that is not finite is refused under its field's name, before anything is written
             cli.Report({}, [("fine", 1.0, ""), ("deep", [1.0, {"x": math.nan}], ""), ("later", math.inf, "")]),
             cli.Report({}, [("fine", 1.0, "")], [{"value": 2.0}, {"value": -math.inf}]),
+            # rows that do not share their keys: an unfixed constant, then a fixed one whose row adds its value
+            cli.Report(
+                {},
+                [],
+                [
+                    {"name": "C1", "mass_dimension": 0, "coefficient": Fraction(-1), "msq_power": 1, "status": "unfixed"},
+                    {"name": "C2", "mass_dimension": 2, "coefficient": Fraction(-1), "msq_power": 0, "status": "fixed", "value": 0.25},
+                ],
+            ),
+            # rows with the same keys in another order
+            cli.Report({}, [("rows", [{"mu": 1.0, "coupling": 0.5, "status": "ok"}, {"status": "pole", "mu": 2.0, "coupling": None}], "")]),
         ],
     )
     def test_edge_values(self, report, precision):
