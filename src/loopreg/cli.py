@@ -29,7 +29,9 @@ only what its subcommand runs (``regularize`` only ``kernel``).  An argv whose
 first string names a subcommand is parsed by that subcommand's parser alone;
 the top-level parser handles everything else (help, no or an unknown
 subcommand, a flag before it) and reports leftover strings, so each string is
-parsed once and the messages are the ones ``parse_args`` prints.
+parsed once and the messages are the ones ``parse_args`` prints.  A
+subcommand's own flag (``--units``, ``--precision``, ``--format``,
+``--config``) typed before the subcommand is a usage error that names it.
 """
 
 from __future__ import annotations
@@ -462,6 +464,13 @@ def _finite_grid(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(tok) for tok in text.split(","))
 
 
+class _MisplacedFlag(argparse.Action):
+    """Top-level stand-in for a subcommand flag typed before the subcommand: a usage error that names the flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the subcommand: loopreg <subcommand> {option_string} ...")
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its name -> subparser map, shared by every ``run`` in this process and built on
@@ -481,6 +490,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         prog="loopreg",
         description="One-loop integral regularization by mass-parameter differentiation: reduction kernel, electron self-energy, quartic-scalar model, cutoff-quadrature oracle.",
     )
+    for key in (*_CONFIG_KEYS, "config"):  # each subparser's own flags (``common``), hidden from the top-level help
+        parser.add_argument(f"--{key}", nargs="?", action=_MisplacedFlag, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("regularize", parents=[common], help="Reduce a loop integral to its closed form plus constants.")

@@ -16,7 +16,9 @@ to bisection where interpolation stalls.
 
 The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
 piece over the decades 0, 1, 10, ... of t.  No piece carries a mass: cutoffs
-and masses share the memoized sums of the full decades below them.  A
+and masses share the memoized sums of the full decades below them, and a
+cutoff within 1% below an edge takes the sum up to that edge less one short
+piece.  A
 ``CutoffProbe`` integrates each of its cutoffs once, and each fit checks its
 own grid rule before it reads them, so a short grid fails before any quadrature.
 """
@@ -245,7 +247,7 @@ def _radial_piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[fl
         return integrate(lambda t: radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
 
 
-_piece = lru_cache(maxsize=256)(_radial_piece)  # the top pieces [edge, t_cut] of radial_integral
+_piece = lru_cache(maxsize=256)(_radial_piece)  # the short pieces of radial_integral: [edge, t_cut] or [t_cut, next edge]
 
 
 @lru_cache(maxsize=1024)
@@ -266,7 +268,11 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     adaptive subdivision.  The full decades [10^j, 10^(j+1)] are the same for
     every cutoff and mass above them, so their running sums are memoized and a
     sweep integrates each once; the top piece, from the last edge on, apart.
-    Raises QuadratureError when the summed error estimate misses rel_tol,
+    A cutoff at or above 0.99 times the next edge (a finite one) is instead
+    that edge's sum less the piece from the cutoff up to the edge, which
+    spans at most 1% of the decade; the sum exceeds the result by at most
+    (1/0.99)^4 - 1, about 4%, so no digit is lost, and the error estimates
+    add.  Raises QuadratureError when the summed error estimate misses rel_tol,
     whether or not the pieces were cached, and OverflowError when the result
     lies past the float range.
     """
@@ -282,9 +288,15 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     # below still enforces rel_tol, so tighter requests fail loudly.
     epsrel = max(rel_tol / 10.0, 5e-14)
     k = bisect_right(_EDGES, t_cut) - 1  # the full decades end at _EDGES[k] <= t_cut
-    total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
-    piece, err = _piece(power, _EDGES[k], t_cut, epsrel) if _EDGES[k] != t_cut else (0.0, 0.0)
-    total, err_total = total + piece, err_total + err
+    upper = _EDGES[k + 1] if k + 1 < len(_EDGES) else math.inf  # the next edge up; t_cut = inf has none
+    if 0.99 * upper <= t_cut and upper < math.inf:  # just below an edge: the decades up to it less [t_cut, upper]
+        total, err_total = _decade_sums(power, k + 1, epsrel)
+        piece, err = _piece(power, t_cut, upper, epsrel)
+        total, err_total = total - piece, err_total + err
+    else:
+        total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
+        piece, err = _piece(power, _EDGES[k], t_cut, epsrel) if _EDGES[k] != t_cut else (0.0, 0.0)
+        total, err_total = total + piece, err_total + err
     if err_total > rel_tol * abs(total):
         raise QuadratureError(
             f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "

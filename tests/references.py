@@ -6,9 +6,12 @@ JSON itself: format every number, then ``json.dumps(indent=2)``.
 with the same stop rule.  ``radial_integral`` is
 ``loopreg.oracle.radial_integral`` before it memoized the sums of its full
 decades: the pieces summed one decade at a time, each evaluation through
-``radial_integrand``.  The package's versions must match their output byte
-for byte (and float for float); root finders' evaluation counts are compared
-with bisection's.
+``radial_integrand``.  A cutoff within 1% below a decade edge is taken as in
+the package, as the sum up to that edge less the piece from the cutoff to it;
+``complement=False`` sums the decades up to the cutoff instead, as the package
+once did for every cutoff.  The package's versions must match their output
+byte for byte (and float for float); root finders' evaluation counts are
+compared with bisection's.
 """
 
 import json
@@ -86,22 +89,34 @@ def _piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, fl
     return oracle.integrate(lambda t: oracle.radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
 
 
-def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10) -> float:
+def _summed(power: int, edges: list[float], epsrel: float) -> tuple[float, float]:
+    """(value, error estimate) of the pieces between successive edges, added in order."""
+    total = err_total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        piece, err = _piece(power, a, b, epsrel)
+        total += piece
+        err_total += err
+    return total, err_total
+
+
+def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10, complement: bool = True) -> float:
     """int_0^cutoff k^3 (k^2 + M^2)^(-power) dk, summed piece by piece over the decades of t = k/sqrt(M^2)."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
     if not mass_sq > 0:
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
     t_cut = cutoff / math.sqrt(mass_sq)
-    edges = [0.0, min(1.0, t_cut)]
+    edges = [0.0, 1.0]
     while edges[-1] < t_cut:
-        edges.append(min(edges[-1] * 10.0, t_cut))
+        edges.append(edges[-1] * 10.0)
     epsrel = max(rel_tol / 10.0, 5e-14)
-    total = err_total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        piece, err = _piece(power, a, b, epsrel)
-        total += piece
-        err_total += err
+    if complement and 0.99 * edges[-1] <= t_cut < edges[-1] < math.inf:  # just below an edge
+        total, err_total = _summed(power, edges, epsrel)
+        piece, err = _piece(power, t_cut, edges[-1], epsrel)
+        total, err_total = total - piece, err_total + err
+    else:
+        edges[-1] = t_cut
+        total, err_total = _summed(power, edges, epsrel)
     if err_total > rel_tol * abs(total):
         raise oracle.QuadratureError(
             f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "

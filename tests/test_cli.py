@@ -342,6 +342,9 @@ _FAILURES = [
         2,
         "error: 5e-324 MeV underflows to 0 in GeV\n",
     ),
+    # a subcommand's flag typed before the subcommand is named, not taken for a bad subcommand
+    (["--units", "MeV", "mu1", "--m", "1"], 2, "loopreg: error: --units goes after the subcommand: loopreg <subcommand> --units ...\n"),
+    (["--precision", "5", "regularize", "--n", "2"], 2, "loopreg: error: --precision goes after the subcommand: loopreg <subcommand> --precision ...\n"),
 ]
 
 

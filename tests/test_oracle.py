@@ -194,6 +194,27 @@ class TestPieceCache:
         _default_report(1.0)
         assert integrations() - before == 0
 
+    @pytest.mark.parametrize(
+        "cutoff, one_panel",
+        [
+            (math.nextafter(1e4, 0.0), True),
+            (float("9.99999e5"), True),
+            (0.99 * 1e4, True),  # the lowest cutoff taken as its decade less a piece
+            (math.nextafter(0.99 * 1e4, 0.0), False),  # the highest one integrated up from the edge below
+        ],
+    )
+    def test_a_cutoff_just_below_an_edge_costs_one_panel(self, integrations, monkeypatch, cutoff, one_panel):
+        _default_report(1.0)  # caches the decade sums up to t = 1e6
+        panels, radial_panel = [], oracle._radial_panel
+
+        def counted(*args):
+            panels.append(args)
+            return radial_panel(*args)
+
+        monkeypatch.setattr(oracle, "_radial_panel", counted)
+        oracle.radial_integral(2, 1.0, cutoff)
+        assert (len(panels) == 1) == one_panel
+
     @settings(max_examples=20, deadline=None, database=None)
     @given(
         power=st.integers(1, 6),
@@ -245,6 +266,24 @@ class TestRadialPrefixSums:
         for cutoff in cutoffs:
             args = (power, mass_sq, cutoff, rel_tol)
             assert _outcome(oracle.radial_integral, *args) == _outcome(references.radial_integral, *args)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        power=st.integers(1, 6),
+        mass_sq=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+        edge=st.integers(0, 30).map(lambda j: 10.0**j),
+        below=st.floats(0.0, 0.01, exclude_max=True),
+    )
+    def test_below_an_edge_agrees_with_the_sum_up_to_the_cutoff(self, power, mass_sq, edge, below):
+        # at the default rel_tol; looser ones let the two sums part further (n = 1 at 1e-6: 5e-13)
+        cutoff = edge * (1.0 - below) * math.sqrt(mass_sq)
+        args = (power, mass_sq, cutoff)
+        assert oracle.radial_integral(*args) == pytest.approx(references.radial_integral(*args, complement=False), rel=1e-14)
+
+    def test_the_subtracted_piece_adds_its_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_piece", lambda power, t_a, t_b, epsrel: (0.0, 1.0))
+        with pytest.raises(oracle.QuadratureError, match="quadrature error 1.000e"):
+            oracle.radial_integral(2, 1.0, 0.995e3)
 
     @pytest.mark.parametrize("power", range(1, 7))
     def test_inline_panel_is_the_integrand_panel(self, power):
