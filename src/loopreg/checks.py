@@ -13,9 +13,9 @@ never a closed form of the claim under test.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Optional
 
 from . import kernel, oracle, phi4, qed
 from .qed import DEFAULT_ALPHA, DEFAULT_BETHE_LOG, DEFAULT_ELECTRON_MASS_GEV
@@ -24,10 +24,9 @@ from .qed import DEFAULT_ALPHA, DEFAULT_BETHE_LOG, DEFAULT_ELECTRON_MASS_GEV
 _RESUM_STATES = (phi4.ResummationState(lambda0=1.0, mu0=1.0), phi4.ResummationState(lambda0=2.0, mu0=1.0))
 
 
-class Check(NamedTuple):
-    name: str
-    run: Callable[[], tuple[bool, str]]
-    seconds: Optional[float] = None  # wall-time bound the acceptance test holds the row to
+# a claim's name, its ``() -> (ok, detail)`` function, and the wall-time bound in
+# seconds the acceptance test holds the row to (None: no bound)
+Check = namedtuple("Check", ("name", "run", "seconds"), defaults=(None,))
 
 
 def _power_counting() -> tuple[bool, str]:

@@ -41,14 +41,11 @@ import functools
 import math
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from . import _Record
-
-if TYPE_CHECKING:  # each handler imports the library modules it calls
-    from . import kernel
 
 DEFAULT_PRECISION = 12
 PRECISION_ENV_VAR = "LOOPREG_PRECISION"
@@ -98,10 +95,11 @@ class RunConfig(_Record):
         return gev
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
+def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = path.read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -120,13 +118,13 @@ def _parse_config_file(path: Path) -> dict[str, str]:
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Flags over ``--config`` over ``LOOPREG_PRECISION`` over the defaults."""
-    merged: dict[str, Any] = {"units": "GeV", "precision": DEFAULT_PRECISION, "format": "json"}
+    merged: dict[str, object] = {"units": "GeV", "precision": DEFAULT_PRECISION, "format": "json"}
     source = "precision"  # names the setting a bad precision came from
     env = os.environ.get(PRECISION_ENV_VAR)
     if env is not None:
         merged["precision"], source = env, PRECISION_ENV_VAR
     if ns.config is not None:
-        cfg = _parse_config_file(Path(ns.config))
+        cfg = _parse_config_file(ns.config)
         source = "config precision" if "precision" in cfg else source
         merged.update(cfg)
     flags = {"units": ns.units, "precision": ns.precision, "format": ns.out_format}
@@ -141,16 +139,12 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 # ----------------------------- report rendering -----------------------------
 
 
-class Report(NamedTuple):
-    """A subcommand's own inputs, its ``(name, value, provenance)`` output
-    fields in order (a sweep's ``rows`` are a list of row dicts), and its ledger."""
-
-    inputs: dict[str, Any]
-    fields: list[tuple[str, Any, str]]
-    ledger: Sequence[dict[str, Any]] = ()
+Report = namedtuple("Report", ("inputs", "fields", "ledger"), defaults=((),))
+Report.__doc__ = """A subcommand's own inputs, its ``(name, value, provenance)`` output
+fields in order (a sweep's ``rows`` are a list of row dicts), and its ledger."""
 
 
-def _fmt_scalar(value: Any, spec: str, name: str) -> str:
+def _fmt_scalar(value: object, spec: str, name: str) -> str:
     """A number as a decimal string by the format ``spec`` (a string as itself);
     OverflowError for a float that is not finite, so no report prints inf or nan."""
     if isinstance(value, float):
@@ -168,7 +162,7 @@ def _block(brackets: str, items: list[str], indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _json(value: Any, spec: str, name: str, indent: str) -> str:
+def _json(value: object, spec: str, name: str, indent: str) -> str:
     """JSON text of a value whose numbers print as decimal strings by ``spec``, recursively
     through lists and dicts; ``name`` is the field a non-finite number is reported under."""
     if isinstance(value, float):  # most leaves
@@ -186,7 +180,7 @@ def _json(value: Any, spec: str, name: str, indent: str) -> str:
     return f'"{_fmt_scalar(value, spec, name)}"'
 
 
-def _object(value: dict[str, Any], spec: str, name: str, indent: str, keys: dict[str, str]) -> str:
+def _object(value: dict[str, object], spec: str, name: str, indent: str, keys: dict[str, str]) -> str:
     """JSON text of a dict, as ``_json`` writes it; ``keys`` caches each key's encoded ``"key": `` prefix.
     The cache is looked up per key, not per row: rows need not share their keys or their order."""
     inner = indent + "  "
@@ -202,10 +196,10 @@ def _object(value: dict[str, Any], spec: str, name: str, indent: str, keys: dict
     return _block("{}", items, indent)
 
 
-def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, Any]]:
+def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, object]]:
     rows = []
     for name, e in zip(value.names, value.constants):
-        row: dict[str, Any] = {
+        row: dict[str, object] = {
             "name": name,
             "mass_dimension": value.constant_dimension(e),
             "coefficient": e.coefficient,
@@ -368,11 +362,11 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
             raise ValueError("sweep needs at least 2 points")
         lo, hi = cfg.mass_in(ns.mu_min), cfg.mass_in(ns.mu_max)
         ratio = (hi / lo) ** (1.0 / (ns.mu_points - 1))
-        rows: list[dict[str, Any]] = []
+        rows: list[dict[str, object]] = []
         for i in range(ns.mu_points):
             mu = lo * ratio**i
             try:  # the chain's outcome is the status: a value below the critical scale, a pole at or past it
-                coupling: Optional[float] = phi4.resum_chain(state, mu)
+                coupling: float | None = phi4.resum_chain(state, mu)
                 status = phi4.VACUUM_BROKEN
             except phi4.LandauPoleError:
                 coupling, status = None, "pole"
@@ -407,7 +401,7 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     grid_display = ns.grid if ns.grid is not None else oracle.default_grid(ns.msq)
     grid = tuple(cfg.mass_in(g) for g in grid_display)
     probe = oracle.CutoffProbe(power=ns.n, mass_sq=msq, lambda_grid=grid, quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol))
-    fits: list[tuple[str, Any, str]] = []
+    fits: list[tuple[str, object, str]] = []
     if cfg.out_format == "json":  # the fits print only in a JSON report
         # each fit checks its grid rule before the probe integrates; at n = 2 the asymptote's
         # rule implies the signature's, so a grid too short for either exits 2 before any quadrature
@@ -484,7 +478,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
     common.add_argument("--precision", type=int, help="significant digits for rendered numbers, 4..17 (default 12)")
     common.add_argument("--format", dest="out_format", choices=["json", "csv", "plot-data"], help="output format (default json; csv/plot-data for sweeps only)")
-    common.add_argument("--config", type=Path, help="key=value file overriding defaults (keys: units, precision, format)")
+    common.add_argument("--config", help="key=value file overriding defaults (keys: units, precision, format)")
 
     parser = argparse.ArgumentParser(
         prog="loopreg",
@@ -543,7 +537,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv (with the parsers built once per process), check the format, compute the report and render it; returns the exit code."""
     parser, subparsers = _build_parser()
     if argv is None:
@@ -566,8 +560,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if cfg.out_format != "json" and not _has_sweep(ns):
             what = "resum (single point)" if ns.subcommand == "resum" else ns.subcommand
             raise ValueError(f"{what} has no sweep output; use --format json")
-        handler: Callable[[argparse.Namespace, RunConfig], Report] = ns.handler
-        _render(ns.subcommand, handler(ns, cfg), cfg)
+        _render(ns.subcommand, ns.handler(ns, cfg), cfg)
         return EXIT_OK
     except ArithmeticError as exc:  # QuadratureError and LandauPoleError among them
         print(f"numeric failure: {exc}", file=sys.stderr)

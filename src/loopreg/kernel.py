@@ -26,8 +26,8 @@ implemented.)
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional, Union
 
 from . import _Record
 
@@ -52,14 +52,12 @@ UNIT_LABEL = "i/(16*pi^2)"
 #: Numeric value of that unit.
 UNIT_NUMERIC = 1j / (16.0 * math.pi**2)
 
-RationalLike = Union[int, Fraction]
-
 
 class StillDivergentError(ValueError):
     """Closed-form evaluation was requested for a still divergent integral."""
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
+def _as_fraction(value: int | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -118,8 +116,8 @@ class ConstantEntry(_Record):
 
     __slots__ = __match_args__ = ("coefficient", "msq_power", "value", "scale_alias")
 
-    def __init__(self, coefficient: RationalLike, msq_power: int = 0,
-                 value: Optional[float] = None, scale_alias: Optional[float] = None) -> None:
+    def __init__(self, coefficient: int | Fraction, msq_power: int = 0,
+                 value: float | None = None, scale_alias: float | None = None) -> None:
         coefficient = _as_fraction(coefficient)
         if msq_power < 0:
             raise ValueError("constant monomial power must be non-negative")
@@ -157,7 +155,7 @@ class RegularizedValue(_Record):
 
     __slots__ = __match_args__ = ("msq_power", "log_coefficient", "coefficient", "constants")
 
-    def __init__(self, msq_power: int = 0, log_coefficient: RationalLike = 0, coefficient: RationalLike = 0,
+    def __init__(self, msq_power: int = 0, log_coefficient: int | Fraction = 0, coefficient: int | Fraction = 0,
                  constants: Iterable[ConstantEntry] = ()) -> None:
         if not isinstance(msq_power, int):
             raise TypeError(f"msq_power must be an integer, got {type(msq_power).__name__}")
@@ -181,7 +179,7 @@ class RegularizedValue(_Record):
     def unfixed_count(self) -> int:
         return sum(not e.is_fixed for e in self.constants)
 
-    def scaled(self, factor: RationalLike) -> "RegularizedValue":
+    def scaled(self, factor: int | Fraction) -> "RegularizedValue":
         """Multiply the whole value (coefficients and constants) by an exact rational."""
         f = _as_fraction(factor)
         if f == 0:
@@ -202,7 +200,7 @@ class RegularizedValue(_Record):
 
     # -- constant fixing ----------------------------------------------------
 
-    def _with_constant(self, index: int, value: Optional[float], scale_alias: Optional[float]) -> "RegularizedValue":
+    def _with_constant(self, index: int, value: float | None, scale_alias: float | None) -> "RegularizedValue":
         if not 1 <= index <= len(self.constants):
             raise KeyError(f"no constant C{index} in ledger")
         entry = self.constants[index - 1].replace(value=value, scale_alias=scale_alias)
@@ -260,7 +258,7 @@ class RegularizedValue(_Record):
         return f"({UNIT_LABEL}) * ({body})"
 
 
-def _format_piece(coeff: Fraction, power: int, symbol: Optional[str], leading: bool) -> str:
+def _format_piece(coeff: Fraction, power: int, symbol: str | None, leading: bool) -> str:
     sign = "-" if coeff < 0 else "+"
     mag = abs(coeff)
     factors: list[str] = []

@@ -28,8 +28,8 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
+from collections.abc import Callable
 from functools import cached_property, lru_cache, partial
-from typing import Callable
 
 from . import _Record
 
@@ -272,7 +272,9 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     that edge's sum less the piece from the cutoff up to the edge, which
     spans at most 1% of the decade; the sum exceeds the result by at most
     (1/0.99)^4 - 1, about 4%, so no digit is lost, and the error estimates
-    add.  Raises QuadratureError when the summed error estimate misses rel_tol,
+    add.  For power >= 3 a t past the last finite edge (~1e308), inf included,
+    is taken at that edge: the tail above it is below 1e-300 of the total.
+    Raises QuadratureError when the summed error estimate misses rel_tol,
     whether or not the pieces were cached, and OverflowError when the result
     lies past the float range.
     """
@@ -283,6 +285,8 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     if not mass_sq > 0:
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
     t_cut = cutoff / math.sqrt(mass_sq)
+    if power >= 3:
+        t_cut = min(t_cut, _EDGES[-2])
     # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece
     # asked for less than 5e-14 would only run to the panel limit; the check
     # below still enforces rel_tol, so tighter requests fail loudly.

@@ -444,9 +444,9 @@ def _fresh_python(*args):
 
 
 @functools.cache
-def _cold_imports(argv):
-    """Every module a fresh ``python -m loopreg.cli ARGV`` imported, read from ``-X importtime``."""
-    proc = _fresh_python("-X", "importtime", "-m", "loopreg.cli", *argv)
+def _cold_imports(argv, *flags):
+    """Every module a fresh ``python FLAGS -m loopreg.cli ARGV`` imported, read from ``-X importtime``."""
+    proc = _fresh_python(*flags, "-X", "importtime", "-m", "loopreg.cli", *argv)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return {
         line.rsplit("|", 1)[1].strip()
@@ -495,6 +495,11 @@ class TestColdImport:
     def test_no_subcommand_imports_dataclasses(self, argv):
         # the value types are slots records: dataclasses and the inspect it pulls in cost ~10 ms per call
         assert _cold_imports(argv) & {"dataclasses", "inspect"} == set()
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _COLD], ids=[argv[0] for argv, _ in _COLD])
+    def test_no_subcommand_imports_typing_or_pathlib(self, argv):
+        # under -S: a site-packages .pth file may import both before loopreg runs, and hide its own imports
+        assert _cold_imports(argv, "-S") & {"typing", "pathlib"} == set()
 
     def test_package_exposes_its_modules_only(self):
         proc = _fresh_python("-c", "import loopreg; print(' '.join(sorted(n for n in dir(loopreg) if not n.startswith('_'))))")

@@ -301,6 +301,23 @@ class TestRadialPrefixSums:
         assert oracle._radial_piece(power, a, b, 1e-11) == oracle.integrate(f, a, b, 1e-11)
 
 
+class TestCutoffPastTheLastEdge:
+    """For power >= 3 a t = cutoff/sqrt(M^2) past the last finite decade edge, inf included, is taken at that edge."""
+
+    @pytest.mark.parametrize("power", range(3, 13))
+    def test_a_t_that_overflows_gives_the_closed_form(self, power):
+        # t = 1e308/1e-5 overflows to inf, yet the radial is finite (2.5e9 at n = 3)
+        radial = oracle.radial_integral(power, 1e-10, 1e308)
+        assert radial == pytest.approx(radial_analytic(power, 1e-10, 1e308), rel=1e-10)
+
+    @pytest.mark.parametrize("power", range(3, 13))
+    def test_a_finite_t_past_the_edge_gives_the_float_at_the_edge(self, power):
+        edge = oracle._EDGES[-2]  # 9.999999999999998e307
+        at_edge = references.radial_integral(power, 1.0, edge)
+        for t in (math.nextafter(edge, math.inf), 1e308, 1.7e308, sys.float_info.max):
+            assert oracle.radial_integral(power, 1.0, t) == at_edge
+
+
 class TestIntegrate:
     @pytest.mark.parametrize(
         "f, a, b",
