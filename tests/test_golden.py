@@ -16,7 +16,8 @@ After an intended output change, rewrite the hashes in process with
     PYTHONPATH=src python tests/test_golden.py --update
 
 and list the argv whose lines changed.  To add an argv, append a line
-``- any <argv>`` and run the update.
+``- any <argv>`` and run the update.  Lines that start with ``#`` are
+comments (the reason an argv is there); the update keeps them where they are.
 """
 
 import contextlib
@@ -31,18 +32,20 @@ from loopreg import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OUTPUTS = GOLDEN / "outputs.txt"
-HEADER = "# hash group argv: run in tests/golden at COLUMNS=80; see tests/test_golden.py\n"
 #: the versions whose argparse prints the messages the ``argparse`` group was hashed from
 ARGPARSE_VERSIONS = ((3, 10), (3, 11), (3, 12))
 
 
-def _read() -> list[tuple[str, str, list[str]]]:
-    entries = []
-    for line in OUTPUTS.read_text().splitlines():
-        if line and not line.startswith("#"):
-            digest, group, *rest = line.split(" ", 2)
-            entries.append((digest, group, shlex.split(rest[0]) if rest else []))
-    return entries
+def _entry(line: str) -> tuple[str, str, list[str]] | None:
+    """(hash, group, argv) of a corpus line; None for a comment or a blank line."""
+    if not line.strip() or line.startswith("#"):
+        return None
+    digest, group, *rest = line.split(" ", 2)
+    return digest, group, shlex.split(rest[0]) if rest else []
+
+
+def _read(path: Path = OUTPUTS) -> list[tuple[str, str, list[str]]]:
+    return [entry for entry in map(_entry, path.read_text().splitlines()) if entry]
 
 
 def _outcome(argv: list[str]) -> tuple[int, str, str]:
@@ -88,13 +91,34 @@ def test_outputs_match_the_golden_hashes():
     assert not changed, f"{len(changed)} of {len(entries)} argv changed their output:\n" + "\n".join(changed)
 
 
-def _update() -> None:
-    lines = [HEADER]
+def _update(path: Path = OUTPUTS) -> None:
+    lines = []
     with _fixed_setting():
-        for _, _, argv in _read():
-            outcome = _outcome(argv)
-            lines.append(f"{_digest(outcome)} {_group(outcome)} {shlex.join(argv)}".rstrip() + "\n")
-    OUTPUTS.write_text("".join(lines))
+        for line in path.read_text().splitlines():
+            entry = _entry(line)
+            if entry:
+                outcome = _outcome(entry[2])
+                line = f"{_digest(outcome)} {_group(outcome)} {shlex.join(entry[2])}".rstrip()
+            lines.append(line + "\n")
+    path.write_text("".join(lines))
+
+
+def test_update_keeps_comment_lines(tmp_path):
+    corpus = tmp_path / "outputs.txt"
+    corpus.write_text(
+        "# hash group argv\n"
+        "- any mu1 --m 1\n"
+        "# why the next argv is here\n"
+        "\n"
+        "000000000000 any regularize --n 3 --msq 2\n"
+        "# a comment last\n"
+    )
+    _update(corpus)
+    lines = corpus.read_text().splitlines()
+    assert [lines[i] for i in (0, 2, 3, 5)] == ["# hash group argv", "# why the next argv is here", "", "# a comment last"]
+    with _fixed_setting():
+        expected = [(_digest(_outcome(argv)), "any", argv) for argv in (["mu1", "--m", "1"], ["regularize", "--n", "3", "--msq", "2"])]
+    assert _read(corpus) == expected
 
 
 if __name__ == "__main__":
