@@ -132,8 +132,12 @@ _PAIRS = tuple(zip(_NODES, _KRONROD, _GAUSS))
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
-    """G7-K15 on [a, b] as a heap entry: (-error, a, b, Kronrod value)."""
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    """G7-K15 on [a, b] as a heap entry: (-error, a, b, Kronrod value).
+
+    The center is 0.5*a + 0.5*b, the bits of 0.5*(a + b) for normal floats,
+    but finite where a + b overflows (a panel just below the largest float).
+    """
+    center, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
     f_center = f(center)
     kronrod, gauss = _KRONROD[-1] * f_center, _GAUSS[-1] * f_center
     for x, w_kronrod, w_gauss in _PAIRS:
@@ -145,7 +149,7 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
 
 def _radial_panel(power: int, a: float, b: float) -> tuple[float, float, float, float]:
     """``_panel`` of radial_integrand(t, power, 1.0), its unscaled form written out; OverflowError where that overflows."""
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    center, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
     f_center = center**3 / (center * center + 1.0) ** power
     kronrod, gauss = _KRONROD[-1] * f_center, _GAUSS[-1] * f_center
     for x, w_kronrod, w_gauss in _PAIRS:
@@ -173,7 +177,7 @@ def _adapt(panel: Callable[[float, float], tuple], a: float, b: float, epsrel: f
     error, value = -panels[0][0], panels[0][3]
     while error > max(epsabs, epsrel * abs(value)) and len(panels) < 200:
         neg_error, lo, hi, whole = heapq.heappop(panels)
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # as in _panel: finite where lo + hi overflows
         left, right = panel(lo, mid), panel(mid, hi)
         heapq.heappush(panels, left)
         heapq.heappush(panels, right)

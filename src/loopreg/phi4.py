@@ -25,6 +25,7 @@ as restored, so the two agree even within rounding of mu_c.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import _Record, _log_ratio
 
@@ -81,8 +82,16 @@ class SSBPotential(_Record):
 
 
 def ssb_vacuum(pot: SSBPotential) -> tuple[float, float]:
-    """(Phi1, m_sigma) = (sqrt(6 sigma/lambda), sqrt(2 sigma)); ArithmeticError where Phi1 underflows to 0."""
-    phi1 = math.sqrt(6.0 * pot.sigma / pot.lam)
+    """(Phi1, m_sigma) = (sqrt(6 sigma/lambda), sqrt(2 sigma)); ArithmeticError where Phi1 underflows to 0.
+
+    Where 6 sigma/lambda leaves the normal floats, Phi1 is sqrt(6) sqrt(sigma)/sqrt(lambda),
+    so a Phi1 that fits does not fail on its square.
+    """
+    ratio = 6.0 * pot.sigma / pot.lam
+    if sys.float_info.min <= ratio < math.inf:
+        phi1 = math.sqrt(ratio)
+    else:
+        phi1 = math.sqrt(6.0) * math.sqrt(pot.sigma) / math.sqrt(pot.lam)
     if phi1 == 0.0:  # a derived scale, not an input: its underflow is a numeric failure
         raise ArithmeticError(f"phi1 = sqrt(6*sigma/lambda) underflows to 0 at sigma={pot.sigma!r}, lambda={pot.lam!r}")
     return phi1, math.sqrt(2.0 * pot.sigma)

@@ -175,7 +175,12 @@ def lamb_shift_estimate(alpha: float, m: float, bethe_log: float) -> float:
     bracket = -2.0 * math.log(alpha) - bethe_log + 19.0 / 30.0
     try:
         alpha5 = alpha**5
-    except OverflowError:  # inf, like a product past the float range, so the report names the estimate as not finite
-        alpha5 = math.inf
+    except OverflowError:  # the estimate from its log, with the bracket's sign: a small m may bring it back in range
+        log_mhz = 5.0 * math.log(alpha) + math.log(m) - math.log(6.0 * math.pi) + math.log(abs(bracket)) + math.log(GEV_TO_MHZ)
+        try:
+            magnitude = math.exp(log_mhz)
+        except OverflowError:  # inf, like a product past the float range, so the report names the estimate as not finite
+            magnitude = math.inf
+        return math.copysign(magnitude, bracket)
     delta_e_gev = alpha5 * m / (6.0 * math.pi) * bracket
     return delta_e_gev * GEV_TO_MHZ

@@ -106,6 +106,14 @@ class TestPhi4Command:
         assert float(out["invariant_ratio"]) == pytest.approx(6.0, rel=1e-12)
         assert (float(out["higgs_lower_bound"]), float(out["higgs_predicted"]), float(out["higgs_upper_bound"])) == (76.0, 138.0, 170.0)
 
+    @pytest.mark.parametrize("sigma, lam", [("1e300", "1e-300"), ("1e-300", "1e100")])
+    def test_vacuum_fits_where_its_square_does_not(self, capsys, sigma, lam):
+        # 6*sigma/lambda over- or underflows, but Phi1 = sqrt(6*sigma/lambda) fits: exit 0
+        code, report = run_json(capsys, ["phi4", "--sigma", sigma, "--lambda", lam, "--precision", "17"])
+        assert code == 0
+        phi1 = Fraction(report["outputs"]["phi1"])
+        assert float(phi1**2 * Fraction(float(lam)) / (6 * Fraction(float(sigma)))) == pytest.approx(1.0, rel=4e-15)
+
     def test_higgs_constants_converted_with_units(self, capsys):
         code, report = run_json(capsys, ["phi4", "--sigma", "1e6", "--lambda", "6", "--units", "MeV"])
         assert code == 0
@@ -133,6 +141,20 @@ class TestLambshiftCommand:
         code, report = run_json(capsys, ["lambshift"])
         assert code == 0
         assert 900.0 <= float(report["outputs"]["lamb_shift_mhz"]) <= 1100.0
+
+
+    def test_alpha5_past_the_float_range_with_a_small_mass(self, capsys):
+        # alpha^5 = 1e310 overflows, yet the estimate, -3.69e28 MHz, fits: it is taken from its log
+        mpmath = pytest.importorskip("mpmath")
+        from loopreg import qed
+
+        code, report = run_json(capsys, ["lambshift", "--alpha", "1e62", "--m", "1e-300", "--precision", "17"])
+        assert code == 0
+        with mpmath.workdps(40):
+            alpha, m = mpmath.mpf(1e62), mpmath.mpf(1e-300)
+            bracket = -2 * mpmath.log(alpha) - mpmath.mpf(qed.DEFAULT_BETHE_LOG) + mpmath.mpf(19) / 30
+            exact = float(alpha**5 * m / (6 * mpmath.pi) * bracket * mpmath.mpf(qed.GEV_TO_MHZ))
+        assert float(report["outputs"]["lamb_shift_mhz"]) == pytest.approx(exact, rel=1e-12)
 
 
 class TestResumCommand:
@@ -306,12 +328,12 @@ class TestOracleCommand:
 # argv that must exit 2 or 3 with nothing on stdout, and a text its stderr must hold
 _FAILURES = [
     (["selfenergy", "--m", "1e308", "--mu1", "1e-308"], 3, "numeric failure: delta_m must be finite, got -inf"),
-    (["lambshift", "--alpha", "1e62"], 3, "numeric failure: lamb_shift_mhz is not finite: -inf\n"),  # alpha^5 overflows
+    (["lambshift", "--alpha", "1e62"], 3, "numeric failure: lamb_shift_mhz is not finite: -inf\n"),  # the true value is -1.9e325
     (["resum", "--lambda0", "0.0105", "--mu0", "249.56", "--mu", "2.99e7"], 3, "numeric failure"),
     (["regularize", "--n", "2", "--msq", "1", "--mu1", "inf"], 2, "error"),
     (["phi4", "--sigma", "inf", "--lambda", "1"], 2, "error"),
     (["oracle", "--n", "2", "--msq", "1", "--grid", "10,100,nan"], 2, "error"),
-    (["phi4", "--sigma", "1e300", "--lambda", "1e-300"], 3, "numeric failure"),
+    (["phi4", "--sigma", "1.7e308", "--lambda", "1e-310"], 3, "numeric failure: phi1 is not finite: inf\n"),  # Phi1 = 3.2e309
     (["phi4", "--sigma", "1", "--lambda", "1e300"], 3, "numeric failure"),
     (["oracle", "--n", "1", "--msq", "1e300", "--grid", "1e156", "--format", "csv"], 3, "numeric failure"),
     # a result past the float range, not a bad input: exit 3
@@ -330,7 +352,8 @@ _FAILURES = [
     # a scale the library derives underflows to 0: a numeric failure, not a bad input
     (["selfenergy", "--m", "5e-324"], 3, "numeric failure: mu1 = m*exp(-5/6) underflows to 0 at m=5e-324\n"),
     (["mu1", "--m", "5e-324"], 3, "numeric failure: mu1 = m*exp(-5/6) underflows to 0 at m=5e-324\n"),
-    (["phi4", "--sigma", "1e-320", "--lambda", "1.7e308"], 3, "numeric failure: phi1 = sqrt(6*sigma/lambda) underflows to 0 at sigma=1e-320,"),
+    # Phi1 = 1.9e-314 fits as sqrt(6)*sqrt(sigma)/sqrt(lambda); the one-loop coupling does not
+    (["phi4", "--sigma", "1e-320", "--lambda", "1.7e308"], 3, "numeric failure: lambda_renormalized is not finite: inf\n"),
     # the CLI's own check of the evaluation point, made after the integral's check of its power
     (["regularize", "--n", "2", "--msq", "0"], 2, "error: numeric mass_sq must be positive, got 0.0\n"),
     (["regularize", "--n", "3", "--msq", "-1"], 2, "error: numeric mass_sq must be positive, got -1.0\n"),

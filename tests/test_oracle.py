@@ -302,7 +302,13 @@ class TestRadialPrefixSums:
 
 
 class TestCutoffPastTheLastEdge:
-    """For power >= 3 a t = cutoff/sqrt(M^2) past the last finite decade edge, inf included, is taken at that edge."""
+    """For power >= 3 a t = cutoff/sqrt(M^2) past the last finite decade edge, inf included, is taken at that edge;
+    for power 2 the piece from that edge to t is integrated, its panels centered without forming a + b."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])  # 1e-12 bisects the top piece
+    @pytest.mark.parametrize("cutoff", [1e308, 1.7e308])
+    def test_log_member_is_ln_t_less_one_half(self, cutoff, rel_tol):
+        assert oracle.radial_integral(2, 1.0, cutoff, rel_tol) == pytest.approx(math.log(cutoff) - 0.5, rel=1e-12)
 
     @pytest.mark.parametrize("power", range(3, 13))
     def test_a_t_that_overflows_gives_the_closed_form(self, power):

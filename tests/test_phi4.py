@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -49,6 +50,16 @@ class TestSSBVacuum:
         # no point of a fine scan over (0, 5] lies below the vacuum
         assert all(pot(phi1) <= pot(5.0 * k / 10_000) for k in range(1, 10_001))
         assert pot(phi1) < pot(0.0)
+
+    @pytest.mark.parametrize("sigma, lam", [(1e300, 1e-300), (1e200, 1e-200), (1e-300, 1e100), (1.7e308, 0.5)])
+    def test_vacuum_fits_where_its_square_does_not(self, sigma, lam):
+        # 6 sigma/lambda leaves the float range, Phi1 does not: Phi1^2 lambda/(6 sigma) is 1 in exact arithmetic
+        phi1, _ = phi4.ssb_vacuum(SSBPotential(sigma=sigma, lam=lam))
+        assert float(Fraction(phi1) ** 2 * Fraction(lam) / (6 * Fraction(sigma))) == pytest.approx(1.0, rel=4e-15)
+
+    def test_sqrt_of_the_ratio_where_it_is_a_normal_float(self):
+        for sigma, lam in ((1.0, 6.0), (2.5, 0.3), (1e150, 1e-150), (1e-150, 1e150)):
+            assert phi4.ssb_vacuum(SSBPotential(sigma=sigma, lam=lam))[0] == math.sqrt(6.0 * sigma / lam)
 
     def test_nonpositive_parameters_rejected(self):
         with pytest.raises(ValueError):
