@@ -699,7 +699,16 @@ class TestRoundTrip:
 
 
 class TestDemo:
-    """``test_acceptance.py::test_criterion_10_demo`` runs the passing demo."""
+    def test_demo_passes_all_gates(self, capsys):
+        from loopreg import checks
+
+        code, out, _ = run_raw(capsys, ["demo"])
+        assert code == 0
+        assert "FAIL" not in out
+        assert "ALL CHECKS PASSED" in out
+        # demo prints the very table the acceptance gate asserts, in order
+        passed = [line.split("  ")[1] for line in out.splitlines() if line.startswith("PASS  ")]
+        assert passed == [check.name for check in checks.CHECKS]
 
     def test_demo_ignores_format(self, capsys):
         code, out, _ = run_raw(capsys, ["demo", "--format", "csv"])
@@ -748,6 +757,23 @@ def _argv(draw):
     return argv
 
 
+class TestContract:
+    """The CLI contract over hundreds of generated argv, all parsed by the one parser of this process."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_argv())
+    def test_every_argv_exits_0_2_or_3_and_prints_only_finite_numbers(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        if code == 3:  # a numeric failure names its quantity, never with Python's bare float-error text
+            assert not re.search("Numerical result out of range|division by zero|math range error", err.getvalue()), (argv, err.getvalue())
+        if code == 0:
+            assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())
+
+
 def _rendered(render, subcommand, report, cfg):
     """What a renderer writes to stdout, and the message of the OverflowError it raises, if any."""
     out = io.StringIO()
@@ -757,35 +783,6 @@ def _rendered(render, subcommand, report, cfg):
     except OverflowError as exc:
         return out.getvalue(), str(exc)
     return out.getvalue(), None
-
-
-class TestContract:
-    """The CLI contract over hundreds of generated argv, all parsed by the one parser of this process."""
-
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @given(_argv())
-    def test_every_argv_exits_0_2_or_3_and_prints_only_finite_numbers(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        render = cli._render
-
-        def render_checked(*call):  # what the renderer writes, or raises, is what the two-pass reference does
-            start, message = out.tell(), None
-            try:
-                render(*call)
-            except OverflowError as exc:
-                message = str(exc)
-                raise
-            finally:
-                assert (out.getvalue()[start:], message) == _rendered(render_two_pass, *call), call
-
-        with mock.patch.object(cli, "_render", render_checked), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(argv)
-        assert code in (0, 2, 3), (argv, err.getvalue())
-        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
-        if code == 3:  # a numeric failure names its quantity, never with Python's bare float-error text
-            assert not re.search("Numerical result out of range|division by zero|math range error", err.getvalue()), (argv, err.getvalue())
-        if code == 0:
-            assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())
 
 
 def _reports(argv):
@@ -801,10 +798,7 @@ _NON_ASCII = "\u03bc\u2081 \u2192 \u221e, na\u00efve \"q\" \\ \t \u2028 \U0001d5
 
 
 class TestOnePassRenderer:
-    """``cli._render`` writes the bytes of formatting each number, then ``json.dumps(indent=2)``.
-
-    ``TestContract`` checks the same on every report its generated argv render.
-    """
+    """``cli._render`` writes the bytes of formatting each number, then ``json.dumps(indent=2)``."""
 
     def assert_renders_as_two_pass(self, subcommand, report, cfg):
         assert _rendered(cli._render, subcommand, report, cfg) == _rendered(render_two_pass, subcommand, report, cfg)
@@ -813,6 +807,12 @@ class TestOnePassRenderer:
     def test_round_trip_reports(self, argv):
         (call,) = _reports(argv)
         self.assert_renders_as_two_pass(*call)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_argv())
+    def test_generated_argv(self, argv):
+        for call in _reports(argv):
+            self.assert_renders_as_two_pass(*call)
 
     @pytest.mark.parametrize("precision", [4, 17])
     @pytest.mark.parametrize(
