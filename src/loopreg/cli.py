@@ -361,10 +361,14 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         if ns.mu_points < 2:
             raise ValueError("sweep needs at least 2 points")
         lo, hi = cfg.mass_in(ns.mu_min), cfg.mass_in(ns.mu_max)
-        ratio = (hi / lo) ** (1.0 / (ns.mu_points - 1))
+        if math.isfinite(hi / lo):
+            ratio = (hi / lo) ** (1.0 / (ns.mu_points - 1))
+            mus = [lo * ratio**i for i in range(ns.mu_points)]
+        else:  # the ratio alone leaves the float range: step in ln mu
+            step = (math.log(hi) - math.log(lo)) / (ns.mu_points - 1)
+            mus = [math.exp(math.log(lo) + i * step) for i in range(ns.mu_points)]
         rows: list[dict[str, object]] = []
-        for i in range(ns.mu_points):
-            mu = lo * ratio**i
+        for mu in mus:
             try:  # the chain's outcome is the status: a value below the critical scale, a pole at or past it
                 coupling: float | None = phi4.resum_chain(state, mu)
                 status = phi4.VACUUM_BROKEN

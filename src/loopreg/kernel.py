@@ -224,7 +224,8 @@ class RegularizedValue(_Record):
         """Numeric value of the bracketed expression, i.e. the multiple of i/(16 pi^2).
 
         All constants must be fixed.  msq = 0 is accepted only for purely polynomial content (a log
-        term or inverse power is singular there); a power of msq past the float range raises OverflowError.
+        term or inverse power is singular there).  Where c * msq**p overflows, the coefficient term is
+        sign(c) * exp(ln|c| + p ln msq); a term still past the float range raises OverflowError.
         """
         p, a, b = self.msq_power, self.log_coefficient, self.coefficient
         if msq < 0:
@@ -239,7 +240,14 @@ class RegularizedValue(_Record):
             if a:
                 pieces.append(float(a) * msq**p * math.log(msq))
             if b:
-                pieces.append(float(b) * msq**p)
+                c = float(b)
+                try:
+                    term = c * msq**p
+                except OverflowError:
+                    term = math.inf
+                if math.isinf(term):  # (M^2)^p, or its product, past the float range: taken from the logarithm
+                    term = math.copysign(math.exp(math.log(abs(c)) + p * math.log(msq)), c)
+                pieces.append(term)
         except OverflowError:
             raise OverflowError(f"bracket past the float range: (M^2)^{p} at mass_sq={msq!r}") from None
         return math.fsum(pieces)

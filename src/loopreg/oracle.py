@@ -18,18 +18,19 @@ The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
 piece over the decades 0, 1, 10, ... of t.  No piece carries a mass: cutoffs
 and masses share the memoized sums of the full decades below them, and a
 cutoff within 1% below an edge takes the sum up to that edge less one short
-piece.  A
-``CutoffProbe`` integrates each of its cutoffs once, and each fit checks its
-own grid rule before it reads them, so a short grid fails before any quadrature.
+piece.  A ``CutoffProbe`` integrates all its cutoffs in one pass of the loop
+behind ``radial_integral``, and each fit checks its own grid rule before it
+reads them, so a short grid fails before any quadrature.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from bisect import bisect_right
 from collections.abc import Callable
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from . import _Record
 
@@ -75,21 +76,21 @@ class QuadratureSpec(_Record):
 
 
 class CutoffProbe(_Record):
-    """A cutoff sweep over a Lambda grid; ``radials`` integrates each cutoff
-    once, on first read, and is kept beside the fields, outside equality."""
+    """A cutoff sweep over a Lambda grid; ``radials`` integrates every cutoff
+    in one pass on first read, and is kept beside the fields, outside equality."""
 
     __match_args__ = ("power", "mass_sq", "lambda_grid", "quadrature")
     __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, power: int, mass_sq: float, lambda_grid: tuple[float, ...], quadrature: QuadratureSpec = QuadratureSpec()) -> None:
-        lambda_grid = tuple(float(l) for l in lambda_grid)
+        lambda_grid = tuple(map(float, lambda_grid))
         if power < 1:
             raise ValueError(f"power must be >= 1, got {power!r}")
         if not mass_sq > 0:
             raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
         if not lambda_grid or lambda_grid[0] <= 0:
             raise ValueError("cutoff grid values must be positive")
-        if any(b <= a for a, b in zip(lambda_grid, lambda_grid[1:])):
+        if any(map(operator.le, lambda_grid[1:], lambda_grid)):  # a later cutoff at or below the one before
             raise ValueError("cutoff grid must be strictly increasing")
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "mass_sq", mass_sq)
@@ -98,8 +99,8 @@ class CutoffProbe(_Record):
 
     @cached_property
     def radials(self) -> tuple[float, ...]:
-        """radial_integral at each cutoff, in grid order."""
-        return tuple(radial_integral(self.power, self.mass_sq, lam, self.quadrature.rel_tol) for lam in self.lambda_grid)
+        """radial_integral at each cutoff, in grid order, all in one pass of the radial loop."""
+        return tuple(_radials(self.power, self.mass_sq, self.lambda_grid, self.quadrature.rel_tol))
 
 
 def radial_integrand(k: float, power: int, mass_sq: float) -> float:
@@ -168,17 +169,20 @@ def integrate(f: Callable[[float], float], a: float, b: float, epsrel: float, ep
     200 panels are in use; the caller judges a result that stopped at the
     limit by the error it returns.
     """
-    return _adapt(partial(_panel, f), a, b, epsrel, epsabs)
+    return _adapt(_panel, f, a, b, epsrel, epsabs)
 
 
-def _adapt(panel: Callable[[float, float], tuple], a: float, b: float, epsrel: float, epsabs: float) -> tuple[float, float]:
-    """``integrate``'s adaptive bisection over the panels that panel(lo, hi) returns."""
-    panels = [panel(a, b)]
+def _adapt(panel: Callable[..., tuple], arg: object, a: float, b: float, epsrel: float, epsabs: float) -> tuple[float, float]:
+    """``integrate``'s adaptive bisection over the panels that panel(arg, lo, hi) returns."""
+    panels = [panel(arg, a, b)]
     error, value = -panels[0][0], panels[0][3]
+    tol = epsrel * abs(value)  # max(epsabs, tol) is written out below: the call costs as much as the rest of the test
+    if not error > (tol if tol > epsabs else epsabs):  # one panel settles it: return what the fsums of one entry give
+        return value + 0.0, error
     while error > max(epsabs, epsrel * abs(value)) and len(panels) < 200:
         neg_error, lo, hi, whole = heapq.heappop(panels)
         mid = 0.5 * lo + 0.5 * hi  # as in _panel: finite where lo + hi overflows
-        left, right = panel(lo, mid), panel(mid, hi)
+        left, right = panel(arg, lo, mid), panel(arg, mid, hi)
         heapq.heappush(panels, left)
         heapq.heappush(panels, right)
         value += left[3] + right[3] - whole
@@ -246,7 +250,7 @@ while _EDGES[-1] < math.inf:
 def _radial_piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, float]:
     """(value, error estimate) of int t^3 (t^2 + 1)^(-power) dt over [t_a, t_b]."""
     try:
-        return _adapt(partial(_radial_panel, power), t_a, t_b, epsrel, 0.0)
+        return _adapt(_radial_panel, power, t_a, t_b, epsrel, 0.0)
     except OverflowError:  # far above t = 1: the piece again, with radial_integrand's scaled form
         return integrate(lambda t: radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
 
@@ -278,9 +282,10 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     (1/0.99)^4 - 1, about 4%, so no digit is lost, and the error estimates
     add.  For power >= 3 a t past the last finite edge (~1e308), inf included,
     is taken at that edge: the tail above it is below 1e-300 of the total.
-    Raises QuadratureError when the summed error estimate misses rel_tol,
-    whether or not the pieces were cached, and OverflowError when the result
-    lies past the float range.
+    For power 2 a t that overflows adds ln(t/edge), taken from ln(cutoff) and
+    ln(M^2), to the sum up to that edge: the integrand is 1/t to 1e-600 there.
+    Raises QuadratureError when the summed error estimate misses rel_tol, whether
+    or not the pieces were cached, and OverflowError past the float range.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power!r}")
@@ -288,35 +293,45 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
     if not mass_sq > 0:
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
-    t_cut = cutoff / math.sqrt(mass_sq)
-    if power >= 3:
-        t_cut = min(t_cut, _EDGES[-2])
-    # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece
-    # asked for less than 5e-14 would only run to the panel limit; the check
-    # below still enforces rel_tol, so tighter requests fail loudly.
-    epsrel = max(rel_tol / 10.0, 5e-14)
-    k = bisect_right(_EDGES, t_cut) - 1  # the full decades end at _EDGES[k] <= t_cut
-    upper = _EDGES[k + 1] if k + 1 < len(_EDGES) else math.inf  # the next edge up; t_cut = inf has none
-    if 0.99 * upper <= t_cut and upper < math.inf:  # just below an edge: the decades up to it less [t_cut, upper]
-        total, err_total = _decade_sums(power, k + 1, epsrel)
-        piece, err = _piece(power, t_cut, upper, epsrel)
-        total, err_total = total - piece, err_total + err
-    else:
-        total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
-        piece, err = _piece(power, _EDGES[k], t_cut, epsrel) if _EDGES[k] != t_cut else (0.0, 0.0)
-        total, err_total = total + piece, err_total + err
-    if err_total > rel_tol * abs(total):
-        raise QuadratureError(
-            f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
-            f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}"
-        )
+    return _radials(power, mass_sq, (cutoff,), rel_tol)[0]
+
+
+def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: float) -> list[float]:
+    """radial_integral at each cutoff, in order: sqrt(M^2), epsrel and (M^2)^(2-power) derived once."""
+    root = math.sqrt(mass_sq)
+    # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece asked for less than
+    # 5e-14 would only run to the panel limit; the check below still enforces rel_tol, so tighter requests fail loudly.
+    epsrel = rel_tol / 10.0 if not 5e-14 > rel_tol / 10.0 else 5e-14  # max(rel_tol / 10.0, 5e-14) without the call
     try:
-        radial = mass_sq ** (2 - power) * total
+        scale = mass_sq ** (2 - power)
     except OverflowError:  # the power of M^2 alone leaves the float range
-        radial = math.inf
-    if not math.isfinite(radial):
-        raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
-    return radial
+        scale = math.inf
+    radials = []
+    for cutoff in cutoffs:
+        t_cut = cutoff / root
+        if power >= 3 and t_cut > _EDGES[-2]:
+            t_cut = _EDGES[-2]
+        k = bisect_right(_EDGES, t_cut) - 1  # the full decades end at _EDGES[k] <= t_cut
+        upper = _EDGES[k + 1] if t_cut < math.inf else math.inf  # the next edge up; t_cut = inf has none
+        if 0.99 * upper <= t_cut and upper < math.inf:  # just below an edge: the decades up to it less [t_cut, upper]
+            total, err_total = _decade_sums(power, k + 1, epsrel)
+            piece, err = _piece(power, t_cut, upper, epsrel)
+            total, err_total = total - piece, err_total + err
+        elif power == 2 and t_cut == math.inf:  # the decades up to the last finite edge, then ln t from it
+            total, err_total = _decade_sums(power, k - 1, epsrel)
+            total += math.log(cutoff) - 0.5 * math.log(mass_sq) - math.log(_EDGES[-2])
+        else:
+            total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
+            piece, err = _piece(power, _EDGES[k], t_cut, epsrel) if _EDGES[k] != t_cut else (0.0, 0.0)
+            total, err_total = total + piece, err_total + err
+        if err_total > rel_tol * abs(total):
+            raise QuadratureError(f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
+                                  f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
+        radial = scale * total
+        if not math.isfinite(radial):
+            raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
+        radials.append(radial)
+    return radials
 
 
 def unit_multiple(power: int, radial: float) -> float:
@@ -356,8 +371,8 @@ def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:
     n = len(xs)
     x_mean = math.fsum(xs) / n
     y_mean = math.fsum(ys) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxx = math.fsum([(x - x_mean) ** 2 for x in xs])
+    sxy = math.fsum([(x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)])
     slope = sxy / sxx
     return slope, y_mean - slope * x_mean
 
@@ -381,7 +396,7 @@ def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     """
     _require_grid(probe, min_points=4, min_span=1e3)
     grid, vals = probe.lambda_grid, probe.radials
-    logs = [math.log(l) for l in grid]
+    logs = list(map(math.log, grid))
     slopes = [
         (v2 - v1) / (l2 - l1)
         for v1, v2, l1, l2 in zip(vals, vals[1:], logs, logs[1:])
@@ -411,9 +426,9 @@ def asymptote_constant(probe: CutoffProbe) -> float:
     _require_grid(probe, min_points=4, min_span=1e4)
     grid = probe.lambda_grid
     threshold = grid[-1] / 100.0
-    if sum(lam >= threshold for lam in grid) < 2:
-        raise InsufficientGridError("need >= 2 grid points in the top two decades for extrapolation")
     xs = [(grid[-1] / lam) ** 2 for lam in grid if lam >= threshold]
+    if len(xs) < 2:
+        raise InsufficientGridError("need >= 2 grid points in the top two decades for extrapolation")
     gs = [v - math.log(lam) for lam, v in zip(grid, probe.radials) if lam >= threshold]
     _, intercept = _line_fit(xs, gs)
     return intercept

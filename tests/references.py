@@ -3,7 +3,9 @@
 ``render_two_pass`` is the renderer ``loopreg.cli`` used before it laid out
 JSON itself: format every number, then ``json.dumps(indent=2)``.
 ``bisect`` is the bisection that ``loopreg.oracle.find_root`` used to be,
-with the same stop rule.  ``radial_integral`` is
+with the same stop rule.  ``adapt`` is ``loopreg.oracle``'s adaptive
+bisection before it returned a first panel that met the tolerance at once:
+every result goes through the heap and the two ``fsum``s.  ``radial_integral`` is
 ``loopreg.oracle.radial_integral`` before it memoized the sums of its full
 decades: the pieces summed one decade at a time, each evaluation through
 ``radial_integrand``.  A cutoff within 1% below a decade edge is taken as in
@@ -14,6 +16,7 @@ byte for byte (and float for float); root finders' evaluation counts are
 compared with bisection's.
 """
 
+import heapq
 import json
 import math
 import sys
@@ -82,6 +85,21 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def adapt(panel: Callable[[float, float], tuple], a: float, b: float, epsrel: float, epsabs: float = 0.0) -> tuple[float, float]:
+    """Adaptive bisection over the (-error, a, b, value) panels that panel(lo, hi) returns: (value, error)."""
+    panels = [panel(a, b)]
+    error, value = -panels[0][0], panels[0][3]
+    while error > max(epsabs, epsrel * abs(value)) and len(panels) < 200:
+        neg_error, lo, hi, whole = heapq.heappop(panels)
+        mid = 0.5 * lo + 0.5 * hi
+        left, right = panel(lo, mid), panel(mid, hi)
+        heapq.heappush(panels, left)
+        heapq.heappush(panels, right)
+        value += left[3] + right[3] - whole
+        error += neg_error - left[0] - right[0]
+    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
 
 
 @lru_cache(maxsize=None)  # only to keep the tests quick: a piece is the same float from the cache or not

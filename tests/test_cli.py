@@ -292,17 +292,18 @@ class TestOracleCommand:
         from loopreg import oracle
 
         calls = []
-        radial_integral = oracle.radial_integral
+        radials = oracle._radials
 
-        def counted(*args):
-            calls.append(args)
-            return radial_integral(*args)
+        def counted(power, mass_sq, grid, rel_tol):
+            calls.append(grid)
+            return radials(power, mass_sq, grid, rel_tol)
 
-        monkeypatch.setattr(oracle, "radial_integral", counted)
+        monkeypatch.setattr(oracle, "_radials", counted)
         code, report = run_json(capsys, argv)
         assert code == 0
         assert len(report["outputs"]["rows"]) == cutoffs
-        assert len(calls) == cutoffs
+        # one pass of the radial loop integrates every cutoff of the grid, once
+        assert len(calls) == 1 and len(calls[0]) == cutoffs
 
     @pytest.mark.parametrize(
         "n, msq, grid",

@@ -88,6 +88,17 @@ class TestEvaluateConvergent:
         # at M^2 = 2 the bracket is 1/24
         assert value.bracket(2.0) == pytest.approx(1.0 / 24.0, rel=1e-15)
 
+    @pytest.mark.parametrize("power, msq", [(3, 5e-309), (12, 9.586870883950833e-32), (3, 1e-320), (6, 1e-100)])
+    def test_bracket_fits_where_the_power_of_msq_does_not(self, power, msq):
+        # (M^2)^(2-n) overflows, or its product with the coefficient does; the exact value is in range
+        value = kernel.evaluate_convergent(ScalarLoopIntegral(power=power))
+        exact = value.coefficient * Fraction(msq) ** value.msq_power
+        if abs(exact) > Fraction(1.7976931348623157e308):
+            with pytest.raises(OverflowError, match=r"bracket past the float range: \(M\^2\)\^"):
+                value.bracket(msq)
+        else:
+            assert value.bracket(msq) == pytest.approx(float(exact), rel=1e-12)
+
     @pytest.mark.parametrize("power", [1, 2])
     def test_divergent_rejected(self, power):
         with pytest.raises(StillDivergentError, match="still divergent"):

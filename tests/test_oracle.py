@@ -3,9 +3,10 @@ import math
 import operator
 import random
 import sys
+from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopreg import checks, oracle
@@ -301,14 +302,60 @@ class TestRadialPrefixSums:
         assert oracle._radial_piece(power, a, b, 1e-11) == oracle.integrate(f, a, b, 1e-11)
 
 
+# cutoffs in units of sqrt(M^2): exact decade edges 1..1e6 and points within 1e-6 either side of one
+_PROBE_TS = st.one_of(
+    st.integers(0, 6).map(lambda j: 10.0**j),
+    st.tuples(st.integers(0, 6), st.floats(-1e-6, 1e-6)).map(lambda jd: 10.0 ** jd[0] * (1.0 + jd[1])),
+)
+
+
+class TestProbeRadials:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        power=st.integers(1, 6),
+        mass_sq=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), st.integers(-9, 9).map(lambda j: 4.0**j)),
+        ts=st.lists(_PROBE_TS, min_size=4, max_size=8),
+        rel_tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+    )
+    def test_one_pass_is_the_reference_cutoff_by_cutoff(self, power, mass_sq, ts, rel_tol):
+        grid = tuple(sorted({t * math.sqrt(mass_sq) for t in ts}))
+        assume(len(grid) >= 4)
+        want = tuple(references.radial_integral(power, mass_sq, lam, rel_tol) for lam in grid)
+        _clear_radial_caches()
+        for _ in ("cold", "warm"):
+            assert CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials == want
+
+    @pytest.mark.parametrize("rel_tol, failing", [(1e-16, None), (1e-10, lambda power, t_a, t_b, epsrel: (0.0, 1.0))])
+    def test_a_cutoff_that_misses_rel_tol_fails_as_radial_integral_does(self, monkeypatch, rel_tol, failing):
+        # 10 is a decade edge, so only the cutoff just below 1e3 integrates a piece, which the patch fails
+        if failing:
+            monkeypatch.setattr(oracle, "_piece", failing)
+        probe = CutoffProbe(2, 1.0, (10.0, 0.995e3), QuadratureSpec(rel_tol))
+        with pytest.raises(oracle.QuadratureError) as alone:
+            oracle.radial_integral(2, 1.0, 0.995e3 if failing else 10.0, rel_tol)
+        with pytest.raises(oracle.QuadratureError, match="quadrature error") as in_probe:
+            probe.radials
+        assert str(in_probe.value) == str(alone.value)
+
+
 class TestCutoffPastTheLastEdge:
     """For power >= 3 a t = cutoff/sqrt(M^2) past the last finite decade edge, inf included, is taken at that edge;
-    for power 2 the piece from that edge to t is integrated, its panels centered without forming a + b."""
+    for power 2 the piece from that edge to t is integrated, its panels centered without forming a + b, and a t
+    that overflows adds ln t from that edge."""
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])  # 1e-12 bisects the top piece
     @pytest.mark.parametrize("cutoff", [1e308, 1.7e308])
     def test_log_member_is_ln_t_less_one_half(self, cutoff, rel_tol):
         assert oracle.radial_integral(2, 1.0, cutoff, rel_tol) == pytest.approx(math.log(cutoff) - 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("mass_sq, cutoff", [(0.5, 1.7e308), (1e-10, 1e308), (1e-300, 1e300)])
+    def test_log_member_where_t_overflows(self, mass_sq, cutoff):
+        # t = cutoff/sqrt(M^2) is inf; ln t - 1/2 is 709.57 at the first
+        want = math.log(cutoff) - 0.5 * math.log(mass_sq) - 0.5
+        assert oracle.radial_integral(2, mass_sq, cutoff) == pytest.approx(want, rel=1e-14)
+        assert CutoffProbe(2, mass_sq, (cutoff,)).radials == (oracle.radial_integral(2, mass_sq, cutoff),)
+        with pytest.raises(OverflowError, match="past the float range"):
+            oracle.radial_integral(2, mass_sq, math.inf)
 
     @pytest.mark.parametrize("power", range(3, 13))
     def test_a_t_that_overflows_gives_the_closed_form(self, power):
@@ -343,6 +390,29 @@ class TestIntegrate:
         value, error = oracle.integrate(f, a, b, 1e-12)
         assert error <= 1e-12 * abs(value)
         assert value == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "f, a, b, epsrel, epsabs",
+        [
+            (math.exp, 0.0, 1.0, 1e-12, 0.0),  # one panel
+            (math.sqrt, 0.0, 1.0, 1e-12, 0.0),  # bisected
+            (lambda x: -0.0, 0.0, 1.0, 1e-12, 0.0),  # a -0.0 panel: the fsum gives 0.0
+            (lambda x: -x * 0.0, 0.0, 1.0, 1e-12, 1e-12),
+            (math.sin, -1.0, 1.0, 1e-12, 0.0),  # an odd integrand: no relative tolerance is met
+            (lambda x: 1e-300 * x, 0.0, 1.0, 1e-12, 1e-12),
+        ],
+        ids=["exp", "sqrt", "minus-zero", "minus-zero-abs", "odd", "tiny"],
+    )
+    def test_same_floats_as_the_adapt_that_always_sums(self, f, a, b, epsrel, epsabs):
+        got = oracle.integrate(f, a, b, epsrel, epsabs)
+        assert repr(got) == repr(references.adapt(partial(oracle._panel, f), a, b, epsrel, epsabs))
+
+    @pytest.mark.parametrize("power", range(1, 7))
+    def test_radial_pieces_are_the_adapt_that_always_sums(self, power):
+        for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (990.0, 1e3), (1e5, 1e6)):
+            for epsrel in (1e-11, 1e-9, 1e-7, 5e-14):
+                want = references.adapt(partial(oracle._radial_panel, power), a, b, epsrel)
+                assert oracle._adapt(oracle._radial_panel, power, a, b, epsrel, 0.0) == want
 
     def test_absolute_tolerance_ends_a_zero_integral(self):
         # the on-shell x-integrand at L = 5/3 integrates to 0 (5 - 3L)
