@@ -1,21 +1,20 @@
 """Command-line front end.
 
-Every library operation is exposed as a subcommand emitting a machine
-readable report: a flat JSON object with ``inputs``, ``outputs``,
-``provenance`` and ``ledger`` keys (numbers rendered as decimal strings at
-the configured precision, so reports are platform-stable), CSV for sweep
-subcommands, or bare two-column plot data.
+Every library operation is a subcommand that emits a machine-readable report:
+a flat JSON object with ``inputs``, ``outputs``, ``provenance`` and ``ledger``
+keys (numbers as decimal strings at the configured precision, so reports are
+platform-stable), CSV for sweep subcommands, or bare two-column plot data.
 
 Each handler only computes a ``Report``: its inputs, its output fields as
-``(name, value, provenance)`` triples, so every provenance string sits beside
-its value, and its ledger.  A sweep's rows are one ``rows`` field, a list
-of row dicts.  ``run`` checks the format before any computation, and one
-renderer writes the report as JSON (one object per row), or just the rows as
-csv or plot-data.  It formats each number and lays out the JSON in one pass,
-byte for byte as ``json.dumps(payload, indent=2)`` would print the formatted
-payload, and builds the whole text before it writes any of it.  ``demo``
-prints one PASS/FAIL line per row of ``loopreg.checks.CHECKS``, the table
-the acceptance test asserts.
+``(name, value, provenance)`` triples, and its ledger; a sweep's rows are one
+``rows`` field, a list of row dicts.  ``run`` checks the format before any
+computation, and one renderer writes the report as JSON, or its rows as csv or
+plot-data.  It formats each number and lays out the JSON in one pass, byte for
+byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, and
+builds the whole text before it writes any of it.  Leaves are dispatched by
+exact type, and fixed text (each key's ``"key": `` prefix, each provenance
+block) is encoded once per process.  ``demo`` prints one PASS/FAIL line per row
+of ``loopreg.checks.CHECKS``, the table the acceptance test asserts.
 
 Masses are handled in GeV internally; ``--units MeV`` converts all
 mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
@@ -43,9 +42,13 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from json.encoder import encode_basestring_ascii
 
 from . import _Record
+
+try:  # the C function json.encoder re-exports, without loading the json package
+    from _json import encode_basestring_ascii
+except ImportError:  # no C accelerator: json.encoder's pure-Python twin
+    from json.encoder import encode_basestring_ascii
 
 DEFAULT_PRECISION = 12
 PRECISION_ENV_VAR = "LOOPREG_PRECISION"
@@ -117,23 +120,21 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
-    """Flags over ``--config`` over ``LOOPREG_PRECISION`` over the defaults."""
-    merged: dict[str, object] = {"units": "GeV", "precision": DEFAULT_PRECISION, "format": "json"}
-    source = "precision"  # names the setting a bad precision came from
-    env = os.environ.get(PRECISION_ENV_VAR)
-    if env is not None:
-        merged["precision"], source = env, PRECISION_ENV_VAR
-    if ns.config is not None:
-        cfg = _parse_config_file(ns.config)
-        source = "config precision" if "precision" in cfg else source
-        merged.update(cfg)
-    flags = {"units": ns.units, "precision": ns.precision, "format": ns.out_format}
-    merged.update((key, value) for key, value in flags.items() if value is not None)
-    try:
-        precision = int(merged["precision"])
-    except ValueError:
-        raise ValueError(f"{source} must be an integer, got {merged['precision']!r}") from None
-    return RunConfig(units=merged["units"], precision=precision, out_format=merged["format"])
+    """Flags over ``--config`` over ``LOOPREG_PRECISION`` over the defaults; only the setting that wins is read."""
+    file = _parse_config_file(ns.config) if ns.config is not None else {}
+    precision = ns.precision  # argparse made a flag's value an int
+    if precision is None:  # the file's, else the environment's, else the default; ``source`` names it in an error
+        if "precision" in file:
+            precision, source = file["precision"], "config precision"
+        else:
+            precision, source = os.environ.get(PRECISION_ENV_VAR, DEFAULT_PRECISION), PRECISION_ENV_VAR
+        try:
+            precision = int(precision)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {precision!r}") from None
+    units = ns.units if ns.units is not None else file.get("units", "GeV")
+    out_format = ns.out_format if ns.out_format is not None else file.get("format", "json")
+    return RunConfig(units, precision, out_format)
 
 
 # ----------------------------- report rendering -----------------------------
@@ -162,50 +163,60 @@ def _block(brackets: str, items: list[str], indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
+@functools.lru_cache(maxsize=512)
+def _key(key: str) -> str:
+    """A dict key's encoded ``"key": `` prefix, encoded once per process (keys are code constants)."""
+    return encode_basestring_ascii(key) + ": "
+
+
 def _json(value: object, spec: str, name: str, indent: str) -> str:
     """JSON text of a value whose numbers print as decimal strings by ``spec``, recursively
     through lists and dicts; ``name`` is the field a non-finite number is reported under."""
-    if isinstance(value, float):  # most leaves
-        return f'"{_fmt_scalar(value, spec, name)}"'
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is float and math.isfinite(value):  # most leaves
+        return f'"{value:{spec}}"'
+    if kind is str:
         return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, dict):
-        return _object(value, spec, name, indent, {})
-    if isinstance(value, (list, tuple)):
+    if kind is dict:
+        return _object(value, spec, name, indent)
+    if kind is list or kind is tuple:
         inner = indent + "  "
-        keys: dict[str, str] = {}  # shared by the dicts of one list, so rows encode each key once
-        return _block("[]", [_object(v, spec, name, inner, keys) if isinstance(v, dict) else _json(v, spec, name, inner) for v in value], indent)
-    return f'"{_fmt_scalar(value, spec, name)}"'
+        return _block("[]", [_object(v, spec, name, inner) if type(v) is dict else _json(v, spec, name, inner) for v in value], indent)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if not isinstance(value, (str, dict, list, tuple)):  # int, Fraction, a float subclass or a non-finite float
+        return f'"{_fmt_scalar(value, spec, name)}"'
+    if isinstance(value, str):  # a subclass, laid out as its base type
+        return encode_basestring_ascii(value)
+    return _object(value, spec, name, indent) if isinstance(value, dict) else _json(list(value), spec, name, indent)
 
 
-def _object(value: dict[str, object], spec: str, name: str, indent: str, keys: dict[str, str]) -> str:
-    """JSON text of a dict, as ``_json`` writes it; ``keys`` caches each key's encoded ``"key": `` prefix.
-    The cache is looked up per key, not per row: rows need not share their keys or their order."""
+def _object(value: dict[str, object], spec: str, name: str, indent: str) -> str:
+    """JSON text of a dict, as ``_json`` writes it, with each key's prefix from ``_key``."""
     inner = indent + "  "
     items = []
     for k, v in value.items():
-        prefix = keys.get(k)
-        if prefix is None:
-            prefix = keys[k] = encode_basestring_ascii(k) + ": "
-        if isinstance(v, float) and math.isfinite(v):  # a row's usual cell, without a call per cell
-            items.append(f'{prefix}"{format(v, spec)}"')
+        kind = type(v)
+        if kind is float and math.isfinite(v):  # a row's usual cells, without a call per cell
+            items.append(f'{_key(k)}"{v:{spec}}"')
+        elif kind is str:
+            items.append(_key(k) + encode_basestring_ascii(v))
         else:
-            items.append(prefix + _json(v, spec, name, inner))
+            items.append(_key(k) + _json(v, spec, name, inner))
     return _block("{}", items, indent)
+
+
+@functools.lru_cache(maxsize=128)
+def _provenance(pairs: tuple[tuple[str, str], ...]) -> str:
+    """The provenance object of a report's ``(name, why)`` pairs (each ``why`` a string), laid out once per sequence."""
+    return _object(dict(pairs), "", "provenance", "  ")
 
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, object]]:
     rows = []
     for name, e in zip(value.names, value.constants):
-        row: dict[str, object] = {
-            "name": name,
-            "mass_dimension": value.constant_dimension(e),
-            "coefficient": e.coefficient,
-            "msq_power": e.msq_power,
-            "status": "fixed" if e.is_fixed else "unfixed",
-        }
+        status = "fixed" if e.is_fixed else "unfixed"
+        row = {"name": name, "mass_dimension": value.constant_dimension(e), "coefficient": e.coefficient, "msq_power": e.msq_power, "status": status}
         if e.is_fixed:
             row["value"] = e.value
         if e.scale_alias is not None:
@@ -215,15 +226,12 @@ def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[st
 
 
 def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
-    """Write a report as JSON, or its sweep rows as csv or plot-data, to stdout.
-
-    The whole text is built before anything is written, so a non-finite number
-    raises OverflowError with stdout still empty.
-    """
+    """Write a report as JSON, or its sweep rows as csv or plot-data, to stdout.  The whole text is built before
+    anything is written, so a non-finite number raises OverflowError with stdout still empty."""
     spec = f".{cfg.precision}g"
     if cfg.out_format != "json":
         rows = next(value for name, value, _ in report.fields if name == "rows")
-        cells = [["" if v is None else _fmt_scalar(v, spec, "rows") for v in row.values()] for row in rows]
+        cells = [[f"{v:{spec}}" if type(v) is float and math.isfinite(v) else "" if v is None else _fmt_scalar(v, spec, "rows") for v in row.values()] for row in rows]
         if cfg.out_format == "csv":  # a sweep has at least one row, and all rows share its keys
             lines = [",".join(rows[0])] + [",".join(row) for row in cells]
         else:  # plot-data: the first two columns, where the second is set
@@ -232,13 +240,14 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
         return
     inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
     # full-precision echo: re-running a report with its own inputs must be exact
-    echo = {k: (str(v) if isinstance(v, (int, float)) else v) for k, v in inputs.items()}
-    outputs = [f"{encode_basestring_ascii(name)}: {_json(value, spec, name, '    ')}" for name, value, _ in report.fields]
+    echo = [_key(k) + (f'"{v}"' if type(v) in (float, int) else _json(str(v) if isinstance(v, (int, float)) else v, spec, "inputs", "    ")) for k, v in inputs.items()]
+    outputs = [_key(name) + _json(value, spec, name, "    ") for name, value, _ in report.fields]
     sections = [
         f'"subcommand": {encode_basestring_ascii(subcommand)}',
-        f'"inputs": {_json(echo, spec, "inputs", "  ")}',
+        f'"inputs": {_block("{}", echo, "  ")}',
         f'"outputs": {_block("{}", outputs, "  ")}',
-        f'"provenance": {_json({name: why for name, _, why in report.fields}, spec, "provenance", "  ")}',
+        # a list, not a generator: tuple() of a generator fills 10 slots and shrinks them, and the shrunk tuples pile up on a free list
+        f'"provenance": {_provenance(tuple([(name, why) for name, _, why in report.fields]))}',
         f'"ledger": {_json(report.ledger, spec, "ledger", "  ")}',
     ]
     sys.stdout.write(_block("{}", sections, "") + "\n")
@@ -375,16 +384,8 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
             except phi4.LandauPoleError:
                 coupling, status = None, "pole"
             rows.append({"mu": cfg.mass_out(mu), "coupling": coupling, "status": status})
-        return Report(
-            {
-                "lambda0": ns.lambda0, "mu0": ns.mu0, "b": state.beta_coeff,
-                "mu_min": ns.mu_min, "mu_max": ns.mu_max, "mu_points": ns.mu_points,
-            },
-            [
-                ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
-                ("rows", rows, chain + " over the mu grid"),
-            ],
-        )
+        inputs = {"lambda0": ns.lambda0, "mu0": ns.mu0, "b": state.beta_coeff, "mu_min": ns.mu_min, "mu_max": ns.mu_max, "mu_points": ns.mu_points}
+        return Report(inputs, [("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole), ("rows", rows, chain + " over the mu grid")])
 
     mu = cfg.mass_in(ns.mu if ns.mu is not None else ns.mu0)
     fields = [
@@ -471,13 +472,12 @@ class _MisplacedFlag(argparse.Action):
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its name -> subparser map, shared by every ``run`` in this process and built on
-    first use.  ``run`` parses an argv whose first string names a subcommand with that subparser alone; the top-level
-    parser parses the rest (help, no or an unknown subcommand, a flag before it) and reports the strings a subparser
-    leaves over.  Handlers are bound at build time, so patching ``_cmd_*`` after the first ``run`` has no effect; patch
-    what a handler calls.  ``--alpha`` and ``--bethe-log`` default to ``None``: the handler reads (and echoes)
-    ``qed.DEFAULT_ALPHA`` and ``qed.DEFAULT_BETHE_LOG`` on each call, so patching those takes effect on the next
-    ``run``."""
+    """The top-level parser and its name -> subparser map, built once per process on first use.  ``run`` parses an
+    argv whose first string names a subcommand with that subparser alone, and the rest (help, no or an unknown
+    subcommand, a flag before it) with the top-level parser, which also reports the strings a subparser leaves over.
+    Handlers are bound at build time, so patch what a handler calls, not ``_cmd_*``.  ``--alpha`` and ``--bethe-log``
+    default to ``None``: the handler reads (and echoes) ``qed.DEFAULT_ALPHA`` and ``qed.DEFAULT_BETHE_LOG`` on each
+    call, so patching those takes effect on the next ``run``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
     common.add_argument("--precision", type=int, help="significant digits for rendered numbers, 4..17 (default 12)")

@@ -125,7 +125,11 @@ def on_shell_mass_shift(m: float, alpha: float, mu1: float) -> MassShift:
     c0, c_log = pipeline_coefficients()
     prefactor = alpha * m / (4.0 * math.pi)
     log_ratio = 2.0 * _log_ratio(m, mu1)
-    return MassShift(prefactor * (float(c0) + float(c_log) * log_ratio), log_ratio)
+    bracket = float(c0) + float(c_log) * log_ratio
+    delta_m = prefactor * bracket
+    if not math.isfinite(delta_m):  # where alpha*m overflows, m*bracket first, so a bracket of 0 stays 0
+        delta_m = alpha / (4.0 * math.pi) * (m * bracket)
+    return MassShift(delta_m, log_ratio)
 
 
 def solve_mu1(m: float) -> float:

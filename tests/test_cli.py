@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import io
@@ -530,6 +531,11 @@ class TestColdImport:
     def test_no_subcommand_imports_typing_or_pathlib(self, argv):
         assert _cold_imports(argv) & {"typing", "pathlib"} == set()
 
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _COLD], ids=[argv[0] for argv, _ in _COLD])
+    def test_no_subcommand_imports_json(self, argv):
+        # the renderer takes encode_basestring_ascii from the C module _json, not from the json package
+        assert _cold_imports(argv) & {"json", "json.encoder", "json.decoder", "json.scanner"} == set()
+
     def test_package_exposes_its_modules_only(self):
         proc = _fresh_python("-c", "import loopreg; print(' '.join(sorted(n for n in dir(loopreg) if not n.startswith('_'))))")
         assert proc.returncode == 0, proc.stderr[-2000:]
@@ -795,6 +801,18 @@ def _reports(argv):
     return calls
 
 
+class _Float(float):
+    """A float subclass: not an exact ``float``, so the renderer takes the ``isinstance`` path for it."""
+
+
+class _Str(str):
+    """A str subclass, laid out as a string."""
+
+
+class _List(list):
+    """A list subclass, laid out as a list."""
+
+
 _NON_ASCII = "\u03bc\u2081 \u2192 \u221e, na\u00efve \"q\" \\ \t \u2028 \U0001d53c"
 
 
@@ -842,6 +860,43 @@ class TestOnePassRenderer:
     )
     def test_edge_values(self, report, precision):
         self.assert_renders_as_two_pass("\u03b4m", report, cli.RunConfig(precision=precision))
+
+    @pytest.mark.parametrize("precision", [4, 17])
+    def test_synthetic_report_with_warm_and_cleared_caches(self, precision):
+        # keys that need escaping, every kind of leaf, a tuple field, empty containers, rows that differ in keys and order
+        keys = ['q"uote', "back\\slash", "\u03bc\u2081", _NON_ASCII]
+        report = cli.Report(
+            {"n": 3, "x": _Float(0.1), "flag": False, "none": None, "q": Fraction(2, 7), keys[0]: "v"},
+            [
+                ("leaves", {keys[0]: True, keys[1]: None, keys[2]: 7, keys[3]: Fraction(-5, 3), "f": _Float(2.0 / 3.0), "g": 1e-300}, keys[1]),
+                ("tuple", (1.5, "s", (2, []), {}), "a tuple field"),
+                ("subclasses", [_Str("s"), collections.OrderedDict(b=_Float(0.5), a=[]), _List([1.25, None])], "laid out as their base types"),
+                ("empty", [[], {}, [{}], ""], keys[2]),
+                ("rows", [{"mu": 1.0, keys[0]: 0.5, "status": "ok"}, {"status": "pole", "mu": _Float(2.0)}, {keys[3]: None, "mu": 3.0, "extra": [True]}], keys[3]),
+            ],
+            [{"name": keys[1], "coefficient": Fraction(1, 3), "msq_power": 0}, {"value": 0.25, "name": "C2", "status": "fixed"}],
+        )
+        cfg = cli.RunConfig(precision=precision)
+        expected = _rendered(render_two_pass, "\u03b4m", report, cfg)
+        assert expected[1] is None
+        for clear in (False, False, True):
+            if clear:
+                cli._key.cache_clear()
+                cli._provenance.cache_clear()
+            assert _rendered(cli._render, "\u03b4m", report, cfg) == expected
+
+    @pytest.mark.parametrize(
+        "field, fields, ledger",
+        [
+            ("outputs_field", [("fine", 1.0, ""), ("outputs_field", -math.inf, "")], ()),
+            ("rows", [("rows", [{"mu": 1.0, "coupling": 0.5}, {"mu": 2.0, "coupling": math.nan}], "")], ()),
+            ("ledger", [("fine", 1.0, "")], [{"name": "C1", "value": 0.5}, {"name": "C2", "value": _Float(math.inf)}]),
+        ],
+    )
+    def test_non_finite_float_is_refused_under_its_field(self, field, fields, ledger):
+        for _ in range(2):  # the second time with every cache warm
+            out, message = _rendered(cli._render, "x", cli.Report({}, fields, ledger), cli.RunConfig())
+            assert out == "" and message is not None and message.startswith(f"{field} is not finite: ")
 
     @pytest.mark.parametrize("fmt", ["csv", "plot-data"])
     @pytest.mark.parametrize(

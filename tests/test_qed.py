@@ -49,6 +49,11 @@ class TestOnShellMassShift:
         shift = qed.on_shell_mass_shift(M_E, ALPHA, mu1)
         assert abs(shift.delta_m) <= 1e-12 * M_E * ALPHA
 
+    def test_overflowing_prefactor_keeps_a_zero_bracket_zero(self):
+        # alpha*m/(4*pi) overflows, and the fixed scale's bracket is exactly 0.0: the shift is 0, not inf*0 = nan
+        m = 1e200
+        assert qed.on_shell_mass_shift(m, 1e120, qed.solve_mu1(m)).delta_m == 0.0
+
     def test_equal_scales_give_pure_constant(self):
         shift = qed.on_shell_mass_shift(M_E, ALPHA, M_E)
         assert shift.delta_m == pytest.approx(5.0 * ALPHA * M_E / (4.0 * math.pi), rel=1e-14, abs=0.0)
