@@ -13,7 +13,8 @@ the package, as the sum up to that edge less the piece from the cutoff to it;
 ``complement=False`` sums the decades up to the cutoff instead, as the package
 once did for every cutoff.  The package's versions must match their output
 byte for byte (and float for float); root finders' evaluation counts are
-compared with bisection's.
+compared with bisection's.  ``line_fit`` is the least-squares line solved in
+``Fraction`` from the float points, the exact value a float fit is held to.
 """
 
 import heapq
@@ -85,6 +86,14 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares straight line through (xs, ys), solved exactly: (slope, intercept) rounded once."""
+    xs, ys = list(map(Fraction, xs)), list(map(Fraction, ys))
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    slope = (n * sum(x * y for x, y in zip(xs, ys)) - sx * sy) / (n * sum(x * x for x in xs) - sx * sx)
+    return float(slope), float((sy - slope * sx) / n)
 
 
 def adapt(panel: Callable[[float, float], tuple], a: float, b: float, epsrel: float, epsabs: float = 0.0) -> tuple[float, float]:

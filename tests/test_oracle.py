@@ -144,19 +144,18 @@ class TestLineFit:
 
     @pytest.mark.parametrize("mass_sq", [1e-6, 0.5, 1.0, math.e**2, 1e6])
     def test_agrees_with_polyfit_on_log_probe_points(self, mass_sq):
-        np = pytest.importorskip("numpy")
         grid = default_grid(mass_sq)
         vals = [oracle.radial_integral(2, mass_sq, lam) for lam in grid]
         # divergence_signature: ln-slope of the n = 2 radials
         logs = [math.log(lam) for lam in grid]
         slope, _ = oracle._line_fit(logs, vals)
-        assert slope == pytest.approx(float(np.polyfit(logs, vals, 1)[0]), rel=1e-12)
+        assert slope == pytest.approx(references.line_fit(logs, vals)[0], rel=1e-12)
         # asymptote_constant: (cutoff_top/cutoff)^2 extrapolation over the top two decades
         top = [(lam, v) for lam, v in zip(grid, vals) if lam >= grid[-1] / 100.0]
         xs = [(grid[-1] / lam) ** 2 for lam, _ in top]
         gs = [v - math.log(lam) for lam, v in top]
         _, intercept = oracle._line_fit(xs, gs)
-        assert intercept == pytest.approx(float(np.polyfit(xs, gs, 1)[1]), rel=1e-12)
+        assert intercept == pytest.approx(references.line_fit(xs, gs)[1], rel=1e-12)
 
 
 def _default_report(mass_sq):
@@ -339,9 +338,9 @@ class TestProbeRadials:
 
 
 class TestCutoffPastTheLastEdge:
-    """For power >= 3 a t = cutoff/sqrt(M^2) past the last finite decade edge, inf included, is taken at that edge;
-    for power 2 the piece from that edge to t is integrated, its panels centered without forming a + b, and a t
-    that overflows adds ln t from that edge."""
+    """For power >= 3 a t = cutoff/sqrt(M^2) past the decade edge 1e9, inf included, is taken at that edge;
+    for power 2 the piece from the last finite decade edge to t is integrated, its panels centered without
+    forming a + b, and a t that overflows adds ln t from that edge."""
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])  # 1e-12 bisects the top piece
     @pytest.mark.parametrize("cutoff", [1e308, 1.7e308])
@@ -364,6 +363,14 @@ class TestCutoffPastTheLastEdge:
         assert radial == pytest.approx(radial_analytic(power, 1e-10, 1e308), rel=1e-10)
 
     @pytest.mark.parametrize("power", range(3, 13))
+    @pytest.mark.parametrize("mass_sq", [1.0, 1e-10])
+    def test_cutoffs_past_t_1e9_give_one_float(self, power, mass_sq):
+        # the tail past t = 1e9 is below half an ulp: the sum over the decades to 1e10 is the same float
+        root = math.sqrt(mass_sq)
+        radials = {oracle.radial_integral(power, mass_sq, cutoff) for cutoff in (1e9 * root, 1e10 * root, 1e100 * root, 1.7e308)}
+        assert radials == {references.radial_integral(power, mass_sq, 1e10 * root)}
+
+    @pytest.mark.parametrize("power", range(3, 13))
     def test_a_finite_t_past_the_edge_gives_the_float_at_the_edge(self, power):
         edge = oracle._EDGES[-2]  # 9.999999999999998e307
         at_edge = references.radial_integral(power, 1.0, edge)
@@ -373,20 +380,18 @@ class TestCutoffPastTheLastEdge:
 
 class TestIntegrate:
     @pytest.mark.parametrize(
-        "f, a, b",
+        "f, a, b, want",
         [
-            (math.exp, 0.0, 1.0),
-            (lambda x: 1.0 / (1.0 + x * x), 0.0, 10.0),
-            (math.sqrt, 0.0, 1.0),
-            (math.log, 0.0, 1.0),
-            (lambda x: math.sin(20.0 * x), 0.0, 3.0),
-            (lambda k: oracle.radial_integrand(k, 2, 1.0), 0.0, 1e3),
+            (math.exp, 0.0, 1.0, math.expm1(1.0)),
+            (lambda x: 1.0 / (1.0 + x * x), 0.0, 10.0, math.atan(10.0)),
+            (math.sqrt, 0.0, 1.0, 2.0 / 3.0),
+            (math.log, 0.0, 1.0, -1.0),
+            (lambda x: math.sin(20.0 * x), 0.0, 3.0, (1.0 - math.cos(60.0)) / 20.0),
+            (lambda k: oracle.radial_integrand(k, 2, 1.0), 0.0, 1e3, radial_analytic(2, 1.0, 1e3)),
         ],
         ids=["exp", "lorentzian", "sqrt", "log-singular", "oscillating", "radial-n2"],
     )
-    def test_agrees_with_quadpack(self, f, a, b):
-        integrate = pytest.importorskip("scipy.integrate")
-        want, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
+    def test_agrees_with_quadpack(self, f, a, b, want):
         value, error = oracle.integrate(f, a, b, 1e-12)
         assert error <= 1e-12 * abs(value)
         assert value == pytest.approx(want, rel=1e-11)
@@ -478,6 +483,10 @@ class TestFindRoot:
 
     def test_endpoint_root(self):
         assert oracle.find_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+    def test_a_bracket_with_no_float_inside_ends_the_search(self):
+        # among subnormals the relative stop width 1e-15 * hi is 0, so only the bracket running out of floats ends it
+        assert oracle.find_root(lambda x: -1.0 if x <= 1e-323 else 1.0, 0.0, 2e-323) == 1e-323
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (2.0, 3.0)])
     def test_same_signed_bracket_rejected(self, lo, hi):
