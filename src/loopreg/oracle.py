@@ -15,12 +15,14 @@ bracketing root finder by the Illinois rule (``find_root``), which falls back
 to bisection where interpolation stalls.
 
 The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
-piece over the decades 0, 1, 10, ... of t.  No piece carries a mass: cutoffs
-and masses share the memoized sums of the full decades below them, and a
-cutoff within 1% below an edge takes the sum up to that edge less one short
-piece.  A ``CutoffProbe`` integrates all its cutoffs in one pass of the loop
-behind ``radial_integral``, and each fit checks its own grid rule before it
-reads them, so a short grid fails before any quadrature.
+piece over the decades 0, 1, 10, ..., 1e9 of t.  No piece carries a mass:
+cutoffs and masses share the memoized sums of the full decades below them, and
+a cutoff within 1% below an edge takes the sum up to that edge less one short
+piece.  Past t = 1e9 the integrand is k^(3-2n) to below half an ulp, and its
+integral up to the cutoff is taken in k, by one rule for every power n.  A
+``CutoffProbe`` integrates all its cutoffs in one pass of the loop behind
+``radial_integral``, and each fit checks its own grid rule before it reads
+them, so a short grid fails before any quadrature.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 
-from . import _Record
+from . import _Record, _log_ratio
 
 __all__ = [
     "QuadratureError",
@@ -104,12 +106,15 @@ class CutoffProbe(_Record):
 
 
 def radial_integrand(k: float, power: int, mass_sq: float) -> float:
-    """k^3 / (k^2 + M^2)^power, the Euclidean radial integrand; far above the
-    mass, where that form overflows, it is taken as k^(3-2n) / (1 + M^2/k^2)^n."""
+    """k^3 / (k^2 + M^2)^power, the Euclidean radial integrand; where that form overflows, far above the mass,
+    k^(3-2n) / (1 + M^2/k^2)^n, and where both overflow, 0.0, since the integrand is below 2^-1024 there."""
     try:
         return k**3 / (k * k + mass_sq) ** power
     except OverflowError:
-        return k ** (3 - 2 * power) / (1.0 + mass_sq / (k * k)) ** power
+        try:
+            return k ** (3 - 2 * power) / (1.0 + mass_sq / (k * k)) ** power
+        except OverflowError:
+            return 0.0
 
 
 def default_grid(mass_sq: float) -> tuple[float, ...]:
@@ -242,16 +247,15 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-_EDGES = [0.0, 1.0]  # the decade edges of t, each ten times the last, up to inf
-while _EDGES[-1] < math.inf:
-    _EDGES.append(_EDGES[-1] * 10.0)
+_EDGES = (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # the decade edges of t, up to the last, 1e9
 
 
 def _radial_piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, float]:
-    """(value, error estimate) of int t^3 (t^2 + 1)^(-power) dt over [t_a, t_b]."""
+    """(value, error estimate) of int t^3 (t^2 + 1)^(-power) dt over [t_a, t_b]; where (t^2 + 1)^power
+    overflows, which below t = 1e9 only powers >= 18 reach, it runs again with radial_integrand's scaled form."""
     try:
         return _adapt(_radial_panel, power, t_a, t_b, epsrel, 0.0)
-    except OverflowError:  # far above t = 1: the piece again, with radial_integrand's scaled form
+    except OverflowError:
         return integrate(lambda t: radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
 
 
@@ -275,17 +279,18 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     decade by decade in t, so the wide dynamic range never starves the
     adaptive subdivision.  The full decades [10^j, 10^(j+1)] are the same for
     every cutoff and mass above them, so their running sums are memoized and a
-    sweep integrates each once; the top piece, from the last edge on, apart.
-    A cutoff at or above 0.99 times the next edge (a finite one) is instead
-    that edge's sum less the piece from the cutoff up to the edge, which
-    spans at most 1% of the decade; the sum exceeds the result by at most
+    sweep integrates each once; the top piece, from the edge below the cutoff,
+    apart.  A cutoff at or above 0.99 times the next edge is instead that
+    edge's sum less the piece from the cutoff up to the edge, which spans at
+    most 1% of the decade; the sum exceeds the result by at most
     (1/0.99)^4 - 1, about 4%, so no digit is lost, and the error estimates
-    add.  For power >= 3 a t past the edge 1e9, inf included, is taken at
-    that edge: the tail above an edge E is at most (power - 1) * E^(4 - 2 power)
-    of the total, 2e-18 at power 3, below half an ulp, so the float is the
-    same and the cost stops growing with the cutoff.
-    For power 2 a t that overflows adds ln(t/edge), taken from ln(cutoff) and
-    ln(M^2), to the sum up to that edge: the integrand is 1/t to 1e-600 there.
+    add.  Past the last edge, t = 1e9, the integrand is t^(3 - 2 power) to
+    power * 1e-18, below half an ulp, so a farther cutoff adds to the decades
+    the integral of k^(3 - 2 power) from E = 1e9 sqrt(M^2), taken in k, where
+    it fits though t may not: (cutoff - E)(cutoff + E)/2 for power 1,
+    ln(cutoff/E) for power 2, and 0 from power 3 on, whose whole tail is at
+    most (power - 1) * 1e-18 of the total.  So the cost stops growing with the
+    cutoff.  The quadrature check reads the decade sums alone.
     Raises QuadratureError when the summed error estimate misses rel_tol, whether
     or not the pieces were cached, and OverflowError past the float range.
     """
@@ -310,18 +315,16 @@ def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: fl
         scale = math.inf
     radials = []
     for cutoff in cutoffs:
-        t_cut = cutoff / root
-        if power >= 3 and t_cut > 1e9:  # 1e9 is a decade edge, and the tail above it is below half an ulp
-            t_cut = 1e9
-        k = bisect_right(_EDGES, t_cut) - 1  # the full decades end at _EDGES[k] <= t_cut
-        upper = _EDGES[k + 1] if t_cut < math.inf else math.inf  # the next edge up; t_cut = inf has none
-        if 0.99 * upper <= t_cut and upper < math.inf:  # just below an edge: the decades up to it less [t_cut, upper]
+        t_cut, tail = cutoff / root, 0.0
+        if t_cut > 1e9:  # past the last edge: its decades, then k^(3-2n) integrated in k from E = 1e9 sqrt(M^2) on
+            edge = 1e9 * root
+            t_cut, tail = 1e9, 0.5 * (cutoff - edge) * (cutoff + edge) if power == 1 else _log_ratio(cutoff, edge) if power == 2 else 0.0
+        k = bisect_right(_EDGES, t_cut, 0, 10) - 1  # the full decades end at _EDGES[k] <= t_cut; at t_cut = 1e9, k = 9
+        upper = _EDGES[k + 1]  # the next edge up
+        if 0.99 * upper <= t_cut < upper:  # just below an edge: the decades up to it less [t_cut, upper]
             total, err_total = _decade_sums(power, k + 1, epsrel)
             piece, err = _piece(power, t_cut, upper, epsrel)
             total, err_total = total - piece, err_total + err
-        elif power == 2 and t_cut == math.inf:  # the decades up to the last finite edge, then ln t from it
-            total, err_total = _decade_sums(power, k - 1, epsrel)
-            total += math.log(cutoff) - 0.5 * math.log(mass_sq) - math.log(_EDGES[-2])
         else:
             total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
             piece, err = _piece(power, _EDGES[k], t_cut, epsrel) if _EDGES[k] != t_cut else (0.0, 0.0)
@@ -329,7 +332,7 @@ def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: fl
         if err_total > rel_tol * abs(total):
             raise QuadratureError(f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
                                   f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
-        radial = scale * total
+        radial = scale * total + tail
         if not math.isfinite(radial):
             raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
         radials.append(radial)

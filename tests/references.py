@@ -11,7 +11,9 @@ decades: the pieces summed one decade at a time, each evaluation through
 ``radial_integrand``.  A cutoff within 1% below a decade edge is taken as in
 the package, as the sum up to that edge less the piece from the cutoff to it;
 ``complement=False`` sums the decades up to the cutoff instead, as the package
-once did for every cutoff.  The package's versions must match their output
+once did for every cutoff.  Past t = 1e9 the package adds the integral of the
+integrand's leading power instead, so for powers 1 and 2 the two agree only
+up to that edge.  The package's versions must match their output
 byte for byte (and float for float); root finders' evaluation counts are
 compared with bisection's.  ``line_fit`` is the least-squares line solved in
 ``Fraction`` from the float points, the exact value a float fit is held to.

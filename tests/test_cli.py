@@ -369,6 +369,8 @@ _FAILURES = [
     # a subcommand's flag typed before the subcommand is named, not taken for a bad subcommand
     (["--units", "MeV", "mu1", "--m", "1"], 2, "loopreg: error: --units goes after the subcommand: loopreg <subcommand> --units ...\n"),
     (["--precision", "5", "regularize", "--n", "2"], 2, "loopreg: error: --precision goes after the subcommand: loopreg <subcommand> --precision ...\n"),
+    # the integrand of so large a power is 0.0 where both of its forms overflow; (M^2)^(2-n) still leaves the float range
+    (["oracle", "--n", "5000", "--msq", "1e-300"], 3, "numeric failure: radial integral past the float range for power=5000, mass_sq=1e-300,"),
 ]
 
 

@@ -15,9 +15,11 @@ After an intended output change, rewrite the hashes in process with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
-and list the argv whose lines changed.  To add an argv, append a line
-``- any <argv>`` and run the update.  Lines that start with ``#`` are
-comments (the reason an argv is there); the update keeps them where they are.
+which prints each line it changed as ``<old hash> -> <new line>``, a
+``-`` line it hashed included; list those with the change.  To add an argv,
+append a line ``- any <argv>`` and run the update.  Lines that start with
+``#`` are comments (the reason an argv is there); the update keeps them where
+they are.
 """
 
 import contextlib
@@ -92,18 +94,23 @@ def test_outputs_match_the_golden_hashes():
 
 
 def _update(path: Path = OUTPUTS) -> None:
-    lines = []
+    """Rewrite each hash and group in place, then print each line that changed as ``<old hash> -> <new line>``."""
+    lines, changed = [], []
     with _fixed_setting():
         for line in path.read_text().splitlines():
             entry = _entry(line)
             if entry:
                 outcome = _outcome(entry[2])
-                line = f"{_digest(outcome)} {_group(outcome)} {shlex.join(entry[2])}".rstrip()
+                new = f"{_digest(outcome)} {_group(outcome)} {shlex.join(entry[2])}".rstrip()
+                if new != line:
+                    changed.append(f"{entry[0]} -> {new}\n")
+                line = new
             lines.append(line + "\n")
     path.write_text("".join(lines))
+    sys.stdout.write("".join(changed))
 
 
-def test_update_keeps_comment_lines(tmp_path):
+def test_update_keeps_comment_lines(tmp_path, capsys):
     corpus = tmp_path / "outputs.txt"
     corpus.write_text(
         "# hash group argv\n"
@@ -119,6 +126,11 @@ def test_update_keeps_comment_lines(tmp_path):
     with _fixed_setting():
         expected = [(_digest(_outcome(argv)), "any", argv) for argv in (["mu1", "--m", "1"], ["regularize", "--n", "3", "--msq", "2"])]
     assert _read(corpus) == expected
+    # each line whose hash changed, the `-` line included, old hash first; a second update changes none
+    (mu1, _, _), (regularize, _, _) = expected
+    assert capsys.readouterr().out == f"- -> {mu1} any mu1 --m 1\n000000000000 -> {regularize} any regularize --n 3 --msq 2\n"
+    _update(corpus)
+    assert capsys.readouterr().out == ""
 
 
 if __name__ == "__main__":

@@ -256,11 +256,15 @@ class TestRadialPrefixSums:
         rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-16]),
         order=st.randoms(use_true_random=False),
     )
-    # above 1e22 the edges are not 10.0**k, and a split at 10.0**k changes these power-1 radials
-    @example(power=1, mass_sq=1.0, ts=_EDGE_TS[-24:], rel_tol=1e-10, order=random.Random(0))
+    # every edge up to the last, 1e9, and an ulp either side
+    @example(power=1, mass_sq=1.0, ts=_EDGE_TS[:29], rel_tol=1e-10, order=random.Random(0))
+    # above 1e22 the reference's edges are not 10.0**k; past t = 1e9 the tail of power 3 is below half an ulp
+    @example(power=3, mass_sq=1.0, ts=_EDGE_TS[-24:], rel_tol=1e-10, order=random.Random(0))
     def test_same_float_as_the_decade_by_decade_sum(self, power, mass_sq, ts, rel_tol, order):
-        # 4^j masses have an exact square root, so their cutoffs land on the edges exactly
-        cutoffs = [t * math.sqrt(mass_sq) for t in ts]
+        # 4^j masses have an exact square root, so their cutoffs land on the edges exactly; for power <= 2
+        # a t past 1e9 adds the integral of the leading power in k, not the decades the reference sums
+        root = math.sqrt(mass_sq)
+        cutoffs = [t * root for t in ts if power >= 3 or t * root / root <= 1e9]
         order.shuffle(cutoffs)
         _clear_radial_caches()
         for cutoff in cutoffs:
@@ -338,11 +342,11 @@ class TestProbeRadials:
 
 
 class TestCutoffPastTheLastEdge:
-    """For power >= 3 a t = cutoff/sqrt(M^2) past the decade edge 1e9, inf included, is taken at that edge;
-    for power 2 the piece from the last finite decade edge to t is integrated, its panels centered without
-    forming a + b, and a t that overflows adds ln t from that edge."""
+    """Past the last decade edge, t = cutoff/sqrt(M^2) = 1e9, inf included, a radial is the decades up to that edge
+    plus the integral of k^(3-2n) in k from E = 1e9 sqrt(M^2) to the cutoff: (cutoff - E)(cutoff + E)/2 for power 1,
+    ln(cutoff/E) for power 2, and 0 from power 3 on, so those take the float at the edge."""
 
-    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])  # 1e-12 bisects the top piece
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
     @pytest.mark.parametrize("cutoff", [1e308, 1.7e308])
     def test_log_member_is_ln_t_less_one_half(self, cutoff, rel_tol):
         assert oracle.radial_integral(2, 1.0, cutoff, rel_tol) == pytest.approx(math.log(cutoff) - 0.5, rel=1e-12)
@@ -367,15 +371,31 @@ class TestCutoffPastTheLastEdge:
     def test_cutoffs_past_t_1e9_give_one_float(self, power, mass_sq):
         # the tail past t = 1e9 is below half an ulp: the sum over the decades to 1e10 is the same float
         root = math.sqrt(mass_sq)
-        radials = {oracle.radial_integral(power, mass_sq, cutoff) for cutoff in (1e9 * root, 1e10 * root, 1e100 * root, 1.7e308)}
+        cutoffs = (1e9 * root, 1e10 * root, 1e100 * root, 1e308, math.nextafter(1e308, math.inf), 1.7e308, sys.float_info.max)
+        radials = {oracle.radial_integral(power, mass_sq, cutoff) for cutoff in cutoffs}
         assert radials == {references.radial_integral(power, mass_sq, 1e10 * root)}
 
-    @pytest.mark.parametrize("power", range(3, 13))
-    def test_a_finite_t_past_the_edge_gives_the_float_at_the_edge(self, power):
-        edge = oracle._EDGES[-2]  # 9.999999999999998e307
-        at_edge = references.radial_integral(power, 1.0, edge)
-        for t in (math.nextafter(edge, math.inf), 1e308, 1.7e308, sys.float_info.max):
-            assert oracle.radial_integral(power, 1.0, t) == at_edge
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_powers_1_and_2_within_two_ulps_of_sixty_digits(self, power):
+        mp = pytest.importorskip("mpmath")
+        # t from 1e9 up, inf included: an ulp past the edge, cutoffs whose t or t^2 overflows (5.0e299 for
+        # n = 1 at M^2 = 1e-320 and cutoff 1e150), then t 10^U(9, 300) at M^2 10^U(-30, 30)
+        rng = random.Random(11)
+        cases = [(1.0, math.nextafter(1e9, math.inf)), (1e-320, 1e150), (1.8e-19, 1.5e149), (1e-300, 1e300), (0.5, 1.7e308)]
+        for _ in range(200):
+            mass_sq = 10.0 ** rng.uniform(-30.0, 30.0)
+            cases.append((mass_sq, min(10.0 ** rng.uniform(9.0, 300.0) * math.sqrt(mass_sq), sys.float_info.max)))
+        for mass_sq, cutoff in cases:
+            with mp.workdps(60):
+                lam2, m2 = mp.mpf(cutoff) ** 2, mp.mpf(mass_sq)
+                log = mp.log1p(lam2 / m2)
+                want = (lam2 - m2 * log) / 2 if power == 1 else (log + m2 / (lam2 + m2) - 1) / 2
+            if want > sys.float_info.max:
+                with pytest.raises(OverflowError, match="past the float range"):
+                    oracle.radial_integral(power, mass_sq, cutoff)
+            else:
+                got = oracle.radial_integral(power, mass_sq, cutoff)
+                assert abs(got - want) <= 2 * math.ulp(float(want)), (mass_sq, cutoff)
 
 
 class TestIntegrate:
@@ -563,6 +583,13 @@ class TestRadialReferences:
             assert abs(oracle.radial_integral(power, mass_sq, cutoff)) <= sys.float_info.min
         else:
             assert oracle.radial_integral(power, mass_sq, cutoff) == pytest.approx(float(want), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("power", [1090, 1100, 5000])
+    def test_a_power_whose_integrand_overflows_both_ways(self, power):
+        # near t = 1 both t^3/(t^2+1)^n and t^(3-2n)/(1+t^-2)^n overflow (2^n); the integrand is below 2^-1024 there
+        assert oracle.radial_integrand(1.0, power, 1.0) == 0.0
+        # the tail past t = 100 is below 1e-4000, so the radial is its limit, int_0^inf t^3 (t^2 + 1)^(-n) dt = 1/(2(n - 1)(n - 2))
+        assert oracle.radial_integral(power, 1.0, 100.0) == pytest.approx(1 / (2 * (power - 1) * (power - 2)), rel=1e-12)
 
     def test_seeded_requests_meet_their_tolerance(self):
         # n 1..6, M^2 1e-6..1e6, cutoff 10^0.5..10^6 sqrt(M^2), rel_tol 1e-10..1e-6
