@@ -11,10 +11,12 @@ Each handler only computes a ``Report``: its inputs, its output fields as
 computation, and one renderer writes the report as JSON, or its rows as csv or
 plot-data.  It formats each number and lays out the JSON in one pass, byte for
 byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, and
-builds the whole text before it writes any of it.  Leaves are dispatched by
-exact type, and fixed text (each key's ``"key": `` prefix, each provenance
-block) is encoded once per process.  ``demo`` prints one PASS/FAIL line per row
-of ``loopreg.checks.CHECKS``, the table the acceptance test asserts.
+builds the whole text before it writes any of it.  One recursive layout tests
+each kind of value once (a finite float, a string, a dict, a list or tuple,
+``None`` or a bool, any other number), and fixed text (each key's ``"key": ``
+prefix, each provenance block) is encoded once per process.  ``demo`` prints
+one PASS/FAIL line per row of ``loopreg.checks.CHECKS``, the table the
+acceptance test asserts.
 
 Masses are handled in GeV internally; ``--units MeV`` converts all
 mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
@@ -172,44 +174,24 @@ def _key(key: str) -> str:
 def _json(value: object, spec: str, name: str, indent: str) -> str:
     """JSON text of a value whose numbers print as decimal strings by ``spec``, recursively
     through lists and dicts; ``name`` is the field a non-finite number is reported under."""
-    kind = type(value)
-    if kind is float and math.isfinite(value):  # most leaves
+    if type(value) is float and math.isfinite(value):  # most leaves
         return f'"{value:{spec}}"'
-    if kind is str:
+    if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if kind is dict:
-        return _object(value, spec, name, indent)
-    if kind is list or kind is tuple:
-        inner = indent + "  "
-        return _block("[]", [_object(v, spec, name, inner) if type(v) is dict else _json(v, spec, name, inner) for v in value], indent)
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    if not isinstance(value, (str, dict, list, tuple)):  # int, Fraction, a float subclass or a non-finite float
-        return f'"{_fmt_scalar(value, spec, name)}"'
-    if isinstance(value, str):  # a subclass, laid out as its base type
-        return encode_basestring_ascii(value)
-    return _object(value, spec, name, indent) if isinstance(value, dict) else _json(list(value), spec, name, indent)
-
-
-def _object(value: dict[str, object], spec: str, name: str, indent: str) -> str:
-    """JSON text of a dict, as ``_json`` writes it, with each key's prefix from ``_key``."""
     inner = indent + "  "
-    items = []
-    for k, v in value.items():
-        kind = type(v)
-        if kind is float and math.isfinite(v):  # a row's usual cells, without a call per cell
-            items.append(f'{_key(k)}"{v:{spec}}"')
-        elif kind is str:
-            items.append(_key(k) + encode_basestring_ascii(v))
-        else:
-            items.append(_key(k) + _json(v, spec, name, inner))
-    return _block("{}", items, indent)
+    if isinstance(value, dict):  # a row's finite floats inline, without a call per cell
+        return _block("{}", [f'{_key(k)}"{v:{spec}}"' if type(v) is float and math.isfinite(v) else _key(k) + _json(v, spec, name, inner) for k, v in value.items()], indent)
+    if isinstance(value, (list, tuple)):
+        return _block("[]", [_json(v, spec, name, inner) for v in value], indent)
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return f'"{_fmt_scalar(value, spec, name)}"'  # int, Fraction, a float subclass or a non-finite float
 
 
 @functools.lru_cache(maxsize=128)
 def _provenance(pairs: tuple[tuple[str, str], ...]) -> str:
     """The provenance object of a report's ``(name, why)`` pairs (each ``why`` a string), laid out once per sequence."""
-    return _object(dict(pairs), "", "provenance", "  ")
+    return _json(dict(pairs), "", "provenance", "  ")
 
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, object]]:
@@ -369,6 +351,8 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
             raise ValueError("sweep requires 0 < mu-min < mu-max")
         if ns.mu_points < 2:
             raise ValueError("sweep needs at least 2 points")
+        if ns.mu_points > 100_000:  # every point's row is built before anything is printed
+            raise ValueError(f"sweep takes at most 100000 points, got {ns.mu_points}")
         lo, hi = cfg.mass_in(ns.mu_min), cfg.mass_in(ns.mu_max)
         if math.isfinite(hi / lo):
             ratio = (hi / lo) ** (1.0 / (ns.mu_points - 1))

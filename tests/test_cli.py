@@ -371,6 +371,8 @@ _FAILURES = [
     (["--precision", "5", "regularize", "--n", "2"], 2, "loopreg: error: --precision goes after the subcommand: loopreg <subcommand> --precision ...\n"),
     # the integrand of so large a power is 0.0 where both of its forms overflow; (M^2)^(2-n) still leaves the float range
     (["oracle", "--n", "5000", "--msq", "1e-300"], 3, "numeric failure: radial integral past the float range for power=5000, mass_sq=1e-300,"),
+    # a sweep builds every row before it prints one, so its count is bounded
+    (["resum", "--lambda0", "1", "--mu0", "1", "--mu-min", "1", "--mu-max", "2", "--mu-points", "1000000000"], 2, "error: sweep takes at most 100000 points, got 1000000000\n"),
 ]
 
 
@@ -804,7 +806,7 @@ def _reports(argv):
 
 
 class _Float(float):
-    """A float subclass: not an exact ``float``, so the renderer takes the ``isinstance`` path for it."""
+    """A float subclass: not an exact ``float``, so the renderer formats it as any other number, by ``_fmt_scalar``."""
 
 
 class _Str(str):
