@@ -213,7 +213,7 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
     spec = f".{cfg.precision}g"
     if cfg.out_format != "json":
         rows = next(value for name, value, _ in report.fields if name == "rows")
-        cells = [[f"{v:{spec}}" if type(v) is float and math.isfinite(v) else "" if v is None else _fmt_scalar(v, spec, "rows") for v in row.values()] for row in rows]
+        cells = [[f"{v:{spec}}" if type(v) is float and math.isfinite(v) else v if type(v) is str else "" if v is None else _fmt_scalar(v, spec, "rows") for v in row.values()] for row in rows]
         if cfg.out_format == "csv":  # a sweep has at least one row, and all rows share its keys
             lines = [",".join(rows[0])] + [",".join(row) for row in cells]
         else:  # plot-data: the first two columns, where the second is set
@@ -360,14 +360,12 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         else:  # the ratio alone leaves the float range: step in ln mu
             step = (math.log(hi) - math.log(lo)) / (ns.mu_points - 1)
             mus = [math.exp(math.log(lo) + i * step) for i in range(ns.mu_points)]
-        rows: list[dict[str, object]] = []
-        for mu in mus:
-            try:  # the chain's outcome is the status: a value below the critical scale, a pole at or past it
-                coupling: float | None = phi4.resum_chain(state, mu)
-                status = phi4.VACUUM_BROKEN
-            except phi4.LandauPoleError:
-                coupling, status = None, "pole"
-            rows.append({"mu": cfg.mass_out(mu), "coupling": coupling, "status": status})
+        scale = cfg.mass_scale_to_gev
+        # the chain's outcome is the status: a value below the critical scale, a pole (None) at or past it
+        rows = [
+            {"mu": mu / scale, "coupling": coupling, "status": "pole" if coupling is None else phi4.VACUUM_BROKEN}
+            for mu, coupling in zip(mus, phi4._chain_couplings(state, mus))
+        ]
         inputs = {"lambda0": ns.lambda0, "mu0": ns.mu0, "b": state.beta_coeff, "mu_min": ns.mu_min, "mu_max": ns.mu_max, "mu_points": ns.mu_points}
         return Report(inputs, [("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole), ("rows", rows, chain + " over the mu grid")])
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _Record
 
@@ -337,12 +338,17 @@ def integrate_back(value: RegularizedValue, times: int) -> RegularizedValue:
     return current
 
 
+@lru_cache(maxsize=64)
 def regularize(integral: ScalarLoopIntegral) -> RegularizedValue:
     """Full reduction: differentiate to convergence, evaluate, integrate back.
 
     (d/dM^2)^t I_n = prefactor * I_{n+t}, so the evaluated convergent member
     is multiplied by the prefactor before the t integrations that return to
     I_n.  Convergent inputs (t = 0) pass straight through evaluation.
+
+    The result depends on the power alone and is a frozen record, so it is
+    cached per power; the cache keeps the 64 most recent powers, since a
+    power may come from user input.
     """
     t = differentiation_count(integral)
     shifted, prefactor = differentiate_in_masssq(integral, t)

@@ -17,15 +17,17 @@ whose first-order expansion reproduces the one-loop relation when
 b = 9/(32 pi^2) (the default, kept configurable: the resummation kernel is
 a minimal stand-in, not a unique choice).  Every finite-order truncation is
 regular; only the resummed form has a pole, at mu_c = mu0 exp(1/(2 b
-lambda0)).  One test decides it: where the denominator is no longer
-positive, resum_chain raises and symmetry_status reports the broken vacuum
-as restored, so the two agree even within rounding of mu_c.
+lambda0)).  One test decides it, in one loop over a mu grid: where the
+denominator is no longer positive, resum_chain raises, a sweep row reads
+pole and symmetry_status reports the broken vacuum as restored, so the three
+agree even within rounding of mu_c.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 
 from . import _Record, _log_ratio
 
@@ -152,16 +154,31 @@ def _first_order_term(state: ResummationState, mu: float) -> float:
     return state.beta_coeff * state.lambda0 * (2.0 * _log_ratio(mu, state.mu0))
 
 
+def _chain_couplings(state: ResummationState, mus: Iterable[float]) -> list[float | None]:
+    """The resummed coupling at each mu in turn, None where its denominator is no longer positive
+    (the pole); b lambda0 and mu0 are read once for the whole grid."""
+    lambda0, mu0 = state.lambda0, state.mu0
+    b_lambda0 = state.beta_coeff * lambda0
+    couplings: list[float | None] = []
+    for mu in mus:
+        if not mu > 0:
+            raise ValueError(f"mu must be positive, got {mu!r}")
+        denominator = 1.0 - b_lambda0 * (2.0 * _log_ratio(mu, mu0))
+        # not `> 0.0`: a nan denominator (b lambda0 = inf at mu = mu0) is no pole
+        couplings.append(None if denominator <= 0.0 else lambda0 / denominator)
+    return couplings
+
+
 def resum_chain(state: ResummationState, mu: float) -> float:
     """Resummed running coupling lambda0 / (1 - b lambda0 ln(mu^2/mu0^2)).
 
     Raises LandauPoleError once the denominator is no longer positive.
     """
-    denominator = 1.0 - _first_order_term(state, mu)
-    if denominator <= 0.0:
+    (coupling,) = _chain_couplings(state, (mu,))
+    if coupling is None:
         critical = critical_scale(state)
         raise LandauPoleError(f"resummed coupling has a pole: mu = {mu:g} reaches the critical scale {critical:g}")
-    return state.lambda0 / denominator
+    return coupling
 
 
 def resum_first_order(state: ResummationState, mu: float) -> float:
@@ -184,4 +201,4 @@ def critical_scale(state: ResummationState) -> float:
 def symmetry_status(state: ResummationState, mu: float) -> str:
     """VACUUM_RESTORED exactly where resum_chain raises LandauPoleError (its
     denominator is no longer positive), VACUUM_BROKEN elsewhere."""
-    return VACUUM_RESTORED if 1.0 - _first_order_term(state, mu) <= 0.0 else VACUUM_BROKEN
+    return VACUUM_RESTORED if _chain_couplings(state, (mu,))[0] is None else VACUUM_BROKEN

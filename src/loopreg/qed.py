@@ -116,16 +116,23 @@ def pipeline_coefficients() -> tuple[Fraction, Fraction]:
     return slash[0] + scalar[0], slash[1] + scalar[1]
 
 
+@lru_cache(maxsize=1)
+def _float_coefficients() -> tuple[float, float, float]:
+    """The pipeline coefficients (5, -3) and the mu1 exponent c0/c_log/2 = -5/6 as floats, converted once per process."""
+    c0, c_log = pipeline_coefficients()
+    return float(c0), float(c_log), float(c0 / c_log / 2)
+
+
 def on_shell_mass_shift(m: float, alpha: float, mu1: float) -> MassShift:
     """delta_m = (alpha m / 4 pi) * (c0 + c_log ln(m^2/mu1^2)), all inputs positive, with
     (c0, c_log) = (5, -3) the exact pipeline coefficients."""
     for name, v in (("m", m), ("alpha", alpha), ("mu1", mu1)):
         if not v > 0:
             raise ValueError(f"{name} must be positive, got {v!r}")
-    c0, c_log = pipeline_coefficients()
+    c0, c_log, _ = _float_coefficients()
     prefactor = alpha * m / (4.0 * math.pi)
     log_ratio = 2.0 * _log_ratio(m, mu1)
-    bracket = float(c0) + float(c_log) * log_ratio
+    bracket = c0 + c_log * log_ratio
     delta_m = prefactor * bracket
     if not math.isfinite(delta_m):  # where alpha*m overflows, m*bracket first, so a bracket of 0 stays 0
         delta_m = alpha / (4.0 * math.pi) * (m * bracket)
@@ -140,9 +147,8 @@ def solve_mu1(m: float) -> float:
     """
     if not m > 0:
         raise ValueError(f"m must be positive, got {m!r}")
-    c0, c_log = pipeline_coefficients()
-    exponent = c0 / c_log / 2  # -5/6 as an exact Fraction
-    mu1 = m * math.exp(float(exponent))
+    exponent = _float_coefficients()[2]  # -5/6, divided exactly and rounded once
+    mu1 = m * math.exp(exponent)
     if mu1 == 0.0:  # a derived scale, not an input: its underflow is a numeric failure
         raise ArithmeticError(f"mu1 = m*exp(-5/6) underflows to 0 at m={m!r}")
     return mu1

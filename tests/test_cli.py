@@ -96,6 +96,17 @@ class TestRegularizeCommand:
         assert code == 2
         assert "no dimensionless constant" in err
 
+    def test_a_repeated_power_is_reduced_once_per_process(self, capsys, monkeypatch):
+        from loopreg import kernel
+
+        calls = []
+        real = kernel.integrate_back
+        monkeypatch.setattr(kernel, "integrate_back", lambda value, times: calls.append(times) or real(value, times))
+        kernel.regularize.cache_clear()
+        first, second = run_raw(capsys, ["regularize", "--n", "1"]), run_raw(capsys, ["regularize", "--n", "1"])
+        assert first == second and first[0] == 0
+        assert calls == [2]
+
 
 class TestPhi4Command:
     def test_example_values(self, capsys):

@@ -206,6 +206,21 @@ class TestRegularize:
         assert len(value.differentiate().differentiate().constants) == 0
 
 
+class TestRegularizeCache:
+    def test_cache_is_bounded(self):
+        # the power comes from user input (regularize --n), so the cache must not grow with it
+        maxsize = kernel.regularize.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 1000
+
+    def test_alias_leaves_the_cached_value_unaliased(self):
+        cached = kernel.regularize(ScalarLoopIntegral(power=2))
+        aliased = cached.with_scale_alias(1, 0.7)
+        assert aliased.constants[0].scale_alias == 0.7
+        again = kernel.regularize(ScalarLoopIntegral(power=2))
+        assert again is cached and again.unfixed_count == 1
+        assert again.constants[0].scale_alias is None and again.constants[0].value is None
+
+
 class TestScaleAlias:
     @pytest.mark.parametrize("mu1", [0.1, 0.5, 1.0, 2.0, 80.0])
     def test_bracket_vanishes_at_aliased_scale(self, mu1):

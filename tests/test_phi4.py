@@ -158,6 +158,23 @@ class TestResumChain:
         with pytest.raises(ValueError):
             phi4.resum_chain(state, 0.0)
 
+    @pytest.mark.parametrize("mu", [0.0, -0.0, -2.0, -math.inf, math.nan])
+    def test_the_grid_loop_rejects_a_nonpositive_scale_as_resum_chain_does(self, mu):
+        state = ResummationState(lambda0=1.0, mu0=1.0)
+        with pytest.raises(ValueError) as point:
+            phi4.resum_chain(state, mu)
+        with pytest.raises(ValueError) as grid:
+            phi4._chain_couplings(state, [2.0, mu, 3.0])
+        assert str(grid.value) == str(point.value) == f"mu must be positive, got {mu!r}"
+
+    def test_a_nan_denominator_is_no_pole(self):
+        # b lambda0 = inf and ln(mu^2/mu0^2) = 0 at mu = mu0: the denominator 1 - inf*0 is nan, not <= 0
+        state = ResummationState(lambda0=137.0, mu0=137.0, beta_coeff=1.7e308)
+        below, at, above = phi4._chain_couplings(state, [1.0, 137.0, 1000.0])
+        assert below == 0.0 and math.isnan(at) and above is None
+        assert math.isnan(phi4.resum_chain(state, 137.0))
+        assert phi4.symmetry_status(state, 137.0) == phi4.VACUUM_BROKEN
+
     def test_first_order_expansion_match(self):
         # relative error of the truncation is O((b lambda0 L)^2)
         state = ResummationState(lambda0=0.2, mu0=1.0)
@@ -217,17 +234,23 @@ class TestSymmetryStatus:
         ulps=st.integers(-3, 3),
     )
     def test_restored_exactly_where_the_chain_has_its_pole(self, lambda0, mu0, beta_coeff, ulps):
+        # the grid loop, resum_chain and symmetry_status over a grid through mu0 and, ulps apart, mu_c
         state = ResummationState(lambda0=lambda0, mu0=mu0, beta_coeff=beta_coeff)
         mu = phi4.critical_scale(state)
         assume(math.isfinite(mu))
         for _ in range(abs(ulps)):
             mu = math.nextafter(mu, math.copysign(math.inf, ulps))
-        try:
-            phi4.resum_chain(state, mu)
-        except LandauPoleError:
-            assert phi4.symmetry_status(state, mu) == phi4.VACUUM_RESTORED
-        else:
-            assert phi4.symmetry_status(state, mu) == phi4.VACUUM_BROKEN
+        grid = [1e-3 * mu0, mu0, math.nextafter(mu, 0.0), mu, math.nextafter(mu, math.inf), 2.0 * mu]
+        for point, coupling in zip(grid, phi4._chain_couplings(state, grid), strict=True):
+            try:
+                chain = phi4.resum_chain(state, point)
+            except LandauPoleError:
+                assert coupling is None
+                assert phi4.symmetry_status(state, point) == phi4.VACUUM_RESTORED
+            else:
+                assert coupling is not None and coupling.hex() == chain.hex()
+                assert chain == state.lambda0 / (1.0 - phi4._first_order_term(state, point))
+                assert phi4.symmetry_status(state, point) == phi4.VACUUM_BROKEN
 
 
 class TestScaleRatioPastTheFloatRange:

@@ -15,6 +15,11 @@ class TestPipelineCoefficients:
         assert (c0, c_log) == (Fraction(5), Fraction(-3))
         assert isinstance(c0, Fraction) and isinstance(c_log, Fraction)
 
+    def test_float_coefficients_round_the_exact_ones_once(self):
+        c0, c_log = qed.pipeline_coefficients()
+        assert qed._float_coefficients() == (float(c0), float(c_log), float(c0 / c_log / 2))
+        assert qed._float_coefficients()[2] == float(Fraction(-5, 6))
+
     def test_channels_sum_to_total(self):
         slash = qed.channel_coefficients(qed.SLASH_COEFFS)
         scalar = qed.channel_coefficients(qed.SCALAR_OVER_M_COEFFS)
