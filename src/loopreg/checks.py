@@ -6,8 +6,11 @@ acceptance test asserts each row, within its time bound if it has one.  Rows
 call the library through its modules (``qed.lamb_shift_estimate``, not a
 ``from`` import), so a patched library function is what a row sees.  The
 quadrature, root finding and minimization here are independent of the closed
-forms they check: they use ``oracle.integrate`` and ``oracle.find_root``,
-never a closed form of the claim under test.
+forms they check: they use ``oracle``'s quadrature and ``oracle.find_root``,
+never a closed form of the claim under test.  The x-quadrature row writes its
+G7-K15 panel out (``_x_panel``, as ``oracle._radial_panel`` does for the
+radial integrand) and bisects it with ``oracle._adapt``, the loop behind
+``oracle.integrate``.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ def _power_counting() -> tuple[bool, str]:
 def _closed_forms() -> tuple[bool, str]:
     worst = 0.0
     for power in (3, 4, 5, 6):
+        closed = kernel.evaluate_convergent(kernel.ScalarLoopIntegral(power=power))
         for msq in (0.5, 1.0, 2.0, 10.0):
-            exact = kernel.evaluate_convergent(kernel.ScalarLoopIntegral(power=power)).bracket(msq)
+            exact = closed.bracket(msq)
             quad = oracle.wick_rotated_radial(power, msq, 1e6 * math.sqrt(msq))
             worst = max(worst, abs(quad - exact) / abs(exact))
     # prefactor 2 times the power-3 member is -i/(16 pi^2 M^2): unit multiple -1/M^2
@@ -74,19 +78,31 @@ def _exact_coefficients() -> tuple[bool, str]:
 _S_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
+def _x_panel(big_l: float, a: float, b: float) -> tuple[float, float, float, float]:
+    """``oracle._panel`` of the s-integrand (2 + 2e^-s) * (2s - L) * e^-s on [a, b], written out
+    as ``oracle._radial_panel`` writes out the radial one: the same nodes, sums and floats."""
+    center, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
+    x = math.exp(-center)
+    f_center = (2.0 + 2.0 * x) * (2.0 * center - big_l) * x
+    kronrod, gauss = oracle._KRONROD[-1] * f_center, oracle._GAUSS[-1] * f_center
+    for node, w_kronrod, w_gauss in oracle._PAIRS:
+        s, t = center - half * node, center + half * node
+        x, y = math.exp(-s), math.exp(-t)
+        pair = (2.0 + 2.0 * x) * (2.0 * s - big_l) * x + (2.0 + 2.0 * y) * (2.0 * t - big_l) * y
+        kronrod += w_kronrod * pair
+        gauss += w_gauss * pair
+    return -abs(half * (kronrod - gauss)), a, b, half * kronrod
+
+
 def _pipeline_x_integral(big_l: float) -> float:
     """Quadrature over x of the on-shell integrand (2 + 2x) * (-(L + 2 ln x)).
 
     In s = -ln x the log singularity at x = 0 becomes the decay of
     (2 + 2e^-s) * (2s - L) * e^-s; past s = 64 that tail is below 1e-25.
+    Each panel runs through ``oracle._adapt``, ``oracle.integrate``'s bisection.
     """
-
-    def integrand(s: float) -> float:
-        x = math.exp(-s)
-        return (2.0 + 2.0 * x) * (2.0 * s - big_l) * x
-
     # absolute tolerance too: at L = 5/3 the integral is 0
-    return math.fsum(oracle.integrate(integrand, a, b, 1e-12, epsabs=1e-12)[0] for a, b in zip(_S_EDGES, _S_EDGES[1:]))
+    return math.fsum(oracle._adapt(_x_panel, big_l, a, b, 1e-12, 1e-12)[0] for a, b in zip(_S_EDGES, _S_EDGES[1:]))
 
 
 def _x_quadrature() -> tuple[bool, str]:
@@ -120,11 +136,16 @@ def _lamb_band() -> tuple[bool, str]:
     return 900.0 <= mhz <= 1100.0, f"{mhz:.1f} MHz"
 
 
+# the sigma and lambda grids of the coupling-closure row
+_SIGMAS = tuple([0.4 * i for i in range(1, 11)])
+_LAMBDAS = tuple([0.6 * j for j in range(1, 11)])
+
+
 def _vacuum_closure() -> tuple[bool, str]:
     worst = 0.0
-    for sigma in (0.4 * i for i in range(1, 11)):
-        for lam in (0.6 * j for j in range(1, 11)):
-            phi1, m_sigma = phi4.ssb_vacuum(phi4.SSBPotential(sigma=sigma, lam=lam))
+    for sigma in _SIGMAS:
+        for lam in _LAMBDAS:
+            phi1, m_sigma = phi4.ssb_vacuum(phi4.SSBPotential(sigma, lam))
             worst = max(worst, abs(phi4.lambda_invariant_ratio(m_sigma, phi1) - lam) / lam)
     return worst <= 1e-12, f"worst rel err {worst:.2e}"
 

@@ -245,6 +245,15 @@ def _has_sweep(ns: argparse.Namespace) -> bool:
 # ----------------------------- subcommand handlers -----------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _expression(power: int) -> str:
+    """The rendered regularized value of a power, once per power (a power may come from user input, so the
+    cache keeps the 64 most recent, as kernel.regularize does); a scale alias does not change the text."""
+    from . import kernel
+
+    return kernel.regularize(kernel.ScalarLoopIntegral(power=power)).render()
+
+
 def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import kernel
 
@@ -266,7 +275,7 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("unit", kernel.UNIT_LABEL, "all coefficients are exact rational multiples of i/(16*pi^2)"),
         ("superficial_degree", kernel.superficial_degree(integral), "power counting 4 - 2n"),
         ("differentiation_count", kernel.differentiation_count(integral), "smallest t with 4 - 2(n+t) < 0"),
-        ("expression", value.render(), "differentiate in M^2 to convergence, evaluate the closed form, integrate back"),
+        ("expression", _expression(ns.n), "differentiate in M^2 to convergence, evaluate the closed form, integrate back"),
         ("terms", terms, "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)"),
         ("unfixed_constants", value.unfixed_count, "one arbitrary constant per integration, fixed only by physical conditions"),
     ]

@@ -233,9 +233,10 @@ class RegularizedValue(_Record):
             raise ValueError(f"mass_sq must be non-negative, got {msq!r}")
         if msq == 0 and (a or (p < 0 and b)):
             raise ValueError("mass_sq = 0 hits a logarithm/pole: the value is singular there")
-        unfixed = [name for name, e in zip(self.names, self.constants) if not e.is_fixed]
-        if unfixed:
-            raise ValueError(f"cannot evaluate numerically: unfixed constants {', '.join(unfixed)}")
+        if self.constants:  # a closed form has no ledger to name
+            unfixed = [name for name, e in zip(self.names, self.constants) if not e.is_fixed]
+            if unfixed:
+                raise ValueError(f"cannot evaluate numerically: unfixed constants {', '.join(unfixed)}")
         try:
             pieces = [float(e.coefficient) * e.value * msq**e.msq_power for e in self.constants]
             if a:

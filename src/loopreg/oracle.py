@@ -208,22 +208,31 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     on pure bisection, or when the last two steps did not halve the bracket.
     An exact zero of f ends the search.  Raises ValueError unless f(lo) and
     f(hi) have opposite signs.
+
+    The loop is written for its cost per step: max(|lo|, |hi|) and the clamp
+    of the regula falsi point are comparisons, not calls.  The loop runs only
+    while lo < hi, and there ``hi if hi >= -lo else -lo`` is max(|lo|, |hi|).
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
+    lo_positive = f_lo > 0.0  # a replaced f_lo keeps this sign; a halved one is read again, as a tiny one may round to 0
+    if lo_positive == (f_hi > 0.0):
         raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign; no bracketed root")
     seen = {f_lo, f_hi}
     moved = None  # the end the last regula falsi step replaced
-    widths = (math.inf, hi - lo)  # the bracket's width two steps back and one step back
+    older, width = math.inf, hi - lo  # the bracket's width two steps back and one step back
     bisect = False
-    while hi - lo > 1e-15 * max(abs(lo), abs(hi)):
+    while width > 1e-15 * (hi if hi >= -lo else -lo):
         if bisect:
             x = 0.5 * (lo + hi)
-        else:  # f_lo and f_hi weigh the ends; halving one keeps its sign
-            margin = 0.5e-15 * max(abs(lo), abs(hi))
-            x = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + margin), hi - margin)
+        else:  # f_lo and f_hi weigh the ends; the point is kept margin inside them, and a nan stays for the test below
+            margin = 0.5e-15 * (hi if hi >= -lo else -lo)
+            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if x < lo + margin:
+                x = lo + margin
+            if x > hi - margin:
+                x = hi - margin
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if x in (lo, hi):  # no float left between the ends
@@ -231,19 +240,22 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         f_x = f(x)
         if f_x == 0.0:
             return x
-        if (f_x > 0.0) == (f_lo > 0.0):
-            lo, f_lo, end = x, f_x, "lo"
+        if (f_x > 0.0) == lo_positive:
+            lo, f_lo = x, f_x
+            if not bisect:
+                if moved == "lo":
+                    f_hi *= 0.5
+                moved = "lo"
         else:
-            hi, f_hi, end = x, f_x, "hi"
-        if not bisect:
-            if end == moved == "lo":
-                f_hi *= 0.5
-            elif end == moved == "hi":
-                f_lo *= 0.5
-            moved = end
-        bisect = f_x in seen or hi - lo > 0.5 * widths[0]
+            hi, f_hi = x, f_x
+            if not bisect:
+                if moved == "hi":
+                    f_lo *= 0.5
+                    lo_positive = f_lo > 0.0
+                moved = "hi"
+        bisect = f_x in seen or hi - lo > 0.5 * older
         seen.add(f_x)
-        widths = (widths[1], hi - lo)
+        older, width = width, hi - lo
     return 0.5 * (lo + hi)
 
 

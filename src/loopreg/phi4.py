@@ -57,6 +57,8 @@ BETA_ONE_LOOP = 9.0 / (32.0 * math.pi**2)
 VACUUM_BROKEN = "ssb-vacuum"
 VACUUM_RESTORED = "symmetry-restoration"
 
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float, read once for ssb_vacuum
+
 #: Reference Higgs mass window and point value in GeV (stored inputs, not derived here).
 HIGGS_LOWER_BOUND, HIGGS_PREDICTED, HIGGS_UPPER_BOUND = 76.0, 138.0, 170.0
 
@@ -90,7 +92,7 @@ def ssb_vacuum(pot: SSBPotential) -> tuple[float, float]:
     so a Phi1 that fits does not fail on its square.
     """
     ratio = 6.0 * pot.sigma / pot.lam
-    if sys.float_info.min <= ratio < math.inf:
+    if _FLOAT_MIN <= ratio < math.inf:
         phi1 = math.sqrt(ratio)
     else:
         phi1 = math.sqrt(6.0) * math.sqrt(pot.sigma) / math.sqrt(pot.lam)

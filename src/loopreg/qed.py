@@ -126,9 +126,10 @@ def _float_coefficients() -> tuple[float, float, float]:
 def on_shell_mass_shift(m: float, alpha: float, mu1: float) -> MassShift:
     """delta_m = (alpha m / 4 pi) * (c0 + c_log ln(m^2/mu1^2)), all inputs positive, with
     (c0, c_log) = (5, -3) the exact pipeline coefficients."""
-    for name, v in (("m", m), ("alpha", alpha), ("mu1", mu1)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v!r}")
+    if not (m > 0 and alpha > 0 and mu1 > 0):  # the loop names the first input that is not
+        for name, v in (("m", m), ("alpha", alpha), ("mu1", mu1)):
+            if not v > 0:
+                raise ValueError(f"{name} must be positive, got {v!r}")
     c0, c_log, _ = _float_coefficients()
     prefactor = alpha * m / (4.0 * math.pi)
     log_ratio = 2.0 * _log_ratio(m, mu1)

@@ -3,9 +3,11 @@
 ``render_two_pass`` is the renderer ``loopreg.cli`` used before it laid out
 JSON itself: format every number, then ``json.dumps(indent=2)``.
 ``bisect`` is the bisection that ``loopreg.oracle.find_root`` used to be,
-with the same stop rule.  ``adapt`` is ``loopreg.oracle``'s adaptive
-bisection before it returned a first panel that met the tolerance at once:
-every result goes through the heap and the two ``fsum``s.  ``radial_integral`` is
+with the same stop rule, and ``find_root`` is its Illinois loop before that
+loop took its bounds and clamps as comparisons.  ``adapt`` is
+``loopreg.oracle``'s adaptive bisection before it returned a first panel that
+met the tolerance at once: every result goes through the heap and the two
+``fsum``s.  ``radial_integral`` is
 ``loopreg.oracle.radial_integral`` before it memoized the sums of its full
 decades: the pieces summed one decade at a time, each evaluation through
 ``radial_integrand``.  A cutoff within 1% below a decade edge is taken as in
@@ -15,7 +17,8 @@ once did for every cutoff.  Past t = 1e9 the package adds the integral of the
 integrand's leading power instead, so for powers 1 and 2 the two agree only
 up to that edge.  The package's versions must match their output
 byte for byte (and float for float); root finders' evaluation counts are
-compared with bisection's.  ``line_fit`` is the least-squares line solved in
+compared with bisection's, and ``find_root``'s points, order and root with the
+package's.  ``line_fit`` is the least-squares line solved in
 ``Fraction`` from the float points, the exact value a float fit is held to.
 """
 
@@ -87,6 +90,47 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """``loopreg.oracle.find_root`` before its loop was written out for its cost per step: the same
+    points in the same order, the same root or the same error."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign; no bracketed root")
+    seen = {f_lo, f_hi}
+    moved = None  # the end the last regula falsi step replaced
+    widths = (math.inf, hi - lo)  # the bracket's width two steps back and one step back
+    bisect = False
+    while hi - lo > 1e-15 * max(abs(lo), abs(hi)):
+        if bisect:
+            x = 0.5 * (lo + hi)
+        else:  # f_lo and f_hi weigh the ends; halving one keeps its sign
+            margin = 0.5e-15 * max(abs(lo), abs(hi))
+            x = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + margin), hi - margin)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if x in (lo, hi):  # no float left between the ends
+                break
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x > 0.0) == (f_lo > 0.0):
+            lo, f_lo, end = x, f_x, "lo"
+        else:
+            hi, f_hi, end = x, f_x, "hi"
+        if not bisect:
+            if end == moved == "lo":
+                f_hi *= 0.5
+            elif end == moved == "hi":
+                f_lo *= 0.5
+            moved = end
+        bisect = f_x in seen or hi - lo > 0.5 * widths[0]
+        seen.add(f_x)
+        widths = (widths[1], hi - lo)
     return 0.5 * (lo + hi)
 
 

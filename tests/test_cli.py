@@ -107,6 +107,19 @@ class TestRegularizeCommand:
         assert first == second and first[0] == 0
         assert calls == [2]
 
+    def test_a_power_renders_its_expression_once_per_process(self, capsys, monkeypatch):
+        from loopreg import kernel
+
+        assert run_raw(capsys, ["regularize", "--n", "2"])[0] == 0
+        calls = []
+        real = kernel.RegularizedValue.render
+        monkeypatch.setattr(kernel.RegularizedValue, "render", lambda self: calls.append(self) or real(self))
+        code, report = run_json(capsys, ["regularize", "--n", "2", "--msq", "1", "--mu1", "0.5"])
+        assert code == 0 and calls == []
+        # the alias fixes C1's value, not the text, so the cached text is what this value renders
+        aliased = kernel.regularize(kernel.ScalarLoopIntegral(power=2)).with_scale_alias(1, 0.5)
+        assert report["outputs"]["expression"] == real(aliased)
+
 
 class TestPhi4Command:
     def test_example_values(self, capsys):

@@ -457,9 +457,25 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("big_l", [0.0, 1.0, 5.0 / 3.0])
     def test_x_quadrature_row_in_s(self, evaluations, big_l):
-        # in s = -ln x the log singularity is an exponential decay: 1125-1245 evaluations in x
+        # in s = -ln x the log singularity is an exponential decay: 1125-1245 evaluations in x, 225 in s
         assert abs(checks._pipeline_x_integral(big_l) - (5.0 - 3.0 * big_l)) <= 1e-14
-        assert evaluations() <= 300
+        assert 0 < evaluations() <= 300
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(big_l=st.floats(-50.0, 50.0))
+    @example(big_l=0.0)
+    @example(big_l=1.0)
+    @example(big_l=5.0 / 3.0)
+    def test_written_out_x_panel_is_the_generic_panel(self, big_l):
+        def integrand(s):
+            x = math.exp(-s)
+            return (2.0 + 2.0 * x) * (2.0 * s - big_l) * x
+
+        edges = checks._S_EDGES
+        for a, b in zip(edges, edges[1:]):
+            assert repr(checks._x_panel(big_l, a, b)) == repr(oracle._panel(integrand, a, b))
+        by_integrate = math.fsum(oracle.integrate(integrand, a, b, 1e-12, epsabs=1e-12)[0] for a, b in zip(edges, edges[1:]))
+        assert repr(checks._pipeline_x_integral(big_l)) == repr(by_integrate)
 
 
 def _root_and_evaluations(finder, f, lo, hi):
@@ -475,8 +491,14 @@ def _root_and_evaluations(finder, f, lo, hi):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Evaluations of the functions handed to ``oracle.find_root`` and ``oracle.integrate`` since the fixture."""
+    """Evaluations of the functions handed to ``oracle.find_root`` and ``oracle.integrate`` since the fixture,
+    and of the x-quadrature row's written-out integrand, 15 per ``checks._x_panel``."""
     count = [0]
+    x_panel = checks._x_panel
+
+    def counted_x_panel(*args):
+        count[0] += 15
+        return x_panel(*args)
 
     def counting(tool):
         def wrapper(f, *args, **kwargs):
@@ -490,11 +512,43 @@ def evaluations(monkeypatch):
 
     monkeypatch.setattr(oracle, "find_root", counting(oracle.find_root))
     monkeypatch.setattr(oracle, "integrate", counting(oracle.integrate))
+    monkeypatch.setattr(checks, "_x_panel", counted_x_panel)
     return lambda: count[0]
 
 
+# the evaluations each costly check row makes, exactly
+_ROW_EVALUATIONS = {"mu1 root finder agrees": 78, "minimizing the potential": 42, "resummation pole": 106, "x-quadrature": 675}
+
 # monotone, smooth, odd shapes: the computed sign of shape(c * (x - root)) is the sign of x - root
 _SHAPES = {"cubic": lambda d: d + d**3, "expm1": math.expm1, "sinh": math.sinh, "atan": math.atan, "tanh": math.tanh}
+
+
+@st.composite
+def _brackets(draw):
+    """A bracket (lo, hi): above zero over up to 18 decades of width, across zero, or among the subnormals."""
+    kind = draw(st.sampled_from(["positive", "crossing", "subnormal"]))
+    if kind == "positive":
+        lo = 10.0 ** draw(st.floats(-3.0, 3.0))
+        return lo, lo * (1.0 + 10.0 ** draw(st.floats(-15.0, 3.0)))
+    if kind == "crossing":
+        return -(10.0 ** draw(st.floats(-3.0, 3.0))), 10.0 ** draw(st.floats(-3.0, 3.0))
+    i = draw(st.integers(0, 40))
+    return i * 5e-324, (i + draw(st.integers(1, 40))) * 5e-324
+
+
+def _traced(finder, f, lo, hi):
+    """(the reprs of the points finder evaluates f at, in order; the repr of its root or its error)."""
+    points = []
+
+    def traced(x):
+        points.append(repr(x))
+        return f(x)
+
+    try:
+        outcome = repr(finder(traced, lo, hi))
+    except Exception as e:
+        outcome = f"{type(e).__name__}: {e}"
+    return points, outcome
 
 
 class TestFindRoot:
@@ -549,19 +603,49 @@ class TestFindRoot:
         assert abs(root - true_root) <= 1e-15 * true_root
         assert n <= _root_and_evaluations(bisect, f, lo, hi)[1]
 
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(
+        bracket=_brackets(),
+        kind=st.sampled_from(["shape", "step", "nan past"]),
+        at=st.floats(0.0, 1.0),
+        cut=st.floats(0.0, 1.0),
+        log_steepness=st.floats(-2.0, 2.0),
+        shape=st.sampled_from(sorted(_SHAPES)),
+        sign=st.sampled_from([1.0, -1.0]),
+        amplitude=st.sampled_from([1.0, 1e-300, 1e-320, 5e-324]),
+    )
+    # a regula falsi step halves f_lo = 5e-324 to 0.0: the next steps read its sign as that of 0.0
+    @example(bracket=(0.0, 1.0), kind="shape", at=0.5, cut=0.0, log_steepness=2.0, shape="tanh", sign=-1.0, amplitude=5e-324)
+    # a root at 0 inside a bracket across zero: the stop width and margin read max(|lo|, |hi|) = -lo to the end
+    @example(bracket=(-5.0, 3.0), kind="shape", at=0.625, cut=0.0, log_steepness=0.0, shape="cubic", sign=1.0, amplitude=1.0)
+    def test_same_points_and_root_as_the_reference_loop(self, bracket, kind, at, cut, log_steepness, shape, sign, amplitude):
+        lo, hi = bracket
+        root, past, steepness = lo + at * (hi - lo), lo + cut * (hi - lo), 10.0**log_steepness
+
+        def f(x):
+            if kind == "step":
+                return sign if x >= root else -sign
+            if kind == "nan past" and x > past:
+                return math.nan
+            return sign * amplitude * _SHAPES[shape](steepness * ((x - root) / (hi - lo)))
+
+        assert _traced(oracle.find_root, f, lo, hi) == _traced(references.find_root, f, lo, hi)
+
     @pytest.mark.parametrize(
         "row, most",
         [
             ("mu1 root finder agrees", 80),  # bisection: 318
             ("minimizing the potential", 55),  # bisection: 159
             ("resummation pole", 106),  # a step function: bisection's count
+            ("x-quadrature", 675),  # 3 x 15 panels of 15 nodes
         ],
     )
     def test_evaluations_per_check_row(self, evaluations, row, most):
+        # most is the row's budget; the count is exact, so a change in the points a row visits shows here
         (check,) = [c for c in checks.CHECKS if c.name.startswith(row)]
         ok, detail = check.run()
         assert ok, detail
-        assert evaluations() <= most
+        assert evaluations() == _ROW_EVALUATIONS[row] <= most
 
 
 class TestRadialReferences:
