@@ -6,11 +6,11 @@ acceptance test asserts each row, within its time bound if it has one.  Rows
 call the library through its modules (``qed.lamb_shift_estimate``, not a
 ``from`` import), so a patched library function is what a row sees.  The
 quadrature, root finding and minimization here are independent of the closed
-forms they check: they use ``oracle``'s quadrature and ``oracle.find_root``,
-never a closed form of the claim under test.  The x-quadrature row writes its
-G7-K15 panel out (``_x_panel``, as ``oracle._radial_panel`` does for the
-radial integrand) and bisects it with ``oracle._adapt``, the loop behind
-``oracle.integrate``.
+forms they check: they use ``oracle.integrate``, ``oracle.find_root`` and the
+oracle's radial quadrature, never a closed form of the claim under test, and
+they read only the public names of the modules they call.  The pole row
+bisects ``phi4.symmetry_status``, which reads the pole test of
+``phi4.resum_chain``, so no row steers a loop by a raised error.
 """
 
 from __future__ import annotations
@@ -78,31 +78,19 @@ def _exact_coefficients() -> tuple[bool, str]:
 _S_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
-def _x_panel(big_l: float, a: float, b: float) -> tuple[float, float, float, float]:
-    """``oracle._panel`` of the s-integrand (2 + 2e^-s) * (2s - L) * e^-s on [a, b], written out
-    as ``oracle._radial_panel`` writes out the radial one: the same nodes, sums and floats."""
-    center, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
-    x = math.exp(-center)
-    f_center = (2.0 + 2.0 * x) * (2.0 * center - big_l) * x
-    kronrod, gauss = oracle._KRONROD[-1] * f_center, oracle._GAUSS[-1] * f_center
-    for node, w_kronrod, w_gauss in oracle._PAIRS:
-        s, t = center - half * node, center + half * node
-        x, y = math.exp(-s), math.exp(-t)
-        pair = (2.0 + 2.0 * x) * (2.0 * s - big_l) * x + (2.0 + 2.0 * y) * (2.0 * t - big_l) * y
-        kronrod += w_kronrod * pair
-        gauss += w_gauss * pair
-    return -abs(half * (kronrod - gauss)), a, b, half * kronrod
-
-
 def _pipeline_x_integral(big_l: float) -> float:
     """Quadrature over x of the on-shell integrand (2 + 2x) * (-(L + 2 ln x)).
 
     In s = -ln x the log singularity at x = 0 becomes the decay of
     (2 + 2e^-s) * (2s - L) * e^-s; past s = 64 that tail is below 1e-25.
-    Each panel runs through ``oracle._adapt``, ``oracle.integrate``'s bisection.
     """
+
+    def integrand(s: float) -> float:
+        x = math.exp(-s)
+        return (2.0 + 2.0 * x) * (2.0 * s - big_l) * x
+
     # absolute tolerance too: at L = 5/3 the integral is 0
-    return math.fsum(oracle._adapt(_x_panel, big_l, a, b, 1e-12, 1e-12)[0] for a, b in zip(_S_EDGES, _S_EDGES[1:]))
+    return math.fsum(oracle.integrate(integrand, a, b, 1e-12, 1e-12)[0] for a, b in zip(_S_EDGES, _S_EDGES[1:]))
 
 
 def _x_quadrature() -> tuple[bool, str]:
@@ -178,15 +166,12 @@ def _finite_orders() -> tuple[bool, str]:
 
 
 def _pole_boundary(state: phi4.ResummationState) -> float:
-    """Locate the finite/pole boundary of resum_chain by bisection alone:
-    past_pole returns only -1 and 1, so find_root never interpolates."""
+    """Locate the finite/pole boundary of resum_chain by bisection alone: past_pole returns only -1 and 1,
+    so find_root never interpolates.  symmetry_status reports the vacuum restored exactly where
+    resum_chain raises LandauPoleError, so the boundary is that of the raise."""
 
     def past_pole(mu: float) -> float:
-        try:
-            phi4.resum_chain(state, mu)
-        except phi4.LandauPoleError:
-            return 1.0
-        return -1.0
+        return 1.0 if phi4.symmetry_status(state, mu) == phi4.VACUUM_RESTORED else -1.0
 
     lo = state.mu0
     while past_pole(4.0 * lo) < 0.0:

@@ -216,7 +216,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
-    lo_positive = f_lo > 0.0  # a replaced f_lo keeps this sign; a halved one is read again, as a tiny one may round to 0
+    lo_positive = f_lo > 0.0  # read once: a replaced f_lo keeps this sign, and a halved one may round to 0.0
     if lo_positive == (f_hi > 0.0):
         raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign; no bracketed root")
     seen = {f_lo, f_hi}
@@ -251,7 +251,6 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
             if not bisect:
                 if moved == "hi":
                     f_lo *= 0.5
-                    lo_positive = f_lo > 0.0
                 moved = "hi"
         bisect = f_x in seen or hi - lo > 0.5 * older
         seen.add(f_x)
@@ -331,11 +330,10 @@ def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: fl
         if t_cut > 1e9:  # past the last edge: its decades, then k^(3-2n) integrated in k from E = 1e9 sqrt(M^2) on
             edge = 1e9 * root
             t_cut, tail = 1e9, 0.5 * (cutoff - edge) * (cutoff + edge) if power == 1 else _log_ratio(cutoff, edge) if power == 2 else 0.0
-        k = bisect_right(_EDGES, t_cut, 0, 10) - 1  # the full decades end at _EDGES[k] <= t_cut; at t_cut = 1e9, k = 9
-        upper = _EDGES[k + 1]  # the next edge up
-        if 0.99 * upper <= t_cut < upper:  # just below an edge: the decades up to it less [t_cut, upper]
+        k = bisect_right(_EDGES, t_cut) - 1  # the full decades end at _EDGES[k] <= t_cut; at t_cut = 1e9, k = 10
+        if k < 10 and 0.99 * _EDGES[k + 1] <= t_cut:  # just below the next edge up: the decades up to it less [t_cut, it]
             total, err_total = _decade_sums(power, k + 1, epsrel)
-            piece, err = _piece(power, t_cut, upper, epsrel)
+            piece, err = _piece(power, t_cut, _EDGES[k + 1], epsrel)
             total, err_total = total - piece, err_total + err
         else:
             total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)

@@ -4,7 +4,9 @@
 JSON itself: format every number, then ``json.dumps(indent=2)``.
 ``bisect`` is the bisection that ``loopreg.oracle.find_root`` used to be,
 with the same stop rule, and ``find_root`` is its Illinois loop before that
-loop took its bounds and clamps as comparisons.  ``adapt`` is
+loop took its bounds and clamps as comparisons.  ``pole_boundary`` is the
+pole row of ``loopreg.checks`` as it read ``resum_chain``'s raise of
+``LandauPoleError``.  ``adapt`` is
 ``loopreg.oracle``'s adaptive bisection before it returned a first panel that
 met the tolerance at once: every result goes through the heap and the two
 ``fsum``s.  ``radial_integral`` is
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable
 
-from loopreg import oracle
+from loopreg import oracle, phi4
 
 
 def _fmt_number(value: Any, precision: int, name: str) -> Any:
@@ -94,12 +96,13 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """``loopreg.oracle.find_root`` before its loop was written out for its cost per step: the same
-    points in the same order, the same root or the same error."""
+    """``loopreg.oracle.find_root`` before its loop was written out for its cost per step, with the sign
+    at lo read once: the same points in the same order, the same root or the same error."""
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
+    lo_positive = f_lo > 0.0  # the sign at lo, read once: a halved f_lo may round to 0.0
+    if lo_positive == (f_hi > 0.0):
         raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign; no bracketed root")
     seen = {f_lo, f_hi}
     moved = None  # the end the last regula falsi step replaced
@@ -108,7 +111,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     while hi - lo > 1e-15 * max(abs(lo), abs(hi)):
         if bisect:
             x = 0.5 * (lo + hi)
-        else:  # f_lo and f_hi weigh the ends; halving one keeps its sign
+        else:  # f_lo and f_hi weigh the ends
             margin = 0.5e-15 * max(abs(lo), abs(hi))
             x = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + margin), hi - margin)
         if not lo < x < hi:
@@ -118,7 +121,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         f_x = f(x)
         if f_x == 0.0:
             return x
-        if (f_x > 0.0) == (f_lo > 0.0):
+        if (f_x > 0.0) == lo_positive:
             lo, f_lo, end = x, f_x, "lo"
         else:
             hi, f_hi, end = x, f_x, "hi"
@@ -132,6 +135,23 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         seen.add(f_x)
         widths = (widths[1], hi - lo)
     return 0.5 * (lo + hi)
+
+
+def pole_boundary(state: phi4.ResummationState) -> float:
+    """The boundary where ``phi4.resum_chain`` starts to raise LandauPoleError, bisected by
+    ``oracle.find_root`` on that raise, from the bracket [mu0 4^j, mu0 4^(j+1)] that holds it."""
+
+    def past_pole(mu: float) -> float:
+        try:
+            phi4.resum_chain(state, mu)
+        except phi4.LandauPoleError:
+            return 1.0
+        return -1.0
+
+    lo = state.mu0
+    while past_pole(4.0 * lo) < 0.0:
+        lo *= 4.0
+    return oracle.find_root(past_pole, lo, 4.0 * lo)
 
 
 def line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:

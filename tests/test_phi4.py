@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import references
 from loopreg import checks, phi4
 from loopreg.phi4 import (
     BETA_ONE_LOOP,
@@ -206,6 +207,21 @@ class TestCriticalScale:
         state = ResummationState(lambda0=1.5, mu0=2.0)
         boundary = checks._pole_boundary(state)
         assert abs(boundary - phi4.critical_scale(state)) / phi4.critical_scale(state) <= 1e-9
+
+    @pytest.mark.parametrize("state", checks._RESUM_STATES)
+    def test_pole_row_bisects_where_resum_chain_raises(self, state):
+        assert checks._pole_boundary(state).hex() == references.pole_boundary(state).hex()
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        lambda0=st.floats(1e-2, 10.0),
+        mu0=st.floats(1e-3, 1e3),
+        beta_coeff=st.one_of(st.just(BETA_ONE_LOOP), st.floats(0.005, 0.09)),
+    )
+    def test_pole_boundary_is_that_of_the_raise(self, lambda0, mu0, beta_coeff):
+        state = ResummationState(lambda0=lambda0, mu0=mu0, beta_coeff=beta_coeff)
+        assume(phi4.critical_scale(state) < 1e300)  # the bracket search stays finite
+        assert checks._pole_boundary(state).hex() == references.pole_boundary(state).hex()
 
     def test_tiny_coupling_overflows_to_infinity(self):
         assert phi4.critical_scale(ResummationState(lambda0=1e-6, mu0=1.0)) == math.inf
