@@ -66,14 +66,19 @@ class InsufficientGridError(ValueError):
     """The cutoff grid is too small or too narrow for the requested fit."""
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    """ValueError unless rel_tol sits in (0, 1e-6], the window of a probe and of a single cutoff alike."""
+    if not 0.0 < rel_tol <= 1e-6:
+        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
+
+
 class QuadratureSpec(_Record):
     """Adaptive quadrature configuration; rel_tol must sit in (0, 1e-6]."""
 
     __slots__ = __match_args__ = ("rel_tol",)
 
     def __init__(self, rel_tol: float = 1e-10) -> None:
-        if not 0.0 < rel_tol <= 1e-6:
-            raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
+        _check_rel_tol(rel_tol)
         object.__setattr__(self, "rel_tol", rel_tol)
 
 
@@ -301,9 +306,11 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     it fits though t may not: (cutoff - E)(cutoff + E)/2 for power 1,
     ln(cutoff/E) for power 2, and 0 from power 3 on, whose whole tail is at
     most (power - 1) * 1e-18 of the total.  So the cost stops growing with the
-    cutoff.  The quadrature check reads the decade sums alone.
-    Raises QuadratureError when the summed error estimate misses rel_tol, whether
-    or not the pieces were cached, and OverflowError past the float range.
+    cutoff.  The quadrature check reads the decade sums alone.  Where
+    (M^2)^(2 - power) alone leaves the float range, the radial is taken from the
+    logarithms of its two factors.  rel_tol must sit in (0, 1e-6], as for a
+    probe.  Raises QuadratureError when the summed error estimate misses rel_tol,
+    whether or not the pieces were cached, and OverflowError past the float range.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power!r}")
@@ -311,6 +318,7 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
     if not mass_sq > 0:
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
+    _check_rel_tol(rel_tol)
     return _radials(power, mass_sq, (cutoff,), rel_tol)[0]
 
 
@@ -344,7 +352,13 @@ def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: fl
                                   f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
         radial = scale * total + tail
         if not math.isfinite(radial):
-            raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
+            if scale == math.inf and total > 0:  # (M^2)^(2-n) alone overflows (n >= 3, no tail): the product from its logarithm
+                try:
+                    radial = math.exp(math.log(total) + (2 - power) * math.log(mass_sq))
+                except OverflowError:
+                    pass
+            if not math.isfinite(radial):
+                raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
         radials.append(radial)
     return radials
 

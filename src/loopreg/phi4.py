@@ -149,13 +149,6 @@ class ResummationState(_Record):
         object.__setattr__(self, "beta_coeff", beta_coeff)
 
 
-def _first_order_term(state: ResummationState, mu: float) -> float:
-    """b lambda0 ln(mu^2/mu0^2), the term both resummation orders are built from."""
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    return state.beta_coeff * state.lambda0 * (2.0 * _log_ratio(mu, state.mu0))
-
-
 def _chain_couplings(state: ResummationState, mus: Iterable[float]) -> list[float | None]:
     """The resummed coupling at each mu in turn, None where its denominator is no longer positive
     (the pole); b lambda0 and mu0 are read once for the whole grid."""
@@ -189,7 +182,9 @@ def resum_first_order(state: ResummationState, mu: float) -> float:
     Finite for every finite mu; at ln(mu^2/mu0^2) = 1 and b = 9/(32 pi^2) it
     coincides with lambda_renormalized(lambda0).
     """
-    return state.lambda0 * (1.0 + _first_order_term(state, mu))
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu!r}")
+    return state.lambda0 * (1.0 + state.beta_coeff * state.lambda0 * (2.0 * _log_ratio(mu, state.mu0)))
 
 
 def critical_scale(state: ResummationState) -> float:

@@ -19,7 +19,8 @@ x-quadrature of the two channel integrands against delta_m is a test.
 
 delta_m is read off the one-loop self-energy directly; no geometric
 resummation happens here (the chain-summed running coupling lives in the
-phi4 module).
+phi4 module).  Only channel_coefficients runs the kernel and feynpar layers,
+and it imports them itself, so lamb_shift_estimate loads neither.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _Record, _log_ratio, feynpar, kernel
+from . import _Record, _log_ratio
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -74,39 +75,22 @@ class MassShift(_Record):
         object.__setattr__(self, "log_ratio", log_ratio)
 
 
-def _on_shell_log_split() -> tuple[Fraction, Fraction]:
-    """Regulated power-2 integral on the mass shell, split along the log.
-
-    regularize(n=2) gives the bracket c*ln(M^2) + c*C1.  On shell M^2 = m^2 x^2
-    so ln(M^2) = ln(m^2) + 2 ln(x), and aliasing C1 = -ln(mu1^2) closes the
-    non-x part into L = ln(m^2/mu1^2).  Returns (coeff of L, coeff of ln x).
-    """
-    reg = kernel.regularize(kernel.ScalarLoopIntegral(power=2))
-    c = reg.log_coefficient
-    if reg.msq_power != 0 or c == 0:
-        raise AssertionError("unexpected structure of the regulated power-2 integral")
-    entries = reg.constants
-    if len(entries) != 1 or reg.constant_dimension(entries[0]) != 0 or entries[0].coefficient != c:
-        raise AssertionError("the power-2 ledger must hold one dimensionless constant paired with the log")
-    return c, 2 * c
-
-
 def channel_coefficients(weight_coeffs: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
     """Exact (constant, log) coefficients of one numerator channel.
 
-    For a channel whose x-polynomial is ``weight_coeffs``, the on-shell mass
+    For a channel whose x-polynomial is ``weight_coeffs`` = w, the on-shell mass
     shift contribution is (alpha m / 4 pi) * (constant + log * L) with
-    L = ln(m^2/mu1^2).  The overall sign bookkeeping (-i e^2 against the
-    unit i/(16 pi^2)) cancels to +1, so the bracket integrates directly.
+    L = ln(m^2/mu1^2).  regularize(n=2) gives the bracket c*ln(M^2) + c*C1.  On
+    shell M^2 = m^2 x^2, so ln(M^2) = ln(m^2) + 2 ln(x), and aliasing
+    C1 = -ln(mu1^2) closes the non-x part into L: the channel gives
+    (2c * int w ln x, c * int w).  The overall sign bookkeeping (-i e^2 against
+    the unit i/(16 pi^2)) cancels to +1, so the bracket integrates directly.
     """
-    c_L, c_lnx = _on_shell_log_split()
-    constant = c_lnx * feynpar.integrate_poly_log(
-        feynpar.PolyLogIntegrand(weight_coeffs, log_weight=1)
-    )
-    log_coeff = c_L * feynpar.integrate_poly_log(
-        feynpar.PolyLogIntegrand(weight_coeffs, log_weight=0)
-    )
-    return constant, log_coeff
+    from . import feynpar, kernel  # the exact layers run only here, so lambshift loads neither
+
+    c = kernel.regularize(kernel.ScalarLoopIntegral(power=2)).log_coefficient
+    constant = 2 * c * feynpar.integrate_poly_log(feynpar.PolyLogIntegrand(weight_coeffs, log_weight=1))
+    return constant, c * feynpar.integrate_poly_log(feynpar.PolyLogIntegrand(weight_coeffs, log_weight=0))
 
 
 @lru_cache(maxsize=1)

@@ -85,6 +85,13 @@ class TestCutoffProbe:
             QuadratureSpec(rel_tol=0.0)
         assert QuadratureSpec().rel_tol == 1e-10
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, 0.5, 1e-5, 0.0, -1.0])
+    def test_a_single_cutoff_refuses_what_a_probe_refuses(self, rel_tol):
+        # unchecked, nan runs every piece to the panel limit and 0.5 is taken; 0 or -1 is bad input, not a QuadratureError
+        for refuse in (QuadratureSpec, partial(oracle.radial_integral, 2, 1.0, 1e3), partial(oracle.wick_rotated_radial, 2, 1.0, 1e3)):
+            with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1e-6\], got"):
+                refuse(rel_tol)
+
 
 class TestDivergenceSignature:
     def test_log_member(self):
@@ -405,6 +412,28 @@ class TestCutoffPastTheLastEdge:
             else:
                 got = oracle.radial_integral(power, mass_sq, cutoff)
                 assert abs(got - want) <= 2 * math.ulp(float(want)), (mass_sq, cutoff)
+
+
+class TestScalePastTheFloatRange:
+    """(M^2)^(2-n) alone past the float range while the radial fits: the product is taken from its logarithm."""
+
+    @pytest.mark.parametrize("power, mass_sq, cutoff", [(3, 1e-310, 1e-160), (6, 1e-80, 1e-60), (8, 1e-60, 1e-45), (4, 1e-200, 1e-110)])
+    def test_within_the_exponent_rounding_of_fifty_digits(self, power, mass_sq, cutoff):
+        mp = pytest.importorskip("mpmath")
+        with pytest.raises(OverflowError):
+            mass_sq ** (2 - power)
+        with mp.workdps(50):
+            m2 = mp.mpf(mass_sq)
+            t_cut = mp.mpf(cutoff) / mp.sqrt(m2)
+            # t = t_cut u: mpmath's tolerance is absolute, and the u-integral is O(1)
+            want = m2 ** (2 - power) * t_cut**4 * mp.quad(lambda u: u**3 / (t_cut * t_cut * u * u + 1) ** power, [0, 1])
+        if want > sys.float_info.max:  # 2.5e+359 at n = 4
+            with pytest.raises(OverflowError, match="past the float range"):
+                oracle.radial_integral(power, mass_sq, cutoff)
+        else:  # 2.4999999995e+289, 2.5e+239 and 2.5e+299, each within 3e-14 on x86-64 glibc
+            # exp(x) turns the rounding of an x near 700 into a relative error of |x| * epsilon, ~1.5e-13
+            bound = float(mp.log(want)) * sys.float_info.epsilon
+            assert abs(oracle.radial_integral(power, mass_sq, cutoff) - want) <= bound * want
 
 
 class TestIntegrate:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import references
-from loopreg import checks, phi4
+from loopreg import _log_ratio, checks, phi4
 from loopreg.phi4 import (
     BETA_ONE_LOOP,
     LandauPoleError,
@@ -265,7 +265,7 @@ class TestSymmetryStatus:
                 assert phi4.symmetry_status(state, point) == phi4.VACUUM_RESTORED
             else:
                 assert coupling is not None and coupling.hex() == chain.hex()
-                assert chain == state.lambda0 / (1.0 - phi4._first_order_term(state, point))
+                assert chain == state.lambda0 / (1.0 - state.beta_coeff * state.lambda0 * (2.0 * _log_ratio(point, state.mu0)))
                 assert phi4.symmetry_status(state, point) == phi4.VACUUM_BROKEN
 
 
