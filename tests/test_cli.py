@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from loopreg import cli
@@ -792,25 +792,35 @@ def _argv(draw):
     return argv
 
 
-class TestContract:
-    """The CLI contract over hundreds of generated argv, all parsed by the one parser of this process, each run once:
-    every report it renders is also laid out as ``render_two_pass`` lays it out."""
+# Both generated-argv properties below draw from one seed, so they see the same argv, and each argv runs through
+# ``cli.run`` once: the first property to meet it records the run, the other reads the record.
+_GENERATED_ARGV = seed(20260)
 
+
+@functools.cache
+def _recorded_run(argv):
+    """Exit code, stdout, stderr and the argument tuple of every ``cli._render`` call of one ``cli.run(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_render", wraps=cli._render) as render:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(list(argv))
+    return code, out.getvalue(), err.getvalue(), tuple(call.args for call in render.call_args_list)
+
+
+class TestContract:
+    """The CLI contract over hundreds of generated argv, all parsed by the one parser of this process."""
+
+    @_GENERATED_ARGV
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(_argv())
     def test_every_argv_exits_0_2_or_3_and_prints_only_finite_numbers(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(cli, "_render", wraps=cli._render) as render:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run(argv)
-        assert code in (0, 2, 3), (argv, err.getvalue())
-        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        code, out, err, _ = _recorded_run(tuple(argv))
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in out + err, argv
         if code == 3:  # a numeric failure names its quantity, never with Python's bare float-error text
-            assert not re.search("Numerical result out of range|division by zero|math range error", err.getvalue()), (argv, err.getvalue())
+            assert not re.search("Numerical result out of range|division by zero|math range error", err), (argv, err)
         if code == 0:
-            assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())
-        for call in render.call_args_list:
-            assert _rendered(cli._render, *call.args) == _rendered(render_two_pass, *call.args), argv
+            assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), (argv, out)
 
 
 def _rendered(render, subcommand, report, cfg):
@@ -858,6 +868,13 @@ class TestOnePassRenderer:
     def test_round_trip_reports(self, argv):
         (call,) = _reports(argv)
         self.assert_renders_as_two_pass(*call)
+
+    @_GENERATED_ARGV
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_argv())
+    def test_generated_argv(self, argv):
+        for call in _recorded_run(tuple(argv))[3]:
+            self.assert_renders_as_two_pass(*call)
 
     @pytest.mark.parametrize("precision", [4, 17])
     @pytest.mark.parametrize(
