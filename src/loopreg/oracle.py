@@ -21,8 +21,9 @@ a cutoff within 1% below an edge takes the sum up to that edge less one short
 piece.  Past t = 1e9 the integrand is k^(3-2n) to below half an ulp, and its
 integral up to the cutoff is taken in k, by one rule for every power n.  A
 ``CutoffProbe`` integrates all its cutoffs in one pass of the loop behind
-``radial_integral``, and each fit checks its own grid rule before it reads
-them, so a short grid fails before any quadrature.
+``radial_integral``.  Both fits read only the cutoffs at or above sqrt(M^2),
+where the large-cutoff expansion holds, and check their grid rule on those
+before they read a radial, so a short grid fails before any quadrature.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from bisect import bisect_right
+import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 
@@ -275,6 +277,16 @@ def _radial_piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[fl
         return integrate(lambda t: radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
 
 
+def _scaled_below_mass(power: int, t_cut: float, epsrel: float) -> tuple[float, float]:
+    """(value, error estimate) of J = int_0^1 u^3 (1 + t^2 u^2)^(-power) du, the radial over cutoff^4 (M^2)^(-power)
+    in u = k/cutoff: O(1) for t_cut < 1, where the integral in t, ~t^4/4, underflows first."""
+    t_sq = t_cut * t_cut
+    try:
+        return integrate(lambda u: u**3 * (1.0 + t_sq * u * u) ** -power, 0.0, 1.0, epsrel)
+    except OverflowError:  # a power past the float range, as in radial_integrand: J is taken as 0
+        return 0.0, 0.0
+
+
 _piece = lru_cache(maxsize=256)(_radial_piece)  # the short pieces of radial_integral: [edge, t_cut] or [t_cut, next edge]
 
 
@@ -308,9 +320,12 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     most (power - 1) * 1e-18 of the total.  So the cost stops growing with the
     cutoff.  The quadrature check reads the decade sums alone.  Where
     (M^2)^(2 - power) alone leaves the float range, the radial is taken from the
-    logarithms of its two factors.  rel_tol must sit in (0, 1e-6], as for a
-    probe.  Raises QuadratureError when the summed error estimate misses rel_tol,
-    whether or not the pieces were cached, and OverflowError past the float range.
+    logarithms of its two factors; so it is where the integral in t up to a
+    cutoff below the mass underflows (t^4/4 for t < ~1e-77), from those of
+    cutoff^4 (M^2)^(-power) and of the integral in u = k/cutoff over [0, 1].
+    rel_tol must sit in (0, 1e-6], as for a probe.  Raises QuadratureError
+    when the summed error estimate misses rel_tol, whether or not the pieces
+    were cached, and OverflowError past the float range.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power!r}")
@@ -347,16 +362,20 @@ def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: fl
             total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
             piece, err = _piece(power, _EDGES[k], t_cut, epsrel) if _EDGES[k] != t_cut else (0.0, 0.0)
             total, err_total = total + piece, err_total + err
+        below = not k and total < sys.float_info.min
+        if below:  # t^4/4 underflows, though the radial may fit: it is cutoff^4 (M^2)^(-n) J
+            total, err_total = _scaled_below_mass(power, t_cut, epsrel)  # J's integrand there, so no closure makes power a cell here
         if err_total > rel_tol * abs(total):
             raise QuadratureError(f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
                                   f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
         radial = scale * total + tail
-        if not math.isfinite(radial):
-            if scale == math.inf and total > 0:  # (M^2)^(2-n) alone overflows (n >= 3, no tail): the product from its logarithm
+        if below or not math.isfinite(radial):
+            if total > 0 and (below or scale == math.inf):  # J's factor, or (M^2)^(2-n) alone (n >= 3, no tail), may leave the float range
+                log_factor = 4.0 * math.log(cutoff) - power * math.log(mass_sq) if below else (2 - power) * math.log(mass_sq)
                 try:
-                    radial = math.exp(math.log(total) + (2 - power) * math.log(mass_sq))
+                    radial = math.exp(math.log(total) + log_factor)
                 except OverflowError:
-                    pass
+                    radial = math.inf
             if not math.isfinite(radial):
                 raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
         radials.append(radial)
@@ -382,10 +401,10 @@ def wick_rotated_radial(
 class DivergenceSignature(_Record):
     """Fitted large-cutoff behavior of a probe.
 
-    kind is one of 'log', 'linear-family', 'quadratic', 'convergent';
-    coefficient is the fitted leading coefficient (the ln-Lambda slope for
-    'log', the Lambda^2 resp. Lambda coefficient for the power families, and
-    the limiting value for 'convergent').
+    kind is one of 'log', 'quadratic', 'convergent', the three growths that the
+    family's degrees 4 - 2n (2, 0, -2, ...) allow; coefficient is the fitted
+    leading coefficient (the ln-Lambda slope for 'log', the Lambda^2
+    coefficient for 'quadratic', and the limiting value for 'convergent').
     """
 
     __slots__ = __match_args__ = ("kind", "coefficient")
@@ -406,25 +425,28 @@ def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:
     return slope, y_mean - slope * x_mean
 
 
-def _require_grid(probe: CutoffProbe, min_points: int, min_span: float) -> None:
+def _require_grid(probe: CutoffProbe, min_points: int, min_span: float) -> int:
+    """The index of the first cutoff at or above sqrt(M^2); InsufficientGridError unless the rule holds from there."""
     grid = probe.lambda_grid
-    if len(grid) < min_points or grid[-1] / grid[0] < min_span * 0.999:
-        decades = math.log10(min_span)
+    first = bisect_left(grid, math.sqrt(probe.mass_sq))
+    count = len(grid) - first
+    if count < min_points or grid[-1] / grid[first] < min_span * 0.999:
         raise InsufficientGridError(
-            f"need at least {min_points} cutoffs spanning >= {decades:g} decades, "
-            f"got {len(grid)} over {grid[0]:g}..{grid[-1]:g}"
+            f"need at least {min_points} cutoffs at or above sqrt(M^2) spanning >= {math.log10(min_span):g} decades, "
+            f"got {count}" + (f" over {grid[first]:g}..{grid[-1]:g}" if count else "")
         )
+    return first
 
 
 def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     """Classify the cutoff dependence of the radial integral from data alone.
 
-    Uses increments per unit ln(Lambda): they vanish for a convergent
-    integral, stay flat for a logarithmic one, and grow for the power-law
-    families, whose exponent is then read off a log-log fit.
+    Reads the increments per unit ln(Lambda) over the cutoffs at or above
+    sqrt(M^2), where the large-cutoff expansion holds: they vanish for a
+    convergent integral, stay flat for a log one and grow for the quadratic.
     """
-    _require_grid(probe, min_points=4, min_span=1e3)
-    grid, vals = probe.lambda_grid, probe.radials
+    first = _require_grid(probe, min_points=4, min_span=1e3)
+    grid, vals = probe.lambda_grid[first:], probe.radials[first:]
     logs = list(map(math.log, grid))
     slopes = [
         (v2 - v1) / (l2 - l1)
@@ -435,10 +457,7 @@ def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     if slopes[-1] < 2.0 * slopes[0]:
         slope, _ = _line_fit(logs, vals)
         return DivergenceSignature("log", slope)
-    exponent = (math.log(vals[-1]) - math.log(vals[0])) / (logs[-1] - logs[0])
-    if exponent >= 1.5:
-        return DivergenceSignature("quadratic", vals[-1] / grid[-1] ** 2)
-    return DivergenceSignature("linear-family", vals[-1] / grid[-1])
+    return DivergenceSignature("quadratic", vals[-1] / grid[-1] ** 2)
 
 
 def asymptote_constant(probe: CutoffProbe) -> float:
@@ -446,9 +465,11 @@ def asymptote_constant(probe: CutoffProbe) -> float:
 
     Extrapolates with a linear fit in (Lambda_top/Lambda)^2, i.e. in
     1/Lambda^2 scaled so it neither underflows nor overflows, over the top two
-    grid decades; the remainder of the expansion is O(1/Lambda^4).  Only
-    differences of this limit between two masses are cutoff-free physics:
-    the limit itself shifts with the arbitrary constant freedom.
+    grid decades; the remainder of the expansion is O(1/Lambda^4).  The grid
+    rule, 4 cutoffs at or above sqrt(M^2) over 4 decades, puts that window at
+    or above 100 sqrt(M^2), and the top cutoff at or above ~1e4 sqrt(M^2).
+    Only differences of this limit between two masses are cutoff-free
+    physics: the limit itself shifts with the arbitrary constant freedom.
     """
     if probe.power != 2:
         raise ValueError(f"asymptote extraction requires a log-divergent probe (power 2), got a non-log probe with power {probe.power}")

@@ -1,9 +1,11 @@
+import importlib.util
 import itertools
 import math
 import operator
 import random
 import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -98,6 +100,8 @@ class TestDivergenceSignature:
         sig = oracle.divergence_signature(CutoffProbe(2, 1.0, (1e2, 1e3, 1e4, 1e5)))
         assert sig.kind == "log"
         assert sig.coefficient == pytest.approx(1.0, rel=1e-2)
+        # cutoffs below the mass, where the radial grows like t^4/4, are left out of the fit
+        assert oracle.divergence_signature(CutoffProbe(2, 1.0, (1e-2, 1e-1, 1e2, 1e3, 1e4, 1e5))) == sig
 
     def test_convergent_member(self):
         sig = oracle.divergence_signature(CutoffProbe(3, 1.0, (1e2, 1e3, 1e4, 1e5)))
@@ -140,6 +144,41 @@ class TestAsymptoteConstant:
     def test_narrow_grid_rejected(self):
         with pytest.raises(InsufficientGridError):
             oracle.asymptote_constant(CutoffProbe(2, 1.0, (1e2, 1e3, 5e3, 1e5)))
+        # five cutoffs over four decades, but only four of them, over three decades, at or above sqrt(M^2)
+        with pytest.raises(InsufficientGridError, match=r"at or above sqrt\(M\^2\)"):
+            oracle.asymptote_constant(CutoffProbe(2, 1.0, (0.1, 1.0, 10.0, 1e2, 1e3)))
+
+
+def _bench_checker():
+    """perfbench/checker.py, which recomputes each value from its own formulas and imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("bench_checker", Path(__file__).resolve().parents[1] / "perfbench" / "checker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFitsAgainstTheBenchChecker:
+    """Both fits, on grids that may start far below the mass, held to the bench's checker."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_each_fit_holds_or_the_grid_is_refused(self, seed):
+        checker, rng = _bench_checker(), random.Random(seed)
+        for _ in range(300):
+            # n as the bench weighs it, M^2 1e-6..1e6, a first cutoff 1e-3..1e3 sqrt(M^2), 4-8 cutoffs over 3-8 decades
+            power, mass_sq = rng.choice((1, 2, 2, 3, 4, 6)), 10.0 ** rng.uniform(-6.0, 6.0)
+            first, count, decades = 10.0 ** rng.uniform(-3.0, 3.0) * math.sqrt(mass_sq), rng.randint(4, 8), rng.uniform(3.0, 8.0)
+            grid = tuple(first * 10.0 ** (decades * i / (count - 1)) for i in range(count))
+            params = {"n": power, "msq": mass_sq, "grid": grid, "rel_tol": rng.choice((1e-10, 1e-8, 1e-6)), "units": "GeV"}
+            probe = CutoffProbe(power, mass_sq, grid, QuadratureSpec(params["rel_tol"]))
+            far = [lam for lam in grid if lam >= 10.0 * math.sqrt(mass_sq)]
+            try:
+                kind = oracle.divergence_signature(probe).kind
+                asymptote = oracle.asymptote_constant(probe) if power == 2 else None
+            except InsufficientGridError as exc:
+                # 4 cutoffs at or above 10 sqrt(M^2) over 4 decades meet both rules: only the top-two-decade count may refuse them
+                assert len(far) < 4 or far[-1] / far[0] < 1e4 or "top two decades" in str(exc), (params, exc)
+                continue
+            assert checker.check_sweep(params, probe.radials, kind, asymptote) is None, params
 
 
 class TestLineFit:
@@ -434,6 +473,49 @@ class TestScalePastTheFloatRange:
             # exp(x) turns the rounding of an x near 700 into a relative error of |x| * epsilon, ~1.5e-13
             bound = float(mp.log(want)) * sys.float_info.epsilon
             assert abs(oracle.radial_integral(power, mass_sq, cutoff) - want) <= bound * want
+
+
+def _mp_radial(mp, power, m2, lam2):
+    """int_0^cutoff k^3 (k^2 + M^2)^(-n) dk from its antiderivative in v = k^2, at mpmath's working precision."""
+    w = lam2 + m2
+    if power == 1:
+        return (lam2 - m2 * mp.log(w / m2)) / 2
+    if power == 2:
+        return (mp.log(w / m2) + m2 / w - 1) / 2
+
+    def antiderivative(v):
+        return (v ** (2 - power) / (2 - power) + m2 * v ** (1 - power) / (power - 1)) / 2
+
+    return antiderivative(w) - antiderivative(m2)
+
+
+class TestTIntegralPastTheFloatRange:
+    """The t-integral t^4/4 below the mass underflows: the radial is taken from the logarithms of cutoff^4 (M^2)^(-n) and J."""
+
+    @pytest.mark.parametrize("power, mass_sq, cutoff", [(3, 1e-200, 1e-190), (3, 1e-300, 1e-300), (1, 1e-300, 1e-300),
+                                                        (2, 1e-300, 1e-300), (5, 5e-324, 5e-324)])
+    def test_within_the_exponent_rounding_of_fifty_digits(self, power, mass_sq, cutoff):
+        mp = pytest.importorskip("mpmath")
+        assert (cutoff / math.sqrt(mass_sq)) ** 4 / 4 < sys.float_info.min
+        # the antiderivative's difference cancels 2 |log10 x| digits, x = cutoff^2/M^2, so 50 are kept beyond those
+        lost = 2 * round(math.log10(mass_sq) - 2 * math.log10(cutoff))
+        with mp.workdps(50 + lost):
+            m2, lam2 = mp.mpf(mass_sq), mp.mpf(cutoff) ** 2
+            want = _mp_radial(mp, power, m2, lam2)
+        if want > sys.float_info.max:  # 5e+322 at n = 5
+            with pytest.raises(OverflowError, match="past the float range"):
+                oracle.radial_integral(power, mass_sq, cutoff)
+        elif 2 * want < math.ulp(0.0):  # 2.5e-901 at n = 1 and 2.5e-601 at n = 2 underflow in any form
+            assert oracle.radial_integral(power, mass_sq, cutoff) == 0.0
+        else:  # 2.5000000000004011e-161 and 2.5000000000003341e-301 on x86-64 glibc
+            # the exponent 4 ln(cutoff) - n ln(M^2) + ln J is rounded at the size of its terms, ~3000-5000 here
+            bound = (4 * abs(math.log(cutoff)) + power * abs(math.log(mass_sq))) * sys.float_info.epsilon
+            assert abs(oracle.radial_integral(power, mass_sq, cutoff) - want) <= bound * want
+
+    def test_power_past_the_float_range(self):
+        # (1 + t^2 u^2)^(-n) with an n no float holds: J is taken as 0, and (M^2)^(2-n) overflows, so the radial is refused by name
+        with pytest.raises(OverflowError, match="past the float range"):
+            oracle.radial_integral(10**400, 1.0, 0.5)
 
 
 class TestIntegrate:
