@@ -5,34 +5,36 @@ a flat JSON object with ``inputs``, ``outputs``, ``provenance`` and ``ledger``
 keys (numbers as decimal strings at the configured precision, so reports are
 platform-stable), CSV for sweep subcommands, or bare two-column plot data.
 
-Each handler only computes a ``Report``: its inputs, its output fields as
-``(name, value, provenance)`` triples, and its ledger; a sweep's rows are one
-``rows`` field, a list of row dicts.  ``run`` checks the format before any
-computation, and one renderer writes the report as JSON, or its rows as csv or
-plot-data.  It formats each number and lays out the JSON in one pass, byte for
-byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, and
-builds the whole text before it writes any of it.  One recursive layout tests
-each kind of value once (a finite float, a string, a dict, a list or tuple,
-``None`` or a bool, any other number), and fixed text (each key's ``"key": ``
-prefix, each provenance block) is encoded once per process.  ``demo`` prints
-one PASS/FAIL line per row of ``loopreg.checks.CHECKS``, the table the
-acceptance test asserts.
+Each subcommand and flag is declared once, in ``_SUBCOMMANDS``, and one loop
+builds the parsers from it.  A flag's row gives its mass dimension d: under
+``--units MeV``, ``run`` converts each such input to GeV^d once, before the
+handler runs, and refuses a positive one whose image underflows to 0 or to a
+subnormal, quoting it as typed.  Handlers compute in GeV, echo their inputs as
+typed and convert their mass outputs back.  The other dimensionful outputs
+(``radial``, ``unit_multiple``, ``signature_coefficient``,
+``asymptote_constant``, ``bracket_at_msq``, ``value_imag_at_msq``) are
+GeV-based whatever ``--units`` says, as the benchmark's checker reads them.
 
-Masses are handled in GeV internally; ``--units MeV`` converts all
-mass-dimension inputs and outputs at the boundary.  Exit codes: 0 success,
-2 usage/validation error, 3 numeric failure (quadrature tolerance unmet, a
-pole where a finite value was requested, a floating-point overflow, underflow
-or division by zero, or a non-finite number about to be printed).  Every
-float flag must be finite: ``inf`` and ``nan`` are usage errors.  The
-parsers are built once per process, on the first ``run``, and load no library
-module: each handler imports the modules it calls, so a one-shot call loads
-only what its subcommand runs (``regularize`` only ``kernel``).  An argv whose
-first string names a subcommand is parsed by that subcommand's parser alone;
-the top-level parser handles everything else (help, no or an unknown
-subcommand, a flag before it) and reports leftover strings, so each string is
-parsed once and the messages are the ones ``parse_args`` prints.  A
-subcommand's own flag (``--units``, ``--precision``, ``--format``,
-``--config``) typed before the subcommand is a usage error that names it.
+Each handler only computes a ``Report``; ``run`` checks the format before any
+computation, and ``_render`` writes the report in one pass: as JSON, byte for
+byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, or its
+sweep rows as csv or plot-data.  ``demo`` prints one PASS/FAIL line per row of
+``loopreg.checks.CHECKS``, the table the acceptance test asserts.
+
+Exit codes: 0 success, 2 usage/validation error, 3 numeric failure
+(quadrature tolerance unmet, a pole where a finite value was requested, a
+floating-point overflow, underflow or division by zero, or a non-finite
+number about to be printed).  Every float flag must be finite: ``inf`` and
+``nan`` are usage errors.  The parsers are built once per process, on the
+first ``run``, and load no library module: each handler imports the modules
+it calls, so a one-shot call loads only what its subcommand runs
+(``regularize`` only ``kernel``).  An argv whose first string names a
+subcommand is parsed by that subcommand's parser alone; the top-level parser
+handles everything else (help, no or an unknown subcommand, a flag before it)
+and reports leftover strings, so each string is parsed once and the messages
+are the ones ``parse_args`` prints.  A subcommand's own flag (``--units``,
+``--precision``, ``--format``, ``--config``) typed before the subcommand is a
+usage error that names it.
 """
 
 from __future__ import annotations
@@ -83,20 +85,16 @@ class RunConfig(_Record):
     def mass_scale_to_gev(self) -> float:
         return 1e-3 if self.units == "MeV" else 1.0
 
-    def mass_in(self, x: float) -> float:
-        return self._to_gev(x, self.mass_scale_to_gev, "")
-
     def mass_out(self, x: float) -> float:
         return x / self.mass_scale_to_gev
 
-    def msq_in(self, x: float) -> float:
-        return self._to_gev(x, self.mass_scale_to_gev**2, "^2")
-
-    def _to_gev(self, x: float, factor: float, power: str) -> float:
-        """A typed value in GeV^k; ValueError, quoting what was typed, where a positive one underflows to 0."""
-        gev = x * factor
-        if gev == 0.0 and x > 0.0:
-            raise ValueError(f"{x!r} {self.units}{power} underflows to 0 in GeV{power}")
+    def to_gev(self, x: float, dim: int) -> float:
+        """A typed input of mass dimension ``dim`` in GeV^dim; ValueError, quoting it, if its image underflows (0 or a subnormal)."""
+        gev = x * self.mass_scale_to_gev**dim
+        if gev < sys.float_info.min and x > 0.0 and self.units != "GeV":
+            power = "^2" if dim == 2 else ""
+            image = "0" if gev == 0.0 else f"the subnormal {gev!r}"
+            raise ValueError(f"{x!r} {self.units}{power} underflows to {image} in GeV{power}")
         return gev
 
 
@@ -235,14 +233,8 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
     sys.stdout.write(_block("{}", sections, "") + "\n")
 
 
-def _has_sweep(ns: argparse.Namespace) -> bool:
-    """Whether a request has csv/plot-data output: an oracle grid or a resum mu sweep."""
-    if ns.subcommand == "resum":
-        return ns.mu_min is not None or ns.mu_max is not None
-    return ns.subcommand == "oracle"
-
-
 # ----------------------------- subcommand handlers -----------------------------
+# Each gets ``ns`` with its mass inputs in GeV, ``typed`` with them as typed (``ns`` under GeV) and ``cfg``; it echoes ``typed``.
 
 
 @functools.lru_cache(maxsize=64)
@@ -254,20 +246,19 @@ def _expression(power: int) -> str:
     return kernel.regularize(kernel.ScalarLoopIntegral(power=power)).render()
 
 
-def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_regularize(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import kernel
 
     integral = kernel.ScalarLoopIntegral(power=ns.n)  # symbolic in M^2: the mass enters only the bracket
-    msq = cfg.msq_in(ns.msq) if ns.msq is not None else None
-    if msq is not None and not msq > 0:
-        raise ValueError(f"numeric mass_sq must be positive, got {msq!r}")
+    if ns.msq is not None and not ns.msq > 0:
+        raise ValueError(f"numeric mass_sq must be positive, got {ns.msq!r}")
     value = kernel.regularize(integral)
     if ns.mu1 is not None:
         dimless = [i for i, e in enumerate(value.constants, start=1) if value.constant_dimension(e) == 0]
         if not dimless:
             raise ValueError("--mu1 given but the result has no dimensionless constant to alias")
         for idx in dimless:
-            value = value.with_scale_alias(idx, cfg.mass_in(ns.mu1))
+            value = value.with_scale_alias(idx, ns.mu1)
 
     monomials = ((value.log_coefficient, True), (value.coefficient, False))
     terms = [{"coefficient": c, "msq_power": value.msq_power, "log": log} for c, log in monomials if c]
@@ -279,22 +270,21 @@ def _cmd_regularize(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("terms", terms, "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)"),
         ("unfixed_constants", value.unfixed_count, "one arbitrary constant per integration, fixed only by physical conditions"),
     ]
-    if msq is not None and value.unfixed_count == 0:
-        bracket = value.bracket(msq)
+    if ns.msq is not None and value.unfixed_count == 0:
+        bracket = value.bracket(ns.msq)
         fields += [
             ("bracket_at_msq", bracket, "numeric multiple of i/(16*pi^2) at the given M^2"),
             ("value_imag_at_msq", (kernel.UNIT_NUMERIC * bracket).imag, "imaginary part of the full value (the value is purely imaginary)"),
         ]
-    return Report({"n": ns.n, "msq": ns.msq, "mu1": ns.mu1}, fields, _ledger_rows(value, cfg))
+    return Report({"n": ns.n, "msq": typed.msq, "mu1": typed.mu1}, fields, _ledger_rows(value, cfg))
 
 
-def _cmd_selfenergy(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_selfenergy(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import kernel, qed
 
-    m = cfg.mass_in(ns.m)
     alpha = ns.alpha if ns.alpha is not None else qed.DEFAULT_ALPHA
-    mu1_gev = cfg.mass_in(ns.mu1) if ns.mu1 is not None else qed.solve_mu1(m)
-    shift = qed.on_shell_mass_shift(m, alpha, mu1_gev)
+    mu1_gev = ns.mu1 if ns.mu1 is not None else qed.solve_mu1(ns.m)
+    shift = qed.on_shell_mass_shift(ns.m, alpha, mu1_gev)
     c0, c_log = qed.pipeline_coefficients()
     reg = kernel.regularize(kernel.ScalarLoopIntegral(power=2)).with_scale_alias(1, mu1_gev)
     exact = "exact x-integration of the numerator channels against the regulated loop"
@@ -305,31 +295,31 @@ def _cmd_selfenergy(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("constant_coefficient", c0, exact),
         ("log_coefficient", c_log, exact),
     ]
-    return Report({"m": ns.m, "alpha": alpha, "mu1": ns.mu1}, fields, _ledger_rows(reg, cfg))
+    return Report({"m": typed.m, "alpha": alpha, "mu1": typed.mu1}, fields, _ledger_rows(reg, cfg))
 
 
-def _cmd_mu1(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_mu1(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import qed
 
-    mu1 = cfg.mass_out(qed.solve_mu1(cfg.mass_in(ns.m)))
-    return Report({"m": ns.m}, [("mu1", mu1, "zero on-shell mass shift: ln(m^2/mu1^2) = 5/3, mu1 = m*exp(-5/6)")])
+    mu1 = cfg.mass_out(qed.solve_mu1(ns.m))
+    return Report({"m": typed.m}, [("mu1", mu1, "zero on-shell mass shift: ln(m^2/mu1^2) = 5/3, mu1 = m*exp(-5/6)")])
 
 
-def _cmd_lambshift(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_lambshift(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import qed
 
     alpha = ns.alpha if ns.alpha is not None else qed.DEFAULT_ALPHA
     bethe_log = ns.bethe_log if ns.bethe_log is not None else qed.DEFAULT_BETHE_LOG
-    m_display = ns.m if ns.m is not None else cfg.mass_out(qed.DEFAULT_ELECTRON_MASS_GEV)
-    mhz = qed.lamb_shift_estimate(alpha, cfg.mass_in(m_display), bethe_log)
+    m = ns.m if ns.m is not None else qed.DEFAULT_ELECTRON_MASS_GEV
+    mhz = qed.lamb_shift_estimate(alpha, m, bethe_log)
     why = "leading-log estimate (alpha^5*m/(6*pi)) * [ln(1/alpha^2) - bethe_log + 19/30]; qualitative band, not a precision value"
-    return Report({"alpha": alpha, "m": m_display, "bethe_log": bethe_log}, [("lamb_shift_mhz", mhz, why)])
+    return Report({"alpha": alpha, "m": typed.m if typed.m is not None else cfg.mass_out(m), "bethe_log": bethe_log}, [("lamb_shift_mhz", mhz, why)])
 
 
-def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_phi4(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import phi4
 
-    pot = phi4.SSBPotential(sigma=cfg.msq_in(ns.sigma), lam=ns.lam)
+    pot = phi4.SSBPotential(sigma=ns.sigma, lam=ns.lam)
     phi1, m_sigma = phi4.ssb_vacuum(pot)
     reference = "reference constant (literature input, no derivation here)"
     fields = [
@@ -341,28 +331,28 @@ def _cmd_phi4(ns: argparse.Namespace, cfg: RunConfig) -> Report:
         ("higgs_predicted", cfg.mass_out(phi4.HIGGS_PREDICTED), reference),
         ("higgs_upper_bound", cfg.mass_out(phi4.HIGGS_UPPER_BOUND), reference),
     ]
-    return Report({"sigma": ns.sigma, "lambda": ns.lam}, fields)
+    return Report({"sigma": typed.sigma, "lambda": ns.lam}, fields)
 
 
-def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_resum(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import phi4
 
     b = ns.beta_coeff if ns.beta_coeff is not None else phi4.BETA_ONE_LOOP
-    state = phi4.ResummationState(lambda0=ns.lambda0, mu0=cfg.mass_in(ns.mu0), beta_coeff=b)
+    state = phi4.ResummationState(lambda0=ns.lambda0, mu0=ns.mu0, beta_coeff=b)
     pole = "pole of the resummed coupling: mu0*exp(1/(2*b*lambda0))"
     chain = "resummed chain lambda0/(1 - b*lambda0*ln(mu^2/mu0^2))"
-    if _has_sweep(ns):
+    if _SUBCOMMANDS["resum"].sweeps(ns):  # the table declares when resum sweeps
         if ns.mu is not None:
             raise ValueError("give either --mu or a sweep (--mu-min/--mu-max), not both")
         if ns.mu_min is None or ns.mu_max is None:
             raise ValueError("sweep needs both --mu-min and --mu-max")
-        if not 0 < ns.mu_min < ns.mu_max:
+        if not 0 < typed.mu_min < typed.mu_max:
             raise ValueError("sweep requires 0 < mu-min < mu-max")
         if ns.mu_points < 2:
             raise ValueError("sweep needs at least 2 points")
         if ns.mu_points > 100_000:  # every point's row is built before anything is printed
             raise ValueError(f"sweep takes at most 100000 points, got {ns.mu_points}")
-        lo, hi = cfg.mass_in(ns.mu_min), cfg.mass_in(ns.mu_max)
+        lo, hi = ns.mu_min, ns.mu_max
         if math.isfinite(hi / lo):
             ratio = (hi / lo) ** (1.0 / (ns.mu_points - 1))
             mus = [lo * ratio**i for i in range(ns.mu_points)]
@@ -375,28 +365,26 @@ def _cmd_resum(ns: argparse.Namespace, cfg: RunConfig) -> Report:
             {"mu": mu / scale, "coupling": coupling, "status": "pole" if coupling is None else phi4.VACUUM_BROKEN}
             for mu, coupling in zip(mus, phi4._chain_couplings(state, mus))
         ]
-        inputs = {"lambda0": ns.lambda0, "mu0": ns.mu0, "b": state.beta_coeff, "mu_min": ns.mu_min, "mu_max": ns.mu_max, "mu_points": ns.mu_points}
+        inputs = {"lambda0": ns.lambda0, "mu0": typed.mu0, "b": state.beta_coeff, "mu_min": typed.mu_min, "mu_max": typed.mu_max, "mu_points": ns.mu_points}
         return Report(inputs, [("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole), ("rows", rows, chain + " over the mu grid")])
 
-    mu = cfg.mass_in(ns.mu if ns.mu is not None else ns.mu0)
+    mu = ns.mu if ns.mu is not None else ns.mu0
     fields = [
         ("coupling", phi4.resum_chain(state, mu), chain),  # LandauPoleError -> exit 3
         ("first_order", phi4.resum_first_order(state, mu), "finite-order truncation lambda0*(1 + b*lambda0*ln(mu^2/mu0^2)); regular everywhere"),
         ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
         ("status", phi4.VACUUM_BROKEN, "ssb-vacuum below the critical scale; at or past it the coupling has a pole and the request exits 3 without a report"),
     ]
-    return Report({"lambda0": ns.lambda0, "mu0": ns.mu0, "mu": ns.mu, "b": state.beta_coeff}, fields)
+    return Report({"lambda0": ns.lambda0, "mu0": typed.mu0, "mu": typed.mu, "b": state.beta_coeff}, fields)
 
 
-def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_oracle(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
     from . import oracle
 
-    msq = cfg.msq_in(ns.msq)
-    # the default grid is built in the user's units, like an explicit --grid,
-    # so its echo re-parses to the very same cutoffs
-    grid_display = ns.grid if ns.grid is not None else oracle.default_grid(ns.msq)
-    grid = tuple(cfg.mass_in(g) for g in grid_display)
-    probe = oracle.CutoffProbe(power=ns.n, mass_sq=msq, lambda_grid=grid, quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol))
+    # the default grid is built in the typed units, like an explicit --grid, so its echo re-parses to the very same cutoffs
+    grid_typed = typed.grid if typed.grid is not None else oracle.default_grid(typed.msq)
+    grid = ns.grid if ns.grid is not None else tuple(cfg.to_gev(g, 1) for g in grid_typed)
+    probe = oracle.CutoffProbe(power=ns.n, mass_sq=ns.msq, lambda_grid=grid, quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol))
     fits: list[tuple[str, object, str]] = []
     if cfg.out_format == "json":  # the fits print only in a JSON report
         # each fit checks its grid rule before the probe integrates; at n = 2 the asymptote's
@@ -412,14 +400,11 @@ def _cmd_oracle(ns: argparse.Namespace, cfg: RunConfig) -> Report:
     rows = [{"cutoff": cfg.mass_out(lam), "radial": r, "unit_multiple": oracle.unit_multiple(ns.n, r)} for lam, r in zip(grid, probe.radials)]
     quadrature = "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)"
     fields = [("rows", rows, quadrature), *fits]
-    inputs = {"n": ns.n, "msq": ns.msq, "grid": ",".join(str(g) for g in grid_display), "rel_tol": ns.rel_tol}
+    inputs = {"n": ns.n, "msq": typed.msq, "grid": ",".join(str(g) for g in grid_typed), "rel_tol": ns.rel_tol}
     return Report(inputs, fields)
 
 
-# ----------------------------- demo -----------------------------
-
-
-def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_demo() -> int:
     from . import checks
 
     print("=" * 72)
@@ -435,7 +420,7 @@ def _cmd_demo(ns: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-# ----------------------------- parser wiring -----------------------------
+# ----------------------------- the declared CLI -----------------------------
 
 
 def _finite_float(text: str) -> float:
@@ -454,6 +439,55 @@ def _finite_grid(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(tok) for tok in text.split(","))
 
 
+#: a subcommand flag: its mass dimension ``dim`` is 0, or 1 or 2 for an input typed in ``--units``^dim that reaches the handler in GeV^dim
+Flag = namedtuple("Flag", ("flag", "dest", "type", "required", "default", "dim", "help"))
+#: a subcommand: ``sweeps`` tells whether a request has csv/plot-data output (None: never)
+Subcommand = namedtuple("Subcommand", ("help", "handler", "sweeps", "flags"))
+
+#: every subcommand and flag, in help order: the one place a flag is declared
+_SUBCOMMANDS = {
+    "regularize": Subcommand("Reduce a loop integral to its closed form plus constants.", _cmd_regularize, None, (
+        Flag("--n", "n", int, True, None, 0, "denominator power n >= 1"),
+        Flag("--msq", "msq", _finite_float, False, None, 2, "squared mass M^2 for numeric evaluation (units^2)"),
+        Flag("--mu1", "mu1", _finite_float, False, None, 1, "alias the dimensionless constant to -ln(mu1^2)"),
+    )),
+    "selfenergy": Subcommand("On-shell electron mass shift.", _cmd_selfenergy, None, (
+        Flag("--m", "m", _finite_float, True, None, 1, "electron mass (units)"),
+        Flag("--alpha", "alpha", _finite_float, False, None, 0, "fine-structure constant"),
+        Flag("--mu1", "mu1", _finite_float, False, None, 1, "integration scale; default fixes the shift to zero"),
+    )),
+    "mu1": Subcommand("Scale fixed by the zero mass-shift condition.", _cmd_mu1, None, (
+        Flag("--m", "m", _finite_float, True, None, 1, "mass (units)"),
+    )),
+    "lambshift": Subcommand("Leading-log 2S-2P splitting estimate in MHz.", _cmd_lambshift, None, (
+        Flag("--alpha", "alpha", _finite_float, False, None, 0, None),
+        Flag("--m", "m", _finite_float, False, None, 1, "electron mass (units); default 0.000511 GeV"),
+        Flag("--bethe-log", "bethe_log", _finite_float, False, None, 0, "Bethe logarithm input (default 2.8118)"),
+    )),
+    "phi4": Subcommand("Broken-vacuum relations and one-loop coupling.", _cmd_phi4, None, (
+        Flag("--sigma", "sigma", _finite_float, True, None, 2, "wrong-sign mass parameter (units^2)"),
+        Flag("--lambda", "lam", _finite_float, True, None, 0, "quartic coupling"),
+    )),
+    "resum": Subcommand("Resummed running coupling and its critical scale.", _cmd_resum, lambda ns: ns.mu_min is not None or ns.mu_max is not None, (
+        Flag("--lambda0", "lambda0", _finite_float, True, None, 0, "coupling at the reference scale"),
+        Flag("--mu0", "mu0", _finite_float, True, None, 1, "reference scale (units)"),
+        Flag("--b", "beta_coeff", _finite_float, False, None, 0, "resummation coefficient (default 9/(32*pi^2))"),
+        Flag("--mu", "mu", _finite_float, False, None, 1, "single evaluation scale (units)"),
+        Flag("--mu-min", "mu_min", _finite_float, False, None, 1, "sweep start (units)"),
+        Flag("--mu-max", "mu_max", _finite_float, False, None, 1, "sweep end (units)"),
+        Flag("--mu-points", "mu_points", int, False, 25, 0, "sweep point count (default 25)"),
+    )),
+    "oracle": Subcommand("Cutoff quadrature sweep, divergence signature, asymptote.", _cmd_oracle, lambda ns: True, (
+        Flag("--n", "n", int, True, None, 0, "denominator power n >= 1"),
+        Flag("--msq", "msq", _finite_float, True, None, 2, "squared mass M^2 (units^2)"),
+        Flag("--grid", "grid", _finite_grid, False, None, 1, "comma-separated cutoffs (units); default 1e2..1e6 times sqrt(M^2)"),
+        Flag("--rel-tol", "rel_tol", _finite_float, False, 1e-10, 0, "quadrature relative tolerance (default 1e-10)"),
+    )),
+    "demo": Subcommand("Full cross-checked walkthrough; exit 0 only if every check passes.", _cmd_demo, None, ()),
+}
+_MASSES = {name: tuple((f.dest, f.dim) for f in command.flags if f.dim) for name, command in _SUBCOMMANDS.items()}  # the inputs run puts in GeV
+
+
 class _MisplacedFlag(argparse.Action):
     """Top-level stand-in for a subcommand flag typed before the subcommand: a usage error that names the flag."""
 
@@ -463,12 +497,10 @@ class _MisplacedFlag(argparse.Action):
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its name -> subparser map, built once per process on first use.  ``run`` parses an
-    argv whose first string names a subcommand with that subparser alone, and the rest (help, no or an unknown
-    subcommand, a flag before it) with the top-level parser, which also reports the strings a subparser leaves over.
-    Handlers are bound at build time, so patch what a handler calls, not ``_cmd_*``.  ``--alpha`` and ``--bethe-log``
-    default to ``None``: the handler reads (and echoes) ``qed.DEFAULT_ALPHA`` and ``qed.DEFAULT_BETHE_LOG`` on each
-    call, so patching those takes effect on the next ``run``."""
+    """The top-level parser and its name -> subparser map, built from ``_SUBCOMMANDS`` once per process on first use.
+    Handlers are bound in the table at import, so patch what a handler calls, not ``_cmd_*``.  ``--alpha`` and
+    ``--bethe-log`` default to ``None``: the handler reads (and echoes) ``qed.DEFAULT_ALPHA`` and
+    ``qed.DEFAULT_BETHE_LOG`` on each call, so patching those takes effect on the next ``run``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
     common.add_argument("--precision", type=int, help="significant digits for rendered numbers, 4..17 (default 12)")
@@ -482,58 +514,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     for key in (*_CONFIG_KEYS, "config"):  # each subparser's own flags (``common``), hidden from the top-level help
         parser.add_argument(f"--{key}", nargs="?", action=_MisplacedFlag, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("regularize", parents=[common], help="Reduce a loop integral to its closed form plus constants.")
-    p.add_argument("--n", type=int, required=True, help="denominator power n >= 1")
-    p.add_argument("--msq", type=_finite_float, help="squared mass M^2 for numeric evaluation (units^2)")
-    p.add_argument("--mu1", type=_finite_float, help="alias the dimensionless constant to -ln(mu1^2)")
-    p.set_defaults(handler=_cmd_regularize)
-
-    p = sub.add_parser("selfenergy", parents=[common], help="On-shell electron mass shift.")
-    p.add_argument("--m", type=_finite_float, required=True, help="electron mass (units)")
-    p.add_argument("--alpha", type=_finite_float, help="fine-structure constant")
-    p.add_argument("--mu1", type=_finite_float, help="integration scale; default fixes the shift to zero")
-    p.set_defaults(handler=_cmd_selfenergy)
-
-    p = sub.add_parser("mu1", parents=[common], help="Scale fixed by the zero mass-shift condition.")
-    p.add_argument("--m", type=_finite_float, required=True, help="mass (units)")
-    p.set_defaults(handler=_cmd_mu1)
-
-    p = sub.add_parser("lambshift", parents=[common], help="Leading-log 2S-2P splitting estimate in MHz.")
-    p.add_argument("--alpha", type=_finite_float)
-    p.add_argument("--m", type=_finite_float, help="electron mass (units); default 0.000511 GeV")
-    p.add_argument("--bethe-log", type=_finite_float, help="Bethe logarithm input (default 2.8118)")
-    p.set_defaults(handler=_cmd_lambshift)
-
-    p = sub.add_parser("phi4", parents=[common], help="Broken-vacuum relations and one-loop coupling.")
-    p.add_argument("--sigma", type=_finite_float, required=True, help="wrong-sign mass parameter (units^2)")
-    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True, help="quartic coupling")
-    p.set_defaults(handler=_cmd_phi4)
-
-    p = sub.add_parser("resum", parents=[common], help="Resummed running coupling and its critical scale.")
-    p.add_argument("--lambda0", type=_finite_float, required=True, help="coupling at the reference scale")
-    p.add_argument("--mu0", type=_finite_float, required=True, help="reference scale (units)")
-    p.add_argument("--b", dest="beta_coeff", type=_finite_float, help="resummation coefficient (default 9/(32*pi^2))")
-    p.add_argument("--mu", type=_finite_float, help="single evaluation scale (units)")
-    p.add_argument("--mu-min", type=_finite_float, help="sweep start (units)")
-    p.add_argument("--mu-max", type=_finite_float, help="sweep end (units)")
-    p.add_argument("--mu-points", type=int, default=25, help="sweep point count (default 25)")
-    p.set_defaults(handler=_cmd_resum)
-
-    p = sub.add_parser("oracle", parents=[common], help="Cutoff quadrature sweep, divergence signature, asymptote.")
-    p.add_argument("--n", type=int, required=True, help="denominator power n >= 1")
-    p.add_argument("--msq", type=_finite_float, required=True, help="squared mass M^2 (units^2)")
-    p.add_argument("--grid", type=_finite_grid, help="comma-separated cutoffs (units); default 1e2..1e6 times sqrt(M^2)")
-    p.add_argument("--rel-tol", type=_finite_float, default=1e-10, help="quadrature relative tolerance (default 1e-10)")
-    p.set_defaults(handler=_cmd_oracle)
-
-    sub.add_parser("demo", parents=[common], help="Full cross-checked walkthrough; exit 0 only if every check passes.")
-
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for f in command.flags:
+            p.add_argument(f.flag, dest=f.dest, type=f.type, required=f.required, default=f.default, help=f.help)
     return parser, sub.choices
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv (with the parsers built once per process), check the format, compute the report and render it; returns the exit code."""
+    """Parse argv (with the parsers built once per process), check the format, put the declared mass inputs in GeV,
+    compute the report and render it; returns the exit code."""
     parser, subparsers = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -550,12 +540,21 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_VALIDATION
     try:
         cfg = _resolve_config(ns)
+        command = _SUBCOMMANDS[ns.subcommand]
         if ns.subcommand == "demo":  # a walkthrough of gates, not a report; any --format is ignored
-            return _cmd_demo(ns, cfg)
-        if cfg.out_format != "json" and not _has_sweep(ns):
+            return command.handler()
+        if cfg.out_format != "json" and not (command.sweeps and command.sweeps(ns)):
             what = "resum (single point)" if ns.subcommand == "resum" else ns.subcommand
             raise ValueError(f"{what} has no sweep output; use --format json")
-        _render(ns.subcommand, ns.handler(ns, cfg), cfg)
+        typed = ns  # under GeV each value is its own image, so the typed namespace serves as the GeV one at no cost
+        if cfg.units != "GeV":  # each declared mass input to GeV, once, in place; ``typed`` keeps them as typed
+            typed = argparse.Namespace()
+            for dest, dim in _MASSES[ns.subcommand]:
+                value = getattr(ns, dest)
+                setattr(typed, dest, value)
+                if value is not None:  # a grid converts cutoff by cutoff
+                    setattr(ns, dest, tuple(cfg.to_gev(x, dim) for x in value) if type(value) is tuple else cfg.to_gev(value, dim))
+        _render(ns.subcommand, command.handler(ns, typed, cfg), cfg)
         return EXIT_OK
     except ArithmeticError as exc:  # QuadratureError and LandauPoleError among them
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -433,7 +433,7 @@ def _require_grid(probe: CutoffProbe, min_points: int, min_span: float) -> int:
     if count < min_points or grid[-1] / grid[first] < min_span * 0.999:
         raise InsufficientGridError(
             f"need at least {min_points} cutoffs at or above sqrt(M^2) spanning >= {math.log10(min_span):g} decades, "
-            f"got {count}" + (f" over {grid[first]:g}..{grid[-1]:g}" if count else "")
+            f"got {count}" + (f" spanning {math.log10(grid[-1] / grid[first]):g} decades" if count else "")
         )
     return first
 

@@ -22,14 +22,19 @@ byte for byte (and float for float); root finders' evaluation counts are
 compared with bisection's, and ``find_root``'s points, order and root with the
 package's.  ``line_fit`` is the least-squares line solved in
 ``Fraction`` from the float points, the exact value a float fit is held to.
+``bench_checker`` loads ``perfbench/checker.py``, which recomputes each value
+from its own formulas; its ``radial`` is the one closed form of the radial
+integral the tests hold the oracle to (the oracle must never hold one).
 """
 
 import heapq
+import importlib.util
 import json
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from pathlib import Path
 from typing import Any, Callable
 
 from loopreg import oracle, phi4
@@ -219,3 +224,12 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     if not math.isfinite(radial):
         raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
     return radial
+
+
+@cache
+def bench_checker():
+    """perfbench/checker.py, loaded by path once; it imports only the standard library, never loopreg."""
+    spec = importlib.util.spec_from_file_location("bench_checker", Path(__file__).resolve().parents[1] / "perfbench" / "checker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -9,6 +9,7 @@ import re
 import site
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 
 from loopreg import cli
 
-from closed_forms import radial_analytic
-from references import render_two_pass
+from references import bench_checker, render_two_pass
+
+radial_analytic = bench_checker().radial
 
 
 def run_json(capsys, argv):
@@ -397,6 +399,8 @@ _FAILURES = [
     (["oracle", "--n", "5000", "--msq", "1e-300"], 3, "numeric failure: radial integral past the float range for power=5000, mass_sq=1e-300,"),
     # a sweep builds every row before it prints one, so its count is bounded
     (["resum", "--lambda0", "1", "--mu0", "1", "--mu-min", "1", "--mu-max", "2", "--mu-points", "1000000000"], 2, "error: sweep takes at most 100000 points, got 1000000000\n"),
+    # a typed MeV mass whose GeV image is subnormal keeps two significant bits: refused as typed, like one that underflows to 0
+    (["mu1", "--m", "1e-320", "--units", "MeV"], 2, "error: 1e-320 MeV underflows to the subnormal 1e-323 in GeV\n"),
 ]
 
 
@@ -765,24 +769,27 @@ _EXTREME = st.sampled_from(["0", "-0", "5e-324", "1e-300", "1e-154", "1", "1e154
 # mixed with ordinary magnitudes 10^U(-6, 6), typed to six digits, so more reports are rendered
 _FLOAT = st.one_of(_EXTREME, st.floats(-6.0, 6.0).map(lambda e: f"{10.0**e:.6g}"))
 _VALUES = {"--n": st.integers(1, 6).map(str), "--grid": st.lists(_FLOAT, min_size=1, max_size=5).map(",".join)}
-# each subcommand's flags, and whether the flag is required
+# each subcommand's flags, whether the flag is required, and its mass dimension: a value typed in --units^dim,
+# which the CLI's own table must declare alike (TestUnits)
 _FLAGS = {
-    "regularize": (("--n", True), ("--msq", False), ("--mu1", False)),
-    "selfenergy": (("--m", True), ("--alpha", False), ("--mu1", False)),
-    "mu1": (("--m", True),),
-    "lambshift": (("--alpha", False), ("--m", False), ("--bethe-log", False)),
-    "phi4": (("--sigma", True), ("--lambda", True)),
-    "resum": (("--lambda0", True), ("--mu0", True), ("--b", False), ("--mu", False), ("--mu-min", False), ("--mu-max", False)),
-    "oracle": (("--n", True), ("--msq", True), ("--grid", False), ("--rel-tol", False)),
+    "regularize": (("--n", True, 0), ("--msq", False, 2), ("--mu1", False, 1)),
+    "selfenergy": (("--m", True, 1), ("--alpha", False, 0), ("--mu1", False, 1)),
+    "mu1": (("--m", True, 1),),
+    "lambshift": (("--alpha", False, 0), ("--m", False, 1), ("--bethe-log", False, 0)),
+    "phi4": (("--sigma", True, 2), ("--lambda", True, 0)),
+    "resum": (("--lambda0", True, 0), ("--mu0", True, 1), ("--b", False, 0), ("--mu", False, 1), ("--mu-min", False, 1), ("--mu-max", False, 1)),
+    "oracle": (("--n", True, 0), ("--msq", True, 2), ("--grid", False, 1), ("--rel-tol", False, 0)),
     "demo": (),
 }
+# flags the generated argv leave out, in the same columns: a drawn float is no point count
+_UNDRAWN = {"resum": (("--mu-points", False, 0),)}
 
 
 @st.composite
 def _argv(draw):
     subcommand = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [subcommand]
-    for flag, required in _FLAGS[subcommand]:
+    for flag, required, _ in _FLAGS[subcommand]:
         if required or draw(st.booleans()):
             argv += [flag, draw(_VALUES.get(flag, _FLOAT))]
     if subcommand in ("resum", "oracle") and draw(st.booleans()):
@@ -954,3 +961,61 @@ class TestOnePassRenderer:
     def test_sweep_cells(self, rows, fmt):
         report = cli.Report({}, [("rows", rows, "")])
         self.assert_renders_as_two_pass("oracle", report, cli.RunConfig(precision=9, out_format=fmt))
+
+
+# one GeV argv per subcommand (more where a report has another shape); the MeV twin scales each value of dimension d by 10^(3d)
+_GEV_ARGV = [
+    ["regularize", "--n", "2", "--msq", "1.5", "--mu1", "0.5"],
+    ["regularize", "--n", "3", "--msq", "1.5"],
+    ["selfenergy", "--m", "0.000511", "--alpha", "0.0073", "--mu1", "0.0003"],
+    ["mu1", "--m", "0.000511"],
+    ["lambshift", "--alpha", "0.0073", "--m", "0.000511", "--bethe-log", "2.8"],
+    ["phi4", "--sigma", "1.5", "--lambda", "6"],
+    ["resum", "--lambda0", "0.5", "--mu0", "1", "--b", "0.03", "--mu", "2"],
+    ["resum", "--lambda0", "0.5", "--mu0", "1", "--mu-min", "0.5", "--mu-max", "8", "--mu-points", "5"],
+    ["oracle", "--n", "2", "--msq", "1.5", "--grid", "100,1000,1e4,1e5,1e6", "--rel-tol", "1e-9"],
+    ["oracle", "--n", "1", "--msq", "2"],
+    ["oracle", "--n", "3", "--msq", "0.25"],
+]
+# the mass outputs, in a report's outputs, a sweep's rows and the ledger; every other number is dimensionless or
+# GeV-based (radial, unit_multiple, signature_coefficient, asymptote_constant, bracket_at_msq, value_imag_at_msq)
+_MASS_OUTPUTS = {"delta_m", "mu1_used", "mu1", "phi1", "m_sigma", "higgs_lower_bound", "higgs_predicted", "higgs_upper_bound", "critical_scale", "cutoff", "mu", "scale_alias"}
+
+
+def _mev_twin(argv):
+    """An argv in MeV: each value of mass dimension d, by this file's map, times 10^(3d), exactly in decimal."""
+    dims = {flag: dim for flag, _, dim in _FLAGS[argv[0]] + _UNDRAWN.get(argv[0], ())}
+    twin = [argv[0]]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        twin += [flag, ",".join(str(Decimal(v).scaleb(3 * dims[flag])) for v in value.split(","))]
+    return twin + ["--units", "MeV"]
+
+
+def _assert_twins(gev, mev, name):
+    """A mass output prints 1e3 times its GeV value at the printed precision (12 digits); any other prints unchanged."""
+    if isinstance(gev, dict):
+        assert gev.keys() == mev.keys(), name
+        for key in gev:
+            _assert_twins(gev[key], mev[key], key)
+    elif isinstance(gev, list):
+        assert len(gev) == len(mev), name
+        for g, m in zip(gev, mev):
+            _assert_twins(g, m, name)
+    elif name in _MASS_OUTPUTS:
+        assert float(mev) == pytest.approx(1e3 * float(gev), rel=1e-11), name
+    else:
+        assert mev == gev, name
+
+
+class TestUnits:
+    def test_the_map_is_the_table(self):
+        declared = {name: tuple((f.flag, f.required, f.dim) for f in command.flags) for name, command in cli._SUBCOMMANDS.items()}
+        assert declared == {name: flags + _UNDRAWN.get(name, ()) for name, flags in _FLAGS.items()}
+
+    @pytest.mark.parametrize("argv", _GEV_ARGV, ids=" ".join)
+    def test_mev_twin_scales_the_mass_outputs_only(self, capsys, argv):
+        code, gev = run_json(capsys, argv)
+        mev_code, mev = run_json(capsys, _mev_twin(argv))
+        assert code == mev_code == 0
+        _assert_twins(gev["outputs"], mev["outputs"], "outputs")
+        _assert_twins(gev["ledger"], mev["ledger"], "ledger")

@@ -1,11 +1,9 @@
-import importlib.util
 import itertools
 import math
 import operator
 import random
 import sys
 from functools import partial
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,9 +12,10 @@ from hypothesis import strategies as st
 from loopreg import checks, oracle
 from loopreg.oracle import CutoffProbe, InsufficientGridError, QuadratureSpec, default_grid
 
-from closed_forms import radial_analytic
 import references
 from references import bisect
+
+radial_analytic = references.bench_checker().radial
 
 
 class TestRadialAnalytic:
@@ -149,20 +148,12 @@ class TestAsymptoteConstant:
             oracle.asymptote_constant(CutoffProbe(2, 1.0, (0.1, 1.0, 10.0, 1e2, 1e3)))
 
 
-def _bench_checker():
-    """perfbench/checker.py, which recomputes each value from its own formulas and imports only the standard library."""
-    spec = importlib.util.spec_from_file_location("bench_checker", Path(__file__).resolve().parents[1] / "perfbench" / "checker.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestFitsAgainstTheBenchChecker:
     """Both fits, on grids that may start far below the mass, held to the bench's checker."""
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_each_fit_holds_or_the_grid_is_refused(self, seed):
-        checker, rng = _bench_checker(), random.Random(seed)
+        checker, rng = references.bench_checker(), random.Random(seed)
         for _ in range(300):
             # n as the bench weighs it, M^2 1e-6..1e6, a first cutoff 1e-3..1e3 sqrt(M^2), 4-8 cutoffs over 3-8 decades
             power, mass_sq = rng.choice((1, 2, 2, 3, 4, 6)), 10.0 ** rng.uniform(-6.0, 6.0)
