@@ -25,27 +25,31 @@ Exit codes: 0 success, 2 usage/validation error, 3 numeric failure
 (quadrature tolerance unmet, a pole where a finite value was requested, a
 floating-point overflow, underflow or division by zero, or a non-finite
 number about to be printed).  Every float flag must be finite: ``inf`` and
-``nan`` are usage errors.  The parsers are built once per process, on the
-first ``run``, and load no library module: each handler imports the modules
-it calls, so a one-shot call loads only what its subcommand runs
-(``regularize`` only ``kernel``).  An argv whose first string names a
-subcommand is parsed by that subcommand's parser alone; the top-level parser
-handles everything else (help, no or an unknown subcommand, a flag before it)
-and reports leftover strings, so each string is parsed once and the messages
-are the ones ``parse_args`` prints.  A subcommand's own flag (``--units``,
-``--precision``, ``--format``, ``--config``) typed before the subcommand is a
-usage error that names it.
+``nan`` are usage errors.  Handlers load no library module at import: each
+imports the modules it calls, so a one-shot call loads only what its
+subcommand runs (``regularize`` only ``kernel``).
+
+Parsing reads the table first: ``_parse_declared`` turns a well-formed
+``SUB --flag value ...`` argv (each flag an exact declared option string, each
+value not starting with ``-``, converting by the flag's type and lying in its
+choices, every required flag given) into the namespace argparse would make of
+it, without importing argparse or building a parser.  Every other argv (help,
+a usage error, ``--flag=value``, ``--``, an abbreviated flag, a negative
+value) goes to argparse, the parser of record for each message: the parsers
+are built once per process, on the first argv the table refuses.  A
+subcommand's own flag (``--units``, ``--precision``, ``--format``,
+``--config``) typed before the subcommand is a usage error that names it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import _Record
 
@@ -119,10 +123,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_config(ns: argparse.Namespace) -> RunConfig:
+def _resolve_config(ns: SimpleNamespace) -> RunConfig:
     """Flags over ``--config`` over ``LOOPREG_PRECISION`` over the defaults; only the setting that wins is read."""
     file = _parse_config_file(ns.config) if ns.config is not None else {}
-    precision = ns.precision  # argparse made a flag's value an int
+    precision = ns.precision  # the flag's declared type made its value an int
     if precision is None:  # the file's, else the environment's, else the default; ``source`` names it in an error
         if "precision" in file:
             precision, source = file["precision"], "config precision"
@@ -246,7 +250,7 @@ def _expression(power: int) -> str:
     return kernel.regularize(kernel.ScalarLoopIntegral(power=power)).render()
 
 
-def _cmd_regularize(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_regularize(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
     from . import kernel
 
     integral = kernel.ScalarLoopIntegral(power=ns.n)  # symbolic in M^2: the mass enters only the bracket
@@ -279,7 +283,7 @@ def _cmd_regularize(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunC
     return Report({"n": ns.n, "msq": typed.msq, "mu1": typed.mu1}, fields, _ledger_rows(value, cfg))
 
 
-def _cmd_selfenergy(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_selfenergy(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
     from . import kernel, qed
 
     alpha = ns.alpha if ns.alpha is not None else qed.DEFAULT_ALPHA
@@ -298,14 +302,14 @@ def _cmd_selfenergy(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunC
     return Report({"m": typed.m, "alpha": alpha, "mu1": typed.mu1}, fields, _ledger_rows(reg, cfg))
 
 
-def _cmd_mu1(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_mu1(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
     from . import qed
 
     mu1 = cfg.mass_out(qed.solve_mu1(ns.m))
     return Report({"m": typed.m}, [("mu1", mu1, "zero on-shell mass shift: ln(m^2/mu1^2) = 5/3, mu1 = m*exp(-5/6)")])
 
 
-def _cmd_lambshift(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_lambshift(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
     from . import qed
 
     alpha = ns.alpha if ns.alpha is not None else qed.DEFAULT_ALPHA
@@ -316,7 +320,7 @@ def _cmd_lambshift(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunCo
     return Report({"alpha": alpha, "m": typed.m if typed.m is not None else cfg.mass_out(m), "bethe_log": bethe_log}, [("lamb_shift_mhz", mhz, why)])
 
 
-def _cmd_phi4(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_phi4(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
     from . import phi4
 
     pot = phi4.SSBPotential(sigma=ns.sigma, lam=ns.lam)
@@ -334,7 +338,7 @@ def _cmd_phi4(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig)
     return Report({"sigma": typed.sigma, "lambda": ns.lam}, fields)
 
 
-def _cmd_resum(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_resum(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
     from . import phi4
 
     b = ns.beta_coeff if ns.beta_coeff is not None else phi4.BETA_ONE_LOOP
@@ -378,7 +382,7 @@ def _cmd_resum(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig
     return Report({"lambda0": ns.lambda0, "mu0": typed.mu0, "mu": typed.mu, "b": state.beta_coeff}, fields)
 
 
-def _cmd_oracle(ns: argparse.Namespace, typed: argparse.Namespace, cfg: RunConfig) -> Report:
+def _cmd_oracle(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
     from . import oracle
 
     # the default grid is built in the typed units, like an explicit --grid, so its echo re-parses to the very same cutoffs
@@ -424,27 +428,37 @@ def _cmd_demo() -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of every float flag: a number that is neither inf nor nan."""
+    """Type of every float flag: a number that is neither inf nor nan."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        value = None
+    if value is None or not math.isfinite(value):
+        from argparse import ArgumentTypeError  # argparse words it as a usage error
+
+        raise ArgumentTypeError(f"invalid float value: {text!r}" if value is None else f"must be a finite number, got {text!r}")
     return value
 
 
 def _finite_grid(text: str) -> tuple[float, ...]:
-    """argparse type of --grid: comma-separated finite cutoffs."""
+    """Type of --grid: comma-separated finite cutoffs."""
     return tuple(_finite_float(tok) for tok in text.split(","))
 
 
-#: a subcommand flag: its mass dimension ``dim`` is 0, or 1 or 2 for an input typed in ``--units``^dim that reaches the handler in GeV^dim
-Flag = namedtuple("Flag", ("flag", "dest", "type", "required", "default", "dim", "help"))
+#: a flag: its mass dimension ``dim`` is 0, or 1 or 2 for an input typed in ``--units``^dim that reaches the handler in
+#: GeV^dim; ``type`` None keeps the string; ``choices``, where given, are the values it may take
+Flag = namedtuple("Flag", ("flag", "dest", "type", "required", "default", "dim", "help", "choices"), defaults=(None,))
 #: a subcommand: ``sweeps`` tells whether a request has csv/plot-data output (None: never)
 Subcommand = namedtuple("Subcommand", ("help", "handler", "sweeps", "flags"))
 
-#: every subcommand and flag, in help order: the one place a flag is declared
+#: the flags every subcommand takes, before its own in help order
+_COMMON = (
+    Flag("--units", "units", None, False, None, 0, "unit of mass-dimension inputs/outputs (default GeV)", ("GeV", "MeV")),
+    Flag("--precision", "precision", int, False, None, 0, "significant digits for rendered numbers, 4..17 (default 12)"),
+    Flag("--format", "out_format", None, False, None, 0, "output format (default json; csv/plot-data for sweeps only)", ("json", "csv", "plot-data")),
+    Flag("--config", "config", None, False, None, 0, "key=value file overriding defaults (keys: units, precision, format)"),
+)
+#: every subcommand and its own flags, in help order: with ``_COMMON``, the one place a flag is declared
 _SUBCOMMANDS = {
     "regularize": Subcommand("Reduce a loop integral to its closed form plus constants.", _cmd_regularize, None, (
         Flag("--n", "n", int, True, None, 0, "denominator power n >= 1"),
@@ -486,58 +500,74 @@ _SUBCOMMANDS = {
     "demo": Subcommand("Full cross-checked walkthrough; exit 0 only if every check passes.", _cmd_demo, None, ()),
 }
 _MASSES = {name: tuple((f.dest, f.dim) for f in command.flags if f.dim) for name, command in _SUBCOMMANDS.items()}  # the inputs run puts in GeV
+_OPTIONS = {name: {f.flag: f for f in (*_COMMON, *command.flags)} for name, command in _SUBCOMMANDS.items()}  # option string -> row
 
 
-class _MisplacedFlag(argparse.Action):
-    """Top-level stand-in for a subcommand flag typed before the subcommand: a usage error that names the flag."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"{option_string} goes after the subcommand: loopreg <subcommand> {option_string} ...")
+def _parse_declared(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed ``SUB --flag value ...`` argv, read from the table alone; None
+    for any other argv.  Each flag must be an exact declared option string followed by a value that does not start
+    with ``-``, converts by the flag's type and lies in its choices; every required flag must be given.  A repeated
+    flag keeps its last value, as in argparse."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None or len(argv) % 2 == 0:
+        return None
+    given = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        f = options.get(option)
+        if f is None or text.startswith("-"):
+            return None
+        try:
+            value = text if f.type is None else f.type(text)
+        except Exception:  # argparse parses this argv again: a usage error where it makes one, else the same raise
+            return None
+        if f.choices is not None and value not in f.choices:
+            return None
+        given[f.dest] = value
+    if any(f.required and f.dest not in given for f in options.values()):
+        return None
+    return SimpleNamespace(subcommand=argv[0], **{**{f.dest: f.default for f in options.values()}, **given})
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its name -> subparser map, built from ``_SUBCOMMANDS`` once per process on first use.
-    Handlers are bound in the table at import, so patch what a handler calls, not ``_cmd_*``.  ``--alpha`` and
-    ``--bethe-log`` default to ``None``: the handler reads (and echoes) ``qed.DEFAULT_ALPHA`` and
-    ``qed.DEFAULT_BETHE_LOG`` on each call, so patching those takes effect on the next ``run``."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--units", choices=["GeV", "MeV"], help="unit of mass-dimension inputs/outputs (default GeV)")
-    common.add_argument("--precision", type=int, help="significant digits for rendered numbers, 4..17 (default 12)")
-    common.add_argument("--format", dest="out_format", choices=["json", "csv", "plot-data"], help="output format (default json; csv/plot-data for sweeps only)")
-    common.add_argument("--config", help="key=value file overriding defaults (keys: units, precision, format)")
+def _build_parser():
+    """The top-level argparse parser and its name -> subparser map, built from ``_COMMON`` and ``_SUBCOMMANDS`` once
+    per process, on the first argv ``_parse_declared`` refuses.  Handlers are bound in the table at import, so patch
+    what a handler calls, not ``_cmd_*``.  ``--alpha`` and ``--bethe-log`` default to ``None``: the handler reads
+    (and echoes) ``qed.DEFAULT_ALPHA`` and ``qed.DEFAULT_BETHE_LOG`` on each call, so patching those takes effect
+    on the next ``run``."""
+    import argparse
+
+    class _MisplacedFlag(argparse.Action):
+        """Top-level stand-in for a subcommand flag typed before the subcommand: a usage error that names the flag."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            parser.error(f"{option_string} goes after the subcommand: loopreg <subcommand> {option_string} ...")
 
     parser = argparse.ArgumentParser(
         prog="loopreg",
         description="One-loop integral regularization by mass-parameter differentiation: reduction kernel, electron self-energy, quartic-scalar model, cutoff-quadrature oracle.",
     )
-    for key in (*_CONFIG_KEYS, "config"):  # each subparser's own flags (``common``), hidden from the top-level help
-        parser.add_argument(f"--{key}", nargs="?", action=_MisplacedFlag, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    for f in _COMMON:  # each subparser's own flags, hidden from the top-level help
+        parser.add_argument(f.flag, nargs="?", action=_MisplacedFlag, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=command.help)
-        for f in command.flags:
-            p.add_argument(f.flag, dest=f.dest, type=f.type, required=f.required, default=f.default, help=f.help)
+        p = sub.add_parser(name, help=command.help)
+        for f in _OPTIONS[name].values():  # the rows _parse_declared reads, the common ones first
+            p.add_argument(f.flag, dest=f.dest, type=f.type, required=f.required, default=f.default, help=f.help, choices=f.choices)
     return parser, sub.choices
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv (with the parsers built once per process), check the format, put the declared mass inputs in GeV,
-    compute the report and render it; returns the exit code."""
-    parser, subparsers = _build_parser()
+    """Parse argv (from the table, else with the parsers built once per process), check the format, put the declared
+    mass inputs in GeV, compute the report and render it; returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        subparser = subparsers.get(argv[0]) if argv else None
-        if subparser is None:
-            ns = parser.parse_args(argv)
-        else:  # what parse_args does with a subcommand's argv, without parsing its strings twice
-            ns, extras = subparser.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            ns.subcommand = argv[0]
-    except SystemExit as exc:  # argparse already printed usage to stderr
-        return int(exc.code) if exc.code is not None else EXIT_VALIDATION
+    ns = _parse_declared(argv)
+    if ns is None:  # help, a usage error or a shape only argparse reads
+        try:
+            ns = _build_parser()[0].parse_args(argv, SimpleNamespace())
+        except SystemExit as exc:  # argparse already printed usage to stderr
+            return int(exc.code) if exc.code is not None else EXIT_VALIDATION
     try:
         cfg = _resolve_config(ns)
         command = _SUBCOMMANDS[ns.subcommand]
@@ -548,7 +578,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             raise ValueError(f"{what} has no sweep output; use --format json")
         typed = ns  # under GeV each value is its own image, so the typed namespace serves as the GeV one at no cost
         if cfg.units != "GeV":  # each declared mass input to GeV, once, in place; ``typed`` keeps them as typed
-            typed = argparse.Namespace()
+            typed = SimpleNamespace()
             for dest, dim in _MASSES[ns.subcommand]:
                 value = getattr(ns, dest)
                 setattr(typed, dest, value)

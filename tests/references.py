@@ -25,6 +25,8 @@ package's.  ``line_fit`` is the least-squares line solved in
 ``bench_checker`` loads ``perfbench/checker.py``, which recomputes each value
 from its own formulas; its ``radial`` is the one closed form of the radial
 integral the tests hold the oracle to (the oracle must never hold one).
+``bench_workloads`` loads ``perfbench/workloads.py``, the benchmark's request
+generators, whose draws the tests hold to that checker.
 """
 
 import heapq
@@ -227,9 +229,20 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
 
 
 @cache
-def bench_checker():
-    """perfbench/checker.py, loaded by path once; it imports only the standard library, never loopreg."""
-    spec = importlib.util.spec_from_file_location("bench_checker", Path(__file__).resolve().parents[1] / "perfbench" / "checker.py")
+def _perfbench(name):
+    """perfbench/<name>.py, loaded by path once and only read; it imports only the standard library, never loopreg."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def bench_checker():
+    """perfbench/checker.py: the benchmark's independent check of every report."""
+    return _perfbench("checker")
+
+
+def bench_workloads():
+    """perfbench/workloads.py: the benchmark's seeded request generators."""
+    return _perfbench("workloads")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import site
 import subprocess
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from loopreg import cli
 
-from references import bench_checker, render_two_pass
+from references import bench_checker, bench_workloads, render_two_pass
+from test_golden import _read as golden_entries
 
 radial_analytic = bench_checker().radial
 
@@ -564,6 +566,11 @@ class TestColdImport:
         assert _cold_imports(argv) & {"typing", "pathlib"} == set()
 
     @pytest.mark.parametrize("argv", [argv for argv, _ in _COLD], ids=[argv[0] for argv, _ in _COLD])
+    def test_no_subcommand_imports_argparse(self, argv):
+        # the declared table parses a well-formed argv: argparse, and the gettext it loads, only help and usage errors
+        assert _cold_imports(argv) & {"argparse", "gettext"} == set()
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _COLD], ids=[argv[0] for argv, _ in _COLD])
     def test_no_subcommand_imports_json(self, argv):
         # the renderer takes encode_basestring_ascii from the C module _json, not from the json package
         assert _cold_imports(argv) & {"json", "json.encoder", "json.decoder", "json.scanner"} == set()
@@ -621,7 +628,7 @@ class TestParserReuse:
         assert proc.stdout.strip() == "0"
 
 
-# argv whose first string names a subcommand are parsed by that subparser alone; these pin that the
+# argv that the declared table parses without argparse, and argv it hands to argparse; these pin that the
 # messages, exit codes and reports are what the top-level parser's parse_args gives for each of them
 _DISPATCH_ARGV = [
     # trailing unknown flags and positionals
@@ -667,6 +674,91 @@ class TestDispatch:
         parser, _ = cli._build_parser()
         with mock.patch.object(parser, "parse_args", side_effect=AssertionError("parsed by the top-level parser")):
             assert run_raw(capsys, ["mu1", "--m", "1"])[0] == 0
+
+
+def _argparse_vars(argv):
+    """vars() of the namespace the top-level parser makes of argv; None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser()[0].parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _parsed_as_argparse_parses(argv):
+    """Whether the declared table parses argv; where it does, its namespace must be the one argparse makes."""
+    ns = cli._parse_declared(argv)
+    if ns is not None:
+        assert vars(ns) == _argparse_vars(argv), argv
+    return ns is not None
+
+
+_OPTION_STRINGS = sorted({option for options in cli._OPTIONS.values() for option in options})
+# tokens argparse reads in its own way: abbreviations, --flag=value, --, help, negative numbers, unknown strings
+_ODD_TOKENS = ["--ms", "--mu-p", "--n=2", "--m=1", "--units=MeV", "--", "-h", "--help", "-1", "-1e-3", "-.5", "--bogus", "x"]
+# values no declared type or choice takes, values another flag's type or choices take, and values that start with -,
+# which argparse takes as a value where they look like a negative number (-1, -.5) and as a flag where not (-1e-3, -x)
+_ODD_VALUES = ["nan", "inf", "-inf", "abc", "", "1e400", "10,abc", "1.5", "KeV", "xml", "GeV", "csv", "1e2,1e3", "-1", "-.5", "-1e-3", "-x"]
+
+
+def _fitting(f):
+    """Values a declared flag row takes."""
+    if f.choices is not None:
+        return st.sampled_from(f.choices)
+    if f.type is int:
+        return st.integers(0, 40).map(str)
+    if f.type is None:
+        return st.just("loopreg.cfg")
+    return st.floats(1e-3, 1e3).map(lambda x: f"{x:.4g}")
+
+
+@st.composite
+def _parse_shapes(draw):
+    """A subcommand's well-formed argv (its required flags and some of its others, maybe repeated, with values their
+    rows take), then at most one change: an odd value, another flag or an odd token in place of a flag, a flag
+    dropped (maybe a required one), or an odd token inserted anywhere, a stray trailing one among them."""
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    options = cli._OPTIONS[name]
+    flags = [f.flag for f in options.values() if f.required] + draw(st.lists(st.sampled_from(list(options)), max_size=4))
+    pairs = [[flag, draw(_fitting(options[flag]))] for flag in draw(st.permutations(flags))]
+    change = draw(st.sampled_from(["none", "value", "flag", "drop", "token"]))
+    if pairs and change == "value":
+        draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(_ODD_VALUES))
+    elif pairs and change == "flag":
+        draw(st.sampled_from(pairs))[0] = draw(st.sampled_from(_OPTION_STRINGS + _ODD_TOKENS))
+    elif pairs and change == "drop":
+        pairs.remove(draw(st.sampled_from(pairs)))
+    argv = [name, *(token for pair in pairs for token in pair)]
+    if change == "token":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ODD_TOKENS)))
+    return argv
+
+
+class TestDeclaredParse:
+    """``cli._parse_declared`` refuses an argv or makes the namespace the top-level parser makes of it."""
+
+    def test_the_corpus(self):
+        taken = sum(_parsed_as_argparse_parses(argv) for _, _, argv in golden_entries())
+        # 872 of the 930 corpus argv are well formed; a table that refused them all would parse nothing itself
+        assert taken >= 850
+
+    @settings(max_examples=250, derandomize=True, deadline=None, database=None)
+    @given(_parse_shapes())
+    def test_generated_shapes(self, argv):
+        _parsed_as_argparse_parses(argv)
+
+    @pytest.mark.parametrize(
+        "argv, taken",
+        [
+            (["mu1", "--m", "1", "--m", "2"], True),  # a repeated flag keeps its last value
+            (["demo", "--units", "MeV", "--format", "csv"], True),
+            (["mu1", "--m", "-1"], False),  # a negative value goes to argparse, which takes it
+            (["mu1", "--m", "1", "--units"], False),
+            (["phi4", "--sigma", "1"], False),
+        ],
+    )
+    def test_shapes(self, argv, taken):
+        assert _parsed_as_argparse_parses(argv) is taken
 
 
 class TestConfigResolution:
@@ -1019,3 +1111,116 @@ class TestUnits:
         assert code == mev_code == 0
         _assert_twins(gev["outputs"], mev["outputs"], "outputs")
         _assert_twins(gev["ledger"], mev["ledger"], "ledger")
+
+
+def _bench_request(workloads, kind, argv, **params):
+    return workloads.Request(kind, tuple(argv), {"units": "GeV", "precision": 12, **params})
+
+
+def _near_mass_cutoffs(rng, workloads):
+    """One to four oracle cutoffs 1e-2..10 sqrt(M^2), in csv: the radial below, at and just above the mass."""
+    text, msq = workloads._typed(10.0 ** rng.uniform(-6.0, 6.0))
+    cutoffs = sorted({workloads._typed(math.sqrt(msq) * 10.0 ** rng.uniform(-2.0, 1.0)) for _ in range(rng.randint(1, 4))}, key=lambda c: c[1])
+    n = workloads._oracle_power(rng)
+    argv = ["oracle", "--n", str(n), "--msq", text, "--grid", ",".join(t for t, _ in cutoffs), "--format", "csv"]
+    return _bench_request(workloads, "oracle-point", argv, n=n, msq=msq, grid=tuple(c for _, c in cutoffs), rel_tol=1e-10)
+
+
+def _near_mass_report(rng, workloads):
+    """A JSON oracle report over one cutoff per decade from 0.1..3 sqrt(M^2): the fits read only those at or above it."""
+    text, msq = workloads._typed(10.0 ** rng.uniform(-6.0, 6.0))
+    start = rng.uniform(-1.0, 0.5)
+    cutoffs = [workloads._typed(math.sqrt(msq) * 10.0 ** (start + k)) for k in range(rng.randint(6, 8))]
+    n = workloads._oracle_power(rng)
+    argv = ["oracle", "--n", str(n), "--msq", text, "--grid", ",".join(t for t, _ in cutoffs)]
+    return _bench_request(workloads, "oracle-report", argv, n=n, msq=msq, grid=tuple(c for _, c in cutoffs), rel_tol=1e-10)
+
+
+def _weak_coupling_resum(rng, workloads):
+    """lambda0 1e-4..1e-2 at the one-loop b: b*lambda0 < 3e-4, so the pole scale lies past the float range."""
+    (l0_text, lambda0), (mu0_text, mu0) = workloads._typed(10.0 ** rng.uniform(-4.0, -2.0)), workloads._typed(10.0 ** rng.uniform(0.0, 3.0))
+    argv, params = ["resum", "--lambda0", l0_text, "--mu0", mu0_text], {"lambda0": lambda0, "mu0": mu0}
+    if rng.random() < 0.5:
+        mu_text, params["mu"] = workloads._typed(mu0 * 10.0 ** rng.uniform(-2.0, 6.0))
+        return _bench_request(workloads, "resum-point", argv + ["--mu", mu_text], **params)
+    (lo_text, lo), fmt, points = workloads._typed(mu0 * 10.0 ** rng.uniform(-2.0, 0.0)), rng.choice(("json", "csv")), rng.randint(2, 50)
+    hi_text, hi = workloads._typed(lo * 10.0 ** rng.uniform(1.0, 10.0))
+    argv += ["--format", fmt, "--mu-min", lo_text, "--mu-max", hi_text, "--mu-points", str(points)]
+    return _bench_request(workloads, "resum-sweep", argv, format=fmt, mu_min=lo, mu_max=hi, mu_points=points, **params)
+
+
+def _huge_power(rng, workloads):
+    """regularize at n 1e6..1e20, bare or at M^2 = 1; or an oracle cutoff at n 1e8..1e15, M^2 = 1.  The checker's closed
+    form of the radial cancels to 0 once n - 1 and n - 2 round to one double (n > 2^53), so it judges n up to 1e15."""
+    if rng.random() < 0.5:
+        n = int(10.0 ** rng.uniform(6.0, 20.0))
+        msq = rng.choice((None, 1.0))
+        argv = ["regularize", "--n", str(n)] + (["--msq", "1"] if msq else [])
+        return _bench_request(workloads, "regularize", argv, n=n, msq=msq, mu1=None)
+    n = int(10.0 ** rng.uniform(8.0, 15.0))
+    text, cutoff = workloads._typed(10.0 ** rng.uniform(0.5, 6.0))
+    argv = ["oracle", "--n", str(n), "--msq", "1", "--grid", text, "--format", "csv"]
+    return _bench_request(workloads, "oracle-point", argv, n=n, msq=1.0, grid=(cutoff,), rel_tol=1e-10)
+
+
+_UNDRAWN_BY_THE_BENCH = (_near_mass_cutoffs, _near_mass_report, _weak_coupling_resum, _huge_power)
+_BENCH_SEEDS = (4242, 9001)
+
+
+def _bench_requests(seed):
+    """About 400 requests: the benchmark's own draws at one seed (8 report-warm blocks of 40, 4 cli-cold blocks of
+    12), then 40 it does not make, 10 of each kind above."""
+    workloads, rng = bench_workloads(), random.Random(seed)
+    drawn = [req for name, count in (("report-warm", 8), ("cli-cold", 4)) for block, _ in zip(workloads.blocks(name, seed), range(count)) for req in block]
+    return drawn + [draw(rng, workloads) for draw in _UNDRAWN_BY_THE_BENCH for _ in range(10)]
+
+
+# each known defect a draw may meet: its reason and the text of the check it fails
+_POLE_PAST_RANGE = ("a pole scale past the float range fails the report with exit 3, though the coupling was computed", "critical_scale is not finite: inf")
+_LARGE_POWER_ZERO = ("from n ~ 4e7 on the first radial panel samples only zeros, so the oracle prints radial 0", " = 0.0, expected ")
+
+
+def _known_defect(req):
+    """The known defect a request meets, decided from its parameters alone; None for every other request."""
+    p = req.params
+    if req.kind in ("resum-point", "resum-sweep") and p.get("format", "json") == "json":  # a csv sweep prints no pole scale
+        if bench_checker()._Running(p).log_critical >= math.log(sys.float_info.max):
+            return _POLE_PAST_RANGE
+    if req.kind.startswith("oracle") and p["n"] >= 10**8:
+        return _LARGE_POWER_ZERO
+    return None
+
+
+def _judged(req):
+    """The checker's verdict on the report ``cli.run`` writes for one request: None if it holds, else the Miss."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(req.argv))
+    return bench_checker().check_cli(req.kind, req.params, code, out.getvalue(), err.getvalue())
+
+
+_BENCH_DRAWS = {seed: _bench_requests(seed) for seed in _BENCH_SEEDS}
+_DEFECT_DRAWS = [
+    pytest.param(req, defect[1], marks=pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=defect[0]), id=f"{seed}-{i}-{req.kind}")
+    for seed, requests in _BENCH_DRAWS.items()
+    for i, req in enumerate(requests)
+    if (defect := _known_defect(req))
+]
+
+
+class TestReportsAgainstTheBenchChecker:
+    """Every report of the benchmark's draws, and of draws it does not make, judged by ``perfbench/checker.py``."""
+
+    @pytest.mark.parametrize("seed", _BENCH_SEEDS)
+    def test_every_report_holds(self, seed):
+        misses = [(req.argv, str(miss)) for req in _BENCH_DRAWS[seed] if not _known_defect(req) and (miss := _judged(req))]
+        assert misses == []
+
+    # strict: once the defect is mended, the request passes and its mark must go; a failure by anything but the
+    # defect's symptom is an AssertionError, which the mark does not expect.  No traceback: pytest would parse this file per case
+    @pytest.mark.parametrize("req, symptom", _DEFECT_DRAWS)
+    def test_a_known_defect_still_fails(self, req, symptom):
+        miss = _judged(req)
+        assert miss is None or symptom in str(miss), (req.argv, str(miss))
+        if miss is not None:
+            pytest.fail(str(miss), pytrace=False)
