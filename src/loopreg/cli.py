@@ -530,7 +530,7 @@ def _parse_declared(argv: Sequence[str]) -> SimpleNamespace | None:
 
 @functools.cache
 def _build_parser():
-    """The top-level argparse parser and its name -> subparser map, built from ``_COMMON`` and ``_SUBCOMMANDS`` once
+    """The top-level argparse parser, built from ``_COMMON`` and ``_SUBCOMMANDS`` once
     per process, on the first argv ``_parse_declared`` refuses.  Handlers are bound in the table at import, so patch
     what a handler calls, not ``_cmd_*``.  ``--alpha`` and ``--bethe-log`` default to ``None``: the handler reads
     (and echoes) ``qed.DEFAULT_ALPHA`` and ``qed.DEFAULT_BETHE_LOG`` on each call, so patching those takes effect
@@ -554,7 +554,7 @@ def _build_parser():
         p = sub.add_parser(name, help=command.help)
         for f in _OPTIONS[name].values():  # the rows _parse_declared reads, the common ones first
             p.add_argument(f.flag, dest=f.dest, type=f.type, required=f.required, default=f.default, help=f.help, choices=f.choices)
-    return parser, sub.choices
+    return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -565,7 +565,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     ns = _parse_declared(argv)
     if ns is None:  # help, a usage error or a shape only argparse reads
         try:
-            ns = _build_parser()[0].parse_args(argv, SimpleNamespace())
+            ns = _build_parser().parse_args(argv, SimpleNamespace())
         except SystemExit as exc:  # argparse already printed usage to stderr
             return int(exc.code) if exc.code is not None else EXIT_VALIDATION
     try:

@@ -14,16 +14,13 @@ Python: an adaptive G7-K15 Gauss-Kronrod rule (``integrate``) and a
 bracketing root finder by the Illinois rule (``find_root``), which falls back
 to bisection where interpolation stalls.
 
-The radial integral runs in the scaled variable t = k/sqrt(M^2), piece by
-piece over the decades 0, 1, 10, ..., 1e9 of t.  No piece carries a mass:
-cutoffs and masses share the memoized sums of the full decades below them, and
-a cutoff within 1% below an edge takes the sum up to that edge less one short
-piece.  Past t = 1e9 the integrand is k^(3-2n) to below half an ulp, and its
-integral up to the cutoff is taken in k, by one rule for every power n.  A
-``CutoffProbe`` integrates all its cutoffs in one pass of the loop behind
-``radial_integral``.  Both fits read only the cutoffs at or above sqrt(M^2),
-where the large-cutoff expansion holds, and check their grid rule on those
-before they read a radial, so a short grid fails before any quadrature.
+The radial integral runs piece by piece in a variable that carries no mass:
+t = k/sqrt(M^2) for n = 1, and from n = 2 on sigma = max(n - 2, 1) ln(1 + t^2),
+where it is an incomplete beta integral (DLMF 8.17) with an integrand bounded
+and smooth for every n.  A ``CutoffProbe`` integrates all its cutoffs in one
+pass.  Both fits read only the cutoffs at or above sqrt(M^2), where the
+large-cutoff expansion holds, and check their grid rule on those before they
+read a radial, so a short grid fails before any quadrature.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 
-from . import _Record, _log_ratio
+from . import _Record
 
 __all__ = [
     "QuadratureError",
@@ -161,13 +158,27 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
 
 
 def _radial_panel(power: int, a: float, b: float) -> tuple[float, float, float, float]:
-    """``_panel`` of radial_integrand(t, power, 1.0), its unscaled form written out; OverflowError where that overflows."""
+    """``_panel`` of radial_integrand(t, power, 1.0), its unscaled form written out: power 1's integrand in t."""
     center, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
     f_center = center**3 / (center * center + 1.0) ** power
     kronrod, gauss = _KRONROD[-1] * f_center, _GAUSS[-1] * f_center
     for x, w_kronrod, w_gauss in _PAIRS:
         t, u = center - half * x, center + half * x
         pair = t**3 / (t * t + 1.0) ** power + u**3 / (u * u + 1.0) ** power
+        kronrod += w_kronrod * pair
+        gauss += w_gauss * pair
+    return -abs(half * (kronrod - gauss)), a, b, half * kronrod
+
+
+def _sigma_panel(power: int, a: float, b: float) -> tuple[float, float, float, float]:
+    """``_panel`` of the radial's integrand in sigma over 1/(2c), written out: -expm1(-sigma/c) e^(-sigma), -expm1(-sigma) at power 2."""
+    expm1, exp, c = math.expm1, math.exp, power - 2.0
+    center, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
+    f_center = -expm1(-center / c) * exp(-center) if c else -expm1(-center)
+    kronrod, gauss = _KRONROD[-1] * f_center, _GAUSS[-1] * f_center
+    for x, w_kronrod, w_gauss in _PAIRS:
+        s, u = center - half * x, center + half * x
+        pair = -expm1(-s / c) * exp(-s) - expm1(-u / c) * exp(-u) if c else -expm1(-s) - expm1(-u)
         kronrod += w_kronrod * pair
         gauss += w_gauss * pair
     return -abs(half * (kronrod - gauss)), a, b, half * kronrod
@@ -268,64 +279,49 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 _EDGES = (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # the decade edges of t, up to the last, 1e9
 
 
-def _radial_piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, float]:
-    """(value, error estimate) of int t^3 (t^2 + 1)^(-power) dt over [t_a, t_b]; where (t^2 + 1)^power
-    overflows, which below t = 1e9 only powers >= 18 reach, it runs again with radial_integrand's scaled form."""
-    try:
-        return _adapt(_radial_panel, power, t_a, t_b, epsrel, 0.0)
-    except OverflowError:
-        return integrate(lambda t: radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
+@lru_cache(maxsize=256)
+def _edges(power: int) -> tuple[float, ...]:
+    """The piece edges: the decades of t for power 1, else their images in sigma and the doublings 0.5 .. 64 below them."""
+    if power == 1:
+        return _EDGES
+    if power > sys.float_info.max:  # a power that no float holds
+        raise OverflowError(f"radial integral past the float range for power={power}")
+    images = [(power - 2.0 if power > 2 else 1.0) * math.log1p(t * t) for t in _EDGES[1:]]
+    return (0.0, *[2.0**j for j in range(-1, 7) if 2.0**j < images[0]], *images)
+
+
+def _radial_piece(power: int, a: float, b: float, epsrel: float) -> tuple[float, float]:
+    """(value, error estimate) of the radial's integral over [a, b], in t for power 1 and in sigma from power 2 on."""
+    return _adapt(_radial_panel if power == 1 else _sigma_panel, power, a, b, epsrel, 0.0)
 
 
 def _scaled_below_mass(power: int, t_cut: float, epsrel: float) -> tuple[float, float]:
-    """(value, error estimate) of J = int_0^1 u^3 (1 + t^2 u^2)^(-power) du, the radial over cutoff^4 (M^2)^(-power)
-    in u = k/cutoff: O(1) for t_cut < 1, where the integral in t, ~t^4/4, underflows first."""
-    t_sq = t_cut * t_cut
-    try:
-        return integrate(lambda u: u**3 * (1.0 + t_sq * u * u) ** -power, 0.0, 1.0, epsrel)
-    except OverflowError:  # a power past the float range, as in radial_integrand: J is taken as 0
-        return 0.0, 0.0
+    """(value, error estimate) of J = int_0^1 u^3 (1 + t^2 u^2)^(-power) du, apart from _radials, whose power a closure would make a cell."""
+    return integrate(lambda u: u**3 * (1.0 + t_cut * t_cut * u * u) ** -power, 0.0, 1.0, epsrel)
 
 
-_piece = lru_cache(maxsize=256)(_radial_piece)  # the short pieces of radial_integral: [edge, t_cut] or [t_cut, next edge]
+_piece = lru_cache(maxsize=256)(_radial_piece)  # the short pieces of radial_integral: [edge, cutoff] or [cutoff, next edge]
 
 
 @lru_cache(maxsize=1024)
 def _decade_sums(power: int, k: int, epsrel: float) -> tuple[float, float]:
-    """(value, error estimate) summed in order over the full decades from 0 up to _EDGES[k], k >= 1."""
+    """(value, error estimate) summed in order over the full pieces from 0 up to _edges(power)[k], k >= 1."""
     below = (0.0, 0.0)
     for j in range(1, k):  # fill from the bottom, so a cold call nests one level deep, not k
         below = _decade_sums(power, j, epsrel)
-    value, err = _radial_piece(power, _EDGES[k - 1], _EDGES[k], epsrel)
+    value, err = _radial_piece(power, *_edges(power)[k - 1:k + 1], epsrel)
     return below[0] + value, below[1] + err
 
 
 def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10) -> float:
     """Adaptive quadrature of int_0^cutoff k^3 (k^2 + M^2)^(-power) dk.
 
-    Integrates (M^2)^(2-power) * int_0^(cutoff/sqrt(M^2)) t^3 (t^2+1)^(-power) dt
-    decade by decade in t, so the wide dynamic range never starves the
-    adaptive subdivision.  The full decades [10^j, 10^(j+1)] are the same for
-    every cutoff and mass above them, so their running sums are memoized and a
-    sweep integrates each once; the top piece, from the edge below the cutoff,
-    apart.  A cutoff at or above 0.99 times the next edge is instead that
-    edge's sum less the piece from the cutoff up to the edge, which spans at
-    most 1% of the decade; the sum exceeds the result by at most
-    (1/0.99)^4 - 1, about 4%, so no digit is lost, and the error estimates
-    add.  Past the last edge, t = 1e9, the integrand is t^(3 - 2 power) to
-    power * 1e-18, below half an ulp, so a farther cutoff adds to the decades
-    the integral of k^(3 - 2 power) from E = 1e9 sqrt(M^2), taken in k, where
-    it fits though t may not: (cutoff - E)(cutoff + E)/2 for power 1,
-    ln(cutoff/E) for power 2, and 0 from power 3 on, whose whole tail is at
-    most (power - 1) * 1e-18 of the total.  So the cost stops growing with the
-    cutoff.  The quadrature check reads the decade sums alone.  Where
-    (M^2)^(2 - power) alone leaves the float range, the radial is taken from the
-    logarithms of its two factors; so it is where the integral in t up to a
-    cutoff below the mass underflows (t^4/4 for t < ~1e-77), from those of
-    cutoff^4 (M^2)^(-power) and of the integral in u = k/cutoff over [0, 1].
-    rel_tol must sit in (0, 1e-6], as for a probe.  Raises QuadratureError
-    when the summed error estimate misses rel_tol, whether or not the pieces
-    were cached, and OverflowError past the float range.
+    Power 1 runs in t = k/sqrt(M^2), as M^2 int t^3/(t^2 + 1) dt plus (cutoff - E)(cutoff + E)/2 past E = 1e9 sqrt(M^2); from
+    power 2 on in sigma = c ln(1 + t^2), c = max(power - 2, 1), as (M^2)^(2-power)/(2c) int -expm1(-sigma/c) e^(-sigma) dsigma,
+    with no e^(-sigma) at power 2 and sigma stopped at 800 from power 3 on.  Memoized sums of the full pieces, between the
+    decades of t up to 1e9 or their images in sigma, serve every cutoff and mass, less one short piece within 1% below an
+    edge.  A scale, or an integral below the mass, past the float range is taken through logarithms.  rel_tol must sit in
+    (0, 1e-6].  Raises QuadratureError when the summed error misses rel_tol, cached or not, and OverflowError past the float range.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power!r}")
@@ -338,40 +334,44 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
 
 
 def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: float) -> list[float]:
-    """radial_integral at each cutoff, in order: sqrt(M^2), epsrel and (M^2)^(2-power) derived once."""
-    root = math.sqrt(mass_sq)
+    """radial_integral at each cutoff, in order: sqrt(M^2), epsrel, the edges and the scale derived once."""
+    edges, root, c = _edges(power), math.sqrt(mass_sq), power - 2.0 if power > 2 else 1.0
     # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece asked for less than
     # 5e-14 would only run to the panel limit; the check below still enforces rel_tol, so tighter requests fail loudly.
     epsrel = rel_tol / 10.0 if not 5e-14 > rel_tol / 10.0 else 5e-14  # max(rel_tol / 10.0, 5e-14) without the call
-    try:
-        scale = mass_sq ** (2 - power)
+    try:  # sigma's integrand leaves out the factor 1/(2c)
+        scale = mass_sq ** (2 - power) / (2.0 * c if power > 1 else 1.0)
     except OverflowError:  # the power of M^2 alone leaves the float range
         scale = math.inf
     radials = []
     for cutoff in cutoffs:
-        t_cut, tail = cutoff / root, 0.0
-        if t_cut > 1e9:  # past the last edge: its decades, then k^(3-2n) integrated in k from E = 1e9 sqrt(M^2) on
-            edge = 1e9 * root
-            t_cut, tail = 1e9, 0.5 * (cutoff - edge) * (cutoff + edge) if power == 1 else _log_ratio(cutoff, edge) if power == 2 else 0.0
-        k = bisect_right(_EDGES, t_cut) - 1  # the full decades end at _EDGES[k] <= t_cut; at t_cut = 1e9, k = 10
-        if k < 10 and 0.99 * _EDGES[k + 1] <= t_cut:  # just below the next edge up: the decades up to it less [t_cut, it]
+        t_cut = x_cut = cutoff / root
+        tail = 0.0
+        if power > 1:  # sigma = c ln(1 + t^2), from the logarithms of cutoff and sqrt(M^2) where t^2 may overflow
+            x_cut = c * (math.log1p(t_cut * t_cut) if t_cut < 1e154 else 2.0 * (math.log(cutoff) - math.log(root)))
+            if power > 2 and x_cut > 800.0:  # the integrand is below e^(-sigma), which has underflowed there
+                x_cut = 800.0
+        elif t_cut > 1e9:  # past the last edge: its decades, then k integrated in k from E = 1e9 sqrt(M^2) on
+            x_cut, tail = 1e9, 0.5 * (cutoff - 1e9 * root) * (cutoff + 1e9 * root)
+        k = bisect_right(edges, x_cut) - 1  # the full pieces end at edges[k] <= x_cut
+        if k + 1 < len(edges) and 0.99 * edges[k + 1] <= x_cut:  # just below the next edge up: the pieces up to it less [x_cut, it]
             total, err_total = _decade_sums(power, k + 1, epsrel)
-            piece, err = _piece(power, t_cut, _EDGES[k + 1], epsrel)
+            piece, err = _piece(power, x_cut, edges[k + 1], epsrel)
             total, err_total = total - piece, err_total + err
         else:
             total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
-            piece, err = _piece(power, _EDGES[k], t_cut, epsrel) if _EDGES[k] != t_cut else (0.0, 0.0)
+            piece, err = _piece(power, edges[k], x_cut, epsrel) if edges[k] != x_cut else (0.0, 0.0)
             total, err_total = total + piece, err_total + err
         below = not k and total < sys.float_info.min
-        if below:  # t^4/4 underflows, though the radial may fit: it is cutoff^4 (M^2)^(-n) J
-            total, err_total = _scaled_below_mass(power, t_cut, epsrel)  # J's integrand there, so no closure makes power a cell here
+        if below:  # t^4/4 underflows, though the radial may fit: it is cutoff^4 (M^2)^(-n) J, J in u = k/cutoff
+            total, err_total = _scaled_below_mass(power, t_cut, epsrel)
         if err_total > rel_tol * abs(total):
             raise QuadratureError(f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
                                   f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
         radial = scale * total + tail
         if below or not math.isfinite(radial):
-            if total > 0 and (below or scale == math.inf):  # J's factor, or (M^2)^(2-n) alone (n >= 3, no tail), may leave the float range
-                log_factor = 4.0 * math.log(cutoff) - power * math.log(mass_sq) if below else (2 - power) * math.log(mass_sq)
+            if total > 0 and (below or scale == math.inf):  # J's factor, or (M^2)^(2-n) alone (n >= 3), may leave the float range
+                log_factor = 4.0 * math.log(cutoff) - power * math.log(mass_sq) if below else (2 - power) * math.log(mass_sq) - math.log(2.0 * c)
                 try:
                     radial = math.exp(math.log(total) + log_factor)
                 except OverflowError:

@@ -10,15 +10,19 @@ pole row of ``loopreg.checks`` as it read ``resum_chain``'s raise of
 ``loopreg.oracle``'s adaptive bisection before it returned a first panel that
 met the tolerance at once: every result goes through the heap and the two
 ``fsum``s.  ``radial_integral`` is
-``loopreg.oracle.radial_integral`` before it memoized the sums of its full
-decades: the pieces summed one decade at a time, each evaluation through
-``radial_integrand``.  A cutoff within 1% below a decade edge is taken as in
-the package, as the sum up to that edge less the piece from the cutoff to it;
-``complement=False`` sums the decades up to the cutoff instead, as the package
-once did for every cutoff.  Past t = 1e9 the package adds the integral of the
-integrand's leading power instead, so for powers 1 and 2 the two agree only
-up to that edge.  The package's versions must match their output
-byte for byte (and float for float); root finders' evaluation counts are
+``loopreg.oracle.radial_integral`` as a plain per-piece sum, without
+memoization, over the same edges: the decades of t = k/sqrt(M^2) for power 1,
+and from power 2 on their images in sigma = c ln(1 + t^2), c = max(n - 2, 1),
+with the doublings 0.5 .. 64 below the first; each piece goes through
+``oracle.integrate`` of the integrand as a plain function (``radial_integrand``
+for power 1).  A cutoff within 1% below an edge is taken as in the package, as
+the sum up to that edge less the piece from the cutoff to it;
+``complement=False`` sums the pieces up to the cutoff instead, as the package
+once did for every cutoff.  Past t = 1e9 the package adds power 1's integral in
+k instead, so for power 1 the two agree only up to that edge; the reference
+has none of the package's logarithm paths where a float overflows.  The
+package's versions must match their output byte for byte (and float for
+float); root finders' evaluation counts are
 compared with bisection's, and ``find_root``'s points, order and root with the
 package's.  ``line_fit`` is the least-squares line solved in
 ``Fraction`` from the float points, the exact value a float fit is held to.
@@ -35,7 +39,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable
 
@@ -184,45 +188,58 @@ def adapt(panel: Callable[[float, float], tuple], a: float, b: float, epsrel: fl
     return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
 
 
-@lru_cache(maxsize=None)  # only to keep the tests quick: a piece is the same float from the cache or not
-def _piece(power: int, t_a: float, t_b: float, epsrel: float) -> tuple[float, float]:
-    return oracle.integrate(lambda t: oracle.radial_integrand(t, power, 1.0), t_a, t_b, epsrel)
-
-
-def _summed(power: int, edges: list[float], epsrel: float) -> tuple[float, float]:
-    """(value, error estimate) of the pieces between successive edges, added in order."""
+def _summed(f: Callable[[float], float], edges: list[float], epsrel: float) -> tuple[float, float]:
+    """(value, error estimate) of the pieces of f between successive edges, added in order."""
     total = err_total = 0.0
     for a, b in zip(edges, edges[1:]):
-        piece, err = _piece(power, a, b, epsrel)
+        piece, err = oracle.integrate(f, a, b, epsrel)
         total += piece
         err_total += err
     return total, err_total
 
 
 def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10, complement: bool = True) -> float:
-    """int_0^cutoff k^3 (k^2 + M^2)^(-power) dk, summed piece by piece over the decades of t = k/sqrt(M^2)."""
+    """int_0^cutoff k^3 (k^2 + M^2)^(-power) dk, summed piece by piece: in t = k/sqrt(M^2) over its decades for
+    power 1, in sigma = c ln(1 + t^2), c = max(power - 2, 1), over their images and the doublings below them
+    from power 2 on.  For power 1 up to t = 1e9, and for power 2 where t^2 fits a float."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff!r}")
     if not mass_sq > 0:
         raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
     t_cut = cutoff / math.sqrt(mass_sq)
-    edges = [0.0, 1.0]
-    while edges[-1] < t_cut:
-        edges.append(edges[-1] * 10.0)
+    if power == 1:
+        edges, x_cut, scale = [0.0, 1.0], t_cut, mass_sq
+        while edges[-1] < t_cut:
+            edges.append(edges[-1] * 10.0)
+
+        def f(t):
+            return oracle.radial_integrand(t, 1, 1.0)
+    else:
+        c = float(max(power - 2, 1))
+        images = [c * math.log1p(10.0 ** (2 * j)) for j in range(10)]  # of t = 1, 10, ..., 1e9
+        edges = [0.0] + [d for d in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if d < images[0]] + images
+        x_cut = c * math.log1p(t_cut * t_cut)
+        if power > 2:
+            x_cut = min(x_cut, 800.0)
+        scale = mass_sq ** (2 - power) / (2.0 * c)
+
+        def f(s):
+            return -math.expm1(-s / c) * math.exp(-s) if power > 2 else -math.expm1(-s)
     epsrel = max(rel_tol / 10.0, 5e-14)
-    if complement and 0.99 * edges[-1] <= t_cut < edges[-1] < math.inf:  # just below an edge
-        total, err_total = _summed(power, edges, epsrel)
-        piece, err = _piece(power, t_cut, edges[-1], epsrel)
+    inside = [e for e in edges if e <= x_cut]
+    above = [e for e in edges if e > x_cut]
+    if complement and above and 0.99 * above[0] <= x_cut:  # just below an edge: the pieces up to it less [x_cut, it]
+        total, err_total = _summed(f, inside + above[:1], epsrel)
+        piece, err = oracle.integrate(f, x_cut, above[0], epsrel)
         total, err_total = total - piece, err_total + err
     else:
-        edges[-1] = t_cut
-        total, err_total = _summed(power, edges, epsrel)
+        total, err_total = _summed(f, inside + ([x_cut] if x_cut != inside[-1] else []), epsrel)
     if err_total > rel_tol * abs(total):
         raise oracle.QuadratureError(
             f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
             f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}"
         )
-    radial = mass_sq ** (2 - power) * total
+    radial = scale * total
     if not math.isfinite(radial):
         raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
     return radial

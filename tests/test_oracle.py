@@ -212,7 +212,8 @@ def _clear_radial_caches():
 
 class TestPieceCache:
     def test_default_report_integrates_each_decade_once(self, integrations):
-        for mass_sq, new_pieces in ((1.0, 7), (4.0, 0)):  # the pieces carry no mass
+        # the images in sigma of t = 0, 1, ..., 1e6 and the doubling 0.5 below ln 2 bound 8 pieces; the pieces carry no mass
+        for mass_sq, new_pieces in ((1.0, 8), (4.0, 0)):
             before = integrations()
             _default_report(mass_sq)
             assert integrations() - before == new_pieces
@@ -221,7 +222,7 @@ class TestPieceCache:
         for _ in range(2):
             with pytest.raises(oracle.QuadratureError):
                 oracle.radial_integral(2, 1.0, 1e6, rel_tol=1e-16)
-        assert integrations() == 7
+        assert integrations() == 8  # the pieces up to the image of t = 1e6
 
     def test_top_pieces_do_not_evict_the_decades(self, integrations):
         _default_report(1.0)
@@ -232,13 +233,14 @@ class TestPieceCache:
         assert integrations() - before == 0
 
     def test_top_pieces_do_not_evict_the_last_decade(self, integrations):
-        # a cutoff past t = 1e9 reads every decade up to 1e9 from the decade sums, the last one [1e8, 1e9] included
+        # a cutoff past t = 1e9 reads every piece up to the image of 1e9 from the decade sums, the last one included,
+        # and integrates only its own top piece, from that image up to its sigma
         oracle.radial_integral(2, 1.0, 1e12)
         for i in range(300):  # 300 distinct top pieces [0, t], t < 1
             oracle.radial_integral(2, 1.0, (i + 1) / 400.0)
         before = integrations()
         oracle.radial_integral(2, 1.0, 1e15)
-        assert integrations() - before == 0
+        assert integrations() - before == 1
 
     @pytest.mark.parametrize(
         "cutoff, one_panel",
@@ -250,7 +252,8 @@ class TestPieceCache:
         ],
     )
     def test_a_cutoff_just_below_an_edge_costs_one_panel(self, integrations, monkeypatch, cutoff, one_panel):
-        _default_report(1.0)  # caches the decade sums up to t = 1e6
+        # power 1, in t = cutoff/10 at M^2 = 100: a piece over most of [100, 1e3] takes 5 panels, a piece up to an edge one
+        oracle.radial_integral(1, 100.0, 1e7)  # caches the decade sums up to t = 1e6
         panels, radial_panel = [], oracle._radial_panel
 
         def counted(*args):
@@ -258,7 +261,7 @@ class TestPieceCache:
             return radial_panel(*args)
 
         monkeypatch.setattr(oracle, "_radial_panel", counted)
-        oracle.radial_integral(2, 1.0, cutoff)
+        oracle.radial_integral(1, 100.0, cutoff)
         assert (len(panels) == 1) == one_panel
 
     @settings(max_examples=20, deadline=None, database=None)
@@ -304,13 +307,13 @@ class TestRadialPrefixSums:
     )
     # every edge up to the last, 1e9, and an ulp either side
     @example(power=1, mass_sq=1.0, ts=_EDGE_TS[:29], rel_tol=1e-10, order=random.Random(0))
-    # above 1e22 the reference's edges are not 10.0**k; past t = 1e9 the tail of power 3 is below half an ulp
+    # t from 1e22 to 1e30, whose sigma lies past the image of 1e9, the last edge
     @example(power=3, mass_sq=1.0, ts=_EDGE_TS[-24:], rel_tol=1e-10, order=random.Random(0))
     def test_same_float_as_the_decade_by_decade_sum(self, power, mass_sq, ts, rel_tol, order):
-        # 4^j masses have an exact square root, so their cutoffs land on the edges exactly; for power <= 2
-        # a t past 1e9 adds the integral of the leading power in k, not the decades the reference sums
+        # 4^j masses have an exact square root, so their cutoffs land on the edges exactly; for power 1
+        # a t past 1e9 adds the integral of k in k, not the decades the reference sums
         root = math.sqrt(mass_sq)
-        cutoffs = [t * root for t in ts if power >= 3 or t * root / root <= 1e9]
+        cutoffs = [t * root for t in ts if power >= 2 or t * root / root <= 1e9]
         order.shuffle(cutoffs)
         _clear_radial_caches()
         for cutoff in cutoffs:
@@ -337,18 +340,18 @@ class TestRadialPrefixSums:
 
     @pytest.mark.parametrize("power", range(1, 7))
     def test_inline_panel_is_the_integrand_panel(self, power):
-        def f(t):
-            return oracle.radial_integrand(t, power, 1.0)
+        # power 1 in t; from power 2 on in sigma = c ln(1 + t^2), over 1/(2c)
+        c = power - 2
 
-        # t^3 / (t^2 + 1)^n overflows from about t = 10^(154/n) (n >= 2), 10^102.7 (n = 1)
-        overflow = 10.0 ** (102.7 if power == 1 else 154.0 / power)
-        for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 1e3), (overflow / 1e3, overflow / 10.0)):
-            assert oracle._radial_panel(power, a, b) == oracle._panel(f, a, b)
+        def f(x):
+            if power == 1:
+                return oracle.radial_integrand(x, power, 1.0)
+            return -math.expm1(-x / c) * math.exp(-x) if c else -math.expm1(-x)
+
+        panel = oracle._radial_panel if power == 1 else oracle._sigma_panel
+        for a, b in ((0.0, 0.5), (0.0, 1.0), (1.0, 10.0), (10.0, 1e3), (40.0, 800.0), (1e5, 1e9)):
+            assert panel(power, a, b) == oracle._panel(f, a, b)
             assert oracle._radial_piece(power, a, b, 1e-11) == oracle.integrate(f, a, b, 1e-11)
-        a, b = overflow / 10.0, overflow * 10.0  # across: the piece falls back on the scaled form
-        with pytest.raises(OverflowError):
-            oracle._radial_panel(power, a, b)
-        assert oracle._radial_piece(power, a, b, 1e-11) == oracle.integrate(f, a, b, 1e-11)
 
 
 # cutoffs in units of sqrt(M^2): exact decade edges 1..1e6 and points within 1e-6 either side of one
@@ -388,9 +391,10 @@ class TestProbeRadials:
 
 
 class TestCutoffPastTheLastEdge:
-    """Past the last decade edge, t = cutoff/sqrt(M^2) = 1e9, inf included, a radial is the decades up to that edge
-    plus the integral of k^(3-2n) in k from E = 1e9 sqrt(M^2) to the cutoff: (cutoff - E)(cutoff + E)/2 for power 1,
-    ln(cutoff/E) for power 2, and 0 from power 3 on, so those take the float at the edge."""
+    """Past the last decade edge, t = cutoff/sqrt(M^2) = 1e9, inf included: power 1 adds to the decades up to that
+    edge the integral of k in k from E = 1e9 sqrt(M^2) to the cutoff, (cutoff - E)(cutoff + E)/2; from power 2 on
+    the top piece runs in sigma = c ln(1 + t^2) from the image of 1e9 up to the cutoff's sigma, which stops at 800
+    from power 3 on, and which is 2c(ln cutoff - ln sqrt(M^2)) where t^2 overflows."""
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
     @pytest.mark.parametrize("cutoff", [1e308, 1.7e308])
@@ -415,11 +419,12 @@ class TestCutoffPastTheLastEdge:
     @pytest.mark.parametrize("power", range(3, 13))
     @pytest.mark.parametrize("mass_sq", [1.0, 1e-10])
     def test_cutoffs_past_t_1e9_give_one_float(self, power, mass_sq):
-        # the tail past t = 1e9 is below half an ulp: the sum over the decades to 1e10 is the same float
+        # every cutoff whose sigma reaches the cap, 800 (t >= 5e173 at power 3), is the one float at the cap; at
+        # M^2 = 1e-10 t overflows from 1e308 on, and t^2 from 1e200 sqrt(M^2) on at either mass
         root = math.sqrt(mass_sq)
-        cutoffs = (1e9 * root, 1e10 * root, 1e100 * root, 1e308, math.nextafter(1e308, math.inf), 1.7e308, sys.float_info.max)
+        cutoffs = (1e200 * root, 1e300 * root, 1e308, math.nextafter(1e308, math.inf), 1.7e308, sys.float_info.max)
         radials = {oracle.radial_integral(power, mass_sq, cutoff) for cutoff in cutoffs}
-        assert radials == {references.radial_integral(power, mass_sq, 1e10 * root)}
+        assert radials == {references.radial_integral(power, mass_sq, 1e200 * root)}
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_powers_1_and_2_within_two_ulps_of_sixty_digits(self, power):
@@ -545,10 +550,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("power", range(1, 7))
     def test_radial_pieces_are_the_adapt_that_always_sums(self, power):
-        for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (990.0, 1e3), (1e5, 1e6)):
+        # power 1's pieces in t, the others' in sigma, each with the written-out panel its variable takes
+        panel = oracle._radial_panel if power == 1 else oracle._sigma_panel
+        pieces = ((0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (990.0, 1e3), (1e5, 1e6)) if power == 1 else (
+            (0.0, 0.5), (0.5, math.log(2.0)), (4.0, 4.7), (13.5, 13.9), (41.0, 800.0))
+        for a, b in pieces:
             for epsrel in (1e-11, 1e-9, 1e-7, 5e-14):
-                want = references.adapt(partial(oracle._radial_panel, power), a, b, epsrel)
-                assert oracle._adapt(oracle._radial_panel, power, a, b, epsrel, 0.0) == want
+                want = references.adapt(partial(panel, power), a, b, epsrel)
+                assert oracle._adapt(panel, power, a, b, epsrel, 0.0) == want
 
     def test_absolute_tolerance_ends_a_zero_integral(self):
         # the on-shell x-integrand at L = 5/3 integrates to 0 (5 - 3L)
@@ -771,6 +780,18 @@ class TestRadialReferences:
         assert oracle.radial_integrand(1.0, power, 1.0) == 0.0
         # the tail past t = 100 is below 1e-4000, so the radial is its limit, int_0^inf t^3 (t^2 + 1)^(-n) dt = 1/(2(n - 1)(n - 2))
         assert oracle.radial_integral(power, 1.0, 100.0) == pytest.approx(1 / (2 * (power - 1) * (power - 2)), rel=1e-12)
+
+    @pytest.mark.parametrize("power", [20_000_000, 40_000_000, 10**15, 10**20])
+    def test_large_powers_within_four_epsilon_of_mpmath(self, power):
+        mp = pytest.importorskip("mpmath")
+        # the integrand's mass lies near t = 1/sqrt(n), below the first node of a panel over [0, 1] in t; cutoffs
+        # 1e-14 .. 1e298 at M^2 = 1 span it, the radial's growth as t^4/4 below it and its limit 1/(2(n - 1)(n - 2))
+        for cutoff in [10.0**e for e in range(-14, 300, 4)]:
+            with mp.workdps(60 + 2 * len(str(power))):  # the antiderivative's two terms cancel about n-fold
+                want = _mp_radial(mp, mp.mpf(power), mp.mpf(1), mp.mpf(cutoff) ** 2)
+            for rel_tol in (1e-10, 1e-6):
+                got = oracle.radial_integral(power, 1.0, cutoff, rel_tol)
+                assert abs(got - want) <= 4 * sys.float_info.epsilon * want, (cutoff, rel_tol)
 
     def test_seeded_requests_meet_their_tolerance(self):
         # n 1..6, M^2 1e-6..1e6, cutoff 10^0.5..10^6 sqrt(M^2), rel_tol 1e-10..1e-6
