@@ -18,8 +18,11 @@ GeV-based whatever ``--units`` says, as the benchmark's checker reads them.
 Each handler only computes a ``Report``; ``run`` checks the format before any
 computation, and ``_render`` writes the report in one pass: as JSON, byte for
 byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, or its
-sweep rows as csv or plot-data.  ``demo`` prints one PASS/FAIL line per row of
-``loopreg.checks.CHECKS``, the table the acceptance test asserts.
+sweep rows as csv or plot-data.  A JSON report's fixed text (its keys,
+provenance, punctuation and indentation) is laid out once per shape by
+``_skeleton``; each request lays out only its values and joins them into the
+slots.  ``demo`` prints one PASS/FAIL line per row of ``loopreg.checks.CHECKS``,
+the table the acceptance test asserts.
 
 Exit codes: 0 success, 2 usage/validation error, 3 numeric failure
 (quadrature tolerance unmet, a pole where a finite value was requested, a
@@ -102,6 +105,10 @@ class RunConfig(_Record):
         return gev
 
 
+#: one frozen RunConfig per setting, at most 2 x 14 x 3 of them: a setting RunConfig refuses raises and is not kept
+_run_config = functools.cache(RunConfig)
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
@@ -138,7 +145,7 @@ def _resolve_config(ns: SimpleNamespace) -> RunConfig:
             raise ValueError(f"{source} must be an integer, got {precision!r}") from None
     units = ns.units if ns.units is not None else file.get("units", "GeV")
     out_format = ns.out_format if ns.out_format is not None else file.get("format", "json")
-    return RunConfig(units, precision, out_format)
+    return _run_config(units, precision, out_format)
 
 
 # ----------------------------- report rendering -----------------------------
@@ -191,9 +198,17 @@ def _json(value: object, spec: str, name: str, indent: str) -> str:
 
 
 @functools.lru_cache(maxsize=128)
-def _provenance(pairs: tuple[tuple[str, str], ...]) -> str:
-    """The provenance object of a report's ``(name, why)`` pairs (each ``why`` a string), laid out once per sequence."""
-    return _json(dict(pairs), "", "provenance", "  ")
+def _skeleton(subcommand: str, input_keys: tuple[str, ...], pairs: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
+    """A JSON report's fixed text, laid out once per shape: the literal pieces between its value slots, which hold
+    each input, each output and the ledger in turn (``pairs`` are the outputs' ``(name, why)``, each ``why`` a string)."""
+    pieces, text = [], f'{{\n  "subcommand": {encode_basestring_ascii(subcommand)},\n  "inputs": '
+    provenance = _json(dict(pairs), "", "provenance", "  ")
+    for keys, after in ((input_keys, ',\n  "outputs": '), ([name for name, _ in pairs], f',\n  "provenance": {provenance},\n  "ledger": ')):
+        for i, key in enumerate(keys):
+            pieces.append(text + (",\n    " if i else "{\n    ") + _key(key))
+            text = ""
+        text += ("\n  }" if keys else "{}") + after
+    return (*pieces, text, "\n}\n")
 
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, object]]:
@@ -224,17 +239,13 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
         return
     inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
     # full-precision echo: re-running a report with its own inputs must be exact
-    echo = [_key(k) + (f'"{v}"' if type(v) in (float, int) else _json(str(v) if isinstance(v, (int, float)) else v, spec, "inputs", "    ")) for k, v in inputs.items()]
-    outputs = [_key(name) + _json(value, spec, name, "    ") for name, value, _ in report.fields]
-    sections = [
-        f'"subcommand": {encode_basestring_ascii(subcommand)}',
-        f'"inputs": {_block("{}", echo, "  ")}',
-        f'"outputs": {_block("{}", outputs, "  ")}',
-        # a list, not a generator: tuple() of a generator fills 10 slots and shrinks them, and the shrunk tuples pile up on a free list
-        f'"provenance": {_provenance(tuple([(name, why) for name, _, why in report.fields]))}',
-        f'"ledger": {_json(report.ledger, spec, "ledger", "  ")}',
-    ]
-    sys.stdout.write(_block("{}", sections, "") + "\n")
+    values = [f'"{v}"' if type(v) in (float, int) else _json(str(v) if isinstance(v, (int, float)) else v, spec, "inputs", "    ") for v in inputs.values()]
+    values += [_json(value, spec, name, "    ") for name, value, _ in report.fields]
+    values.append(_json(report.ledger, spec, "ledger", "  "))
+    text = [""] * (2 * len(values) + 1)  # the shape's fixed pieces, with each value in the slot between two of them
+    # a list, not a generator: tuple() of a generator fills 10 slots and shrinks them, and the shrunk tuples pile up on a free list
+    text[::2], text[1::2] = _skeleton(subcommand, tuple(inputs), tuple([(name, why) for name, _, why in report.fields])), values
+    sys.stdout.write("".join(text))
 
 
 # ----------------------------- subcommand handlers -----------------------------
@@ -242,12 +253,21 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _expression(power: int) -> str:
-    """The rendered regularized value of a power, once per power (a power may come from user input, so the
-    cache keeps the 64 most recent, as kernel.regularize does); a scale alias does not change the text."""
+def _power_fields(power: int) -> tuple[tuple[str, object, str], ...]:
+    """The ``regularize`` fields that depend on the power alone, once per power (a power may come from user input,
+    so the cache keeps the 64 most recent, as kernel.regularize does); a scale alias changes none of them."""
     from . import kernel
 
-    return kernel.regularize(kernel.ScalarLoopIntegral(power=power)).render()
+    integral = kernel.ScalarLoopIntegral(power=power)
+    value = kernel.regularize(integral)
+    monomials = ((value.log_coefficient, True), (value.coefficient, False))
+    return (
+        ("unit", kernel.UNIT_LABEL, "all coefficients are exact rational multiples of i/(16*pi^2)"),
+        ("superficial_degree", kernel.superficial_degree(integral), "power counting 4 - 2n"),
+        ("differentiation_count", kernel.differentiation_count(integral), "smallest t with 4 - 2(n+t) < 0"),
+        ("expression", value.render(), "differentiate in M^2 to convergence, evaluate the closed form, integrate back"),
+        ("terms", tuple([{"coefficient": c, "msq_power": value.msq_power, "log": log} for c, log in monomials if c]), "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)"),
+    )
 
 
 def _cmd_regularize(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
@@ -255,7 +275,7 @@ def _cmd_regularize(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig)
 
     integral = kernel.ScalarLoopIntegral(power=ns.n)  # symbolic in M^2: the mass enters only the bracket
     if ns.msq is not None and not ns.msq > 0:
-        raise ValueError(f"numeric mass_sq must be positive, got {ns.msq!r}")
+        raise ValueError(f"numeric mass_sq must be positive, got {typed.msq!r}")
     value = kernel.regularize(integral)
     if ns.mu1 is not None:
         dimless = [i for i, e in enumerate(value.constants, start=1) if value.constant_dimension(e) == 0]
@@ -264,16 +284,7 @@ def _cmd_regularize(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig)
         for idx in dimless:
             value = value.with_scale_alias(idx, ns.mu1)
 
-    monomials = ((value.log_coefficient, True), (value.coefficient, False))
-    terms = [{"coefficient": c, "msq_power": value.msq_power, "log": log} for c, log in monomials if c]
-    fields = [
-        ("unit", kernel.UNIT_LABEL, "all coefficients are exact rational multiples of i/(16*pi^2)"),
-        ("superficial_degree", kernel.superficial_degree(integral), "power counting 4 - 2n"),
-        ("differentiation_count", kernel.differentiation_count(integral), "smallest t with 4 - 2(n+t) < 0"),
-        ("expression", _expression(ns.n), "differentiate in M^2 to convergence, evaluate the closed form, integrate back"),
-        ("terms", terms, "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)"),
-        ("unfixed_constants", value.unfixed_count, "one arbitrary constant per integration, fixed only by physical conditions"),
-    ]
+    fields = [*_power_fields(ns.n), ("unfixed_constants", value.unfixed_count, "one arbitrary constant per integration, fixed only by physical conditions")]
     if ns.msq is not None and value.unfixed_count == 0:
         bracket = value.bracket(ns.msq)
         fields += [
@@ -501,6 +512,8 @@ _SUBCOMMANDS = {
 }
 _MASSES = {name: tuple((f.dest, f.dim) for f in command.flags if f.dim) for name, command in _SUBCOMMANDS.items()}  # the inputs run puts in GeV
 _OPTIONS = {name: {f.flag: f for f in (*_COMMON, *command.flags)} for name, command in _SUBCOMMANDS.items()}  # option string -> row
+# each subcommand's dest -> default, and the dests it requires: the rows _parse_declared reads, gathered once
+_DEFAULTS = {name: ({f.dest: f.default for f in options.values()}, {f.dest for f in options.values() if f.required}) for name, options in _OPTIONS.items()}
 
 
 def _parse_declared(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -523,9 +536,10 @@ def _parse_declared(argv: Sequence[str]) -> SimpleNamespace | None:
         if f.choices is not None and value not in f.choices:
             return None
         given[f.dest] = value
-    if any(f.required and f.dest not in given for f in options.values()):
+    defaults, required = _DEFAULTS[argv[0]]
+    if not required <= given.keys():
         return None
-    return SimpleNamespace(subcommand=argv[0], **{**{f.dest: f.default for f in options.values()}, **given})
+    return SimpleNamespace(subcommand=argv[0], **{**defaults, **given})
 
 
 @functools.cache

@@ -124,6 +124,24 @@ class TestRegularizeCommand:
         aliased = kernel.regularize(kernel.ScalarLoopIntegral(power=2)).with_scale_alias(1, 0.5)
         assert report["outputs"]["expression"] == real(aliased)
 
+    def test_power_fields_are_kept_per_power_like_the_reduction(self, capsys):
+        from loopreg import kernel
+
+        assert cli._power_fields.cache_info().maxsize == kernel.regularize.cache_info().maxsize == 64
+        cli._power_fields.cache_clear()
+        for n in range(1, 71):
+            assert run_raw(capsys, ["regularize", "--n", str(n)])[0] == 0
+        assert cli._power_fields.cache_info().currsize == 64
+
+    def test_an_alias_leaves_the_power_fields_unchanged(self, capsys):
+        plain = run_json(capsys, ["regularize", "--n", "2", "--msq", "1"])[1]
+        cached = cli._power_fields(2)
+        before = json.dumps(cached, default=str)
+        code, aliased = run_json(capsys, ["regularize", "--n", "2", "--msq", "1", "--mu1", "0.5"])
+        assert code == 0 and aliased["ledger"] != plain["ledger"]
+        assert cli._power_fields(2) is cached and json.dumps(cached, default=str) == before
+        assert [aliased["outputs"][name] for name, _, _ in cached] == [plain["outputs"][name] for name, _, _ in cached]
+
 
 class TestPhi4Command:
     def test_example_values(self, capsys):
@@ -797,6 +815,27 @@ class TestConfigResolution:
         code, _, err = run_raw(capsys, ["mu1", "--m", "1.0"])
         assert code == 2
 
+    def test_env_change_takes_effect_on_the_next_run(self, capsys, monkeypatch):
+        argv = ["regularize", "--n", "3", "--msq", "3.7"]
+        monkeypatch.setenv("LOOPREG_PRECISION", "6")
+        first = run_json(capsys, argv)[1]
+        monkeypatch.setenv("LOOPREG_PRECISION", "15")
+        second = run_json(capsys, argv)[1]
+        assert (first["inputs"]["precision"], second["inputs"]["precision"]) == ("6", "15")
+        assert (first["outputs"]["bracket_at_msq"], second["outputs"]["bracket_at_msq"]) == (f"{-1 / 3.7 / 2:.6g}", f"{-1 / 3.7 / 2:.15g}")
+
+    def test_rewritten_config_takes_effect_on_the_next_run(self, capsys, tmp_path):
+        cfg = tmp_path / "loopreg.cfg"
+        argv = ["mu1", "--m", "0.511", "--config", str(cfg)]
+        cfg.write_text("units=MeV\nprecision=5\n")
+        first = run_json(capsys, argv)[1]
+        cfg.write_text("precision=7\n")
+        second = run_json(capsys, argv)[1]
+        assert (first["inputs"]["units"], first["outputs"]["mu1"]) == ("MeV", "0.22208")
+        assert (second["inputs"]["units"], second["inputs"]["precision"], second["outputs"]["mu1"]) == ("GeV", "7", "0.2220797")
+        cfg.write_text("format=csv\n")
+        assert run_raw(capsys, argv)[0] == 2  # mu1 has no sweep output
+
 
 _ROUND_TRIP_ARGV = [
     ["mu1", "--m", "0.511", "--units", "MeV", "--precision", "7"],
@@ -1023,7 +1062,7 @@ class TestOnePassRenderer:
         for clear in (False, False, True):
             if clear:
                 cli._key.cache_clear()
-                cli._provenance.cache_clear()
+                cli._skeleton.cache_clear()
             assert _rendered(cli._render, "\u03b4m", report, cfg) == expected
 
     @pytest.mark.parametrize(
@@ -1038,6 +1077,28 @@ class TestOnePassRenderer:
         for _ in range(2):  # the second time with every cache warm
             out, message = _rendered(cli._render, "x", cli.Report({}, fields, ledger), cli.RunConfig())
             assert out == "" and message is not None and message.startswith(f"{field} is not finite: ")
+
+    def test_shapes_of_one_subcommand_alternate_with_a_warm_skeleton(self):
+        # each shape's fixed text is laid out once; a shape must not take another's pieces, however they alternate
+        shapes = [
+            _reports(["regularize", "--n", "2"]),
+            _reports(["regularize", "--n", "2", "--msq", "1.5", "--mu1", "0.5"]),
+            _reports(["regularize", "--n", "3", "--msq", "1.5"]),
+            _reports(["resum", "--lambda0", "0.5", "--mu0", "1", "--mu", "2"]),
+            _reports(["resum", "--lambda0", "0.5", "--mu0", "1", "--mu-min", "0.5", "--mu-max", "8", "--mu-points", "5"]),
+        ]
+        # keys and provenance made of the pieces' own punctuation, and of format and template markers
+        odd = ["%", "%s", "{}", "%(x)s {0}", '", "', '": ', ",\n    ", "\n  }", "\n}\n", "", '"ledger": ']
+        for key in odd:
+            shapes.append([("\u03b4m", cli.Report({key: 1.5, "n": key}, [(key, 0.25, key), ("why", key, "%s" + key)], [{key: key}]), cli.RunConfig())])
+            shapes.append([(key, cli.Report({key: None}, [(key + "x", [], key)]), cli.RunConfig(precision=17))])
+        assert all(len(calls) == 1 for calls in shapes)
+        expected = [_rendered(render_two_pass, *calls[0]) for calls in shapes]
+        for _ in range(2):  # the second round with every skeleton warm, in the other order
+            for i in range(len(shapes)):
+                assert _rendered(cli._render, *shapes[i][0]) == expected[i], shapes[i][0]
+            shapes.reverse()
+            expected.reverse()
 
     @pytest.mark.parametrize("fmt", ["csv", "plot-data"])
     @pytest.mark.parametrize(
