@@ -9,8 +9,10 @@ Each subcommand and flag is declared once, in ``_SUBCOMMANDS``, and one loop
 builds the parsers from it.  A flag's row gives its mass dimension d: under
 ``--units MeV``, ``run`` converts each such input to GeV^d once, before the
 handler runs, and refuses a positive one whose image underflows to 0 or to a
-subnormal, quoting it as typed.  Handlers compute in GeV, echo their inputs as
-typed and convert their mass outputs back.  The other dimensionful outputs
+subnormal, quoting it as typed.  A non-positive one stays as typed: every mass
+input must be positive, so the library's refusal quotes the typed value.
+Handlers compute in GeV, echo their inputs as typed and convert their mass
+outputs back.  The other dimensionful outputs
 (``radial``, ``unit_multiple``, ``signature_coefficient``,
 ``asymptote_constant``, ``bracket_at_msq``, ``value_imag_at_msq``) are
 GeV-based whatever ``--units`` says, as the benchmark's checker reads them.
@@ -21,7 +23,12 @@ byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, or its
 sweep rows as csv or plot-data.  A JSON report's fixed text (its keys,
 provenance, punctuation and indentation) is laid out once per shape by
 ``_skeleton``; each request lays out only its values and joins them into the
-slots.  ``demo`` prints one PASS/FAIL line per row of ``loopreg.checks.CHECKS``,
+slots.  A handler may hand over the text of values that do not change between
+requests in ``Report.laid``, beside the values themselves: ``regularize`` lays
+out the fields and the unaliased ledger that its power alone fixes once per
+power (``_power_fields``; they hold no float, so no setting changes them), and a
+warm request lays out only its echo, ``unfixed_constants``, the bracket floats
+and an aliased ledger.  ``demo`` prints one PASS/FAIL line per row of ``loopreg.checks.CHECKS``,
 the table the acceptance test asserts.
 
 Exit codes: 0 success, 2 usage/validation error, 3 numeric failure
@@ -96,9 +103,12 @@ class RunConfig(_Record):
         return x / self.mass_scale_to_gev
 
     def to_gev(self, x: float, dim: int) -> float:
-        """A typed input of mass dimension ``dim`` in GeV^dim; ValueError, quoting it, if its image underflows (0 or a subnormal)."""
+        """A typed input of mass dimension ``dim`` in GeV^dim; ValueError, quoting it, if its image underflows (0 or a
+        subnormal).  A non-positive input stays as typed: every mass input must be positive, so the refusal quotes it."""
+        if not x > 0.0:
+            return x
         gev = x * self.mass_scale_to_gev**dim
-        if gev < sys.float_info.min and x > 0.0 and self.units != "GeV":
+        if gev < sys.float_info.min and self.units != "GeV":
             power = "^2" if dim == 2 else ""
             image = "0" if gev == 0.0 else f"the subnormal {gev!r}"
             raise ValueError(f"{x!r} {self.units}{power} underflows to {image} in GeV{power}")
@@ -151,9 +161,11 @@ def _resolve_config(ns: SimpleNamespace) -> RunConfig:
 # ----------------------------- report rendering -----------------------------
 
 
-Report = namedtuple("Report", ("inputs", "fields", "ledger"), defaults=((),))
+Report = namedtuple("Report", ("inputs", "fields", "ledger", "laid"), defaults=((), (None,)))
 Report.__doc__ = """A subcommand's own inputs, its ``(name, value, provenance)`` output
-fields in order (a sweep's ``rows`` are a list of row dicts), and its ledger."""
+fields in order (a sweep's ``rows`` are a list of row dicts), its ledger, and ``laid``: the JSON
+text a handler already holds of its leading outputs, one each, then of its ledger (None: ``_render``
+lays it out).  The values stay in the report whether laid out or not."""
 
 
 def _fmt_scalar(value: object, spec: str, name: str) -> str:
@@ -240,8 +252,10 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
     inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
     # full-precision echo: re-running a report with its own inputs must be exact
     values = [f'"{v}"' if type(v) in (float, int) else _json(str(v) if isinstance(v, (int, float)) else v, spec, "inputs", "    ") for v in inputs.values()]
-    values += [_json(value, spec, name, "    ") for name, value, _ in report.fields]
-    values.append(_json(report.ledger, spec, "ledger", "  "))
+    *laid, ledger = report.laid  # text the handler holds: its leading outputs', then the ledger's or None
+    values += laid
+    values += [_json(value, spec, name, "    ") for name, value, _ in report.fields[len(laid) :]]
+    values.append(ledger or _json(report.ledger, spec, "ledger", "  "))
     text = [""] * (2 * len(values) + 1)  # the shape's fixed pieces, with each value in the slot between two of them
     # a list, not a generator: tuple() of a generator fills 10 slots and shrinks them, and the shrunk tuples pile up on a free list
     text[::2], text[1::2] = _skeleton(subcommand, tuple(inputs), tuple([(name, why) for name, _, why in report.fields])), values
@@ -253,45 +267,51 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _power_fields(power: int) -> tuple[tuple[str, object, str], ...]:
-    """The ``regularize`` fields that depend on the power alone, once per power (a power may come from user input,
-    so the cache keeps the 64 most recent, as kernel.regularize does); a scale alias changes none of them."""
+def _power_fields(power: int) -> tuple[kernel.RegularizedValue, tuple[tuple[str, object, str], ...], tuple[dict[str, object], ...], tuple[str, ...]]:
+    """What a ``regularize`` report takes from the power alone, once per power (a power may come from user input,
+    so the cache keeps the 64 most recent, as kernel.regularize does): the reduced value, the report's five leading
+    fields, its ledger without an alias, and ``laid``, the JSON text of each field and then of that ledger.  None of
+    the fields or rows holds a float, so the text reads neither ``--precision`` nor ``--units``; a scale alias
+    changes only the ledger.  ValueError for a power below 1."""
     from . import kernel
 
     integral = kernel.ScalarLoopIntegral(power=power)
     value = kernel.regularize(integral)
     monomials = ((value.log_coefficient, True), (value.coefficient, False))
-    return (
+    fields = (
         ("unit", kernel.UNIT_LABEL, "all coefficients are exact rational multiples of i/(16*pi^2)"),
         ("superficial_degree", kernel.superficial_degree(integral), "power counting 4 - 2n"),
         ("differentiation_count", kernel.differentiation_count(integral), "smallest t with 4 - 2(n+t) < 0"),
         ("expression", value.render(), "differentiate in M^2 to convergence, evaluate the closed form, integrate back"),
         ("terms", tuple([{"coefficient": c, "msq_power": value.msq_power, "log": log} for c, log in monomials if c]), "exact coefficients of (M^2)^p and (M^2)^p*ln(M^2)"),
     )
+    ledger = tuple(_ledger_rows(value, _run_config()))  # no alias, so no setting is read
+    return value, fields, ledger, (*[_json(v, "", name, "    ") for name, v, _ in fields], _json(ledger, "", "ledger", "  "))
 
 
 def _cmd_regularize(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:
     from . import kernel
 
-    integral = kernel.ScalarLoopIntegral(power=ns.n)  # symbolic in M^2: the mass enters only the bracket
+    value, fields, ledger, laid = _power_fields(ns.n)  # checks the power first; symbolic in M^2, the mass enters only the bracket
     if ns.msq is not None and not ns.msq > 0:
         raise ValueError(f"numeric mass_sq must be positive, got {typed.msq!r}")
-    value = kernel.regularize(integral)
     if ns.mu1 is not None:
         dimless = [i for i, e in enumerate(value.constants, start=1) if value.constant_dimension(e) == 0]
         if not dimless:
             raise ValueError("--mu1 given but the result has no dimensionless constant to alias")
         for idx in dimless:
             value = value.with_scale_alias(idx, ns.mu1)
+        ledger, laid = _ledger_rows(value, cfg), (*laid[:-1], None)  # an alias's row holds floats: laid out per request
 
-    fields = [*_power_fields(ns.n), ("unfixed_constants", value.unfixed_count, "one arbitrary constant per integration, fixed only by physical conditions")]
-    if ns.msq is not None and value.unfixed_count == 0:
+    unfixed = value.unfixed_count
+    fields = [*fields, ("unfixed_constants", unfixed, "one arbitrary constant per integration, fixed only by physical conditions")]
+    if ns.msq is not None and unfixed == 0:
         bracket = value.bracket(ns.msq)
         fields += [
             ("bracket_at_msq", bracket, "numeric multiple of i/(16*pi^2) at the given M^2"),
             ("value_imag_at_msq", (kernel.UNIT_NUMERIC * bracket).imag, "imaginary part of the full value (the value is purely imaginary)"),
         ]
-    return Report({"n": ns.n, "msq": typed.msq, "mu1": typed.mu1}, fields, _ledger_rows(value, cfg))
+    return Report({"n": ns.n, "msq": typed.msq, "mu1": typed.mu1}, fields, ledger, laid)
 
 
 def _cmd_selfenergy(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> Report:

@@ -107,6 +107,7 @@ class TestRegularizeCommand:
         real = kernel.integrate_back
         monkeypatch.setattr(kernel, "integrate_back", lambda value, times: calls.append(times) or real(value, times))
         kernel.regularize.cache_clear()
+        cli._power_fields.cache_clear()  # which keeps the reduced value of each power it has seen
         first, second = run_raw(capsys, ["regularize", "--n", "1"]), run_raw(capsys, ["regularize", "--n", "1"])
         assert first == second and first[0] == 0
         assert calls == [2]
@@ -133,6 +134,17 @@ class TestRegularizeCommand:
             assert run_raw(capsys, ["regularize", "--n", str(n)])[0] == 0
         assert cli._power_fields.cache_info().currsize == 64
 
+    @pytest.mark.parametrize("argv, most", [(["regularize", "--n", "7", "--msq", "3.7"], 6), (["regularize", "--n", "1"], 5)])
+    def test_a_warm_report_lays_out_only_what_its_request_computed(self, capsys, monkeypatch, argv, most):
+        # the power's fields and its unaliased ledger are laid out once per power; a warm request lays out its
+        # echo, unfixed_constants and the bracket floats (each call of the recursive _json counts)
+        assert run_raw(capsys, argv)[0] == 0
+        calls = []
+        real = cli._json
+        monkeypatch.setattr(cli, "_json", lambda *args: calls.append(args[0]) or real(*args))
+        assert run_raw(capsys, argv)[0] == 0
+        assert len(calls) <= most, calls
+
     def test_an_alias_leaves_the_power_fields_unchanged(self, capsys):
         plain = run_json(capsys, ["regularize", "--n", "2", "--msq", "1"])[1]
         cached = cli._power_fields(2)
@@ -140,7 +152,8 @@ class TestRegularizeCommand:
         code, aliased = run_json(capsys, ["regularize", "--n", "2", "--msq", "1", "--mu1", "0.5"])
         assert code == 0 and aliased["ledger"] != plain["ledger"]
         assert cli._power_fields(2) is cached and json.dumps(cached, default=str) == before
-        assert [aliased["outputs"][name] for name, _, _ in cached] == [plain["outputs"][name] for name, _, _ in cached]
+        fields = cached[1]  # the reduced value, the five leading fields, the unaliased ledger and their text
+        assert [aliased["outputs"][name] for name, _, _ in fields] == [plain["outputs"][name] for name, _, _ in fields]
 
 
 class TestPhi4Command:
@@ -593,6 +606,11 @@ class TestColdImport:
         # the renderer takes encode_basestring_ascii from the C module _json, not from the json package
         assert _cold_imports(argv) & {"json", "json.encoder", "json.decoder", "json.scanner"} == set()
 
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _COLD if argv[0] in ("phi4", "resum", "oracle")], ids=["phi4", "resum", "oracle"])
+    def test_float_subcommands_import_neither_fractions_nor_decimal(self, argv):
+        # exact rationals are for the reports that print them: fractions, and the decimal it loads, cost ~2 ms per call
+        assert _cold_imports(argv) & {"fractions", "decimal", "_decimal", "_pydecimal"} == set()
+
     def test_package_exposes_its_modules_only(self):
         proc = _fresh_python("-c", "import loopreg; print(' '.join(sorted(n for n in dir(loopreg) if not n.startswith('_'))))")
         assert proc.returncode == 0, proc.stderr[-2000:]
@@ -848,6 +866,16 @@ _ROUND_TRIP_ARGV = [
     # the default grid echoed in MeV
     ["oracle", "--n", "1", "--msq", "0.141649", "--units", "MeV", "--precision", "15"],
 ]
+# regularize at each power 1..70, cycling through a bare report, --msq, --precision 4 and 17 and --units MeV, with
+# the aliases of n = 1 and 2; then the same argv from the last back: a process keeps the laid-out text of 64 powers,
+# so the second pass finds the last powers warm and lays out the first again after their eviction
+_REGULARIZE_SETTINGS = [[], ["--msq", "3.7"], ["--msq", "0.25", "--precision", "4"], ["--msq", "0.5", "--precision", "17"], ["--msq", "2.5e5", "--units", "MeV"]]
+_REGULARIZE_ARGV = [["regularize", "--n", str(n), *_REGULARIZE_SETTINGS[(n - 1) % 5]] for n in range(1, 71)] + [
+    ["regularize", "--n", "1", "--mu1", "0.5"],
+    ["regularize", "--n", "2", "--msq", "1.5", "--mu1", "0.4", "--precision", "4"],
+    ["regularize", "--n", "2", "--msq", "2.5e5", "--mu1", "700", "--units", "MeV", "--precision", "17"],
+]
+_ROUND_TRIP_ARGV += _REGULARIZE_ARGV + _REGULARIZE_ARGV[::-1]
 
 
 class TestRoundTrip:
