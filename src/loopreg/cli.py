@@ -23,8 +23,12 @@ byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, or its
 sweep rows as csv or plot-data.  A JSON report's fixed text (its keys,
 provenance, punctuation and indentation) is laid out once per shape by
 ``_skeleton``; each request lays out only its values and joins them into the
-slots.  A handler may hand over the text of values that do not change between
-requests in ``Report.laid``, beside the values themselves: ``regularize`` lays
+slots.  A list of dicts that share the first one's keys in order (a sweep's
+rows) is laid out in one step: every cell in one pass, then one ``%`` fill of
+a row template (``_row_template``, cached per keys and indent) repeated once
+per row; csv fills one ``%s,%s,...`` line per row the same way.  A handler
+may hand over the text of values that do not change between requests in
+``Report.laid``, beside the values themselves: ``regularize`` lays
 out the fields and the unaliased ledger that its power alone fixes once per
 power (``_power_fields``; they hold no float, so no setting changes them), and a
 warm request lays out only its echo, ``unfixed_constants``, the bracket floats
@@ -192,6 +196,12 @@ def _key(key: str) -> str:
     return encode_basestring_ascii(key) + ": "
 
 
+@functools.lru_cache(maxsize=128)
+def _row_template(keys: tuple[str, ...], indent: str) -> str:
+    """A JSON object's text with these keys at this indent, one ``%s`` slot per value (each key's ``%`` doubled)."""
+    return _block("{}", [_key(key).replace("%", "%%") + "%s" for key in keys], indent)
+
+
 def _json(value: object, spec: str, name: str, indent: str) -> str:
     """JSON text of a value whose numbers print as decimal strings by ``spec``, recursively
     through lists and dicts; ``name`` is the field a non-finite number is reported under."""
@@ -203,6 +213,11 @@ def _json(value: object, spec: str, name: str, indent: str) -> str:
     if isinstance(value, dict):  # a row's finite floats inline, without a call per cell
         return _block("{}", [f'{_key(k)}"{v:{spec}}"' if type(v) is float and math.isfinite(v) else _key(k) + _json(v, spec, name, inner) for k, v in value.items()], indent)
     if isinstance(value, (list, tuple)):
+        n = len(value)
+        if n and type(value[0]) is dict and list(map(type, value)).count(dict) == n and list(map(tuple, value)).count(keys := tuple(value[0])) == n:
+            # rows that share the first row's keys in order: every cell laid out in one pass, filled into one template per row
+            cells = [f'"{v:{spec}}"' if type(v) is float and math.isfinite(v) else encode_basestring_ascii(v) if type(v) is str else "null" if v is None else _json(v, spec, name, inner + "  ") for row in value for v in row.values()]
+            return _block("[]", [_row_template(keys, inner)] * n, indent) % tuple(cells)
         return _block("[]", [_json(v, spec, name, inner) for v in value], indent)
     if value is None or type(value) is bool:
         return "null" if value is None else "true" if value else "false"
@@ -242,12 +257,13 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
     spec = f".{cfg.precision}g"
     if cfg.out_format != "json":
         rows = next(value for name, value, _ in report.fields if name == "rows")
-        cells = [[f"{v:{spec}}" if type(v) is float and math.isfinite(v) else v if type(v) is str else "" if v is None else _fmt_scalar(v, spec, "rows") for v in row.values()] for row in rows]
-        if cfg.out_format == "csv":  # a sweep has at least one row, and all rows share its keys
-            lines = [",".join(rows[0])] + [",".join(row) for row in cells]
+        cells = [f"{v:{spec}}" if type(v) is float and math.isfinite(v) else v if type(v) is str else "" if v is None else _fmt_scalar(v, spec, "rows") for row in rows for v in row.values()]
+        width = len(rows[0])  # a sweep has at least one row, and all rows share its keys
+        if cfg.out_format == "csv":
+            text = ",".join(rows[0]) + "\n" + (",".join(["%s"] * width) + "\n") * len(rows) % tuple(cells)
         else:  # plot-data: the first two columns, where the second is set
-            lines = [f"{x} {y}" for x, y, *_ in cells if y]
-        sys.stdout.write("".join(line + "\n" for line in lines))
+            text = "".join([f"{x} {y}\n" for x, y in zip(cells[::width], cells[1::width]) if y])
+        sys.stdout.write(text)
         return
     inputs = {**report.inputs, "units": cfg.units, "precision": cfg.precision}
     # full-precision echo: re-running a report with its own inputs must be exact

@@ -151,16 +151,24 @@ class ResummationState(_Record):
 
 def _chain_couplings(state: ResummationState, mus: Iterable[float]) -> list[float | None]:
     """The resummed coupling at each mu in turn, None where its denominator is no longer positive
-    (the pole); b lambda0 and mu0 are read once for the whole grid."""
-    lambda0, mu0 = state.lambda0, state.mu0
-    b_lambda0 = state.beta_coeff * lambda0
+    (the pole); b lambda0 and mu0 are read once for the whole grid.  Where b lambda0 leaves the float
+    range the denominator is inf or nan, and the coupling is 1/(1/lambda0 - 2 b ln(mu/mu0)) instead."""
+    lambda0, mu0, beta = state.lambda0, state.mu0, state.beta_coeff
+    b_lambda0 = beta * lambda0
+    inf = math.inf
     couplings: list[float | None] = []
     for mu in mus:
         if not mu > 0:
             raise ValueError(f"mu must be positive, got {mu!r}")
-        denominator = 1.0 - b_lambda0 * (2.0 * _log_ratio(mu, mu0))
+        log = _log_ratio(mu, mu0)
+        denominator = 1.0 - b_lambda0 * (2.0 * log)
         # not `> 0.0`: a nan denominator (b lambda0 = inf at mu = mu0) is no pole
-        couplings.append(None if denominator <= 0.0 else lambda0 / denominator)
+        if denominator <= 0.0:
+            couplings.append(None)
+        elif denominator < inf:
+            couplings.append(lambda0 / denominator)
+        else:  # inf below mu0, nan at it: no product with b lambda0 here, and at mu = mu0 the coupling is lambda0 itself
+            couplings.append(1.0 / (1.0 / lambda0 - beta * (2.0 * log)) if log else lambda0)
     return couplings
 
 
@@ -184,7 +192,10 @@ def resum_first_order(state: ResummationState, mu: float) -> float:
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu!r}")
-    return state.lambda0 * (1.0 + state.beta_coeff * state.lambda0 * (2.0 * _log_ratio(mu, state.mu0)))
+    log = _log_ratio(mu, state.mu0)
+    if not log:  # lambda0 itself, also where b lambda0 is inf and inf * 0 would be nan
+        return state.lambda0
+    return state.lambda0 * (1.0 + state.beta_coeff * state.lambda0 * (2.0 * log))
 
 
 def critical_scale(state: ResummationState) -> float:

@@ -243,6 +243,39 @@ class TestResumCommand:
             "ssb-vacuum below the critical scale; at or past it the coupling has a pole and the request exits 3 without a report"
         )
 
+    @pytest.mark.parametrize(
+        "argv, couplings",
+        [
+            (["--lambda0", "1e200", "--mu0", "5", "--b", "1e200", "--mu-min", "1", "--mu-max", "10", "--mu-points", "3"], ["3.1066746728e-201", "1.09135666794e-200", None]),
+            (["--lambda0", "1e200", "--mu0", "5", "--b", "1e200"], ["1e+200"]),
+            (["--lambda0", "137", "--mu0", "137", "--mu", "137", "--b", "1.7e308"], ["137"]),
+        ],
+    )
+    def test_b_lambda0_past_the_float_range(self, capsys, argv, couplings):
+        # the denominator 1 - 2 b lambda0 ln(mu/mu0) is inf or nan, though the coupling fits: 3.1066746727980594e-201
+        # at mu = 1 (exactly, from the float log), lambda0 itself at mu = mu0, and a pole past it
+        code, report = run_json(capsys, ["resum", *argv])
+        assert code == 0
+        out = report["outputs"]
+        assert [row["coupling"] for row in out.get("rows", [out])] == couplings
+        assert "rows" in out or out["first_order"] == couplings[0]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_sweep_lays_out_its_rows_in_one_call(self, capsys, monkeypatch, fmt):
+        # every cell of a JSON sweep is laid out in one pass and filled into one row template, so its calls of the
+        # recursive _json do not grow with the points; csv lays out no JSON
+        real, counts = cli._json, []
+        for points in ("2", "25", "500"):
+            argv = ["resum", "--lambda0", "2", "--mu0", "1", "--mu-min", "0.5", "--mu-max", "1e6", "--mu-points", points, "--format", fmt]
+            assert run_raw(capsys, argv)[0] == 0
+            calls = []
+            monkeypatch.setattr(cli, "_json", lambda *args: calls.append(args[0]) or real(*args))
+            code, out, _ = run_raw(capsys, argv)
+            monkeypatch.setattr(cli, "_json", real)
+            assert code == 0 and "pole" in out
+            counts.append(len(calls))
+        assert counts == ([4] * 3 if fmt == "json" else [0] * 3)
+
     def test_pole_is_numeric_failure(self, capsys):
         code, _, err = run_raw(capsys, ["resum", "--lambda0", "1.0", "--mu0", "1.0", "--mu", "1e9"])
         assert code == 3
@@ -399,7 +432,8 @@ _FAILURES = [
     # a result past the float range, not a bad input: exit 3
     (["lambshift", "--alpha", "3", "--m", "1e300", "--bethe-log", "3"], 3, "numeric failure"),
     (["resum", "--lambda0", "1.7e308", "--mu0", "1.46e-255", "--mu", "1e-300"], 3, "numeric failure"),
-    (["resum", "--lambda0", "137", "--mu0", "137", "--mu", "137", "--b", "1.7e308"], 3, "numeric failure"),
+    # b*lambda0 and 2b*ln(mu/mu0) past the float range below mu0: the truncation, -3.2e313, does not fit
+    (["resum", "--lambda0", "137", "--mu0", "137", "--mu", "1", "--b", "1.7e308"], 3, "numeric failure: first_order is not finite: -inf\n"),
     (["selfenergy", "--m", "1.7e308", "--mu1", "1"], 3, "numeric failure"),
     (["regularize", "--n", "4", "--msq", "1e-200"], 3, "numeric failure: bracket past the float range: (M^2)^-2 at mass_sq=1e-200\n"),
     # the ledger entry's own check of a scale alias, C = -ln(mu^2)
@@ -1021,6 +1055,8 @@ class _List(list):
 
 
 _NON_ASCII = "\u03bc\u2081 \u2192 \u221e, na\u00efve \"q\" \\ \t \u2028 \U0001d53c"
+#: a resum sweep's 500 rows: 14 couplings, then a pole (None) in each later row
+_SWEEP = [{"mu": 1.03**i, "coupling": 1 / (1 - 14 * math.log(1.03**i)) if i < 14 else None, "status": "ok" if i < 14 else "pole"} for i in range(500)]
 
 
 class TestOnePassRenderer:
@@ -1064,6 +1100,18 @@ class TestOnePassRenderer:
             ),
             # rows with the same keys in another order
             cli.Report({}, [("rows", [{"mu": 1.0, "coupling": 0.5, "status": "ok"}, {"status": "pole", "mu": 2.0, "coupling": None}], "")]),
+            # rows that share their keys, filled into one template: Fraction, nested, subclass and bool cells; a tuple of them
+            cli.Report(
+                {},
+                [
+                    ("rows", [{"q": Fraction(1, 3), "nested": [1.5, {"a%s": None, "b": [[]]}], "t": (2, "%")}, {"q": Fraction(-5), "nested": [], "t": ()}], ""),
+                    ("terms", ({"c": _Float(0.5), "s": _Str("%s"), "flag": True}, {"c": 7, "s": "%%", "flag": None}), "a tuple"),
+                    ("empty_rows", [{}, {}], ""),
+                ],
+                [{"name": "C1", "value": 0.25}, {"name": "C2", "value": 0.5}],
+            ),
+            # a dict followed by what is not one, though its items are the dict's keys: laid out one item at a time
+            cli.Report({}, [("mixed", [{"a": 1.0, "b": 2.0}, ("a", "b")], ""), ("chars", [{"a": 1.0, "b": 2.0}, "ab"], "")]),
         ],
     )
     def test_edge_values(self, report, precision):
@@ -1099,6 +1147,8 @@ class TestOnePassRenderer:
             ("outputs_field", [("fine", 1.0, ""), ("outputs_field", -math.inf, "")], ()),
             ("rows", [("rows", [{"mu": 1.0, "coupling": 0.5}, {"mu": 2.0, "coupling": math.nan}], "")], ()),
             ("ledger", [("fine", 1.0, "")], [{"name": "C1", "value": 0.5}, {"name": "C2", "value": _Float(math.inf)}]),
+            # the last of 500 rows that share their keys
+            ("rows", [("rows", [{"mu": float(i), "coupling": 0.5} for i in range(499)] + [{"mu": 500.0, "coupling": _Float(math.inf)}], "")], ()),
         ],
     )
     def test_non_finite_float_is_refused_under_its_field(self, field, fields, ledger):
@@ -1128,7 +1178,7 @@ class TestOnePassRenderer:
             shapes.reverse()
             expected.reverse()
 
-    @pytest.mark.parametrize("fmt", ["csv", "plot-data"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plot-data"])
     @pytest.mark.parametrize(
         "rows",
         [
@@ -1136,6 +1186,12 @@ class TestOnePassRenderer:
             [{"\u03bc": Fraction(1, 3), "\u03bb": 2, "\u00e9": "ok"}],
             [{"cutoff": 1.0, "radial": None, "unit_multiple": math.nan}],
             [{"cutoff": 1.0, "radial": 2.0, "unit_multiple": 3.0}, {"cutoff": math.inf, "radial": 1.0, "unit_multiple": 0.5}],
+            # keys and cells that hold the fill's own markers
+            [{"%": "%s", "mu%s": 1.5, "100%%": "%(x)s"}, {"%": "%", "mu%s": None, "100%%": "%d%%"}],
+            # 500 rows across a pole, then the same rows with a float that is not finite in the last one
+            _SWEEP,
+            _SWEEP[:-1] + [{**_SWEEP[-1], "coupling": math.inf}],
+            tuple(_SWEEP[:3]),
         ],
     )
     def test_sweep_cells(self, rows, fmt):

@@ -169,12 +169,27 @@ class TestResumChain:
         assert str(grid.value) == str(point.value) == f"mu must be positive, got {mu!r}"
 
     def test_a_nan_denominator_is_no_pole(self):
-        # b lambda0 = inf and ln(mu^2/mu0^2) = 0 at mu = mu0: the denominator 1 - inf*0 is nan, not <= 0
+        # b lambda0 = inf and ln(mu^2/mu0^2) = 0 at mu = mu0: the denominator 1 - inf*0 is nan, not <= 0, and the
+        # coupling there is lambda0; below mu0, 2b ln(mu/mu0) leaves the float range too, and 1/inf rounds 6.0e-310 to 0
         state = ResummationState(lambda0=137.0, mu0=137.0, beta_coeff=1.7e308)
         below, at, above = phi4._chain_couplings(state, [1.0, 137.0, 1000.0])
-        assert below == 0.0 and math.isnan(at) and above is None
-        assert math.isnan(phi4.resum_chain(state, 137.0))
+        assert below == 0.0 and at == 137.0 and above is None
+        assert phi4.resum_chain(state, 137.0) == phi4.resum_first_order(state, 137.0) == 137.0
         assert phi4.symmetry_status(state, 137.0) == phi4.VACUUM_BROKEN
+
+    @pytest.mark.parametrize("lambda0, b", [(1e200, 1e200), (1e300, 1e10), (1e308, 2.0), (50.0, 1e307)])
+    def test_b_lambda0_past_the_float_range(self, lambda0, b):
+        # the denominator 1 - 2 b lambda0 ln(mu/mu0) is inf below mu0 while 2 b ln(mu/mu0) fits: the coupling is
+        # 1/(1/lambda0 - 2 b ln(mu/mu0)), which the exact value of that expression rounds to; at mu0 it is lambda0
+        state = ResummationState(lambda0=lambda0, mu0=5.0, beta_coeff=b)
+        assert not b * lambda0 < math.inf
+        mus = [1.0, 3.0, 4.999, 5.0]
+        couplings = phi4._chain_couplings(state, mus)
+        for mu, coupling in zip(mus[:-1], couplings):
+            exact = 1 / (1 / Fraction(lambda0) - 2 * Fraction(b) * Fraction(_log_ratio(mu, 5.0)))
+            assert coupling == pytest.approx(float(exact), rel=4e-16) and coupling > 0.0
+        assert couplings[-1] == phi4.resum_chain(state, 5.0) == phi4.resum_first_order(state, 5.0) == lambda0
+        assert phi4._chain_couplings(state, [5.001]) == [None]
 
     def test_first_order_expansion_match(self):
         # relative error of the truncation is O((b lambda0 L)^2)
