@@ -74,8 +74,8 @@ def _exact_coefficients() -> tuple[bool, str]:
     return qed.pipeline_coefficients() == (Fraction(5), Fraction(-3)), ""
 
 
-# panels of the x-quadrature in s = -ln x, doubling in width
-_S_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+# pieces of the x-quadrature in s = -ln x, narrow enough that each settles in one panel
+_S_EDGES = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0)
 
 
 def _pipeline_x_integral(big_l: float) -> float:

@@ -58,6 +58,7 @@ subcommand's own flag (``--units``, ``--precision``, ``--format``,
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import sys
@@ -214,7 +215,7 @@ def _json(value: object, spec: str, name: str, indent: str) -> str:
         return _block("{}", [f'{_key(k)}"{v:{spec}}"' if type(v) is float and math.isfinite(v) else _key(k) + _json(v, spec, name, inner) for k, v in value.items()], indent)
     if isinstance(value, (list, tuple)):
         n = len(value)
-        if n and type(value[0]) is dict and list(map(type, value)).count(dict) == n and list(map(tuple, value)).count(keys := tuple(value[0])) == n:
+        if n and type(value[0]) is dict and list(map(type, value)).count(dict) == n and [*itertools.chain.from_iterable(value)] == [*(keys := tuple(value[0]))] * n:
             # rows that share the first row's keys in order: every cell laid out in one pass, filled into one template per row
             cells = [f'"{v:{spec}}"' if type(v) is float and math.isfinite(v) else encode_basestring_ascii(v) if type(v) is str else "null" if v is None else _json(v, spec, name, inner + "  ") for row in value for v in row.values()]
             return _block("[]", [_row_template(keys, inner)] * n, indent) % tuple(cells)

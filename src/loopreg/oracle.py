@@ -17,10 +17,13 @@ to bisection where interpolation stalls.
 The radial integral runs piece by piece in a variable that carries no mass:
 t = k/sqrt(M^2) for n = 1, and from n = 2 on sigma = max(n - 2, 1) ln(1 + t^2),
 where it is an incomplete beta integral (DLMF 8.17) with an integrand bounded
-and smooth for every n.  A ``CutoffProbe`` integrates all its cutoffs in one
-pass.  Both fits read only the cutoffs at or above sqrt(M^2), where the
-large-cutoff expansion holds, and check their grid rule on those before they
-read a radial, so a short grid fails before any quadrature.
+and smooth for every n.  The integral up to each cutoff's t or sigma is
+memoized, so a warm cutoff is one cache lookup and its scaling; a cold one
+reads the memoized decade sums and integrates at most one short piece.  A
+``CutoffProbe`` integrates all its cutoffs in one pass.  Both fits read only
+the cutoffs at or above sqrt(M^2), where the large-cutoff expansion holds, and
+check their grid rule on those before they read a radial, so a short grid
+fails before any quadrature.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import _Record
 
@@ -55,6 +58,8 @@ __all__ = [
 
 #: Default oracle cutoffs in units of sqrt(M^2): five decades, 1e2 to 1e6.
 DEFAULT_GRID_FACTORS = (1e2, 1e3, 1e4, 1e5, 1e6)
+
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float, read once for _radials
 
 
 class QuadratureError(ArithmeticError):
@@ -81,6 +86,20 @@ class QuadratureSpec(_Record):
         object.__setattr__(self, "rel_tol", rel_tol)
 
 
+class _lazy:
+    """``functools.cached_property`` without its lock (held on every first read up to Python 3.11): the first read
+    stores the value in the instance's ``__dict__``, where later reads find it before this non-data descriptor."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class CutoffProbe(_Record):
     """A cutoff sweep over a Lambda grid; ``radials`` integrates every cutoff
     in one pass on first read, and is kept beside the fields, outside equality."""
@@ -103,7 +122,7 @@ class CutoffProbe(_Record):
         object.__setattr__(self, "lambda_grid", lambda_grid)
         object.__setattr__(self, "quadrature", quadrature)
 
-    @cached_property
+    @_lazy
     def radials(self) -> tuple[float, ...]:
         """radial_integral at each cutoff, in grid order, all in one pass of the radial loop."""
         return tuple(_radials(self.power, self.mass_sq, self.lambda_grid, self.quadrature.rel_tol))
@@ -300,9 +319,6 @@ def _scaled_below_mass(power: int, t_cut: float, epsrel: float) -> tuple[float, 
     return integrate(lambda u: u**3 * (1.0 + t_cut * t_cut * u * u) ** -power, 0.0, 1.0, epsrel)
 
 
-_piece = lru_cache(maxsize=256)(_radial_piece)  # the short pieces of radial_integral: [edge, cutoff] or [cutoff, next edge]
-
-
 @lru_cache(maxsize=1024)
 def _decade_sums(power: int, k: int, epsrel: float) -> tuple[float, float]:
     """(value, error estimate) summed in order over the full pieces from 0 up to _edges(power)[k], k >= 1."""
@@ -313,6 +329,22 @@ def _decade_sums(power: int, k: int, epsrel: float) -> tuple[float, float]:
     return below[0] + value, below[1] + err
 
 
+@lru_cache(maxsize=256)  # a cache of its own, so distinct cutoffs cannot evict the decade sums
+def _integral_to(power: int, x_cut: float, epsrel: float) -> tuple[float, float, int]:
+    """(value, error estimate, k) of the radial's integral from 0 up to x_cut, in t or sigma as _radial_piece takes it:
+    the decade sums up to the edge edges[k] <= x_cut plus one short piece, or within 1% below the next edge up
+    the sums up to that edge less [x_cut, it]; a warm cutoff is this one lookup."""
+    edges = _edges(power)
+    k = bisect_right(edges, x_cut) - 1  # the full pieces end at edges[k] <= x_cut
+    if k + 1 < len(edges) and 0.99 * edges[k + 1] <= x_cut:  # just below the next edge up: the pieces up to it less [x_cut, it]
+        total, err_total = _decade_sums(power, k + 1, epsrel)
+        piece, err = _radial_piece(power, x_cut, edges[k + 1], epsrel)
+        return total - piece, err_total + err, k
+    total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
+    piece, err = _radial_piece(power, edges[k], x_cut, epsrel) if edges[k] != x_cut else (0.0, 0.0)
+    return total + piece, err_total + err, k
+
+
 def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10) -> float:
     """Adaptive quadrature of int_0^cutoff k^3 (k^2 + M^2)^(-power) dk.
 
@@ -320,7 +352,7 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     power 2 on in sigma = c ln(1 + t^2), c = max(power - 2, 1), as (M^2)^(2-power)/(2c) int -expm1(-sigma/c) e^(-sigma) dsigma,
     with no e^(-sigma) at power 2 and sigma stopped at 800 from power 3 on.  Memoized sums of the full pieces, between the
     decades of t up to 1e9 or their images in sigma, serve every cutoff and mass, less one short piece within 1% below an
-    edge.  A scale, or an integral below the mass, past the float range is taken through logarithms.  rel_tol must sit in
+    edge; the sum up to each t or sigma is memoized too, so a warm cutoff is one lookup.  A scale, or an integral below the mass, past the float range is taken through logarithms.  rel_tol must sit in
     (0, 1e-6].  Raises QuadratureError when the summed error misses rel_tol, cached or not, and OverflowError past the float range.
     """
     if power < 1:
@@ -334,8 +366,9 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
 
 
 def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: float) -> list[float]:
-    """radial_integral at each cutoff, in order: sqrt(M^2), epsrel, the edges and the scale derived once."""
-    edges, root, c = _edges(power), math.sqrt(mass_sq), power - 2.0 if power > 2 else 1.0
+    """radial_integral at each cutoff, in order: sqrt(M^2), epsrel and the scale derived once, one _integral_to per cutoff."""
+    _edges(power)  # first: a power that no float holds fails here with its own message, not at power - 2.0 below
+    root, c = math.sqrt(mass_sq), power - 2.0 if power > 2 else 1.0
     # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece asked for less than
     # 5e-14 would only run to the panel limit; the check below still enforces rel_tol, so tighter requests fail loudly.
     epsrel = rel_tol / 10.0 if not 5e-14 > rel_tol / 10.0 else 5e-14  # max(rel_tol / 10.0, 5e-14) without the call
@@ -353,16 +386,8 @@ def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: fl
                 x_cut = 800.0
         elif t_cut > 1e9:  # past the last edge: its decades, then k integrated in k from E = 1e9 sqrt(M^2) on
             x_cut, tail = 1e9, 0.5 * (cutoff - 1e9 * root) * (cutoff + 1e9 * root)
-        k = bisect_right(edges, x_cut) - 1  # the full pieces end at edges[k] <= x_cut
-        if k + 1 < len(edges) and 0.99 * edges[k + 1] <= x_cut:  # just below the next edge up: the pieces up to it less [x_cut, it]
-            total, err_total = _decade_sums(power, k + 1, epsrel)
-            piece, err = _piece(power, x_cut, edges[k + 1], epsrel)
-            total, err_total = total - piece, err_total + err
-        else:
-            total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
-            piece, err = _piece(power, edges[k], x_cut, epsrel) if edges[k] != x_cut else (0.0, 0.0)
-            total, err_total = total + piece, err_total + err
-        below = not k and total < sys.float_info.min
+        total, err_total, k = _integral_to(power, x_cut, epsrel)
+        below = not k and total < _FLOAT_MIN
         if below:  # t^4/4 underflows, though the radial may fit: it is cutoff^4 (M^2)^(-n) J, J in u = k/cutoff
             total, err_total = _scaled_below_mass(power, t_cut, epsrel)
         if err_total > rel_tol * abs(total):

@@ -152,7 +152,8 @@ class ResummationState(_Record):
 def _chain_couplings(state: ResummationState, mus: Iterable[float]) -> list[float | None]:
     """The resummed coupling at each mu in turn, None where its denominator is no longer positive
     (the pole); b lambda0 and mu0 are read once for the whole grid.  Where b lambda0 leaves the float
-    range the denominator is inf or nan, and the coupling is 1/(1/lambda0 - 2 b ln(mu/mu0)) instead."""
+    range the denominator is inf or nan, and the coupling is 1/(1/lambda0 - 2 b ln(mu/mu0)) instead, or, where
+    2 b ln(mu/mu0) overflows as well, (1/b)/(1/(b lambda0) - 2 ln(mu/mu0)), a subnormal at most."""
     lambda0, mu0, beta = state.lambda0, state.mu0, state.beta_coeff
     b_lambda0 = beta * lambda0
     inf = math.inf
@@ -167,8 +168,11 @@ def _chain_couplings(state: ResummationState, mus: Iterable[float]) -> list[floa
             couplings.append(None)
         elif denominator < inf:
             couplings.append(lambda0 / denominator)
-        else:  # inf below mu0, nan at it: no product with b lambda0 here, and at mu = mu0 the coupling is lambda0 itself
-            couplings.append(1.0 / (1.0 / lambda0 - beta * (2.0 * log)) if log else lambda0)
+        elif not log:  # nan at mu0, where the coupling is lambda0 itself
+            couplings.append(lambda0)
+        else:  # inf below mu0: no product with b lambda0 here; where 2b ln(mu/mu0) overflows too, divide through by b
+            slope = beta * (2.0 * log)
+            couplings.append(1.0 / (1.0 / lambda0 - slope) if slope > -inf else (1.0 / beta) / (1.0 / b_lambda0 - 2.0 * log))
     return couplings
 
 

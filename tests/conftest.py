@@ -4,10 +4,16 @@ from loopreg import oracle
 
 
 @pytest.fixture
-def integrations():
-    """Radial pieces integrated since the fixture cleared the oracle's caches:
-    the decade sums' misses and the top pieces' misses alike."""
-    caches = (oracle._decade_sums, oracle._piece)
-    for cache in caches:
+def integrations(monkeypatch):
+    """Radial pieces integrated since the fixture cleared the oracle's caches, counted where they are
+    integrated: the decade sums' pieces and each cutoff's short piece alike."""
+    for cache in (oracle._decade_sums, oracle._integral_to):
         cache.cache_clear()
-    return lambda: sum(cache.cache_info().misses for cache in caches)
+    count, radial_piece = [0], oracle._radial_piece
+
+    def counted(*args):
+        count[0] += 1
+        return radial_piece(*args)
+
+    monkeypatch.setattr(oracle, "_radial_piece", counted)
+    return lambda: count[0]

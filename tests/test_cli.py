@@ -1112,6 +1112,15 @@ class TestOnePassRenderer:
             ),
             # a dict followed by what is not one, though its items are the dict's keys: laid out one item at a time
             cli.Report({}, [("mixed", [{"a": 1.0, "b": 2.0}, ("a", "b")], ""), ("chars", [{"a": 1.0, "b": 2.0}, "ab"], "")]),
+            # a later row with the keys reordered, with an extra key, or with one missing: each laid out on its own
+            cli.Report(
+                {},
+                [
+                    ("reordered", [{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}, {"b": "z", "a": 3.0}], ""),
+                    ("extra", [{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y", "c": None}], ""),
+                    ("missing", [{"a": 1.0, "b": "x"}, {"a": 2.0}, {"a": 3.0, "b": "z"}], ""),
+                ],
+            ),
         ],
     )
     def test_edge_values(self, report, precision):

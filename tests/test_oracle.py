@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import operator
@@ -207,7 +208,22 @@ def _default_report(mass_sq):
 
 def _clear_radial_caches():
     oracle._decade_sums.cache_clear()
-    oracle._piece.cache_clear()
+    oracle._integral_to.cache_clear()
+
+
+@contextlib.contextmanager
+def _short_pieces(piece):
+    """oracle._radial_piece replaced by piece inside the block.  The decade sums of power 2 up to t = 1e3 at the default
+    tolerance are read first, so below t = 1e3 piece stands in for a cutoff's short piece alone, and the per-cutoff
+    results made inside the block are dropped after it, so no later test reads them."""
+    oracle.radial_integral(2, 1.0, 1e3)
+    oracle._integral_to.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_radial_piece", piece)
+        try:
+            yield
+        finally:
+            oracle._integral_to.cache_clear()
 
 
 class TestPieceCache:
@@ -223,6 +239,19 @@ class TestPieceCache:
             with pytest.raises(oracle.QuadratureError):
                 oracle.radial_integral(2, 1.0, 1e6, rel_tol=1e-16)
         assert integrations() == 8  # the pieces up to the image of t = 1e6
+
+    def test_a_warm_cutoff_is_one_lookup(self, integrations):
+        # after one default report the single reads of its cutoffs, and the same report at a mass whose cutoffs have
+        # the same t, neither integrate a piece nor look up a decade sum: each cutoff is one _integral_to hit
+        probe = CutoffProbe(2, 1.0, default_grid(1.0))
+        oracle.divergence_signature(probe)
+        oracle.asymptote_constant(probe)
+        pieces, decades = integrations(), oracle._decade_sums.cache_info()
+        for lam in probe.lambda_grid:
+            oracle.radial_integral(2, 1.0, lam)
+        _default_report(4.0)
+        after = oracle._decade_sums.cache_info()
+        assert integrations() == pieces and after.hits + after.misses == decades.hits + decades.misses
 
     def test_top_pieces_do_not_evict_the_decades(self, integrations):
         _default_report(1.0)
@@ -333,9 +362,8 @@ class TestRadialPrefixSums:
         args = (power, mass_sq, cutoff)
         assert oracle.radial_integral(*args) == pytest.approx(references.radial_integral(*args, complement=False), rel=1e-14)
 
-    def test_the_subtracted_piece_adds_its_error(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_piece", lambda power, t_a, t_b, epsrel: (0.0, 1.0))
-        with pytest.raises(oracle.QuadratureError, match="quadrature error 1.000e"):
+    def test_the_subtracted_piece_adds_its_error(self):
+        with _short_pieces(lambda power, a, b, epsrel: (0.0, 1.0)), pytest.raises(oracle.QuadratureError, match="quadrature error 1.000e"):
             oracle.radial_integral(2, 1.0, 0.995e3)
 
     @pytest.mark.parametrize("power", range(1, 7))
@@ -377,17 +405,36 @@ class TestProbeRadials:
         for _ in ("cold", "warm"):
             assert CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials == want
 
-    @pytest.mark.parametrize("rel_tol, failing", [(1e-16, None), (1e-10, lambda power, t_a, t_b, epsrel: (0.0, 1.0))])
-    def test_a_cutoff_that_misses_rel_tol_fails_as_radial_integral_does(self, monkeypatch, rel_tol, failing):
+    @pytest.mark.parametrize("rel_tol, failing", [(1e-16, None), (1e-10, lambda power, a, b, epsrel: (0.0, 1.0))])
+    def test_a_cutoff_that_misses_rel_tol_fails_as_radial_integral_does(self, rel_tol, failing):
         # 10 is a decade edge, so only the cutoff just below 1e3 integrates a piece, which the patch fails
-        if failing:
-            monkeypatch.setattr(oracle, "_piece", failing)
         probe = CutoffProbe(2, 1.0, (10.0, 0.995e3), QuadratureSpec(rel_tol))
-        with pytest.raises(oracle.QuadratureError) as alone:
-            oracle.radial_integral(2, 1.0, 0.995e3 if failing else 10.0, rel_tol)
-        with pytest.raises(oracle.QuadratureError, match="quadrature error") as in_probe:
-            probe.radials
+        with _short_pieces(failing) if failing else contextlib.nullcontext():
+            with pytest.raises(oracle.QuadratureError) as alone:
+                oracle.radial_integral(2, 1.0, 0.995e3 if failing else 10.0, rel_tol)
+            with pytest.raises(oracle.QuadratureError, match="quadrature error") as in_probe:
+                probe.radials
         assert str(in_probe.value) == str(alone.value)
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(
+        power=st.integers(1, 6),
+        mass_sq=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), st.integers(-9, 9).map(lambda j: 4.0**j)),
+        ts=st.lists(_PROBE_TS, min_size=1, max_size=8),
+        rel_tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+    )
+    def test_cold_warm_single_and_evicted_reads_agree(self, power, mass_sq, ts, rel_tol):
+        # the per-cutoff cache holds 256 cutoffs, so 300 distinct ones below sqrt(M^2) evict every cutoff of the grid
+        root = math.sqrt(mass_sq)
+        grid = tuple(sorted({t * root for t in ts}))
+        _clear_radial_caches()
+        cold = CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials
+        warm = CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials
+        single = tuple(oracle.radial_integral(power, mass_sq, lam, rel_tol) for lam in grid)
+        for i in range(300):
+            oracle.radial_integral(power, mass_sq, (i + 1) / 400.0 * root, rel_tol)
+        evicted = CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials
+        assert warm == cold and single == cold and evicted == cold
 
 
 class TestCutoffPastTheLastEdge:
@@ -614,7 +661,7 @@ def evaluations(monkeypatch):
 
 
 # the evaluations each costly check row makes, exactly
-_ROW_EVALUATIONS = {"mu1 root finder agrees": 78, "minimizing the potential": 42, "resummation pole": 106, "x-quadrature": 675}
+_ROW_EVALUATIONS = {"mu1 root finder agrees": 78, "minimizing the potential": 42, "resummation pole": 106, "x-quadrature": 495}
 
 # monotone, smooth, odd shapes: the computed sign of shape(c * (x - root)) is the sign of x - root
 _SHAPES = {"cubic": lambda d: d + d**3, "expm1": math.expm1, "sinh": math.sinh, "atan": math.atan, "tanh": math.tanh}
@@ -743,7 +790,7 @@ class TestFindRoot:
             ("mu1 root finder agrees", 80),  # bisection: 318
             ("minimizing the potential", 55),  # bisection: 159
             ("resummation pole", 106),  # a step function: bisection's count
-            ("x-quadrature", 675),  # 3 x 15 panels of 15 nodes
+            ("x-quadrature", 495),  # 3 x 11 pieces, each settled in one panel of 15 nodes
         ],
     )
     def test_evaluations_per_check_row(self, evaluations, row, most):

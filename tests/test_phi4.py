@@ -170,10 +170,12 @@ class TestResumChain:
 
     def test_a_nan_denominator_is_no_pole(self):
         # b lambda0 = inf and ln(mu^2/mu0^2) = 0 at mu = mu0: the denominator 1 - inf*0 is nan, not <= 0, and the
-        # coupling there is lambda0; below mu0, 2b ln(mu/mu0) leaves the float range too, and 1/inf rounds 6.0e-310 to 0
+        # coupling there is lambda0; below mu0, 2b ln(mu/mu0) leaves the float range too, and the coupling divided
+        # through by b is the subnormal that the exact value of 1/(1/lambda0 - 2b ln(mu/mu0)) rounds to, not 0
         state = ResummationState(lambda0=137.0, mu0=137.0, beta_coeff=1.7e308)
         below, at, above = phi4._chain_couplings(state, [1.0, 137.0, 1000.0])
-        assert below == 0.0 and at == 137.0 and above is None
+        exact = 1 / (1 / Fraction(137.0) - 2 * Fraction(1.7e308) * Fraction(_log_ratio(1.0, 137.0)))
+        assert below == float(exact) == 5.97802413246793e-310 and at == 137.0 and above is None
         assert phi4.resum_chain(state, 137.0) == phi4.resum_first_order(state, 137.0) == 137.0
         assert phi4.symmetry_status(state, 137.0) == phi4.VACUUM_BROKEN
 
