@@ -20,13 +20,16 @@ GeV-based whatever ``--units`` says, as the benchmark's checker reads them.
 Each handler only computes a ``Report``; ``run`` checks the format before any
 computation, and ``_render`` writes the report in one pass: as JSON, byte for
 byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, or its
-sweep rows as csv or plot-data.  A JSON report's fixed text (its keys,
-provenance, punctuation and indentation) is laid out once per shape by
-``_skeleton``; each request lays out only its values and joins them into the
-slots.  A list of dicts that share the first one's keys in order (a sweep's
-rows) is laid out in one step: every cell in one pass, then one ``%`` fill of
-a row template (``_row_template``, cached per keys and indent) repeated once
-per row; csv fills one ``%s,%s,...`` line per row the same way.  A handler
+sweep rows as csv or plot-data.  Every JSON object is one template, its keys,
+punctuation and indentation with a ``%s`` slot per value (``_template``,
+cached per keys and indent), filled with one ``%``; every cell follows one rule
+(``_cells``: a finite float, a string and None inline, anything else by
+``_json``).  A report's fixed text (its subcommand, input and output keys,
+provenance, punctuation and indentation) is one such template per shape
+(``_skeleton``), whose slots a request fills with its laid-out values in one
+``%``.  A list of dicts that share the first one's keys in order (a sweep's
+rows) fills its row template, repeated once per row, with every cell in one
+``%``; csv fills one ``%s,%s,...`` line per row the same way.  A handler
 may hand over the text of values that do not change between requests in
 ``Report.laid``, beside the values themselves: ``regularize`` lays
 out the fields and the unaliased ledger that its power alone fixes once per
@@ -63,7 +66,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
 
 from . import _Record
@@ -191,16 +194,16 @@ def _block(brackets: str, items: list[str], indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-@functools.lru_cache(maxsize=512)
-def _key(key: str) -> str:
-    """A dict key's encoded ``"key": `` prefix, encoded once per process (keys are code constants)."""
-    return encode_basestring_ascii(key) + ": "
-
-
 @functools.lru_cache(maxsize=128)
-def _row_template(keys: tuple[str, ...], indent: str) -> str:
-    """A JSON object's text with these keys at this indent, one ``%s`` slot per value (each key's ``%`` doubled)."""
-    return _block("{}", [_key(key).replace("%", "%%") + "%s" for key in keys], indent)
+def _template(keys: tuple[str, ...], indent: str) -> str:
+    """A JSON object's text with these keys at this indent, one ``%s`` slot per value (each key's ``%`` doubled): every
+    object is laid out by one ``%`` fill of it, once per keys and indent (keys are code constants)."""
+    return _block("{}", [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys], indent)
+
+
+def _cells(values: Iterable[object], spec: str, name: str, indent: str) -> list[str]:
+    """The JSON text of each value, nested at ``indent``: a finite float, a str and None inline, anything else by ``_json``."""
+    return [f'"{v:{spec}}"' if type(v) is float and math.isfinite(v) else encode_basestring_ascii(v) if type(v) is str else "null" if v is None else _json(v, spec, name, indent) for v in values]
 
 
 def _json(value: object, spec: str, name: str, indent: str) -> str:
@@ -211,32 +214,26 @@ def _json(value: object, spec: str, name: str, indent: str) -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     inner = indent + "  "
-    if isinstance(value, dict):  # a row's finite floats inline, without a call per cell
-        return _block("{}", [f'{_key(k)}"{v:{spec}}"' if type(v) is float and math.isfinite(v) else _key(k) + _json(v, spec, name, inner) for k, v in value.items()], indent)
+    if isinstance(value, dict):
+        return _template(tuple(value), indent) % tuple(_cells(value.values(), spec, name, inner))
     if isinstance(value, (list, tuple)):
         n = len(value)
         if n and type(value[0]) is dict and list(map(type, value)).count(dict) == n and [*itertools.chain.from_iterable(value)] == [*(keys := tuple(value[0]))] * n:
-            # rows that share the first row's keys in order: every cell laid out in one pass, filled into one template per row
-            cells = [f'"{v:{spec}}"' if type(v) is float and math.isfinite(v) else encode_basestring_ascii(v) if type(v) is str else "null" if v is None else _json(v, spec, name, inner + "  ") for row in value for v in row.values()]
-            return _block("[]", [_row_template(keys, inner)] * n, indent) % tuple(cells)
-        return _block("[]", [_json(v, spec, name, inner) for v in value], indent)
+            # rows that share the first row's keys in order: every cell in one pass, filled into one template per row
+            return _block("[]", [_template(keys, inner)] * n, indent) % tuple(_cells([v for row in value for v in row.values()], spec, name, inner + "  "))
+        return _block("[]", _cells(value, spec, name, inner), indent)
     if value is None or type(value) is bool:
         return "null" if value is None else "true" if value else "false"
     return f'"{_fmt_scalar(value, spec, name)}"'  # int, Fraction, a float subclass or a non-finite float
 
 
 @functools.lru_cache(maxsize=128)
-def _skeleton(subcommand: str, input_keys: tuple[str, ...], pairs: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
-    """A JSON report's fixed text, laid out once per shape: the literal pieces between its value slots, which hold
-    each input, each output and the ledger in turn (``pairs`` are the outputs' ``(name, why)``, each ``why`` a string)."""
-    pieces, text = [], f'{{\n  "subcommand": {encode_basestring_ascii(subcommand)},\n  "inputs": '
-    provenance = _json(dict(pairs), "", "provenance", "  ")
-    for keys, after in ((input_keys, ',\n  "outputs": '), ([name for name, _ in pairs], f',\n  "provenance": {provenance},\n  "ledger": ')):
-        for i, key in enumerate(keys):
-            pieces.append(text + (",\n    " if i else "{\n    ") + _key(key))
-            text = ""
-        text += ("\n  }" if keys else "{}") + after
-    return (*pieces, text, "\n}\n")
+def _skeleton(subcommand: str, input_keys: tuple[str, ...], pairs: tuple[tuple[str, str], ...]) -> str:
+    """A JSON report's fixed text, laid out once per shape: one template whose ``%s`` slots hold each input, each output
+    and the ledger in turn (``pairs`` are the outputs' ``(name, why)``, each ``why`` a string), its own ``%`` doubled."""
+    subcommand, provenance = [text.replace("%", "%%") for text in (encode_basestring_ascii(subcommand), _json(dict(pairs), "", "provenance", "  "))]
+    outputs = _template(tuple([name for name, _ in pairs]), "  ")
+    return _template(("subcommand", "inputs", "outputs", "provenance", "ledger"), "") % (subcommand, _template(input_keys, "  "), outputs, provenance, "%s") + "\n"
 
 
 def _ledger_rows(value: kernel.RegularizedValue, cfg: RunConfig) -> list[dict[str, object]]:
@@ -273,10 +270,7 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
     values += laid
     values += [_json(value, spec, name, "    ") for name, value, _ in report.fields[len(laid) :]]
     values.append(ledger or _json(report.ledger, spec, "ledger", "  "))
-    text = [""] * (2 * len(values) + 1)  # the shape's fixed pieces, with each value in the slot between two of them
-    # a list, not a generator: tuple() of a generator fills 10 slots and shrinks them, and the shrunk tuples pile up on a free list
-    text[::2], text[1::2] = _skeleton(subcommand, tuple(inputs), tuple([(name, why) for name, _, why in report.fields])), values
-    sys.stdout.write("".join(text))
+    sys.stdout.write(_skeleton(subcommand, tuple(inputs), tuple([(name, why) for name, _, why in report.fields])) % tuple(values))
 
 
 # ----------------------------- subcommand handlers -----------------------------
@@ -438,18 +432,24 @@ def _cmd_oracle(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> 
     grid = ns.grid if ns.grid is not None else tuple(cfg.to_gev(g, 1) for g in grid_typed)
     probe = oracle.CutoffProbe(power=ns.n, mass_sq=ns.msq, lambda_grid=grid, quadrature=oracle.QuadratureSpec(rel_tol=ns.rel_tol))
     fits: list[tuple[str, object, str]] = []
-    if cfg.out_format == "json":  # the fits print only in a JSON report
-        # each fit checks its grid rule before the probe integrates; at n = 2 the asymptote's
-        # rule implies the signature's, so a grid too short for either exits 2 before any quadrature
-        extrapolation = "lim [radial - ln(cutoff)] by 1/cutoff^2 extrapolation; only differences across masses are cutoff-free physics"
-        asymptote = [("asymptote_constant", oracle.asymptote_constant(probe), extrapolation)] if ns.n == 2 else []
-        signature = oracle.divergence_signature(probe)
-        fits = [
-            ("signature_kind", signature.kind, "data-driven fit of the cutoff dependence"),
-            ("signature_coefficient", signature.coefficient, "leading fitted coefficient (ln-slope, power coefficient, or limit)"),
-            *asymptote,
-        ]
-    rows = [{"cutoff": cfg.mass_out(lam), "radial": r, "unit_multiple": oracle.unit_multiple(ns.n, r)} for lam, r in zip(grid, probe.radials)]
+    try:
+        if cfg.out_format == "json":  # the fits print only in a JSON report
+            # each fit checks its grid rule before the probe integrates; at n = 2 the asymptote's
+            # rule implies the signature's, so a grid too short for either exits 2 before any quadrature
+            extrapolation = "lim [radial - ln(cutoff)] by 1/cutoff^2 extrapolation; only differences across masses are cutoff-free physics"
+            asymptote = [("asymptote_constant", oracle.asymptote_constant(probe), extrapolation)] if ns.n == 2 else []
+            signature = oracle.divergence_signature(probe)
+            fits = [
+                ("signature_kind", signature.kind, "data-driven fit of the cutoff dependence"),
+                ("signature_coefficient", signature.coefficient, "leading fitted coefficient (ln-slope, power coefficient, or limit)"),
+                *asymptote,
+            ]
+        rows = [{"cutoff": cfg.mass_out(lam), "radial": r, "unit_multiple": oracle.unit_multiple(ns.n, r)} for lam, r in zip(grid, probe.radials)]
+    except ArithmeticError as exc:  # the library quotes the mass and the failing cutoff in GeV; the message quotes them as typed
+        head, sep, cutoff = str(exc).rpartition(f", mass_sq={ns.msq}, cutoff=")
+        if cfg.units == "GeV" or not sep:
+            raise
+        raise type(exc)(f"{head}, mass_sq={typed.msq}, cutoff={grid_typed[grid.index(float(cutoff))]}") from None
     quadrature = "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)"
     fields = [("rows", rows, quadrature), *fits]
     inputs = {"n": ns.n, "msq": typed.msq, "grid": ",".join(str(g) for g in grid_typed), "rel_tol": ns.rel_tol}

@@ -464,6 +464,8 @@ _FAILURES = [
     (["--precision", "5", "regularize", "--n", "2"], 2, "loopreg: error: --precision goes after the subcommand: loopreg <subcommand> --precision ...\n"),
     # the integrand of so large a power is 0.0 where both of its forms overflow; (M^2)^(2-n) still leaves the float range
     (["oracle", "--n", "5000", "--msq", "1e-300"], 3, "numeric failure: radial integral past the float range for power=5000, mass_sq=1e-300,"),
+    # under --units MeV the message quotes the mass and the failing cutoff as typed, not their GeV images
+    (["oracle", "--n", "6", "--msq", "1e-290", "--grid", "1e8,1e10", "--format", "csv", "--units", "MeV"], 3, "numeric failure: radial integral past the float range for power=6, mass_sq=1e-290, cutoff=100000000.0\n"),
     # a sweep builds every row before it prints one, so its count is bounded
     (["resum", "--lambda0", "1", "--mu0", "1", "--mu-min", "1", "--mu-max", "2", "--mu-points", "1000000000"], 2, "error: sweep takes at most 100000 points, got 1000000000\n"),
     # a typed MeV mass whose GeV image is subnormal keeps two significant bits: refused as typed, like one that underflows to 0
@@ -1146,7 +1148,7 @@ class TestOnePassRenderer:
         assert expected[1] is None
         for clear in (False, False, True):
             if clear:
-                cli._key.cache_clear()
+                cli._template.cache_clear()
                 cli._skeleton.cache_clear()
             assert _rendered(cli._render, "\u03b4m", report, cfg) == expected
 
@@ -1186,6 +1188,32 @@ class TestOnePassRenderer:
                 assert _rendered(cli._render, *shapes[i][0]) == expected[i], shapes[i][0]
             shapes.reverse()
             expected.reverse()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["regularize", "--n", "2"],
+            ["regularize", "--n", "2", "--msq", "1.5", "--mu1", "0.5"],
+            ["selfenergy", "--m", "0.000511"],
+            ["resum", "--lambda0", "0.5", "--mu0", "1", "--mu-min", "0.5", "--mu-max", "8", "--mu-points", "5"],
+            ["oracle", "--n", "2", "--msq", "1.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_report_is_one_template_filled_once(self, capsys, argv):
+        # a shape's fixed text is one str with a slot per input, per output and for the ledger; warm, no template is laid out
+        with mock.patch.object(cli, "_skeleton", wraps=cli._skeleton) as skeleton:
+            assert run_raw(capsys, argv)[0] == 0
+        (call,) = skeleton.call_args_list
+        _, inputs, pairs = call.args
+        text = cli._skeleton(*call.args)
+        assert type(text) is str
+        assert text.replace("%%", "").count("%s") == len(inputs) + len(pairs) + 1
+        before = cli._template.cache_info(), cli._skeleton.cache_info()
+        assert run_raw(capsys, argv)[0] == 0
+        after = cli._template.cache_info(), cli._skeleton.cache_info()
+        assert [now.misses - then.misses for now, then in zip(after, before)] == [0, 0]
+        assert after[1].hits - before[1].hits == 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "plot-data"])
     @pytest.mark.parametrize(
