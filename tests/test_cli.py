@@ -464,12 +464,12 @@ _FAILURES = [
     (["--precision", "5", "regularize", "--n", "2"], 2, "loopreg: error: --precision goes after the subcommand: loopreg <subcommand> --precision ...\n"),
     # the integrand of so large a power is 0.0 where both of its forms overflow; (M^2)^(2-n) still leaves the float range
     (["oracle", "--n", "5000", "--msq", "1e-300"], 3, "numeric failure: radial integral past the float range for power=5000, mass_sq=1e-300,"),
-    # under --units MeV the message quotes the mass and the failing cutoff as typed, not their GeV images
-    (["oracle", "--n", "6", "--msq", "1e-290", "--grid", "1e8,1e10", "--format", "csv", "--units", "MeV"], 3, "numeric failure: radial integral past the float range for power=6, mass_sq=1e-290, cutoff=100000000.0\n"),
     # a sweep builds every row before it prints one, so its count is bounded
     (["resum", "--lambda0", "1", "--mu0", "1", "--mu-min", "1", "--mu-max", "2", "--mu-points", "1000000000"], 2, "error: sweep takes at most 100000 points, got 1000000000\n"),
     # a typed MeV mass whose GeV image is subnormal keeps two significant bits: refused as typed, like one that underflows to 0
     (["mu1", "--m", "1e-320", "--units", "MeV"], 2, "error: 1e-320 MeV underflows to the subnormal 1e-323 in GeV\n"),
+    # under --units MeV the message quotes the mass and the failing cutoff as typed, not their GeV images
+    (["oracle", "--n", "6", "--msq", "1e-290", "--grid", "1e8,1e10", "--format", "csv", "--units", "MeV"], 3, "numeric failure: radial integral past the float range for power=6, mass_sq=1e-290, cutoff=100000000.0\n"),
 ]
 
 
