@@ -12,7 +12,8 @@ handler runs, and refuses a positive one whose image underflows to 0 or to a
 subnormal, quoting it as typed.  A non-positive one stays as typed: every mass
 input must be positive, so the library's refusal quotes the typed value.
 Handlers compute in GeV, echo their inputs as typed and convert their mass
-outputs back.  The other dimensionful outputs
+outputs back; where a library failure quotes masses in GeV, ``_as_typed``
+rewrites its message to quote them as typed.  The other dimensionful outputs
 (``radial``, ``unit_multiple``, ``signature_coefficient``,
 ``asymptote_constant``, ``bracket_at_msq``, ``value_imag_at_msq``) are
 GeV-based whatever ``--units`` says, as the benchmark's checker reads them.
@@ -66,7 +67,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from types import SimpleNamespace
 
 from . import _Record
@@ -277,6 +278,16 @@ def _render(subcommand: str, report: Report, cfg: RunConfig) -> None:
 # Each gets ``ns`` with its mass inputs in GeV, ``typed`` with them as typed (``ns`` under GeV) and ``cfg``; it echoes ``typed``.
 
 
+def _as_typed(exc: ArithmeticError, cfg: RunConfig, quoted: str, typed: Callable[[str], str]) -> ArithmeticError:
+    """A library failure whose message quotes masses in GeV, as the text ``quoted`` and whatever follows it, rewritten
+    under ``--units MeV`` to the same class with that end ``typed(rest)``, quoting them as typed; ``exc`` itself under GeV
+    or where the message holds no ``quoted``."""
+    head, sep, rest = str(exc).rpartition(quoted)
+    if cfg.units == "GeV" or not sep:
+        return exc
+    return type(exc)(head + typed(rest))
+
+
 @functools.lru_cache(maxsize=64)
 def _power_fields(power: int) -> tuple[kernel.RegularizedValue, tuple[tuple[str, object, str], ...], tuple[dict[str, object], ...], tuple[str, ...]]:
     """What a ``regularize`` report takes from the power alone, once per power (a power may come from user input,
@@ -317,7 +328,10 @@ def _cmd_regularize(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig)
     unfixed = value.unfixed_count
     fields = [*fields, ("unfixed_constants", unfixed, "one arbitrary constant per integration, fixed only by physical conditions")]
     if ns.msq is not None and unfixed == 0:
-        bracket = value.bracket(ns.msq)
+        try:
+            bracket = value.bracket(ns.msq)
+        except ArithmeticError as exc:
+            raise _as_typed(exc, cfg, f" at mass_sq={ns.msq!r}", lambda rest: f" at mass_sq={typed.msq!r}{rest}") from None
         fields += [
             ("bracket_at_msq", bracket, "numeric multiple of i/(16*pi^2) at the given M^2"),
             ("value_imag_at_msq", (kernel.UNIT_NUMERIC * bracket).imag, "imaginary part of the full value (the value is purely imaginary)"),
@@ -414,9 +428,14 @@ def _cmd_resum(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> R
         inputs = {"lambda0": ns.lambda0, "mu0": typed.mu0, "b": state.beta_coeff, "mu_min": typed.mu_min, "mu_max": typed.mu_max, "mu_points": ns.mu_points}
         return Report(inputs, [("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole), ("rows", rows, chain + " over the mu grid")])
 
-    mu = ns.mu if ns.mu is not None else ns.mu0
+    mu, mu_typed = (ns.mu, typed.mu) if ns.mu is not None else (ns.mu0, typed.mu0)
+    try:
+        coupling = phi4.resum_chain(state, mu)  # LandauPoleError -> exit 3
+    except ArithmeticError as exc:
+        critical = phi4.critical_scale(state)
+        raise _as_typed(exc, cfg, f"mu = {mu:g} reaches the critical scale {critical:g}", lambda rest: f"mu = {mu_typed:g} reaches the critical scale {cfg.mass_out(critical):g}{rest}") from None
     fields = [
-        ("coupling", phi4.resum_chain(state, mu), chain),  # LandauPoleError -> exit 3
+        ("coupling", coupling, chain),
         ("first_order", phi4.resum_first_order(state, mu), "finite-order truncation lambda0*(1 + b*lambda0*ln(mu^2/mu0^2)); regular everywhere"),
         ("critical_scale", cfg.mass_out(phi4.critical_scale(state)), pole),
         ("status", phi4.VACUUM_BROKEN, "ssb-vacuum below the critical scale; at or past it the coupling has a pole and the request exits 3 without a report"),
@@ -445,11 +464,8 @@ def _cmd_oracle(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig) -> 
                 *asymptote,
             ]
         rows = [{"cutoff": cfg.mass_out(lam), "radial": r, "unit_multiple": oracle.unit_multiple(ns.n, r)} for lam, r in zip(grid, probe.radials)]
-    except ArithmeticError as exc:  # the library quotes the mass and the failing cutoff in GeV; the message quotes them as typed
-        head, sep, cutoff = str(exc).rpartition(f", mass_sq={ns.msq}, cutoff=")
-        if cfg.units == "GeV" or not sep:
-            raise
-        raise type(exc)(f"{head}, mass_sq={typed.msq}, cutoff={grid_typed[grid.index(float(cutoff))]}") from None
+    except ArithmeticError as exc:  # the failing cutoff, quoted last, is one of the grid's
+        raise _as_typed(exc, cfg, f", mass_sq={ns.msq}, cutoff=", lambda cutoff: f", mass_sq={typed.msq}, cutoff={grid_typed[grid.index(float(cutoff))]}") from None
     quadrature = "adaptive radial quadrature int_0^cutoff k^3 (k^2+M^2)^(-n) dk; unit_multiple = (-1)^n * 2 * radial in units i/(16*pi^2)"
     fields = [("rows", rows, quadrature), *fits]
     inputs = {"n": ns.n, "msq": typed.msq, "grid": ",".join(str(g) for g in grid_typed), "rel_tol": ns.rel_tol}

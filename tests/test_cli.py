@@ -470,6 +470,9 @@ _FAILURES = [
     (["mu1", "--m", "1e-320", "--units", "MeV"], 2, "error: 1e-320 MeV underflows to the subnormal 1e-323 in GeV\n"),
     # under --units MeV the message quotes the mass and the failing cutoff as typed, not their GeV images
     (["oracle", "--n", "6", "--msq", "1e-290", "--grid", "1e8,1e10", "--format", "csv", "--units", "MeV"], 3, "numeric failure: radial integral past the float range for power=6, mass_sq=1e-290, cutoff=100000000.0\n"),
+    # so do resum's pole and regularize's bracket: mu and the critical scale in MeV, M^2 in MeV^2
+    (["resum", "--lambda0", "1", "--mu0", "1", "--mu", "1e300", "--units", "MeV"], 3, "numeric failure: resummed coupling has a pole: mu = 1e+300 reaches the critical scale 4.1698e+07\n"),
+    (["regularize", "--n", "200", "--msq", "1e-290", "--units", "MeV"], 3, "numeric failure: bracket past the float range: (M^2)^-198 at mass_sq=1e-290\n"),
 ]
 
 
@@ -1407,3 +1410,58 @@ class TestReportsAgainstTheBenchChecker:
         assert miss is None or symptom in str(miss), (req.argv, str(miss))
         if miss is not None:
             pytest.fail(str(miss), pytrace=False)
+
+
+def _clear_library_caches():
+    """Every functools cache of the package, so the counts of a run do not depend on the tests run before it."""
+    from loopreg import checks, kernel, oracle, phi4, qed
+
+    for module in (checks, cli, kernel, oracle, phi4, qed):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _sweep(p):
+    """The library work behind one oracle report, as perfbench/worker.py's SweepClient runs an oracle-sweep request."""
+    from loopreg import oracle
+
+    probe = oracle.CutoffProbe(p["n"], p["msq"], p["grid"], oracle.QuadratureSpec(rel_tol=p["rel_tol"]))
+    for cutoff in p["grid"]:
+        oracle.radial_integral(p["n"], p["msq"], cutoff, p["rel_tol"])
+    oracle.divergence_signature(probe)
+    if p["n"] == 2:
+        oracle.asymptote_constant(probe)
+
+
+class TestBenchBlockCounts:
+    """The work of the first block of a benchmark workload at seed 101, from cold caches: radial pieces integrated,
+    cache misses and renderer calls.  They are exact counts, so unlike a time they move only when the work does."""
+
+    @pytest.mark.parametrize(
+        "workload, expected",
+        [
+            ("oracle-sweep", {"pieces": 81, "_integral_to": 41, "_decade_sums": 63, "regularize": 0, "_json": 0}),
+            ("report-warm", {"pieces": 67, "_integral_to": 14, "_decade_sums": 62, "regularize": 8, "_json": 268}),
+        ],
+        ids=["oracle-sweep", "report-warm"],
+    )
+    def test_first_block_from_cold_caches(self, capsys, integrations, monkeypatch, workload, expected):
+        from loopreg import kernel, oracle
+
+        _clear_library_caches()
+        calls, real = [], cli._json
+        monkeypatch.setattr(cli, "_json", lambda *args: calls.append(args[0]) or real(*args))
+        for req in next(bench_workloads().blocks(workload, 101)):
+            if req.argv is None:
+                _sweep(req.params)
+            else:
+                run_raw(capsys, list(req.argv))
+        counts = {
+            "pieces": integrations(),
+            "_integral_to": oracle._integral_to.cache_info().misses,
+            "_decade_sums": oracle._decade_sums.cache_info().misses,
+            "regularize": kernel.regularize.cache_info().misses,
+            "_json": len(calls),
+        }
+        assert counts == expected
