@@ -23,7 +23,9 @@ reads the memoized decade sums and integrates at most one short piece.  A
 ``CutoffProbe`` integrates all its cutoffs in one pass.  Both fits read only
 the cutoffs at or above sqrt(M^2), where the large-cutoff expansion holds, and
 check their grid rule on those before they read a radial, so a short grid
-fails before any quadrature.
+fails before any quadrature.  The signature's slopes skip a step between two
+cutoffs whose logarithms round to one double, a step of no width in ln(Lambda);
+the grid rule leaves at least one step that is not skipped.
 """
 
 from __future__ import annotations
@@ -321,17 +323,16 @@ def _scaled_below_mass(power: int, t_cut: float, epsrel: float) -> tuple[float, 
 
 @lru_cache(maxsize=1024)
 def _decade_sums(power: int, k: int, epsrel: float) -> tuple[float, float]:
-    """(value, error estimate) summed in order over the full pieces from 0 up to _edges(power)[k], k >= 1."""
-    below = (0.0, 0.0)
-    for j in range(1, k):  # fill from the bottom, so a cold call nests one level deep, not k
-        below = _decade_sums(power, j, epsrel)
+    """(value, error estimate) of the radial's integral from 0 up to the edge _edges(power)[k], k >= 1: the memoized
+    sum up to edges[k - 1] plus the full piece from there, so the pieces are summed in order from the bottom."""
+    below = _decade_sums(power, k - 1, epsrel) if k > 1 else (0.0, 0.0)
     value, err = _radial_piece(power, *_edges(power)[k - 1:k + 1], epsrel)
     return below[0] + value, below[1] + err
 
 
 @lru_cache(maxsize=256)  # a cache of its own, so distinct cutoffs cannot evict the decade sums
-def _integral_to(power: int, x_cut: float, epsrel: float) -> tuple[float, float, int]:
-    """(value, error estimate, k) of the radial's integral from 0 up to x_cut, in t or sigma as _radial_piece takes it:
+def _integral_to(power: int, x_cut: float, epsrel: float) -> tuple[float, float]:
+    """(value, error estimate) of the radial's integral from 0 up to x_cut, in t or sigma as _radial_piece takes it:
     the decade sums up to the edge edges[k] <= x_cut plus one short piece, or within 1% below the next edge up
     the sums up to that edge less [x_cut, it]; a warm cutoff is this one lookup."""
     edges = _edges(power)
@@ -339,10 +340,10 @@ def _integral_to(power: int, x_cut: float, epsrel: float) -> tuple[float, float,
     if k + 1 < len(edges) and 0.99 * edges[k + 1] <= x_cut:  # just below the next edge up: the pieces up to it less [x_cut, it]
         total, err_total = _decade_sums(power, k + 1, epsrel)
         piece, err = _radial_piece(power, x_cut, edges[k + 1], epsrel)
-        return total - piece, err_total + err, k
+        return total - piece, err_total + err
     total, err_total = _decade_sums(power, k, epsrel) if k else (0.0, 0.0)
     piece, err = _radial_piece(power, edges[k], x_cut, epsrel) if edges[k] != x_cut else (0.0, 0.0)
-    return total + piece, err_total + err, k
+    return total + piece, err_total + err
 
 
 def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10) -> float:
@@ -367,7 +368,7 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
 
 def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: float) -> list[float]:
     """radial_integral at each cutoff, in order: sqrt(M^2), epsrel and the scale derived once, one _integral_to per cutoff."""
-    _edges(power)  # first: a power that no float holds fails here with its own message, not at power - 2.0 below
+    edges = _edges(power)  # first: a power that no float holds fails here with its own message, not at power - 2.0 below
     root, c = math.sqrt(mass_sq), power - 2.0 if power > 2 else 1.0
     # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece asked for less than
     # 5e-14 would only run to the panel limit; the check below still enforces rel_tol, so tighter requests fail loudly.
@@ -386,8 +387,8 @@ def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: fl
                 x_cut = 800.0
         elif t_cut > 1e9:  # past the last edge: its decades, then k integrated in k from E = 1e9 sqrt(M^2) on
             x_cut, tail = 1e9, 0.5 * (cutoff - 1e9 * root) * (cutoff + 1e9 * root)
-        total, err_total, k = _integral_to(power, x_cut, epsrel)
-        below = not k and total < _FLOAT_MIN
+        total, err_total = _integral_to(power, x_cut, epsrel)
+        below = total < _FLOAT_MIN and x_cut < edges[1]
         if below:  # t^4/4 underflows, though the radial may fit: it is cutoff^4 (M^2)^(-n) J, J in u = k/cutoff
             total, err_total = _scaled_below_mass(power, t_cut, epsrel)
         if err_total > rel_tol * abs(total):
@@ -476,6 +477,7 @@ def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     slopes = [
         (v2 - v1) / (l2 - l1)
         for v1, v2, l1, l2 in zip(vals, vals[1:], logs, logs[1:])
+        if l2 != l1  # two cutoffs whose logarithms round to one double: a step of zero width carries no slope
     ]
     if slopes[-1] <= 1e-4 * abs(vals[-1]) or slopes[-1] <= 0.1 * slopes[0]:
         return DivergenceSignature("convergent", vals[-1])

@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from loopreg import cli
@@ -1017,6 +1017,10 @@ class TestContract:
     @_GENERATED_ARGV
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(_argv())
+    # grids with two cutoffs whose logarithms round to one double, a step of zero width in ln(Lambda)
+    @example(["oracle", "--n", "1", "--msq", "1", "--grid", "100,100.00000000000003,1000,10000,100000"])
+    @example(["oracle", "--n", "2", "--msq", "1", "--grid", "100,100.00000000000003,1000,10000,100000,1000000"])
+    @example(["oracle", "--n", "3", "--msq", "1", "--grid", "100,1000,10000,99999.99999999999,100000"])
     def test_every_argv_exits_0_2_or_3_and_prints_only_finite_numbers(self, argv):
         code, out, err, _ = _recorded_run(tuple(argv))
         assert code in (0, 2, 3), (argv, err)

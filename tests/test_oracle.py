@@ -118,6 +118,18 @@ class TestDivergenceSignature:
         assert sig.kind == "quadratic"
         assert sig.coefficient == pytest.approx(0.5, rel=1e-2)
 
+    @pytest.mark.parametrize("power", range(1, 7))
+    def test_a_step_of_zero_width_carries_no_slope(self, power):
+        # a strictly increasing grid may hold two cutoffs whose logarithms round to one double: the next float
+        # up after the first, a middle and the last cutoff of the default grid
+        grid = default_grid(1.0)
+        split = list(grid)
+        for i in (len(grid) - 1, len(grid) // 2, 0):  # from the top, so each index still names its cutoff
+            split.insert(i + 1, math.nextafter(grid[i], math.inf))
+            assert math.log(split[i + 1]) == math.log(grid[i])
+        kind = oracle.divergence_signature(CutoffProbe(power, 1.0, tuple(split))).kind
+        assert kind == oracle.divergence_signature(CutoffProbe(power, 1.0, grid)).kind
+
     def test_insufficient_points(self):
         with pytest.raises(InsufficientGridError):
             oracle.divergence_signature(CutoffProbe(2, 1.0, (1e2, 1e3, 1e4)))
@@ -293,7 +305,7 @@ class TestPieceCache:
         oracle.radial_integral(1, 100.0, cutoff)
         assert (len(panels) == 1) == one_panel
 
-    @settings(max_examples=20, deadline=None, database=None)
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
     @given(
         power=st.integers(1, 6),
         log_mass_sq=st.floats(-6.0, 6.0),
@@ -349,7 +361,7 @@ class TestRadialPrefixSums:
             args = (power, mass_sq, cutoff, rel_tol)
             assert _outcome(oracle.radial_integral, *args) == _outcome(references.radial_integral, *args)
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(
         power=st.integers(1, 6),
         mass_sq=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
