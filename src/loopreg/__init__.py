@@ -4,7 +4,9 @@ independent cutoff-quadrature oracle.
 
 The five modules are the API, and each loads on first use (PEP 562), so
 ``import loopreg`` loads none of them and a caller pays only for the modules
-it reads: ``loopreg.kernel`` and ``from loopreg import kernel`` both work."""
+it reads: ``loopreg.kernel`` and ``from loopreg import kernel`` both work.
+Every module refuses an input that must be > 0 through ``_positive``, with
+one message that names the input and quotes its value."""
 
 from math import log as _log
 
@@ -29,6 +31,12 @@ def _log_ratio(a: float, b: float) -> float:
     ratio leaves (1e-300, 1e300), the difference of the logs of each scale, which stays finite."""
     ratio = a / b
     return _log(ratio) if 1e-300 < ratio < 1e300 else _log(a) - _log(b)
+
+
+def _positive(name: str, value: float) -> None:
+    """The package's one refusal of an input that is not > 0, nan included: ValueError naming the input and its value."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 class _FrozenInstanceError(AttributeError):

@@ -70,7 +70,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from types import SimpleNamespace
 
-from . import _Record
+from . import _Record, _positive
 
 try:  # the C function json.encoder re-exports, without loading the json package
     from _json import encode_basestring_ascii
@@ -315,8 +315,8 @@ def _cmd_regularize(ns: SimpleNamespace, typed: SimpleNamespace, cfg: RunConfig)
     from . import kernel
 
     value, fields, ledger, laid = _power_fields(ns.n)  # checks the power first; symbolic in M^2, the mass enters only the bracket
-    if ns.msq is not None and not ns.msq > 0:
-        raise ValueError(f"numeric mass_sq must be positive, got {typed.msq!r}")
+    if ns.msq is not None:  # typed.msq has the sign of ns.msq: to_gev keeps a non-positive input as typed
+        _positive("numeric mass_sq", typed.msq)
     if ns.mu1 is not None:
         dimless = [i for i, e in enumerate(value.constants, start=1) if value.constant_dimension(e) == 0]
         if not dimless:

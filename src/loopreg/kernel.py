@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _Record
+from . import _Record, _positive
 
 __all__ = [
     "UNIT_LABEL",
@@ -125,8 +125,7 @@ class ConstantEntry(_Record):
         if coefficient == 0:
             raise ValueError("constant coefficient must be nonzero")
         if scale_alias is not None:
-            if not scale_alias > 0:
-                raise ValueError(f"scale must be positive, got {scale_alias!r}")
+            _positive("scale", scale_alias)
             derived = -2.0 * math.log(scale_alias)
             if value is not None and value != derived:
                 raise ValueError("aliased constant must satisfy C = -ln(mu^2) exactly")

@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from functools import lru_cache
 
-from . import _Record
+from . import _Record, _positive
 
 __all__ = [
     "QuadratureError",
@@ -113,8 +113,7 @@ class CutoffProbe(_Record):
         lambda_grid = tuple([float(g) for g in lambda_grid])
         if power < 1:
             raise ValueError(f"power must be >= 1, got {power!r}")
-        if not mass_sq > 0:
-            raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
+        _positive("mass_sq", mass_sq)
         if not lambda_grid or lambda_grid[0] <= 0:
             raise ValueError("cutoff grid values must be positive")
         if any(map(operator.le, lambda_grid[1:], lambda_grid)):  # a later cutoff at or below the one before
@@ -144,8 +143,7 @@ def radial_integrand(k: float, power: int, mass_sq: float) -> float:
 
 def default_grid(mass_sq: float) -> tuple[float, ...]:
     """The default cutoff grid of a probe: DEFAULT_GRID_FACTORS times sqrt(M^2)."""
-    if not mass_sq > 0:
-        raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
+    _positive("mass_sq", mass_sq)
     return tuple(c * math.sqrt(mass_sq) for c in DEFAULT_GRID_FACTORS)
 
 
@@ -358,10 +356,9 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power!r}")
-    if not cutoff > 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff!r}")
-    if not mass_sq > 0:
-        raise ValueError(f"mass_sq must be positive, got {mass_sq!r}")
+    if not (cutoff > 0 and mass_sq > 0):  # one comparison on valid input: the helper only to raise
+        _positive("cutoff", cutoff)
+        _positive("mass_sq", mass_sq)
     _check_rel_tol(rel_tol)
     return _radials(power, mass_sq, (cutoff,), rel_tol)[0]
 

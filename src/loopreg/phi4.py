@@ -29,7 +29,7 @@ import math
 import sys
 from collections.abc import Iterable
 
-from . import _Record, _log_ratio
+from . import _Record, _log_ratio, _positive
 
 __all__ = [
     "BETA_ONE_LOOP",
@@ -74,10 +74,8 @@ class SSBPotential(_Record):
     __slots__ = __match_args__ = ("sigma", "lam")
 
     def __init__(self, sigma: float, lam: float) -> None:
-        if not sigma > 0:
-            raise ValueError(f"sigma must be positive, got {sigma!r}")
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam!r}")
+        _positive("sigma", sigma)
+        _positive("lambda", lam)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "lam", lam)
 
@@ -138,12 +136,9 @@ class ResummationState(_Record):
     __slots__ = __match_args__ = ("lambda0", "mu0", "beta_coeff")
 
     def __init__(self, lambda0: float, mu0: float, beta_coeff: float = BETA_ONE_LOOP) -> None:
-        if not lambda0 > 0:
-            raise ValueError(f"lambda0 must be positive, got {lambda0!r}")
-        if not mu0 > 0:
-            raise ValueError(f"mu0 must be positive, got {mu0!r}")
-        if not beta_coeff > 0:
-            raise ValueError(f"beta_coeff must be positive, got {beta_coeff!r}")
+        _positive("lambda0", lambda0)
+        _positive("mu0", mu0)
+        _positive("beta_coeff", beta_coeff)
         object.__setattr__(self, "lambda0", lambda0)
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "beta_coeff", beta_coeff)
@@ -159,8 +154,8 @@ def _chain_couplings(state: ResummationState, mus: Iterable[float]) -> list[floa
     inf = math.inf
     couplings: list[float | None] = []
     for mu in mus:
-        if not mu > 0:
-            raise ValueError(f"mu must be positive, got {mu!r}")
+        if not mu > 0:  # one comparison per point: the helper only to raise
+            _positive("mu", mu)
         log = _log_ratio(mu, mu0)
         denominator = 1.0 - b_lambda0 * (2.0 * log)
         # not `> 0.0`: a nan denominator (b lambda0 = inf at mu = mu0) is no pole
@@ -194,8 +189,7 @@ def resum_first_order(state: ResummationState, mu: float) -> float:
     Finite for every finite mu; at ln(mu^2/mu0^2) = 1 and b = 9/(32 pi^2) it
     coincides with lambda_renormalized(lambda0).
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
+    _positive("mu", mu)
     log = _log_ratio(mu, state.mu0)
     if not log:  # lambda0 itself, also where b lambda0 is inf and inf * 0 would be nan
         return state.lambda0

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _Record, _log_ratio
+from . import _Record, _log_ratio, _positive
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -110,10 +110,10 @@ def _float_coefficients() -> tuple[float, float, float]:
 def on_shell_mass_shift(m: float, alpha: float, mu1: float) -> MassShift:
     """delta_m = (alpha m / 4 pi) * (c0 + c_log ln(m^2/mu1^2)), all inputs positive, with
     (c0, c_log) = (5, -3) the exact pipeline coefficients."""
-    if not (m > 0 and alpha > 0 and mu1 > 0):  # the loop names the first input that is not
-        for name, v in (("m", m), ("alpha", alpha), ("mu1", mu1)):
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v!r}")
+    if not (m > 0 and alpha > 0 and mu1 > 0):  # one comparison on valid input: the helper only to raise
+        _positive("m", m)
+        _positive("alpha", alpha)
+        _positive("mu1", mu1)
     c0, c_log, _ = _float_coefficients()
     prefactor = alpha * m / (4.0 * math.pi)
     log_ratio = 2.0 * _log_ratio(m, mu1)
@@ -130,8 +130,7 @@ def solve_mu1(m: float) -> float:
     The exponent is -constant/(2*|log|) from the exact pipeline
     coefficients, i.e. ln(m^2/mu1^2) = 5/3.  ArithmeticError where mu1 underflows to 0.
     """
-    if not m > 0:
-        raise ValueError(f"m must be positive, got {m!r}")
+    _positive("m", m)
     exponent = _float_coefficients()[2]  # -5/6, divided exactly and rounded once
     mu1 = m * math.exp(exponent)
     if mu1 == 0.0:  # a derived scale, not an input: its underflow is a numeric failure
@@ -140,9 +139,8 @@ def solve_mu1(m: float) -> float:
 
 
 def solve_mu1_by_root(m: float, alpha: float = DEFAULT_ALPHA) -> float:
-    """Root-finder counterpart of solve_mu1; the result is alpha-independent."""
-    if not m > 0:
-        raise ValueError(f"m must be positive, got {m!r}")
+    """Root-finder counterpart of solve_mu1; the result is alpha-independent.  Its first evaluation,
+    on_shell_mass_shift(m, alpha, 0.05*m), refuses an m that is not > 0."""
 
     def shift(mu1: float) -> float:
         return on_shell_mass_shift(m, alpha, mu1).delta_m
@@ -164,9 +162,9 @@ def lamb_shift_estimate(alpha: float, m: float, bethe_log: float) -> float:
     by construction: it brackets the measured 1057.8 MHz without reproducing
     any particular digit string.
     """
-    for name, v in (("alpha", alpha), ("m", m), ("bethe_log", bethe_log)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v!r}")
+    _positive("alpha", alpha)
+    _positive("m", m)
+    _positive("bethe_log", bethe_log)
     bracket = -2.0 * math.log(alpha) - bethe_log + 19.0 / 30.0
     try:
         alpha5 = alpha**5

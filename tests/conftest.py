@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from loopreg import oracle
+
+# every property of the suite draws the same examples on every run and host: derandomized, with no deadline and no
+# example database; each test sets only its max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

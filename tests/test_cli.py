@@ -10,6 +10,7 @@ import re
 import site
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from loopreg import cli
 
-from references import bench_checker, bench_workloads, render_two_pass
+from references import _perfbench, bench_checker, bench_workloads, render_two_pass
 from test_golden import _read as golden_entries
 
 radial_analytic = bench_checker().radial
@@ -816,7 +817,7 @@ class TestDeclaredParse:
         # 872 of the 930 corpus argv are well formed; a table that refused them all would parse nothing itself
         assert taken >= 850
 
-    @settings(max_examples=250, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=250)
     @given(_parse_shapes())
     def test_generated_shapes(self, argv):
         _parsed_as_argparse_parses(argv)
@@ -1015,7 +1016,7 @@ class TestContract:
     """The CLI contract over hundreds of generated argv, all parsed by the one parser of this process."""
 
     @_GENERATED_ARGV
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_argv())
     # grids with two cutoffs whose logarithms round to one double, a step of zero width in ln(Lambda)
     @example(["oracle", "--n", "1", "--msq", "1", "--grid", "100,100.00000000000003,1000,10000,100000"])
@@ -1080,7 +1081,7 @@ class TestOnePassRenderer:
         self.assert_renders_as_two_pass(*call)
 
     @_GENERATED_ARGV
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_argv())
     def test_generated_argv(self, argv):
         for call in _recorded_run(tuple(argv))[3]:
@@ -1469,3 +1470,100 @@ class TestBenchBlockCounts:
             "_json": len(calls),
         }
         assert counts == expected
+
+    def test_demo_from_cold_caches_then_warm(self, capsys, integrations, monkeypatch):
+        # panels are counted where the oracle builds them: _panel for every generic integrand, the two written-out
+        # radial panels for the pieces; root evaluations through the f that find_root receives
+        from loopreg import kernel, oracle
+
+        _clear_library_caches()
+        counts = collections.Counter()
+
+        def counted(key, fn):
+            return lambda *args: counts.update((key,)) or fn(*args)
+
+        def counting_root(find_root):
+            return lambda f, lo, hi: find_root(counted("root evaluations", f), lo, hi)
+
+        monkeypatch.setattr(oracle, "_panel", counted("generic panels", oracle._panel))
+        monkeypatch.setattr(oracle, "_radial_panel", counted("radial panels", oracle._radial_panel))
+        monkeypatch.setattr(oracle, "_sigma_panel", counted("radial panels", oracle._sigma_panel))
+        monkeypatch.setattr(oracle, "find_root", counting_root(oracle.find_root))
+        monkeypatch.setattr(cli, "_json", counted("_json", cli._json))
+        caches = {"_decade_sums": oracle._decade_sums, "_integral_to": oracle._integral_to, "regularize": kernel.regularize}
+
+        def totals():
+            return {"pieces": integrations(), **{name: cache.cache_info().misses for name, cache in caches.items()}}
+
+        runs = []
+        for _ in range(2):
+            counts.clear()
+            before = totals()
+            assert run_raw(capsys, ["demo"])[0] == 0
+            counts.update({key: value - before[key] for key, value in totals().items()})
+            runs.append({key: value for key, value in counts.items() if value})
+        # 226 root evaluations: 78 (mu1 root finder) + 42 (minimization) + 106 (resummation pole)
+        cold = {"pieces": 45, "radial panels": 159, "generic panels": 33, "root evaluations": 226, "_decade_sums": 45, "_integral_to": 9, "regularize": 1}
+        assert runs == [cold, {"generic panels": 33, "root evaluations": 226}]
+
+
+@functools.cache
+def _traced_default_report():
+    """spans' per-layer metrics of the library calls of a default n = 2 oracle report from cold caches, traced as
+    perfbench/smoke.py's check_default_sweep traces them."""
+    spans, workloads = _perfbench("spans"), bench_workloads()
+    _clear_library_caches()
+    tracer = spans.Tracer()
+    tracer.request = "p0.0"
+    tracer.install()  # patches 20 library functions before it imports scipy.integrate: uninstall in any case
+    try:
+        start = time.perf_counter()
+        _sweep({"n": 2, "msq": 1.0, "grid": workloads.DEFAULT_GRID_FACTORS, "rel_tol": 1e-10, "units": "GeV"})
+        wall = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    return spans.layer_metrics(tracer, {"p0.0": "p0"}, wall, 1, [], 0)
+
+
+class TestBenchSelfChecks:
+    """perfbench/smoke.py's in-process checks, on its files loaded by path and only read (ROADMAP item 17).  Those
+    that fail on a stale pin of the benchmark are strict xfails: they XPASS, and so fail, once perfbench is mended."""
+
+    def test_layer_map_matches_the_per_layer_metrics(self):
+        spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+        _perfbench("smoke").check_layer_map(spec)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17: KNOWN_FAILURE quotes `outputs.critical_scale is not finite: 'inf'`; the program prints `critical_scale is not finite: inf`")
+    def test_known_failure_names_the_printed_message(self, capsys):
+        # a coupling 5% above mu0 whose pole scale lies past the float range (ROADMAP item 4)
+        code, out, err = run_raw(capsys, ["resum", "--lambda0", "0.0165776", "--mu0", "219.57", "--mu", "231.111"])
+        params = {"lambda0": 0.0165776, "mu0": 219.57, "mu": 231.111, "units": "GeV"}
+        miss = bench_checker().check_cli("resum-point", params, code, out, err)
+        assert code == cli.EXIT_NUMERIC and miss is not None
+        assert _perfbench("smoke").KNOWN_FAILURE in str(miss), str(miss)
+
+    @pytest.mark.xfail(strict=True, raises=ImportError, reason="ROADMAP item 17: spans.SPANNED wraps scipy.integrate.quad, which the package no longer calls or lists")
+    def test_tracer_installs_without_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+        tracer = _perfbench("spans").Tracer()
+        try:
+            tracer.install()
+        finally:
+            tracer.uninstall()
+
+    @pytest.mark.parametrize(
+        "metric, holds",
+        [
+            pytest.param("oracle.quad_calls", lambda v: v > 0, id="quad_calls", marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason="ROADMAP item 17: spans counts scipy.integrate.quad, which nothing has called since PR 27")),
+            pytest.param("oracle.integrand_evals", lambda v: v > 0, id="integrand_evals", marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason="ROADMAP item 17: spans counts oracle.radial_integrand, which the radial panels write out")),
+            pytest.param("oracle.distinct_radial_ratio", lambda v: Fraction(v).limit_denominator(100) == Fraction(1, 3), id="distinct_radial_ratio", marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason="ROADMAP item 17: reads 1.0, since a probe's radials no longer pass through radial_integral")),
+        ],
+    )
+    def test_default_report_counters(self, metric, holds):
+        pytest.importorskip("scipy")
+        value = _traced_default_report()[metric]
+        assert holds(value), (metric, value)

@@ -134,7 +134,7 @@ class TestIntegrateBack:
         assert twice.differentiate().differentiate() == seed
 
     # d/dM^2 undoes one integration: the fresh constant sits at power 0 and is annihilated
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         st.integers(-6, 6),
         st.fractions(-10, 10, max_denominator=12),

@@ -161,6 +161,32 @@ class TestAsymptoteConstant:
             oracle.asymptote_constant(CutoffProbe(2, 1.0, (0.1, 1.0, 10.0, 1e2, 1e3)))
 
 
+def _fit_or_refusal(fit, grid):
+    """fit(probe) at n = 2, M^2 = 1 over grid, or None where the grid is refused."""
+    try:
+        return fit(CutoffProbe(2, 1.0, grid))
+    except InsufficientGridError:
+        return None
+
+
+class TestAcceptedGridsThatMisread:
+    """Accepted n = 2 grids whose fits print a wrong answer (ROADMAP item 19).  The right answer or a refusal of the
+    grid passes, so these XPASS, and so fail, once the fits read only where the expansion holds."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 19: the first step starts at sqrt(M^2), where the slope is 1/4 of its limit, so the signature reads quadratic")
+    def test_first_step_at_the_mass(self):
+        assert _fit_or_refusal(lambda p: oracle.divergence_signature(p).kind, (1.0, 2.0, 10.0, 100.0, 10000.0)) in (None, "log")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 19: the last step's radials round alike, so its slope reads 0 and the signature convergent")
+    def test_last_step_narrower_than_rounding(self):
+        assert _fit_or_refusal(lambda p: oracle.divergence_signature(p).kind, (1.0, 10.0, 99.0, 9999.999999999998, 10000.0)) in (None, "log")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 19: the asymptote's line fit runs through two x values 4e-16 apart and reads -4.5")
+    def test_asymptote_over_a_step_narrower_than_rounding(self):
+        limit = _fit_or_refusal(oracle.asymptote_constant, (1.0, 10.0, 99.0, 9999.999999999998, 10000.0))
+        assert limit is None or abs(limit + 0.5) <= 1e-6, limit
+
+
 class TestFitsAgainstTheBenchChecker:
     """Both fits, on grids that may start far below the mass, held to the bench's checker."""
 
@@ -305,7 +331,7 @@ class TestPieceCache:
         oracle.radial_integral(1, 100.0, cutoff)
         assert (len(panels) == 1) == one_panel
 
-    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=20)
     @given(
         power=st.integers(1, 6),
         log_mass_sq=st.floats(-6.0, 6.0),
@@ -337,7 +363,7 @@ _EDGE_TS = [e for x in itertools.accumulate([10.0] * 30, operator.mul, initial=1
 
 
 class TestRadialPrefixSums:
-    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(
         power=st.integers(1, 6),
         mass_sq=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), st.integers(-9, 9).map(lambda j: 4.0**j)),
@@ -361,7 +387,7 @@ class TestRadialPrefixSums:
             args = (power, mass_sq, cutoff, rel_tol)
             assert _outcome(oracle.radial_integral, *args) == _outcome(references.radial_integral, *args)
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(
         power=st.integers(1, 6),
         mass_sq=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
@@ -402,7 +428,7 @@ _PROBE_TS = st.one_of(
 
 
 class TestProbeRadials:
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(
         power=st.integers(1, 6),
         mass_sq=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), st.integers(-9, 9).map(lambda j: 4.0**j)),
@@ -428,7 +454,7 @@ class TestProbeRadials:
                 probe.radials
         assert str(in_probe.value) == str(alone.value)
 
-    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(
         power=st.integers(1, 6),
         mass_sq=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), st.integers(-9, 9).map(lambda j: 4.0**j)),
@@ -744,7 +770,7 @@ class TestFindRoot:
 
         assert _root_and_evaluations(oracle.find_root, step, lo, hi) == _root_and_evaluations(bisect, step, lo, hi)
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         log_lo=st.floats(-3.0, 3.0),
         log_width=st.floats(-3.0, 3.0),
@@ -768,7 +794,7 @@ class TestFindRoot:
         assert abs(root - true_root) <= 1e-15 * true_root
         assert n <= _root_and_evaluations(bisect, f, lo, hi)[1]
 
-    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=400)
     @given(
         bracket=_brackets(),
         kind=st.sampled_from(["shape", "step", "nan past"]),

@@ -229,7 +229,7 @@ class TestCriticalScale:
     def test_pole_row_bisects_where_resum_chain_raises(self, state):
         assert checks._pole_boundary(state).hex() == references.pole_boundary(state).hex()
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         lambda0=st.floats(1e-2, 10.0),
         mu0=st.floats(1e-3, 1e3),
@@ -259,7 +259,7 @@ class TestSymmetryStatus:
         assert phi4.symmetry_status(state, 0.5 * mu_c) == phi4.VACUUM_BROKEN
         assert phi4.symmetry_status(state, 2.0 * mu_c) == phi4.VACUUM_RESTORED
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         lambda0=st.floats(1e-2, 10.0),
         mu0=st.floats(1.0, 1e3),
@@ -301,7 +301,7 @@ class TestScaleRatioPastTheFloatRange:
     def test_vacuum_stays_broken(self):
         assert phi4.symmetry_status(self.TINY, 137.0) == phi4.VACUUM_BROKEN
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(log_mu=st.floats(math.log(1e-320), math.log(1e308)), log_mu0=st.floats(math.log(1e-320), math.log(1e308)))
     def test_first_order_finite_for_every_pair_of_scales(self, log_mu, log_mu0):
         state = ResummationState(lambda0=0.5, mu0=math.exp(log_mu0))
