@@ -18,14 +18,20 @@ The radial integral runs piece by piece in a variable that carries no mass:
 t = k/sqrt(M^2) for n = 1, and from n = 2 on sigma = max(n - 2, 1) ln(1 + t^2),
 where it is an incomplete beta integral (DLMF 8.17) with an integrand bounded
 and smooth for every n.  The integral up to each cutoff's t or sigma is
-memoized, so a warm cutoff is one cache lookup and its scaling; a cold one
-reads the memoized decade sums and integrates at most one short piece.  A
-``CutoffProbe`` integrates all its cutoffs in one pass.  Both fits read only
-the cutoffs at or above sqrt(M^2), where the large-cutoff expansion holds, and
-check their grid rule on those before they read a radial, so a short grid
-fails before any quadrature.  The signature's slopes skip a step between two
-cutoffs whose logarithms round to one double, a step of no width in ln(Lambda);
-the grid rule leaves at least one step that is not skipped.
+memoized, and so is what every cutoff of one (power, M^2, rel_tol) shares, so
+a warm cutoff is one cache lookup and its scaling; a cold one reads the
+memoized decade sums and integrates at most one short piece.  A
+``CutoffProbe`` integrates all its cutoffs in one pass of one loop.
+``radial_integral`` reads its one cutoff on that loop's common path and hands
+a rare cutoff to the loop: a k-tail, an integral below the smallest normal
+float, an error past rel_tol or a radial past the float range, so each failure
+is worded once.  Both fits read only the cutoffs at or above sqrt(M^2), where
+the large-cutoff expansion holds, and check their grid rule on those before
+they read a radial, so a short grid fails before any quadrature.  The
+signature computes only the two slopes it reads, those of the first and the
+last step, and skips a step between two cutoffs whose logarithms round to one
+double, a step of no width in ln(Lambda); the grid rule leaves at least one
+step that is not skipped.
 """
 
 from __future__ import annotations
@@ -114,9 +120,9 @@ class CutoffProbe(_Record):
         if power < 1:
             raise ValueError(f"power must be >= 1, got {power!r}")
         _positive("mass_sq", mass_sq)
-        if not lambda_grid or lambda_grid[0] <= 0:
+        if not lambda_grid or not lambda_grid[0] > 0:  # nan too
             raise ValueError("cutoff grid values must be positive")
-        if any(map(operator.le, lambda_grid[1:], lambda_grid)):  # a later cutoff at or below the one before
+        if not all(map(operator.lt, lambda_grid, lambda_grid[1:])):  # a later cutoff at or below the one before, or a nan
             raise ValueError("cutoff grid must be strictly increasing")
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "mass_sq", mass_sq)
@@ -295,6 +301,11 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _past_float_range(power: int, at: str = "") -> OverflowError:
+    """The radial's one overflow error: past the float range for the power, and for the mass and cutoff given in at."""
+    return OverflowError(f"radial integral past the float range for power={power}{at}")
+
+
 _EDGES = (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # the decade edges of t, up to the last, 1e9
 
 
@@ -304,7 +315,7 @@ def _edges(power: int) -> tuple[float, ...]:
     if power == 1:
         return _EDGES
     if power > sys.float_info.max:  # a power that no float holds
-        raise OverflowError(f"radial integral past the float range for power={power}")
+        raise _past_float_range(power)
     images = [(power - 2.0 if power > 2 else 1.0) * math.log1p(t * t) for t in _EDGES[1:]]
     return (0.0, *[2.0**j for j in range(-1, 7) if 2.0**j < images[0]], *images)
 
@@ -351,29 +362,55 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     power 2 on in sigma = c ln(1 + t^2), c = max(power - 2, 1), as (M^2)^(2-power)/(2c) int -expm1(-sigma/c) e^(-sigma) dsigma,
     with no e^(-sigma) at power 2 and sigma stopped at 800 from power 3 on.  Memoized sums of the full pieces, between the
     decades of t up to 1e9 or their images in sigma, serve every cutoff and mass, less one short piece within 1% below an
-    edge; the sum up to each t or sigma is memoized too, so a warm cutoff is one lookup.  A scale, or an integral below the mass, past the float range is taken through logarithms.  rel_tol must sit in
-    (0, 1e-6].  Raises QuadratureError when the summed error misses rel_tol, cached or not, and OverflowError past the float range.
+    edge; the sum up to each t or sigma is memoized too, and so is what one (power, M^2, rel_tol) shares, so a warm cutoff
+    is its t or sigma, one lookup and its scaling.  A scale, or an integral below the mass, past the float range is taken
+    through logarithms.  rel_tol must sit in (0, 1e-6].  Raises QuadratureError when the summed error misses rel_tol,
+    cached or not, and OverflowError past the float range.
+
+    The read is the common path of a probe's loop (``_radials``), written out for one cutoff.  A cutoff that needs any
+    other branch goes to that loop: power 1 past t = 1e9, an integral below the smallest normal float, an error past
+    rel_tol, or a radial that is not finite.  So it gives the same float, or raises the same error, as in a probe.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power!r}")
     if not (cutoff > 0 and mass_sq > 0):  # one comparison on valid input: the helper only to raise
         _positive("cutoff", cutoff)
         _positive("mass_sq", mass_sq)
+    _, root, c, epsrel, scale = _setup(power, mass_sq, rel_tol)
+    t_cut = x_cut = cutoff / root
+    if power > 1:  # as in _radials
+        x_cut = c * (math.log1p(t_cut * t_cut) if t_cut < 1e154 else 2.0 * (math.log(cutoff) - math.log(root)))
+        if power > 2 and x_cut > 800.0:
+            x_cut = 800.0
+    elif t_cut > 1e9:  # power 1's k-tail past the last edge
+        return _radials(power, mass_sq, (cutoff,), rel_tol)[0]
+    total, err_total = _integral_to(power, x_cut, epsrel)
+    radial = scale * total
+    if total < _FLOAT_MIN or err_total > rel_tol * total or not radial < math.inf:
+        return _radials(power, mass_sq, (cutoff,), rel_tol)[0]
+    return radial
+
+
+@lru_cache(maxsize=64)
+def _setup(power: int, mass_sq: float, rel_tol: float) -> tuple[tuple[float, ...], float, float, float, float]:
+    """What every cutoff of one (power, M^2, rel_tol) shares: ValueError unless rel_tol sits in its window, then the
+    edges, sqrt(M^2), c, the pieces' epsrel and the scale (M^2)^(2-n)/(2c), inf where it leaves the float range."""
     _check_rel_tol(rel_tol)
-    return _radials(power, mass_sq, (cutoff,), rel_tol)[0]
-
-
-def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: float) -> list[float]:
-    """radial_integral at each cutoff, in order: sqrt(M^2), epsrel and the scale derived once, one _integral_to per cutoff."""
     edges = _edges(power)  # first: a power that no float holds fails here with its own message, not at power - 2.0 below
     root, c = math.sqrt(mass_sq), power - 2.0 if power > 2 else 1.0
     # |K15 - G7| bottoms out near the rounding of the 15-point sums, so a piece asked for less than
-    # 5e-14 would only run to the panel limit; the check below still enforces rel_tol, so tighter requests fail loudly.
+    # 5e-14 would only run to the panel limit; each cutoff's rel_tol check still enforces rel_tol, so tighter requests fail loudly.
     epsrel = rel_tol / 10.0 if not 5e-14 > rel_tol / 10.0 else 5e-14  # max(rel_tol / 10.0, 5e-14) without the call
     try:  # sigma's integrand leaves out the factor 1/(2c)
         scale = mass_sq ** (2 - power) / (2.0 * c if power > 1 else 1.0)
     except OverflowError:  # the power of M^2 alone leaves the float range
         scale = math.inf
+    return edges, root, c, epsrel, scale
+
+
+def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: float) -> list[float]:
+    """radial_integral at each cutoff, in order: the set-up read once, one _integral_to per cutoff."""
+    edges, root, c, epsrel, scale = _setup(power, mass_sq, rel_tol)
     radials = []
     for cutoff in cutoffs:
         t_cut = x_cut = cutoff / root
@@ -400,7 +437,7 @@ def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: fl
                 except OverflowError:
                     radial = math.inf
             if not math.isfinite(radial):
-                raise OverflowError(f"radial integral past the float range for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
+                raise _past_float_range(power, f", mass_sq={mass_sq}, cutoff={cutoff}")
         radials.append(radial)
     return radials
 
@@ -471,14 +508,16 @@ def divergence_signature(probe: CutoffProbe) -> DivergenceSignature:
     first = _require_grid(probe, min_points=4, min_span=1e3)
     grid, vals = probe.lambda_grid[first:], probe.radials[first:]
     logs = list(map(math.log, grid))
-    slopes = [
-        (v2 - v1) / (l2 - l1)
-        for v1, v2, l1, l2 in zip(vals, vals[1:], logs, logs[1:])
-        if l2 != l1  # two cutoffs whose logarithms round to one double: a step of zero width carries no slope
-    ]
-    if slopes[-1] <= 1e-4 * abs(vals[-1]) or slopes[-1] <= 0.1 * slopes[0]:
+    i, j = 0, len(logs) - 1  # the first and last steps that have a width: two cutoffs whose logarithms round
+    while logs[i + 1] == logs[i]:  # to one double make a step of zero width, which carries no slope
+        i += 1
+    while logs[j - 1] == logs[j]:
+        j -= 1
+    first_slope = (vals[i + 1] - vals[i]) / (logs[i + 1] - logs[i])
+    last_slope = (vals[j] - vals[j - 1]) / (logs[j] - logs[j - 1])
+    if last_slope <= 1e-4 * abs(vals[-1]) or last_slope <= 0.1 * first_slope:
         return DivergenceSignature("convergent", vals[-1])
-    if slopes[-1] < 2.0 * slopes[0]:
+    if last_slope < 2.0 * first_slope:
         slope, _ = _line_fit(logs, vals)
         return DivergenceSignature("log", slope)
     return DivergenceSignature("quadratic", vals[-1] / grid[-1] ** 2)

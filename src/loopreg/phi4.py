@@ -102,15 +102,16 @@ def ssb_vacuum(pot: SSBPotential) -> tuple[float, float]:
 def lambda_renormalized(lam: float) -> float:
     """One-loop coupling lambda (1 + 9 lambda / 32 pi^2); finite and nonzero
     for every lambda > 0."""
-    if lam < 0:
+    if not lam >= 0:  # nan too
         raise ValueError(f"lambda must be non-negative, got {lam!r}")
     return lam * (1.0 + BETA_ONE_LOOP * lam)
 
 
 def lambda_invariant_ratio(m_sigma: float, phi1: float) -> float:
     """Scale-ratio meaning of the coupling: 3 (m_sigma/Phi1)^2."""
-    if not (m_sigma > 0 and phi1 > 0):
-        raise ValueError("m_sigma and phi1 must be positive")
+    if not (m_sigma > 0 and phi1 > 0):  # one comparison on valid input: the helper only to raise
+        _positive("m_sigma", m_sigma)
+        _positive("phi1", phi1)
     return 3.0 * (m_sigma / phi1) ** 2
 
 

@@ -79,6 +79,12 @@ class TestCutoffProbe:
     def test_grid_must_be_positive(self):
         with pytest.raises(ValueError):
             CutoffProbe(2, 1.0, (0.0, 1e2))
+        # a nan is refused wherever it stands: first by the sign check, later by the order check
+        for grid, text in (((math.nan, 1e2, 1e3), "cutoff grid values must be positive"),
+                           ((1e2, math.nan, 1e3), "cutoff grid must be strictly increasing"),
+                           ((1e2, 1e3, math.nan), "cutoff grid must be strictly increasing")):
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                CutoffProbe(2, 1.0, grid)
 
     def test_rel_tol_window(self):
         with pytest.raises(ValueError):
@@ -291,6 +297,16 @@ class TestPieceCache:
         after = oracle._decade_sums.cache_info()
         assert integrations() == pieces and after.hits + after.misses == decades.hits + decades.misses
 
+    def test_a_warm_single_read_is_one_lookup(self, monkeypatch):
+        # no call of the probe's loop: one _integral_to hit, then the scaling
+        oracle.radial_integral(2, 4.554, 2.134e4)
+        calls, radials = [], oracle._radials
+        monkeypatch.setattr(oracle, "_radials", lambda *args: calls.append(args) or radials(*args))
+        before = oracle._integral_to.cache_info()
+        oracle.radial_integral(2, 4.554, 2.134e4)
+        after = oracle._integral_to.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses, calls) == (1, 0, [])
+
     def test_top_pieces_do_not_evict_the_decades(self, integrations):
         _default_report(1.0)
         for i in range(300):  # 300 distinct top pieces [0, t], t < 1
@@ -427,6 +443,16 @@ _PROBE_TS = st.one_of(
 )
 
 
+def _probe_radials(power, mass_sq, grid, rel_tol):
+    return CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials
+
+
+def _single_reads(power, mass_sq, grid, rel_tol):
+    """radial_integral at each cutoff, in grid order, as a probe gives them: the floats, or the first failure."""
+    outcomes = [_outcome(oracle.radial_integral, power, mass_sq, lam, rel_tol) for lam in grid]
+    return next((o for o in outcomes if not isinstance(o, float)), tuple(outcomes))
+
+
 class TestProbeRadials:
     @settings(max_examples=60)
     @given(
@@ -461,18 +487,28 @@ class TestProbeRadials:
         ts=st.lists(_PROBE_TS, min_size=1, max_size=8),
         rel_tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
     )
+    # the cutoffs that a single read hands to the probe's loop: a t-integral below the mass that underflows,
+    # t > 1e9 at power 1, (M^2)^(2-n) past the float range (the radial fits at t = 1e-20, not at t = 1) and rel_tol
+    # missed; and a power past the float range, which both refuse in the set-up they share
+    @example(power=3, mass_sq=1e-200, ts=[1e-90, 1e-80], rel_tol=1e-10)
+    @example(power=1, mass_sq=1.0, ts=[1e8, 1e10, 1e12], rel_tol=1e-10)
+    @example(power=6, mass_sq=1e-80, ts=[1e-20, 1.0], rel_tol=1e-10)
+    @example(power=2, mass_sq=1.0, ts=[10.0, 1e6], rel_tol=1e-16)
+    @example(power=10**400, mass_sq=1.0, ts=[0.5], rel_tol=1e-10)
     def test_cold_warm_single_and_evicted_reads_agree(self, power, mass_sq, ts, rel_tol):
         # the per-cutoff cache holds 256 cutoffs, so 300 distinct ones below sqrt(M^2) evict every cutoff of the grid
         root = math.sqrt(mass_sq)
         grid = tuple(sorted({t * root for t in ts}))
         _clear_radial_caches()
-        cold = CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials
-        warm = CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials
-        single = tuple(oracle.radial_integral(power, mass_sq, lam, rel_tol) for lam in grid)
+        cold_single = _single_reads(power, mass_sq, grid, rel_tol)
+        _clear_radial_caches()
+        cold = _outcome(_probe_radials, power, mass_sq, grid, rel_tol)
+        warm = _outcome(_probe_radials, power, mass_sq, grid, rel_tol)
+        single = _single_reads(power, mass_sq, grid, rel_tol)
         for i in range(300):
-            oracle.radial_integral(power, mass_sq, (i + 1) / 400.0 * root, rel_tol)
-        evicted = CutoffProbe(power, mass_sq, grid, QuadratureSpec(rel_tol)).radials
-        assert warm == cold and single == cold and evicted == cold
+            _outcome(oracle.radial_integral, power, mass_sq, (i + 1) / 400.0 * root, rel_tol)
+        evicted = _outcome(_probe_radials, power, mass_sq, grid, rel_tol)
+        assert cold_single == cold and warm == cold and single == cold and evicted == cold
 
 
 class TestCutoffPastTheLastEdge:
@@ -594,7 +630,7 @@ class TestTIntegralPastTheFloatRange:
             assert abs(oracle.radial_integral(power, mass_sq, cutoff) - want) <= bound * want
 
     def test_power_past_the_float_range(self):
-        # (1 + t^2 u^2)^(-n) with an n no float holds: J is taken as 0, and (M^2)^(2-n) overflows, so the radial is refused by name
+        # an n that no float holds is refused by name where the edges are derived, before any quadrature
         with pytest.raises(OverflowError, match="past the float range"):
             oracle.radial_integral(10**400, 1.0, 0.5)
 

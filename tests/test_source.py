@@ -1,5 +1,5 @@
-"""Rules about the package's source: one spelling of the refusal of a non-positive input, and an oracle that
-imports nothing it checks."""
+"""Rules about the package's source: one spelling of the refusal of a non-positive input, one raise site for each
+failure of a radial, and an oracle that imports nothing it checks."""
 
 import ast
 import math
@@ -28,6 +28,9 @@ _REFUSALS = {
     "phi4.ResummationState mu0": (lambda v: phi4.ResummationState(0.5, v, v), "mu0"),
     "phi4.ResummationState beta_coeff": (lambda v: phi4.ResummationState(0.5, 1.0, v), "beta_coeff"),
     "phi4._chain_couplings mu": (lambda v: phi4._chain_couplings(_STATE, (2.0, v)), "mu"),
+    "phi4.lambda_invariant_ratio m_sigma": (lambda v: phi4.lambda_invariant_ratio(v, v), "m_sigma"),
+    "phi4.lambda_invariant_ratio phi1": (lambda v: phi4.lambda_invariant_ratio(1.0, v), "phi1"),
+    "phi4.lambda_renormalized lambda": (phi4.lambda_renormalized, "lambda"),
     "phi4.resum_first_order mu": (lambda v: phi4.resum_first_order(_STATE, v), "mu"),
     "qed.on_shell_mass_shift m": (lambda v: qed.on_shell_mass_shift(v, v, v), "m"),
     "qed.on_shell_mass_shift alpha": (lambda v: qed.on_shell_mass_shift(1.0, v, v), "alpha"),
@@ -38,27 +41,38 @@ _REFUSALS = {
     "qed.lamb_shift_estimate m": (lambda v: qed.lamb_shift_estimate(0.5, v, v), "m"),
     "qed.lamb_shift_estimate bethe_log": (lambda v: qed.lamb_shift_estimate(0.5, 1.0, v), "bethe_log"),
 }
-#: each module's first refusal, which also refuses nan
-_FIRST = ("kernel.ConstantEntry scale", "oracle.CutoffProbe mass_sq", "phi4.SSBPotential sigma", "qed.on_shell_mass_shift m")
+#: each module's first refusal, which also refuses nan, and the phi4 refusals that their functions spell apart
+_FIRST = ("kernel.ConstantEntry scale", "oracle.CutoffProbe mass_sq", "phi4.SSBPotential sigma", "qed.on_shell_mass_shift m",
+          "phi4.lambda_invariant_ratio m_sigma", "phi4.lambda_invariant_ratio phi1", "phi4.lambda_renormalized lambda")
+#: the refusals of an input that must be >= 0: they take 0
+_NON_NEGATIVE = {"phi4.lambda_renormalized lambda"}
+
+
+def _rule(refusal):
+    return "non-negative" if refusal in _NON_NEGATIVE else "positive"
 
 
 class TestOneRefusal:
-    """``x must be positive, got <repr>`` for every input that is not > 0, spelled once, in ``loopreg._positive``."""
+    """``x must be positive, got <repr>`` for every input that is not > 0, spelled once, in ``loopreg._positive``;
+    the one input that may be 0, the coupling of ``phi4.lambda_renormalized``, is refused below it as non-negative."""
 
     @pytest.mark.parametrize("value", [0.0, -1.0, -math.inf])
     @pytest.mark.parametrize("refusal", sorted(_REFUSALS))
     def test_library_message(self, refusal, value):
         call, name = _REFUSALS[refusal]
+        if refusal in _NON_NEGATIVE and value == 0.0:
+            assert call(value) == 0.0
+            return
         with pytest.raises(ValueError) as exc:
             call(value)
-        assert str(exc.value) == f"{name} must be positive, got {value!r}"
+        assert str(exc.value) == f"{name} must be {_rule(refusal)}, got {value!r}"
 
     @pytest.mark.parametrize("refusal", _FIRST)
     def test_library_refuses_nan(self, refusal):
         call, name = _REFUSALS[refusal]
         with pytest.raises(ValueError) as exc:
             call(math.nan)
-        assert str(exc.value) == f"{name} must be positive, got nan"
+        assert str(exc.value) == f"{name} must be {_rule(refusal)}, got nan"
 
     @pytest.mark.parametrize(
         "argv, err",
@@ -84,6 +98,14 @@ class TestOneRefusal:
         tree = ast.parse((SRC / "__init__.py").read_text())
         (positive,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_positive"]
         assert sites[0][0] == "__init__.py" and positive.lineno <= sites[0][1] <= positive.end_lineno, sites
+
+
+class TestOneRaiseSite:
+    """A single cutoff's read hands every failure to the probe's loop, so each failure of a radial is worded in one place."""
+
+    @pytest.mark.parametrize("text", ["quadrature error", "radial integral past the float range"])
+    def test_spelled_once_in_the_oracle(self, text):
+        assert (SRC / "oracle.py").read_text().count(text) == 1
 
 
 #: the modules the oracle checks, or that check with it: it must never read them
