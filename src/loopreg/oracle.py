@@ -20,7 +20,11 @@ where it is an incomplete beta integral (DLMF 8.17) with an integrand bounded
 and smooth for every n.  The integral up to each cutoff's t or sigma is
 memoized, and so is what every cutoff of one (power, M^2, rel_tol) shares, so
 a warm cutoff is one cache lookup and its scaling; a cold one reads the
-memoized decade sums and integrates at most one short piece.  A
+memoized decade sums and integrates at most one short piece.  A piece no
+wider than 1e-3 of its upper end (the short piece of a cutoff typed at a few
+digits next to an edge) first takes one 7-point G3-K7 panel, Kronrod's
+extension of the 3-point Gauss rule, and keeps it where |K7 - G3| meets the
+piece's tolerance; every other piece runs the adaptive G7-K15 rule.  A
 ``CutoffProbe`` integrates all its cutoffs in one pass of one loop.
 ``radial_integral`` reads its one cutoff on that loop's common path and hands
 a rare cutoff to the loop: a k-tail, an integral below the smallest normal
@@ -117,7 +121,7 @@ class CutoffProbe(_Record):
 
     def __init__(self, power: int, mass_sq: float, lambda_grid: tuple[float, ...], quadrature: QuadratureSpec = QuadratureSpec()) -> None:
         lambda_grid = tuple([float(g) for g in lambda_grid])
-        if power < 1:
+        if not power >= 1:  # nan too
             raise ValueError(f"power must be >= 1, got {power!r}")
         _positive("mass_sq", mass_sq)
         if not lambda_grid or not lambda_grid[0] > 0:  # nan too
@@ -164,6 +168,13 @@ _KRONROD = (0.022935322010529224963732008058970, 0.06309209262997855329070066318
 _GAUSS = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
           0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
 _PAIRS = tuple(zip(_NODES, _KRONROD, _GAUSS))
+# The radial panels' rules as (node pairs, Kronrod center weight, Gauss center weight): G7-K15 above, and for a narrow
+# piece G3-K7 (Kronrod, 1965), whose 7 points are exact to degree 11 and its 3 Gauss points, 0 and +-sqrt(3/5), to 5.
+_K15 = (_PAIRS, _KRONROD[-1], _GAUSS[-1])
+_K7 = (((0.960491268708020283423507092629080, 0.104656226026467265193823857192073, 0.0),
+        (0.774596669241483377035853079956480, 0.268488089868333440728569280666710, 0.555555555555555555555555555555556),
+        (0.434243749346802558002071502844628, 0.401397414775962222905051818618432, 0.0)),
+       0.450916538658474142345110087045571, 0.888888888888888888888888888888889)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
@@ -182,12 +193,13 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return -abs(half * (kronrod - gauss)), a, b, half * kronrod
 
 
-def _radial_panel(power: int, a: float, b: float) -> tuple[float, float, float, float]:
-    """``_panel`` of radial_integrand(t, power, 1.0), its unscaled form written out: power 1's integrand in t."""
+def _radial_panel(power: int, a: float, b: float, rule: tuple = _K15) -> tuple[float, float, float, float]:
+    """``_panel`` of radial_integrand(t, power, 1.0), its unscaled form written out: power 1's integrand in t, by the rule given."""
+    pairs, kronrod_center, gauss_center = rule
     center, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
     f_center = center**3 / (center * center + 1.0) ** power
-    kronrod, gauss = _KRONROD[-1] * f_center, _GAUSS[-1] * f_center
-    for x, w_kronrod, w_gauss in _PAIRS:
+    kronrod, gauss = kronrod_center * f_center, gauss_center * f_center
+    for x, w_kronrod, w_gauss in pairs:
         t, u = center - half * x, center + half * x
         pair = t**3 / (t * t + 1.0) ** power + u**3 / (u * u + 1.0) ** power
         kronrod += w_kronrod * pair
@@ -195,13 +207,15 @@ def _radial_panel(power: int, a: float, b: float) -> tuple[float, float, float, 
     return -abs(half * (kronrod - gauss)), a, b, half * kronrod
 
 
-def _sigma_panel(power: int, a: float, b: float) -> tuple[float, float, float, float]:
-    """``_panel`` of the radial's integrand in sigma over 1/(2c), written out: -expm1(-sigma/c) e^(-sigma), -expm1(-sigma) at power 2."""
+def _sigma_panel(power: int, a: float, b: float, rule: tuple = _K15) -> tuple[float, float, float, float]:
+    """``_panel`` of the radial's integrand in sigma over 1/(2c), written out: -expm1(-sigma/c) e^(-sigma), -expm1(-sigma)
+    at power 2; by the rule given."""
+    pairs, kronrod_center, gauss_center = rule
     expm1, exp, c = math.expm1, math.exp, power - 2.0
     center, half = 0.5 * a + 0.5 * b, 0.5 * (b - a)
     f_center = -expm1(-center / c) * exp(-center) if c else -expm1(-center)
-    kronrod, gauss = _KRONROD[-1] * f_center, _GAUSS[-1] * f_center
-    for x, w_kronrod, w_gauss in _PAIRS:
+    kronrod, gauss = kronrod_center * f_center, gauss_center * f_center
+    for x, w_kronrod, w_gauss in pairs:
         s, u = center - half * x, center + half * x
         pair = -expm1(-s / c) * exp(-s) - expm1(-u / c) * exp(-u) if c else -expm1(-s) - expm1(-u)
         kronrod += w_kronrod * pair
@@ -302,8 +316,20 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def _past_float_range(power: int, at: str = "") -> OverflowError:
-    """The radial's one overflow error: past the float range for the power, and for the mass and cutoff given in at."""
-    return OverflowError(f"radial integral past the float range for power={power}{at}")
+    """The radial's one overflow error: past the float range for the power, and for the mass and cutoff given in at.
+
+    An integer power of more than 20 digits is quoted by its first six, rounded, and its power of ten, as 1.23457e+400,
+    in integer arithmetic: its conversion to a float, for a format, overflows past 1.8e308.
+    """
+    text = power
+    if isinstance(power, int) and power >= 10**20:
+        exponent = int(math.log10(power))  # log10 takes an int past the float range; the comparisons settle its rounding
+        exponent += (power >= 10 ** (exponent + 1)) - (power < 10**exponent)
+        lead = (power // 10 ** (exponent - 6) + 5) // 10  # 6 digits, rounded half up from the 7th
+        if lead == 10**6:  # 999999.5 and up rounds to the next power of ten
+            lead, exponent = lead // 10, exponent + 1
+        text = f"{lead / 1e5:g}e+{exponent}"
+    return OverflowError(f"radial integral past the float range for power={text}{at}")
 
 
 _EDGES = (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # the decade edges of t, up to the last, 1e9
@@ -321,8 +347,17 @@ def _edges(power: int) -> tuple[float, ...]:
 
 
 def _radial_piece(power: int, a: float, b: float, epsrel: float) -> tuple[float, float]:
-    """(value, error estimate) of the radial's integral over [a, b], in t for power 1 and in sigma from power 2 on."""
-    return _adapt(_radial_panel if power == 1 else _sigma_panel, power, a, b, epsrel, 0.0)
+    """(value, error estimate) of the radial's integral over [a, b], in t for power 1 and in sigma from power 2 on.
+
+    A narrow piece, b - a <= 1e-3 * b (a cutoff next to an edge), first takes one G3-K7 panel and returns it when
+    |K7 - G3| meets epsrel; every other piece, and a narrow one that the 7 points do not settle, runs ``_adapt``.
+    """
+    panel = _radial_panel if power == 1 else _sigma_panel
+    if b - a <= 1e-3 * b:
+        neg_error, _, _, value = panel(power, a, b, _K7)
+        if not -neg_error > epsrel * abs(value):  # as _adapt's one-panel return
+            return value + 0.0, -neg_error
+    return _adapt(panel, power, a, b, epsrel, 0.0)
 
 
 def _scaled_below_mass(power: int, t_cut: float, epsrel: float) -> tuple[float, float]:
@@ -362,16 +397,17 @@ def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 
     power 2 on in sigma = c ln(1 + t^2), c = max(power - 2, 1), as (M^2)^(2-power)/(2c) int -expm1(-sigma/c) e^(-sigma) dsigma,
     with no e^(-sigma) at power 2 and sigma stopped at 800 from power 3 on.  Memoized sums of the full pieces, between the
     decades of t up to 1e9 or their images in sigma, serve every cutoff and mass, less one short piece within 1% below an
-    edge; the sum up to each t or sigma is memoized too, and so is what one (power, M^2, rel_tol) shares, so a warm cutoff
-    is its t or sigma, one lookup and its scaling.  A scale, or an integral below the mass, past the float range is taken
-    through logarithms.  rel_tol must sit in (0, 1e-6].  Raises QuadratureError when the summed error misses rel_tol,
-    cached or not, and OverflowError past the float range.
+    edge; a short piece no wider than 1e-3 of its upper end takes one G3-K7 panel where that meets its tolerance, and the
+    adaptive G7-K15 rule otherwise.  The sum up to each t or sigma is memoized too, and so is what one (power, M^2,
+    rel_tol) shares, so a warm cutoff is its t or sigma, one lookup and its scaling.  A scale, or an integral below the
+    mass, past the float range is taken through logarithms.  rel_tol must sit in (0, 1e-6].  Raises QuadratureError when
+    the summed error misses rel_tol, cached or not, and OverflowError past the float range.
 
     The read is the common path of a probe's loop (``_radials``), written out for one cutoff.  A cutoff that needs any
     other branch goes to that loop: power 1 past t = 1e9, an integral below the smallest normal float, an error past
     rel_tol, or a radial that is not finite.  So it gives the same float, or raises the same error, as in a probe.
     """
-    if power < 1:
+    if not power >= 1:  # nan too
         raise ValueError(f"power must be >= 1, got {power!r}")
     if not (cutoff > 0 and mass_sq > 0):  # one comparison on valid input: the helper only to raise
         _positive("cutoff", cutoff)

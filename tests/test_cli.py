@@ -474,6 +474,8 @@ _FAILURES = [
     # so do resum's pole and regularize's bracket: mu and the critical scale in MeV, M^2 in MeV^2
     (["resum", "--lambda0", "1", "--mu0", "1", "--mu", "1e300", "--units", "MeV"], 3, "numeric failure: resummed coupling has a pole: mu = 1e+300 reaches the critical scale 4.1698e+07\n"),
     (["regularize", "--n", "200", "--msq", "1e-290", "--units", "MeV"], 3, "numeric failure: bracket past the float range: (M^2)^-198 at mass_sq=1e-290\n"),
+    # a power that no float holds is quoted by its first six digits and its power of ten, not by its 401 digits
+    (["oracle", "--n", str(10**400), "--msq", "1", "--grid", "0.5", "--format", "csv"], 3, "numeric failure: radial integral past the float range for power=1e+400\n"),
 ]
 
 
@@ -1446,17 +1448,28 @@ class TestBenchBlockCounts:
     @pytest.mark.parametrize(
         "workload, expected",
         [
-            ("oracle-sweep", {"pieces": 81, "_integral_to": 41, "_decade_sums": 63, "regularize": 0, "_json": 0}),
-            ("report-warm", {"pieces": 67, "_integral_to": 14, "_decade_sums": 62, "regularize": 8, "_json": 268}),
+            ("oracle-sweep", {"pieces": 81, "K7 panels": 18, "K15 panels": 167, "_integral_to": 41, "_decade_sums": 63, "regularize": 0, "_json": 0}),
+            ("report-warm", {"pieces": 67, "K7 panels": 0, "K15 panels": 203, "_integral_to": 14, "_decade_sums": 62, "regularize": 8, "_json": 268}),
         ],
         ids=["oracle-sweep", "report-warm"],
     )
     def test_first_block_from_cold_caches(self, capsys, integrations, monkeypatch, workload, expected):
+        # a radial panel is counted by its rule: G3-K7 for a narrow piece's first panel, G7-K15 for every other
         from loopreg import kernel, oracle
 
         _clear_library_caches()
         calls, real = [], cli._json
         monkeypatch.setattr(cli, "_json", lambda *args: calls.append(args[0]) or real(*args))
+        panels = collections.Counter()
+
+        def counted(panel):
+            def by_rule(power, a, b, rule=oracle._K15):
+                panels.update(("K7 panels" if rule is oracle._K7 else "K15 panels",))
+                return panel(power, a, b, rule)
+            return by_rule
+
+        monkeypatch.setattr(oracle, "_radial_panel", counted(oracle._radial_panel))
+        monkeypatch.setattr(oracle, "_sigma_panel", counted(oracle._sigma_panel))
         for req in next(bench_workloads().blocks(workload, 101)):
             if req.argv is None:
                 _sweep(req.params)
@@ -1464,6 +1477,8 @@ class TestBenchBlockCounts:
                 run_raw(capsys, list(req.argv))
         counts = {
             "pieces": integrations(),
+            "K7 panels": panels["K7 panels"],
+            "K15 panels": panels["K15 panels"],
             "_integral_to": oracle._integral_to.cache_info().misses,
             "_decade_sums": oracle._decade_sums.cache_info().misses,
             "regularize": kernel.regularize.cache_info().misses,

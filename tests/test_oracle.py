@@ -422,18 +422,118 @@ class TestRadialPrefixSums:
 
     @pytest.mark.parametrize("power", range(1, 7))
     def test_inline_panel_is_the_integrand_panel(self, power):
-        # power 1 in t; from power 2 on in sigma = c ln(1 + t^2), over 1/(2c)
-        c = power - 2
-
-        def f(x):
-            if power == 1:
-                return oracle.radial_integrand(x, power, 1.0)
-            return -math.expm1(-x / c) * math.exp(-x) if c else -math.expm1(-x)
-
+        f = _piece_integrand(power)
         panel = oracle._radial_panel if power == 1 else oracle._sigma_panel
         for a, b in ((0.0, 0.5), (0.0, 1.0), (1.0, 10.0), (10.0, 1e3), (40.0, 800.0), (1e5, 1e9)):
             assert panel(power, a, b) == oracle._panel(f, a, b)
             assert oracle._radial_piece(power, a, b, 1e-11) == oracle.integrate(f, a, b, 1e-11)
+
+
+def _piece_integrand(power):
+    """The integrand of a radial piece as a plain function: power 1 in t; from power 2 on in sigma = c ln(1 + t^2), over 1/(2c)."""
+    c = power - 2
+
+    def f(x):
+        if power == 1:
+            return oracle.radial_integrand(x, power, 1.0)
+        return -math.expm1(-x / c) * math.exp(-x) if c else -math.expm1(-x)
+
+    return f
+
+
+def _rule_on_unit_interval(rule, f):
+    """(Kronrod, Gauss) values of a radial panel's rule for f over [0, 1]."""
+    pairs, kronrod, gauss = rule
+    kronrod, gauss = kronrod * f(0.5), gauss * f(0.5)
+    for x, w_kronrod, w_gauss in pairs:
+        pair = f(0.5 - 0.5 * x) + f(0.5 + 0.5 * x)
+        kronrod += w_kronrod * pair
+        gauss += w_gauss * pair
+    return 0.5 * kronrod, 0.5 * gauss
+
+
+@contextlib.contextmanager
+def _panels_by_rule():
+    """Counts of the radial panels built inside the block, by rule: {"K7": ..., "K15": ...}."""
+    counts = {"K7": 0, "K15": 0}
+
+    def counting(panel):
+        def counted(power, a, b, rule=oracle._K15):
+            counts["K7" if rule is oracle._K7 else "K15"] += 1
+            return panel(power, a, b, rule)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_radial_panel", counting(oracle._radial_panel))
+        patch.setattr(oracle, "_sigma_panel", counting(oracle._sigma_panel))
+        yield counts
+
+
+class TestNarrowPieces:
+    """A piece no wider than 1e-3 of its upper end takes one G3-K7 panel first, and keeps it where its error meets epsrel."""
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_k7_integrates_monomials_to_rounding(self, k):
+        # Kronrod's extension of the 3-point Gauss rule is exact to degree 3*3 + 2 = 11, the Gauss rule to 5
+        kronrod, gauss = _rule_on_unit_interval(oracle._K7, lambda x: x**k)
+        exact = 1.0 / (k + 1)
+        assert (abs(kronrod - exact) <= 2 * math.ulp(exact)) == (k <= 11)
+        assert (abs(gauss - exact) <= 2 * math.ulp(exact)) == (k <= 5)
+
+    def test_k7_nodes_and_weights_to_30_digits(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            # the Stieltjes polynomial x^4 + p x^2 + q is orthogonal to x P3 and x^3 P3, P3 = (5x^3 - 3x)/2
+            # (odd moments of the products vanish); its roots join the Gauss nodes 0 and sqrt(3/5)
+            def moment(j):
+                return mp.mpf(2) / (j + 1) if j % 2 == 0 else mp.mpf(0)
+
+            def p3_moment(j):  # int_-1^1 P3(x) x^j dx
+                return (5 * moment(j + 3) - 3 * moment(j + 1)) / 2
+
+            p, q = mp.lu_solve(mp.matrix([[p3_moment(3), p3_moment(1)], [p3_moment(5), p3_moment(3)]]),
+                               mp.matrix([-p3_moment(5), -p3_moment(7)]))
+            root = mp.sqrt(p * p - 4 * q)
+            nodes = [mp.sqrt((-p + root) / 2), mp.sqrt(mp.mpf(3) / 5), mp.sqrt((-p - root) / 2)]
+            points = [-x for x in nodes] + [mp.mpf(0)] + nodes[::-1]
+            weights = mp.lu_solve(mp.matrix([[x**j for x in points] for j in range(7)]), mp.matrix([moment(j) for j in range(7)]))
+            gauss = (0, mp.mpf(5) / 9, 0)  # 2 / ((1 - x^2) P3'(x)^2) at the Gauss nodes; the center's is 8/9
+            want = (tuple((float(x), float(weights[i]), float(gauss[i])) for i, x in enumerate(nodes)), float(weights[3]), float(mp.mpf(8) / 9))
+        assert oracle._K7 == want
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10, 1e-16])
+    @pytest.mark.parametrize("power", range(1, 7))
+    def test_a_piece_next_to_an_edge_takes_k7(self, power, rel_tol):
+        # within 1e-6 below and above each edge in t or sigma, at the epsrel the pieces of a radial at rel_tol take
+        f, epsrel = _piece_integrand(power), oracle._setup(power, 1.0, rel_tol)[3]
+        for edge in oracle._edges(power)[1:]:
+            for a, b in ((edge * (1.0 - 1e-6), edge), (edge, edge * (1.0 + 1e-6))):
+                with _panels_by_rule() as panels:
+                    value, error = oracle._radial_piece(power, a, b, epsrel)
+                assert panels == {"K7": 1, "K15": 0}
+                assert abs(value - oracle.integrate(f, a, b, epsrel)[0]) <= 4 * math.ulp(value)
+                assert error <= epsrel * abs(value)
+
+    @pytest.mark.parametrize("power", range(4, 7))
+    def test_a_narrow_piece_that_k7_misses_is_the_adaptive_rule(self, power):
+        # in sigma the integrand falls as e^(-sigma), so at the top edges a piece 1e-3 of sigma wide is several
+        # hundredths wide, where |K7 - G3| misses the 5e-14 that a radial at rel_tol 1e-16 asks of its pieces
+        f, edge = _piece_integrand(power), oracle._edges(power)[-1]
+        a = edge * (1.0 - 0.999e-3)  # inside the gate: b - a at exactly 1e-3 b rounds to either side of it
+        with _panels_by_rule() as panels:
+            got = oracle._radial_piece(power, a, edge, 5e-14)
+        assert got == oracle.integrate(f, a, edge, 5e-14)
+        assert panels["K7"] == 1 and panels["K15"] >= 1
+
+    @pytest.mark.parametrize("width", [1.001e-3, 1e-2, 0.5])
+    @pytest.mark.parametrize("power", range(1, 7))
+    def test_a_wider_piece_is_the_adaptive_rule(self, power, width):
+        f = _piece_integrand(power)
+        for edge in oracle._edges(power)[1:]:
+            a = edge * (1.0 - width)
+            with _panels_by_rule() as panels:
+                got = oracle._radial_piece(power, a, edge, 1e-11)
+            assert got == oracle.integrate(f, a, edge, 1e-11) and panels["K7"] == 0
 
 
 # cutoffs in units of sqrt(M^2): exact decade edges 1..1e6 and points within 1e-6 either side of one

@@ -46,6 +46,11 @@ _FIRST = ("kernel.ConstantEntry scale", "oracle.CutoffProbe mass_sq", "phi4.SSBP
           "phi4.lambda_invariant_ratio m_sigma", "phi4.lambda_invariant_ratio phi1", "phi4.lambda_renormalized lambda")
 #: the refusals of an input that must be >= 0: they take 0
 _NON_NEGATIVE = {"phi4.lambda_renormalized lambda"}
+#: the oracle's refusals of a power below 1, the least member of the family, as a bad input
+_POWERS = {
+    "oracle.radial_integral power": lambda v: oracle.radial_integral(v, 1.0, 10.0),
+    "oracle.CutoffProbe power": lambda v: oracle.CutoffProbe(v, 1.0, (1.0, 10.0)).radials,
+}
 
 
 def _rule(refusal):
@@ -73,6 +78,14 @@ class TestOneRefusal:
         with pytest.raises(ValueError) as exc:
             call(math.nan)
         assert str(exc.value) == f"{name} must be {_rule(refusal)}, got nan"
+
+    @pytest.mark.parametrize("value", [math.nan, 0, -math.inf])
+    @pytest.mark.parametrize("refusal", sorted(_POWERS))
+    def test_library_refuses_a_power_below_one(self, refusal, value):
+        # nan is no power past the float range: a ValueError, not the OverflowError of a numeric failure
+        with pytest.raises(ValueError) as exc:
+            _POWERS[refusal](value)
+        assert str(exc.value) == f"power must be >= 1, got {value!r}"
 
     @pytest.mark.parametrize(
         "argv, err",
