@@ -21,21 +21,21 @@ and smooth for every n.  The integral up to each cutoff's t or sigma is
 memoized, and so is what every cutoff of one (power, M^2, rel_tol) shares, so
 a warm cutoff is one cache lookup and its scaling; a cold one reads the
 memoized decade sums and integrates at most one short piece.  A piece no
-wider than 1e-3 of its upper end (the short piece of a cutoff typed at a few
-digits next to an edge) first takes one 7-point G3-K7 panel, Kronrod's
-extension of the 3-point Gauss rule, and keeps it where |K7 - G3| meets the
-piece's tolerance; every other piece runs the adaptive G7-K15 rule.  A
-``CutoffProbe`` integrates all its cutoffs in one pass of one loop.
-``radial_integral`` reads its one cutoff on that loop's common path and hands
-a rare cutoff to the loop: a k-tail, an integral below the smallest normal
-float, an error past rel_tol or a radial past the float range, so each failure
-is worded once.  Both fits read only the cutoffs at or above sqrt(M^2), where
-the large-cutoff expansion holds, and check their grid rule on those before
-they read a radial, so a short grid fails before any quadrature.  The
-signature computes only the two slopes it reads, those of the first and the
-last step, and skips a step between two cutoffs whose logarithms round to one
-double, a step of no width in ln(Lambda); the grid rule leaves at least one
-step that is not skipped.
+wider than 1e-5 of its upper end (the short piece of a cutoff typed at 6
+digits next to an edge) first takes one 5-point G2-K5 panel, Kronrod's
+extension of the 2-point Gauss rule, and keeps it where |K5 - G2| meets the
+piece's tolerance; every other piece runs the adaptive G7-K15 rule.
+``radial_integral`` is the one read of a cutoff, and a ``CutoffProbe`` reads
+each of its cutoffs through it, in grid order, so each failure is worded once
+and a probe gives a single read's float or error.  Both fits read only the
+cutoffs at or above sqrt(M^2), where the large-cutoff expansion holds, and
+check their grid rule on those before they read a radial, so a short grid
+fails before any quadrature.  The signature computes only the two slopes it
+reads, those of the first and the last step, and skips a step between two
+cutoffs whose logarithms round to one double, a step of no width in
+ln(Lambda); the grid rule leaves at least one step that is not skipped.  The
+asymptote refuses a top-two-decade window with no cutoff at or below
+Lambda_top/sqrt(2), too narrow to extrapolate from.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ __all__ = [
 #: Default oracle cutoffs in units of sqrt(M^2): five decades, 1e2 to 1e6.
 DEFAULT_GRID_FACTORS = (1e2, 1e3, 1e4, 1e5, 1e6)
 
-_FLOAT_MIN = sys.float_info.min  # the smallest normal float, read once for _radials
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float, read once for radial_integral
 
 
 class QuadratureError(ArithmeticError):
@@ -94,7 +94,8 @@ class QuadratureSpec(_Record):
     __slots__ = __match_args__ = ("rel_tol",)
 
     def __init__(self, rel_tol: float = 1e-10) -> None:
-        _check_rel_tol(rel_tol)
+        if not 0.0 < rel_tol <= 1e-6:  # one comparison on valid input: the helper only to raise
+            _check_rel_tol(rel_tol)
         object.__setattr__(self, "rel_tol", rel_tol)
 
 
@@ -113,17 +114,18 @@ class _lazy:
 
 
 class CutoffProbe(_Record):
-    """A cutoff sweep over a Lambda grid; ``radials`` integrates every cutoff
-    in one pass on first read, and is kept beside the fields, outside equality."""
+    """A cutoff sweep over a Lambda grid; ``radials`` reads every cutoff on
+    first read, and is kept beside the fields, outside equality."""
 
     __match_args__ = ("power", "mass_sq", "lambda_grid", "quadrature")
     __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, power: int, mass_sq: float, lambda_grid: tuple[float, ...], quadrature: QuadratureSpec = QuadratureSpec()) -> None:
-        lambda_grid = tuple([float(g) for g in lambda_grid])
-        if not power >= 1:  # nan too
-            raise ValueError(f"power must be >= 1, got {power!r}")
-        _positive("mass_sq", mass_sq)
+        lambda_grid = tuple(map(float, lambda_grid))
+        if not (power >= 1 and mass_sq > 0):  # nan too; one comparison on valid input: the helper only to raise
+            if not power >= 1:
+                raise ValueError(f"power must be >= 1, got {power!r}")
+            _positive("mass_sq", mass_sq)
         if not lambda_grid or not lambda_grid[0] > 0:  # nan too
             raise ValueError("cutoff grid values must be positive")
         if not all(map(operator.lt, lambda_grid, lambda_grid[1:])):  # a later cutoff at or below the one before, or a nan
@@ -135,8 +137,9 @@ class CutoffProbe(_Record):
 
     @_lazy
     def radials(self) -> tuple[float, ...]:
-        """radial_integral at each cutoff, in grid order, all in one pass of the radial loop."""
-        return tuple(_radials(self.power, self.mass_sq, self.lambda_grid, self.quadrature.rel_tol))
+        """radial_integral at each cutoff, in grid order: the one read of a cutoff, so a probe gives a single read's float or error."""
+        power, mass_sq, rel_tol = self.power, self.mass_sq, self.quadrature.rel_tol
+        return tuple([radial_integral(power, mass_sq, cutoff, rel_tol) for cutoff in self.lambda_grid])
 
 
 def radial_integrand(k: float, power: int, mass_sq: float) -> float:
@@ -169,12 +172,12 @@ _GAUSS = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901
           0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
 _PAIRS = tuple(zip(_NODES, _KRONROD, _GAUSS))
 # The radial panels' rules as (node pairs, Kronrod center weight, Gauss center weight): G7-K15 above, and for a narrow
-# piece G3-K7 (Kronrod, 1965), whose 7 points are exact to degree 11 and its 3 Gauss points, 0 and +-sqrt(3/5), to 5.
+# piece G2-K5 (Kronrod, 1965): nodes 0, +-1/sqrt(3) and +-sqrt(6/7), weights 28/45, 27/55 and 98/495, exact to degree 7,
+# and its 2 Gauss points +-1/sqrt(3), weight 1, to 3.
 _K15 = (_PAIRS, _KRONROD[-1], _GAUSS[-1])
-_K7 = (((0.960491268708020283423507092629080, 0.104656226026467265193823857192073, 0.0),
-        (0.774596669241483377035853079956480, 0.268488089868333440728569280666710, 0.555555555555555555555555555555556),
-        (0.434243749346802558002071502844628, 0.401397414775962222905051818618432, 0.0)),
-       0.450916538658474142345110087045571, 0.888888888888888888888888888888889)
+_K5 = (((0.925820099772551461566566776584, 0.197979797979797979797979797979798, 0.0),
+        (0.577350269189625764509148780501957, 0.490909090909090909090909090909091, 1.0)),
+       0.622222222222222222222222222222222, 0.0)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
@@ -349,19 +352,20 @@ def _edges(power: int) -> tuple[float, ...]:
 def _radial_piece(power: int, a: float, b: float, epsrel: float) -> tuple[float, float]:
     """(value, error estimate) of the radial's integral over [a, b], in t for power 1 and in sigma from power 2 on.
 
-    A narrow piece, b - a <= 1e-3 * b (a cutoff next to an edge), first takes one G3-K7 panel and returns it when
-    |K7 - G3| meets epsrel; every other piece, and a narrow one that the 7 points do not settle, runs ``_adapt``.
+    A narrow piece, b - a <= 1e-5 * b (a cutoff typed at 6 digits next to an edge), first takes one G2-K5 panel and
+    returns it when |K5 - G2| meets epsrel; every other piece, and a narrow one that the 5 points do not settle, runs
+    ``_adapt``.
     """
     panel = _radial_panel if power == 1 else _sigma_panel
-    if b - a <= 1e-3 * b:
-        neg_error, _, _, value = panel(power, a, b, _K7)
+    if b - a <= 1e-5 * b:
+        neg_error, _, _, value = panel(power, a, b, _K5)
         if not -neg_error > epsrel * abs(value):  # as _adapt's one-panel return
             return value + 0.0, -neg_error
     return _adapt(panel, power, a, b, epsrel, 0.0)
 
 
 def _scaled_below_mass(power: int, t_cut: float, epsrel: float) -> tuple[float, float]:
-    """(value, error estimate) of J = int_0^1 u^3 (1 + t^2 u^2)^(-power) du, apart from _radials, whose power a closure would make a cell."""
+    """(value, error estimate) of J = int_0^1 u^3 (1 + t^2 u^2)^(-power) du, apart from radial_integral, whose power a closure would make a cell."""
     return integrate(lambda u: u**3 * (1.0 + t_cut * t_cut * u * u) ** -power, 0.0, 1.0, epsrel)
 
 
@@ -391,39 +395,54 @@ def _integral_to(power: int, x_cut: float, epsrel: float) -> tuple[float, float]
 
 
 def radial_integral(power: int, mass_sq: float, cutoff: float, rel_tol: float = 1e-10) -> float:
-    """Adaptive quadrature of int_0^cutoff k^3 (k^2 + M^2)^(-power) dk.
+    """Adaptive quadrature of int_0^cutoff k^3 (k^2 + M^2)^(-power) dk, the one read of a cutoff (a probe's too).
 
     Power 1 runs in t = k/sqrt(M^2), as M^2 int t^3/(t^2 + 1) dt plus (cutoff - E)(cutoff + E)/2 past E = 1e9 sqrt(M^2); from
     power 2 on in sigma = c ln(1 + t^2), c = max(power - 2, 1), as (M^2)^(2-power)/(2c) int -expm1(-sigma/c) e^(-sigma) dsigma,
     with no e^(-sigma) at power 2 and sigma stopped at 800 from power 3 on.  Memoized sums of the full pieces, between the
     decades of t up to 1e9 or their images in sigma, serve every cutoff and mass, less one short piece within 1% below an
-    edge; a short piece no wider than 1e-3 of its upper end takes one G3-K7 panel where that meets its tolerance, and the
+    edge; a short piece no wider than 1e-5 of its upper end takes one G2-K5 panel where that meets its tolerance, and the
     adaptive G7-K15 rule otherwise.  The sum up to each t or sigma is memoized too, and so is what one (power, M^2,
     rel_tol) shares, so a warm cutoff is its t or sigma, one lookup and its scaling.  A scale, or an integral below the
     mass, past the float range is taken through logarithms.  rel_tol must sit in (0, 1e-6].  Raises QuadratureError when
     the summed error misses rel_tol, cached or not, and OverflowError past the float range.
 
-    The read is the common path of a probe's loop (``_radials``), written out for one cutoff.  A cutoff that needs any
-    other branch goes to that loop: power 1 past t = 1e9, an integral below the smallest normal float, an error past
-    rel_tol, or a radial that is not finite.  So it gives the same float, or raises the same error, as in a probe.
+    The common path ends in one test; only a cutoff that fails it, an integral below the smallest normal float, an
+    error past rel_tol or a radial that is not finite, runs the branches below it.
     """
-    if not power >= 1:  # nan too
-        raise ValueError(f"power must be >= 1, got {power!r}")
-    if not (cutoff > 0 and mass_sq > 0):  # one comparison on valid input: the helper only to raise
+    if not (power >= 1 and cutoff > 0 and mass_sq > 0):  # nan too; one comparison on valid input: the helper only to raise
+        if not power >= 1:
+            raise ValueError(f"power must be >= 1, got {power!r}")
         _positive("cutoff", cutoff)
         _positive("mass_sq", mass_sq)
-    _, root, c, epsrel, scale = _setup(power, mass_sq, rel_tol)
+    edges, root, c, epsrel, scale = _setup(power, mass_sq, rel_tol)
     t_cut = x_cut = cutoff / root
-    if power > 1:  # as in _radials
+    tail = 0.0
+    if power > 1:  # sigma = c ln(1 + t^2), from the logarithms of cutoff and sqrt(M^2) where t^2 may overflow
         x_cut = c * (math.log1p(t_cut * t_cut) if t_cut < 1e154 else 2.0 * (math.log(cutoff) - math.log(root)))
-        if power > 2 and x_cut > 800.0:
+        if power > 2 and x_cut > 800.0:  # the integrand is below e^(-sigma), which has underflowed there
             x_cut = 800.0
-    elif t_cut > 1e9:  # power 1's k-tail past the last edge
-        return _radials(power, mass_sq, (cutoff,), rel_tol)[0]
+    elif t_cut > 1e9:  # past the last edge: its decades, then k integrated in k from E = 1e9 sqrt(M^2) on
+        x_cut, tail = 1e9, 0.5 * (cutoff - 1e9 * root) * (cutoff + 1e9 * root)
     total, err_total = _integral_to(power, x_cut, epsrel)
-    radial = scale * total
+    radial = scale * total + tail
     if total < _FLOAT_MIN or err_total > rel_tol * total or not radial < math.inf:
-        return _radials(power, mass_sq, (cutoff,), rel_tol)[0]
+        below = total < _FLOAT_MIN and x_cut < edges[1]
+        if below:  # t^4/4 underflows, though the radial may fit: it is cutoff^4 (M^2)^(-n) J, J in u = k/cutoff
+            total, err_total = _scaled_below_mass(power, t_cut, epsrel)
+        if err_total > rel_tol * abs(total):
+            raise QuadratureError(f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
+                                  f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
+        radial = scale * total + tail
+        if below or not math.isfinite(radial):
+            if total > 0 and (below or scale == math.inf):  # J's factor, or (M^2)^(2-n) alone (n >= 3), may leave the float range
+                log_factor = 4.0 * math.log(cutoff) - power * math.log(mass_sq) if below else (2 - power) * math.log(mass_sq) - math.log(2.0 * c)
+                try:
+                    radial = math.exp(math.log(total) + log_factor)
+                except OverflowError:
+                    radial = math.inf
+            if not math.isfinite(radial):
+                raise _past_float_range(power, f", mass_sq={mass_sq}, cutoff={cutoff}")
     return radial
 
 
@@ -442,40 +461,6 @@ def _setup(power: int, mass_sq: float, rel_tol: float) -> tuple[tuple[float, ...
     except OverflowError:  # the power of M^2 alone leaves the float range
         scale = math.inf
     return edges, root, c, epsrel, scale
-
-
-def _radials(power: int, mass_sq: float, cutoffs: tuple[float, ...], rel_tol: float) -> list[float]:
-    """radial_integral at each cutoff, in order: the set-up read once, one _integral_to per cutoff."""
-    edges, root, c, epsrel, scale = _setup(power, mass_sq, rel_tol)
-    radials = []
-    for cutoff in cutoffs:
-        t_cut = x_cut = cutoff / root
-        tail = 0.0
-        if power > 1:  # sigma = c ln(1 + t^2), from the logarithms of cutoff and sqrt(M^2) where t^2 may overflow
-            x_cut = c * (math.log1p(t_cut * t_cut) if t_cut < 1e154 else 2.0 * (math.log(cutoff) - math.log(root)))
-            if power > 2 and x_cut > 800.0:  # the integrand is below e^(-sigma), which has underflowed there
-                x_cut = 800.0
-        elif t_cut > 1e9:  # past the last edge: its decades, then k integrated in k from E = 1e9 sqrt(M^2) on
-            x_cut, tail = 1e9, 0.5 * (cutoff - 1e9 * root) * (cutoff + 1e9 * root)
-        total, err_total = _integral_to(power, x_cut, epsrel)
-        below = total < _FLOAT_MIN and x_cut < edges[1]
-        if below:  # t^4/4 underflows, though the radial may fit: it is cutoff^4 (M^2)^(-n) J, J in u = k/cutoff
-            total, err_total = _scaled_below_mass(power, t_cut, epsrel)
-        if err_total > rel_tol * abs(total):
-            raise QuadratureError(f"quadrature error {err_total:.3e} exceeds rel_tol {rel_tol:.1e} "
-                                  f"for power={power}, mass_sq={mass_sq}, cutoff={cutoff}")
-        radial = scale * total + tail
-        if below or not math.isfinite(radial):
-            if total > 0 and (below or scale == math.inf):  # J's factor, or (M^2)^(2-n) alone (n >= 3), may leave the float range
-                log_factor = 4.0 * math.log(cutoff) - power * math.log(mass_sq) if below else (2 - power) * math.log(mass_sq) - math.log(2.0 * c)
-                try:
-                    radial = math.exp(math.log(total) + log_factor)
-                except OverflowError:
-                    radial = math.inf
-            if not math.isfinite(radial):
-                raise _past_float_range(power, f", mass_sq={mass_sq}, cutoff={cutoff}")
-        radials.append(radial)
-    return radials
 
 
 def unit_multiple(power: int, radial: float) -> float:
@@ -567,6 +552,8 @@ def asymptote_constant(probe: CutoffProbe) -> float:
     grid decades; the remainder of the expansion is O(1/Lambda^4).  The grid
     rule, 4 cutoffs at or above sqrt(M^2) over 4 decades, puts that window at
     or above 100 sqrt(M^2), and the top cutoff at or above ~1e4 sqrt(M^2).
+    The window must also hold a cutoff at or below Lambda_top/sqrt(2), x >= 2,
+    so a grid whose top cutoffs sit closer than that is refused.
     Only differences of this limit between two masses are cutoff-free
     physics: the limit itself shifts with the arbitrary constant freedom.
     """
@@ -578,6 +565,8 @@ def asymptote_constant(probe: CutoffProbe) -> float:
     xs = [(grid[-1] / lam) ** 2 for lam in grid if lam >= threshold]
     if len(xs) < 2:
         raise InsufficientGridError("need >= 2 grid points in the top two decades for extrapolation")
+    if not xs[0] >= 2.0:  # extrapolating to x = 0 amplifies the window's rounding about 1 + 2/(x_max - 1) times: 3 at x = 2
+        raise InsufficientGridError("need a grid point at or below Lambda_top/sqrt(2) in the top two decades for extrapolation")
     gs = [v - math.log(lam) for lam, v in zip(grid, probe.radials) if lam >= threshold]
     _, intercept = _line_fit(xs, gs)
     return intercept

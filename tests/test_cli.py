@@ -386,18 +386,18 @@ class TestOracleCommand:
         from loopreg import oracle
 
         calls = []
-        radials = oracle._radials
+        radial_integral = oracle.radial_integral
 
-        def counted(power, mass_sq, grid, rel_tol):
-            calls.append(grid)
-            return radials(power, mass_sq, grid, rel_tol)
+        def counted(power, mass_sq, cutoff, rel_tol):
+            calls.append(cutoff)
+            return radial_integral(power, mass_sq, cutoff, rel_tol)
 
-        monkeypatch.setattr(oracle, "_radials", counted)
+        monkeypatch.setattr(oracle, "radial_integral", counted)
         code, report = run_json(capsys, argv)
         assert code == 0
         assert len(report["outputs"]["rows"]) == cutoffs
-        # one pass of the radial loop integrates every cutoff of the grid, once
-        assert len(calls) == 1 and len(calls[0]) == cutoffs
+        # the rows and both fits read the probe's radials, which read each cutoff of the grid once, in grid order
+        assert calls == [float(row["cutoff"]) for row in report["outputs"]["rows"]]
 
     @pytest.mark.parametrize(
         "n, msq, grid",
@@ -1448,13 +1448,13 @@ class TestBenchBlockCounts:
     @pytest.mark.parametrize(
         "workload, expected",
         [
-            ("oracle-sweep", {"pieces": 81, "K7 panels": 18, "K15 panels": 167, "_integral_to": 41, "_decade_sums": 63, "regularize": 0, "_json": 0}),
-            ("report-warm", {"pieces": 67, "K7 panels": 0, "K15 panels": 203, "_integral_to": 14, "_decade_sums": 62, "regularize": 8, "_json": 268}),
+            ("oracle-sweep", {"pieces": 81, "K5 panels": 18, "K15 panels": 167, "_integral_to": 41, "_decade_sums": 63, "regularize": 0, "_json": 0}),
+            ("report-warm", {"pieces": 67, "K5 panels": 0, "K15 panels": 203, "_integral_to": 14, "_decade_sums": 62, "regularize": 8, "_json": 268}),
         ],
         ids=["oracle-sweep", "report-warm"],
     )
     def test_first_block_from_cold_caches(self, capsys, integrations, monkeypatch, workload, expected):
-        # a radial panel is counted by its rule: G3-K7 for a narrow piece's first panel, G7-K15 for every other
+        # a radial panel is counted by its rule: G2-K5 for a narrow piece's first panel, G7-K15 for every other
         from loopreg import kernel, oracle
 
         _clear_library_caches()
@@ -1464,7 +1464,7 @@ class TestBenchBlockCounts:
 
         def counted(panel):
             def by_rule(power, a, b, rule=oracle._K15):
-                panels.update(("K7 panels" if rule is oracle._K7 else "K15 panels",))
+                panels.update(("K5 panels" if rule is oracle._K5 else "K15 panels",))
                 return panel(power, a, b, rule)
             return by_rule
 
@@ -1477,7 +1477,7 @@ class TestBenchBlockCounts:
                 run_raw(capsys, list(req.argv))
         counts = {
             "pieces": integrations(),
-            "K7 panels": panels["K7 panels"],
+            "K5 panels": panels["K5 panels"],
             "K15 panels": panels["K15 panels"],
             "_integral_to": oracle._integral_to.cache_info().misses,
             "_decade_sums": oracle._decade_sums.cache_info().misses,

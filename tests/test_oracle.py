@@ -176,8 +176,8 @@ def _fit_or_refusal(fit, grid):
 
 
 class TestAcceptedGridsThatMisread:
-    """Accepted n = 2 grids whose fits print a wrong answer (ROADMAP item 19).  The right answer or a refusal of the
-    grid passes, so these XPASS, and so fail, once the fits read only where the expansion holds."""
+    """n = 2 grids whose fits printed a wrong answer once accepted (ROADMAP item 19).  The right answer or a refusal of
+    the grid passes, so the strict xfails XPASS, and so fail, once the signature reads only where the expansion holds."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 19: the first step starts at sqrt(M^2), where the slope is 1/4 of its limit, so the signature reads quadratic")
     def test_first_step_at_the_mass(self):
@@ -187,8 +187,8 @@ class TestAcceptedGridsThatMisread:
     def test_last_step_narrower_than_rounding(self):
         assert _fit_or_refusal(lambda p: oracle.divergence_signature(p).kind, (1.0, 10.0, 99.0, 9999.999999999998, 10000.0)) in (None, "log")
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 19: the asymptote's line fit runs through two x values 4e-16 apart and reads -4.5")
     def test_asymptote_over_a_step_narrower_than_rounding(self):
+        # the window's two cutoffs lie 4e-16 apart in x = (Lambda_top/Lambda)^2, where a line fit read -4.5: refused
         limit = _fit_or_refusal(oracle.asymptote_constant, (1.0, 10.0, 99.0, 9999.999999999998, 10000.0))
         assert limit is None or abs(limit + 0.5) <= 1e-6, limit
 
@@ -215,6 +215,23 @@ class TestFitsAgainstTheBenchChecker:
                 assert len(far) < 4 or far[-1] / far[0] < 1e4 or "top two decades" in str(exc), (params, exc)
                 continue
             assert checker.check_sweep(params, probe.radials, kind, asymptote) is None, params
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_an_asymptote_with_a_near_duplicate_top_cutoff_holds_or_the_grid_is_refused(self, seed):
+        # n = 2, M^2 1e-6..1e6, 4-7 cutoffs over 4-7 decades from 1-100 sqrt(M^2), and one more cutoff 1e-16..0.1 of the
+        # top one below it; the asymptote's window may then hold only the top cutoff and that one
+        checker, rng = references.bench_checker(), random.Random(seed)
+        for _ in range(200):
+            mass_sq = 10.0 ** rng.uniform(-6.0, 6.0)
+            first, count, decades = 10.0 ** rng.uniform(0.0, 2.0) * math.sqrt(mass_sq), rng.randint(4, 7), rng.uniform(4.0, 7.0)
+            grid = [first * 10.0 ** (decades * i / (count - 1)) for i in range(count)]
+            grid.insert(-1, grid[-1] * (1.0 - 10.0 ** rng.uniform(-16.0, -1.0)))
+            try:
+                asymptote = oracle.asymptote_constant(CutoffProbe(2, mass_sq, sorted(set(grid))))
+            except InsufficientGridError as exc:
+                assert "top two decades" in str(exc), (mass_sq, grid, exc)
+                continue
+            assert abs(asymptote - checker.log_asymptote(mass_sq)) <= checker.ASYMPTOTE_ABS_TOL, (mass_sq, grid, asymptote)
 
 
 class TestLineFit:
@@ -297,15 +314,15 @@ class TestPieceCache:
         after = oracle._decade_sums.cache_info()
         assert integrations() == pieces and after.hits + after.misses == decades.hits + decades.misses
 
-    def test_a_warm_single_read_is_one_lookup(self, monkeypatch):
-        # no call of the probe's loop: one _integral_to hit, then the scaling
+    def test_a_warm_single_read_is_one_lookup(self, integrations):
+        # one _setup hit and one _integral_to hit, then the scaling: no piece integrated, no decade sum read
         oracle.radial_integral(2, 4.554, 2.134e4)
-        calls, radials = [], oracle._radials
-        monkeypatch.setattr(oracle, "_radials", lambda *args: calls.append(args) or radials(*args))
-        before = oracle._integral_to.cache_info()
+        caches = (oracle._setup, oracle._integral_to, oracle._decade_sums)
+        before, pieces = [cache.cache_info() for cache in caches], integrations()
         oracle.radial_integral(2, 4.554, 2.134e4)
-        after = oracle._integral_to.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses, calls) == (1, 0, [])
+        after = [cache.cache_info() for cache in caches]
+        assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)] == [(1, 0), (1, 0), (0, 0)]
+        assert integrations() == pieces
 
     def test_top_pieces_do_not_evict_the_decades(self, integrations):
         _default_report(1.0)
@@ -454,12 +471,12 @@ def _rule_on_unit_interval(rule, f):
 
 @contextlib.contextmanager
 def _panels_by_rule():
-    """Counts of the radial panels built inside the block, by rule: {"K7": ..., "K15": ...}."""
-    counts = {"K7": 0, "K15": 0}
+    """Counts of the radial panels built inside the block, by rule: {"K5": ..., "K15": ...}."""
+    counts = {"K5": 0, "K15": 0}
 
     def counting(panel):
         def counted(power, a, b, rule=oracle._K15):
-            counts["K7" if rule is oracle._K7 else "K15"] += 1
+            counts["K5" if rule is oracle._K5 else "K15"] += 1
             return panel(power, a, b, rule)
         return counted
 
@@ -470,36 +487,37 @@ def _panels_by_rule():
 
 
 class TestNarrowPieces:
-    """A piece no wider than 1e-3 of its upper end takes one G3-K7 panel first, and keeps it where its error meets epsrel."""
+    """A piece no wider than 1e-5 of its upper end takes one G2-K5 panel first, and keeps it where its error meets epsrel.
+
+    The tests keep the names they had for the G3-K7 rule, gated at 1e-3, that G2-K5 replaced."""
 
     @pytest.mark.parametrize("k", range(14))
     def test_k7_integrates_monomials_to_rounding(self, k):
-        # Kronrod's extension of the 3-point Gauss rule is exact to degree 3*3 + 2 = 11, the Gauss rule to 5
-        kronrod, gauss = _rule_on_unit_interval(oracle._K7, lambda x: x**k)
+        # Kronrod's extension of the 2-point Gauss rule is exact to degree 3*2 + 1 = 7, the Gauss rule to 3
+        kronrod, gauss = _rule_on_unit_interval(oracle._K5, lambda x: x**k)
         exact = 1.0 / (k + 1)
-        assert (abs(kronrod - exact) <= 2 * math.ulp(exact)) == (k <= 11)
-        assert (abs(gauss - exact) <= 2 * math.ulp(exact)) == (k <= 5)
+        assert (abs(kronrod - exact) <= 2 * math.ulp(exact)) == (k <= 7)
+        assert (abs(gauss - exact) <= 2 * math.ulp(exact)) == (k <= 3)
 
     def test_k7_nodes_and_weights_to_30_digits(self):
+        # the G2-K5 table, (pairs, Kronrod center weight, Gauss center weight), from a 30-digit computation
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
-            # the Stieltjes polynomial x^4 + p x^2 + q is orthogonal to x P3 and x^3 P3, P3 = (5x^3 - 3x)/2
-            # (odd moments of the products vanish); its roots join the Gauss nodes 0 and sqrt(3/5)
+            # the Stieltjes polynomial x^3 + p x is orthogonal to P2, x P2 and x^2 P2, P2 = (3x^2 - 1)/2, where only x P2
+            # sets a condition (the other two products are odd); its roots join the Gauss nodes +-1/sqrt(3), the roots of P2
             def moment(j):
                 return mp.mpf(2) / (j + 1) if j % 2 == 0 else mp.mpf(0)
 
-            def p3_moment(j):  # int_-1^1 P3(x) x^j dx
-                return (5 * moment(j + 3) - 3 * moment(j + 1)) / 2
+            def p2_moment(j):  # int_-1^1 P2(x) x^j dx
+                return (3 * moment(j + 2) - moment(j)) / 2
 
-            p, q = mp.lu_solve(mp.matrix([[p3_moment(3), p3_moment(1)], [p3_moment(5), p3_moment(3)]]),
-                               mp.matrix([-p3_moment(5), -p3_moment(7)]))
-            root = mp.sqrt(p * p - 4 * q)
-            nodes = [mp.sqrt((-p + root) / 2), mp.sqrt(mp.mpf(3) / 5), mp.sqrt((-p - root) / 2)]
+            p = -p2_moment(4) / p2_moment(2)
+            nodes = [mp.sqrt(-p), 1 / mp.sqrt(3)]
             points = [-x for x in nodes] + [mp.mpf(0)] + nodes[::-1]
-            weights = mp.lu_solve(mp.matrix([[x**j for x in points] for j in range(7)]), mp.matrix([moment(j) for j in range(7)]))
-            gauss = (0, mp.mpf(5) / 9, 0)  # 2 / ((1 - x^2) P3'(x)^2) at the Gauss nodes; the center's is 8/9
-            want = (tuple((float(x), float(weights[i]), float(gauss[i])) for i, x in enumerate(nodes)), float(weights[3]), float(mp.mpf(8) / 9))
-        assert oracle._K7 == want
+            weights = mp.lu_solve(mp.matrix([[x**j for x in points] for j in range(5)]), mp.matrix([moment(j) for j in range(5)]))
+            gauss = (0, 2 / ((1 - nodes[1] ** 2) * (3 * nodes[1]) ** 2))  # 2 / ((1 - x^2) P2'(x)^2); the center is no Gauss node
+            want = (tuple((float(x), float(weights[i]), float(gauss[i])) for i, x in enumerate(nodes)), float(weights[2]), 0.0)
+        assert oracle._K5 == want
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10, 1e-16])
     @pytest.mark.parametrize("power", range(1, 7))
@@ -510,22 +528,21 @@ class TestNarrowPieces:
             for a, b in ((edge * (1.0 - 1e-6), edge), (edge, edge * (1.0 + 1e-6))):
                 with _panels_by_rule() as panels:
                     value, error = oracle._radial_piece(power, a, b, epsrel)
-                assert panels == {"K7": 1, "K15": 0}
+                assert panels == {"K5": 1, "K15": 0}
                 assert abs(value - oracle.integrate(f, a, b, epsrel)[0]) <= 4 * math.ulp(value)
                 assert error <= epsrel * abs(value)
 
     @pytest.mark.parametrize("power", range(4, 7))
     def test_a_narrow_piece_that_k7_misses_is_the_adaptive_rule(self, power):
-        # in sigma the integrand falls as e^(-sigma), so at the top edges a piece 1e-3 of sigma wide is several
-        # hundredths wide, where |K7 - G3| misses the 5e-14 that a radial at rel_tol 1e-16 asks of its pieces
+        # an epsrel far below the rounding of the 5-point sums forces |K5 - G2| to miss it inside the gate
         f, edge = _piece_integrand(power), oracle._edges(power)[-1]
-        a = edge * (1.0 - 0.999e-3)  # inside the gate: b - a at exactly 1e-3 b rounds to either side of it
+        a = edge * (1.0 - 0.999e-5)  # inside the gate: b - a at exactly 1e-5 b rounds to either side of it
         with _panels_by_rule() as panels:
-            got = oracle._radial_piece(power, a, edge, 5e-14)
-        assert got == oracle.integrate(f, a, edge, 5e-14)
-        assert panels["K7"] == 1 and panels["K15"] >= 1
+            got = oracle._radial_piece(power, a, edge, 1e-20)
+        assert got == oracle.integrate(f, a, edge, 1e-20)
+        assert panels["K5"] == 1 and panels["K15"] >= 1
 
-    @pytest.mark.parametrize("width", [1.001e-3, 1e-2, 0.5])
+    @pytest.mark.parametrize("width", [1.001e-5, 1e-4, 1e-3, 1.001e-3, 1e-2, 0.5])
     @pytest.mark.parametrize("power", range(1, 7))
     def test_a_wider_piece_is_the_adaptive_rule(self, power, width):
         f = _piece_integrand(power)
@@ -533,7 +550,7 @@ class TestNarrowPieces:
             a = edge * (1.0 - width)
             with _panels_by_rule() as panels:
                 got = oracle._radial_piece(power, a, edge, 1e-11)
-            assert got == oracle.integrate(f, a, edge, 1e-11) and panels["K7"] == 0
+            assert got == oracle.integrate(f, a, edge, 1e-11) and panels["K5"] == 0
 
 
 # cutoffs in units of sqrt(M^2): exact decade edges 1..1e6 and points within 1e-6 either side of one
@@ -587,9 +604,9 @@ class TestProbeRadials:
         ts=st.lists(_PROBE_TS, min_size=1, max_size=8),
         rel_tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
     )
-    # the cutoffs that a single read hands to the probe's loop: a t-integral below the mass that underflows,
-    # t > 1e9 at power 1, (M^2)^(2-n) past the float range (the radial fits at t = 1e-20, not at t = 1) and rel_tol
-    # missed; and a power past the float range, which both refuse in the set-up they share
+    # the cutoffs off radial_integral's common path: a t-integral below the mass that underflows, t > 1e9 at power 1,
+    # (M^2)^(2-n) past the float range (the radial fits at t = 1e-20, not at t = 1) and rel_tol missed; and a power
+    # past the float range, which the set-up refuses
     @example(power=3, mass_sq=1e-200, ts=[1e-90, 1e-80], rel_tol=1e-10)
     @example(power=1, mass_sq=1.0, ts=[1e8, 1e10, 1e12], rel_tol=1e-10)
     @example(power=6, mass_sq=1e-80, ts=[1e-20, 1.0], rel_tol=1e-10)

@@ -121,12 +121,12 @@ def test_replace_canonicalizes_like_the_constructor():
 
 
 def test_probe_radials_are_computed_once_and_ignored_by_equality(monkeypatch):
-    calls = []  # the cutoffs each pass of the radial loop integrates
-    real = oracle._radials
-    monkeypatch.setattr(oracle, "_radials", lambda power, mass_sq, grid, rel_tol: calls.append(grid) or real(power, mass_sq, grid, rel_tol))
+    calls = []  # the cutoffs the probe reads, one radial_integral each
+    real = oracle.radial_integral
+    monkeypatch.setattr(oracle, "radial_integral", lambda power, mass_sq, cutoff, rel_tol: calls.append(cutoff) or real(power, mass_sq, cutoff, rel_tol))
     probe = oracle.CutoffProbe(2, 1.0, (10.0, 100.0))
     radials = probe.radials
-    assert probe.radials is radials and calls == [(10.0, 100.0)]
+    assert probe.radials is radials and calls == [10.0, 100.0]
     fresh = oracle.CutoffProbe(2, 1.0, (10.0, 100.0))
     assert fresh == probe and hash(fresh) == hash(probe)
     for other in (copy.copy(probe), copy.deepcopy(probe), pickle.loads(pickle.dumps(probe))):

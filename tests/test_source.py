@@ -114,7 +114,7 @@ class TestOneRefusal:
 
 
 class TestOneRaiseSite:
-    """A single cutoff's read hands every failure to the probe's loop, so each failure of a radial is worded in one place."""
+    """radial_integral is the one read of a cutoff, a probe's too, so each failure of a radial is worded in one place."""
 
     @pytest.mark.parametrize("text", ["quadrature error", "radial integral past the float range"])
     def test_spelled_once_in_the_oracle(self, text):
