@@ -21,23 +21,8 @@ GeV-based whatever ``--units`` says, as the benchmark's checker reads them.
 Each handler only computes a ``Report``; ``run`` checks the format before any
 computation, and ``_render`` writes the report in one pass: as JSON, byte for
 byte as ``json.dumps(payload, indent=2)`` prints the formatted payload, or its
-sweep rows as csv or plot-data.  Every JSON object is one template, its keys,
-punctuation and indentation with a ``%s`` slot per value (``_template``,
-cached per keys and indent), filled with one ``%``; every cell follows one rule
-(``_cells``: a finite float, a string and None inline, anything else by
-``_json``).  A report's fixed text (its subcommand, input and output keys,
-provenance, punctuation and indentation) is one such template per shape
-(``_skeleton``), whose slots a request fills with its laid-out values in one
-``%``.  A list of dicts that share the first one's keys in order (a sweep's
-rows) fills its row template, repeated once per row, with every cell in one
-``%``; csv fills one ``%s,%s,...`` line per row the same way.  A handler
-may hand over the text of values that do not change between requests in
-``Report.laid``, beside the values themselves: ``regularize`` lays
-out the fields and the unaliased ledger that its power alone fixes once per
-power (``_power_fields``; they hold no float, so no setting changes them), and a
-warm request lays out only its echo, ``unfixed_constants``, the bracket floats
-and an aliased ledger.  ``demo`` prints one PASS/FAIL line per row of ``loopreg.checks.CHECKS``,
-the table the acceptance test asserts.
+sweep rows as csv or plot-data.  ``demo`` prints one PASS/FAIL line per row of
+``loopreg.checks.CHECKS``, the table the acceptance test asserts.
 
 Exit codes: 0 success, 2 usage/validation error, 3 numeric failure
 (quadrature tolerance unmet, a pole where a finite value was requested, a
@@ -47,14 +32,11 @@ number about to be printed).  Every float flag must be finite: ``inf`` and
 imports the modules it calls, so a one-shot call loads only what its
 subcommand runs (``regularize`` only ``kernel``).
 
-Parsing reads the table first: ``_parse_declared`` turns a well-formed
-``SUB --flag value ...`` argv (each flag an exact declared option string, each
-value not starting with ``-``, converting by the flag's type and lying in its
-choices, every required flag given) into the namespace argparse would make of
-it, without importing argparse or building a parser.  Every other argv (help,
-a usage error, ``--flag=value``, ``--``, an abbreviated flag, a negative
-value) goes to argparse, the parser of record for each message: the parsers
-are built once per process, on the first argv the table refuses.  A
+Parsing reads the table first: ``_parse_declared`` reads a well-formed
+``SUB --flag value ...`` argv without importing argparse.  Every other argv
+(help, a usage error, ``--flag=value``, ``--``, an abbreviated flag, a
+negative value) goes to argparse, the parser of record for each message: the
+parsers are built once per process, on the first argv the table refuses.  A
 subcommand's own flag (``--units``, ``--precision``, ``--format``,
 ``--config``) typed before the subcommand is a usage error that names it.
 """

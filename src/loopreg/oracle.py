@@ -14,27 +14,18 @@ Python: an adaptive G7-K15 Gauss-Kronrod rule (``integrate``) and a
 bracketing root finder by the Illinois rule (``find_root``), which falls back
 to bisection where interpolation stalls.
 
-The radial integral runs piece by piece in a variable that carries no mass:
-t = k/sqrt(M^2) for n = 1, and from n = 2 on sigma = max(n - 2, 1) ln(1 + t^2),
-where it is an incomplete beta integral (DLMF 8.17) with an integrand bounded
-and smooth for every n.  The integral up to each cutoff's t or sigma is
-memoized, and so is what every cutoff of one (power, M^2, rel_tol) shares, so
-a warm cutoff is one cache lookup and its scaling; a cold one reads the
-memoized decade sums and integrates at most one short piece.  A piece no
-wider than 1e-5 of its upper end (the short piece of a cutoff typed at 6
-digits next to an edge) first takes one 5-point G2-K5 panel, Kronrod's
-extension of the 2-point Gauss rule, and keeps it where |K5 - G2| meets the
-piece's tolerance; every other piece runs the adaptive G7-K15 rule.
-``radial_integral`` is the one read of a cutoff, and a ``CutoffProbe`` reads
-each of its cutoffs through it, in grid order, so each failure is worded once
-and a probe gives a single read's float or error.  Both fits read only the
-cutoffs at or above sqrt(M^2), where the large-cutoff expansion holds, and
-check their grid rule on those before they read a radial, so a short grid
-fails before any quadrature.  The signature computes only the two slopes it
-reads, those of the first and the last step, and skips a step between two
-cutoffs whose logarithms round to one double, a step of no width in
-ln(Lambda); the grid rule leaves at least one step that is not skipped.  The
-asymptote refuses a top-two-decade window with no cutoff at or below
+``radial_integral`` is the one read of a cutoff, in a variable that carries no
+mass (from n = 2 on, one where it is an incomplete beta integral, DLMF 8.17),
+over memoized pieces; its docstring gives the variables and the rules.  A
+``CutoffProbe`` reads each of its cutoffs through it, in grid order, so each
+failure is worded once and a probe gives a single read's float or error.  Both
+fits read only the cutoffs at or above sqrt(M^2), where the large-cutoff
+expansion holds, and check their grid rule on those before they read a radial,
+so a short grid fails before any quadrature.  The signature computes only the
+two slopes it reads, those of the first and the last step, and skips a step
+between two cutoffs whose logarithms round to one double, a step of no width
+in ln(Lambda); the grid rule leaves at least one step that is not skipped.
+The asymptote refuses a top-two-decade window with no cutoff at or below
 Lambda_top/sqrt(2), too narrow to extrapolate from.
 """
 
@@ -321,17 +312,15 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 def _past_float_range(power: int, at: str = "") -> OverflowError:
     """The radial's one overflow error: past the float range for the power, and for the mass and cutoff given in at.
 
-    An integer power of more than 20 digits is quoted by its first six, rounded, and its power of ten, as 1.23457e+400,
-    in integer arithmetic: its conversion to a float, for a format, overflows past 1.8e308.
+    An integer power of 1e20 or more is quoted at six digits, rounded half up, as 1.23457e+400, through ``decimal``:
+    its conversion to a float, for a format, overflows past 1.8e308.
     """
     text = power
     if isinstance(power, int) and power >= 10**20:
-        exponent = int(math.log10(power))  # log10 takes an int past the float range; the comparisons settle its rounding
-        exponent += (power >= 10 ** (exponent + 1)) - (power < 10**exponent)
-        lead = (power // 10 ** (exponent - 6) + 5) // 10  # 6 digits, rounded half up from the 7th
-        if lead == 10**6:  # 999999.5 and up rounds to the next power of ten
-            lead, exponent = lead // 10, exponent + 1
-        text = f"{lead / 1e5:g}e+{exponent}"
+        from decimal import ROUND_HALF_UP, Context  # here alone: no call that does not fail loads decimal
+
+        ctx = Context(prec=6, rounding=ROUND_HALF_UP)
+        text = f"{ctx.create_decimal(power).normalize(ctx):g}"
     return OverflowError(f"radial integral past the float range for power={text}{at}")
 
 

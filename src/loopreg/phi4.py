@@ -44,7 +44,6 @@ __all__ = [
     "ssb_vacuum",
     "lambda_renormalized",
     "lambda_invariant_ratio",
-    "geometric_partial_sum",
     "resum_chain",
     "resum_first_order",
     "critical_scale",
@@ -113,21 +112,6 @@ def lambda_invariant_ratio(m_sigma: float, phi1: float) -> float:
         _positive("m_sigma", m_sigma)
         _positive("phi1", phi1)
     return 3.0 * (m_sigma / phi1) ** 2
-
-
-def geometric_partial_sum(r: float, n: int) -> float:
-    """sum_{k=0..n} r^k, finite for every finite n (n+1 at r = 1).
-
-    Uses the Horner recurrence for stability, in n steps.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if r == 1.0:
-        return float(n + 1)
-    acc = 1.0
-    for _ in range(n):
-        acc = 1.0 + r * acc
-    return acc
 
 
 class ResummationState(_Record):

@@ -1575,7 +1575,7 @@ class TestBenchSelfChecks:
             pytest.param("oracle.integrand_evals", lambda v: v > 0, id="integrand_evals", marks=pytest.mark.xfail(
                 strict=True, raises=AssertionError, reason="ROADMAP item 17: spans counts oracle.radial_integrand, which the radial panels write out")),
             pytest.param("oracle.distinct_radial_ratio", lambda v: Fraction(v).limit_denominator(100) == Fraction(1, 3), id="distinct_radial_ratio", marks=pytest.mark.xfail(
-                strict=True, raises=AssertionError, reason="ROADMAP item 17: reads 1.0, since a probe's radials no longer pass through radial_integral")),
+                strict=True, raises=AssertionError, reason="ROADMAP item 17: reads 0.5, since a default report reads each of its 5 cutoffs twice through radial_integral; 1/3 was the scipy oracle's")),
         ],
     )
     def test_default_report_counters(self, metric, holds):

@@ -305,3 +305,19 @@ class TestValueInvariants:
     def test_render_quadratic_member(self):
         value = kernel.regularize(ScalarLoopIntegral(power=1))
         assert value.render() == "(i/(16*pi^2)) * (-M^2*ln(M^2) + M^2 - M^2*C1 - C2)"
+
+    def test_scaled_by_zero_is_zero_with_an_empty_ledger(self):
+        value = kernel.regularize(ScalarLoopIntegral(power=1)).scaled(0)
+        assert value == RegularizedValue(1)  # its power kept, both coefficients 0 and no constant
+
+
+class TestConstantEntryRefusals:
+    def test_negative_monomial_power(self):
+        with pytest.raises(ValueError) as excinfo:
+            ConstantEntry(1, msq_power=-1)
+        assert str(excinfo.value) == "constant monomial power must be non-negative"
+
+    def test_zero_coefficient(self):
+        with pytest.raises(ValueError) as excinfo:
+            ConstantEntry(0)
+        assert str(excinfo.value) == "constant coefficient must be nonzero"

@@ -58,6 +58,12 @@ class TestSSBVacuum:
         phi1, _ = phi4.ssb_vacuum(SSBPotential(sigma=sigma, lam=lam))
         assert float(Fraction(phi1) ** 2 * Fraction(lam) / (6 * Fraction(sigma))) == pytest.approx(1.0, rel=4e-15)
 
+    def test_infinite_coupling_underflows_phi1(self):
+        # lambda = inf is the one input where sqrt(6) sqrt(sigma)/sqrt(lambda) is 0: a numeric failure, not a refusal
+        with pytest.raises(ArithmeticError) as excinfo:
+            phi4.ssb_vacuum(SSBPotential(1.0, math.inf))
+        assert str(excinfo.value) == "phi1 = sqrt(6*sigma/lambda) underflows to 0 at sigma=1.0, lambda=inf"
+
     def test_nonpositive_parameters_rejected(self):
         with pytest.raises(ValueError):
             SSBPotential(sigma=0.0, lam=1.0)
@@ -105,33 +111,6 @@ class TestLambdaInvariantRatio:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             phi4.lambda_invariant_ratio(0.0, 1.0)
-
-
-class TestGeometricPartialSum:
-    def test_ratio_one(self):
-        assert phi4.geometric_partial_sum(1.0, 9) == 10.0
-
-    def test_half_ratio(self):
-        assert phi4.geometric_partial_sum(0.5, 3) == pytest.approx(1.875, rel=1e-15)
-
-    def test_long_sum_approaches_closed_form(self):
-        assert phi4.geometric_partial_sum(0.5, 200) == pytest.approx(2.0, rel=1e-15)
-
-    def test_matches_direct_sum(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            r = rng.uniform(-1.5, 1.5)
-            n = rng.randint(0, 30)
-            direct = sum(r**k for k in range(n + 1))
-            assert phi4.geometric_partial_sum(r, n) == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-    def test_finite_for_every_finite_order(self):
-        for r in (-2.0, -1.0, 0.999999, 1.0, 1.000001, 2.0):
-            assert math.isfinite(phi4.geometric_partial_sum(r, 500))
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            phi4.geometric_partial_sum(0.5, -1)
 
 
 class TestResumChain:
@@ -314,7 +293,6 @@ class TestFiniteOrderDichotomy:
         mu_hot = 2.0 * phi4.critical_scale(state)
         # every finite-order object stays finite there
         assert math.isfinite(phi4.resum_first_order(state, mu_hot))
-        assert math.isfinite(phi4.geometric_partial_sum(1.0, 1000))
         # the infinite resummation does not
         with pytest.raises(LandauPoleError):
             phi4.resum_chain(state, mu_hot)

@@ -154,3 +154,19 @@ class TestOracleIndependence:
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("loopreg."):
                 named.add(node.value.split(".")[1])
         assert not named & _CHECKED, named & _CHECKED
+
+
+#: the repository's Python files: the package, its tests and its benchmark harness (read, never written)
+_REPO = Path(__file__).resolve().parent.parent
+_PY_FILES = sorted(path for tree in ("src", "tests", "perfbench") for path in (_REPO / tree).rglob("*.py"))
+
+
+class TestGrammarFloor:
+    """Every Python file parses under the grammar of 3.10, the oldest version CI runs.
+
+    This checks grammar only: ast.parse with feature_version refuses newer syntax, not a newer standard-library API.
+    """
+
+    @pytest.mark.parametrize("path", _PY_FILES, ids=lambda path: str(path.relative_to(_REPO)))
+    def test_parses_at_3_10(self, path):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
